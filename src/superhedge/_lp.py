@@ -10,7 +10,6 @@ from __future__ import annotations
 from itertools import combinations
 
 import numpy as np
-from scipy.linalg import null_space
 from scipy.optimize import linprog
 
 from .errors import UnboundedObjective
@@ -47,20 +46,38 @@ def maximize(c, **kwargs):
 
 
 def feasible_point(A_eq, b_eq, n_vars, objective=None):
-    """Least-objective nonnegative solution of A_eq x = b_eq, or None."""
+    """Least-objective nonnegative solution of A_eq x = b_eq, or None.
+
+    Redundant equality rows carry rounding noise that the pinned tolerances
+    can reject, so a system declared infeasible is solved once more on an
+    orthonormal basis of its row space, provided b_eq lies in the column
+    space.
+    """
     c = np.ones(n_vars) if objective is None else np.asarray(objective, dtype=float)
     res = solve(c, A_eq=A_eq, b_eq=b_eq, bounds=(0, None))
     if res.status == 2:
-        return None
+        reduced = _row_space_system(A_eq, b_eq)
+        if reduced is None:
+            return None
+        res = solve(c, A_eq=reduced[0], b_eq=reduced[1], bounds=(0, None))
+        if res.status == 2:
+            return None
     if res.status != 0:
         raise UnboundedObjective(f"LP solver failure (status {res.status}): {res.message}")
     return res.x
 
 
-def equality_null_basis(A_eq: np.ndarray) -> np.ndarray:
-    """Orthonormal basis (columns) of the null space of the equality matrix."""
-    basis = null_space(np.asarray(A_eq, dtype=float))
-    return basis
+def _row_space_system(A_eq, b_eq):
+    """(V, y) with orthonormal rows V and {V x = y} = {A_eq x = b_eq}, or None
+    when b_eq leaves the column space of A_eq by more than FEAS_TOL."""
+    A = np.asarray(A_eq, dtype=float)
+    b = np.asarray(b_eq, dtype=float)
+    U, s, Vt = np.linalg.svd(A, full_matrices=False)
+    keep = s > 1e-12 * s.max(initial=0.0)
+    coeffs = U[:, keep].T @ b
+    if np.abs(b - U[:, keep] @ coeffs).max(initial=0.0) > FEAS_TOL:
+        return None
+    return Vt[keep], coeffs / s[keep]
 
 
 def enumerate_vertices(A_eq: np.ndarray, b_eq: np.ndarray, tol: float = FEAS_TOL) -> np.ndarray:

@@ -15,8 +15,14 @@ import numpy as np
 from . import market_io
 from .decomposition import local_regular_witness, optional_decomposition_complete, validate_decomposition
 from .errors import MathError, SuperhedgeError, ValidationError
-from .hedging import TradingStrategy, strategy_capital, superhedge, verify_self_financing
-from .measures import GeneratorHull, is_unit_claim
+from .hedging import (
+    TradingStrategy,
+    asset_ratio_family,
+    strategy_capital,
+    superhedge,
+    verify_self_financing,
+)
+from .measures import is_unit_claim
 from .pricing import euro_call_price, euro_put_price, fair_price_full, fair_price_generated, sup_expectation
 from .processes import is_martingale, is_supermartingale
 from .spaces import AdaptedProcess
@@ -50,8 +56,6 @@ def _print_rows(out, space, values, indent="  "):
 def _load(path: str):
     try:
         return market_io.load_market(path)
-    except FileNotFoundError as exc:
-        raise _IOFailure(str(exc)) from exc
     except OSError as exc:
         raise _IOFailure(str(exc)) from exc
 
@@ -69,13 +73,13 @@ def cmd_check(args, out) -> int:
         + " ".join(f"t{t}={space.n_cells(t)}" for t in range(space.horizon + 1))
         + "\n"
     )
-    if isinstance(mset, GeneratorHull):
-        out.write(f"measures: hull of {mset.k} generators\n")
-    else:
+    if model.is_polytope:
         out.write(
             f"measures: martingale polytope over [{', '.join(mset.asset_names)}], "
             f"interior floor={fmt(mset.interior_measure.min())}\n"
         )
+    else:
+        out.write(f"measures: hull of {mset.k} generators\n")
     for name in sorted(model.processes):
         proc = model.processes[name]
         mart = is_martingale(space, mset, proc)
@@ -203,11 +207,7 @@ def cmd_price(args, out) -> int:
             d1 = args.d1 if args.d1 is not None else float(asset.values[-1].min())
             closed = euro_put_price(d1, args.strike)
             out.write(f"closed-form (band worst case, D1={fmt(d1)}): {fmt(closed)}\n")
-        from .hedging import asset_ratio_family
-
-        family, _ = asset_ratio_family(mset) if model.is_polytope else (None, None)
-        if family is None:
-            raise ValidationError("call/put modes need a martingale-asset market")
+        family, _ = asset_ratio_family(mset)
         result = fair_price_generated(space, mset, family, payoff)
         out.write(f"tree LP price (asset family): {fmt(result.price)}\n")
         out.write(f"lower bound sup E f_N: {fmt(result.lower_bound)}\n")
@@ -232,8 +232,6 @@ def _generated_family(model, args):
         return [model.claims[n] for n in names]
     if not model.is_polytope:
         raise ValidationError("generated mode needs --family for generator-hull markets")
-    from .hedging import asset_ratio_family
-
     family, _ = asset_ratio_family(model.measure_set)
     return family
 

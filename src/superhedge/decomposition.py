@@ -164,8 +164,12 @@ def alpha_coefficient(space: FilteredSpace, mset: MeasureSet, xi0, n: int, ratio
     """
     if not 1 <= n <= space.horizon:
         raise IndexError(f"time {n} out of range 1..{space.horizon}")
+    return _alpha(space, n, increment_process(space, mset, xi0)[n - 1], ratio)
+
+
+def _alpha(space: FilteredSpace, n: int, d: np.ndarray, ratio) -> float:
+    """alpha_coefficient given the time-n increments d of the unit claim."""
     ratio = np.asarray(ratio, dtype=float)
-    d = increment_process(space, mset, xi0)[n - 1]
     for c, cell in enumerate(space.cells[n]):
         if np.ptp(ratio[list(cell)]) > EQ_TOL:
             raise ValueError(f"ratio vector varies on time-{n} cell {c}")
@@ -234,7 +238,7 @@ def optional_decomposition_complete(
         ratio = shifted[n] / shifted[n - 1]
         sup_exp, _ = mset.max_expectation(ratio)
         normalized = ratio / sup_exp
-        alpha = alpha_coefficient(space, mset, xi0, n, normalized)
+        alpha = _alpha(space, n, increments[n - 1], normalized)
         d_row = np.empty(n_out)
         for c, cell in enumerate(space.cells[n]):
             d_row[list(cell)] = increments[n - 1][c]

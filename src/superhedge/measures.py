@@ -1,6 +1,7 @@
 """Convex families of equivalent measures on a finite filtered space.
 
-Two concrete families are supported:
+Every family implements one contract, MeasureSet, and no other module tells
+the families apart.  Two concrete families are supported:
 
 * GeneratorHull -- the convex hull of finitely many strictly positive
   measures.  Conditional expectations under any hull member are positively
@@ -10,7 +11,9 @@ Two concrete families are supported:
 * MartingalePolytope -- all strictly positive measures making the listed
   asset processes martingales.  The family is an open face of the polyhedron
   {q >= 0, asset equalities, total mass 1}; suprema of linear and
-  linear-fractional functionals over its closure are computed by LP.
+  linear-fractional functionals over its closure are computed by LP, and an
+  identity that must hold under every member is a linear test on the
+  affine hull (an interior member and the null space of the equalities).
 
 Claims with expectation one under every member measure ("unit claims") play
 the role of normalized state-price densities.  Their conditional-expectation
@@ -23,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import null_space
 
 from . import _lp
 from .errors import (
@@ -150,11 +154,26 @@ class MeasureSet:
     def max_expectation(self, x) -> tuple[float, np.ndarray]:
         raise NotImplementedError
 
-    def min_expectation(self, x) -> tuple[float, np.ndarray]:
-        raise NotImplementedError
-
     def cond_exp_sup(self, x, t: int) -> EssSupRow:
         raise NotImplementedError
+
+    def step_gaps(self, x, base, t: int, equality: bool) -> list[tuple[str, np.ndarray]]:
+        """Pairs (label, gaps), one gap per time-t cell, comparing E^P(x | F_t)
+        with the F_t-measurable base over the family.
+
+        Without equality a gap is the largest excess of E^P(x | F_t) over
+        base; with equality it is a nonnegative residual that vanishes iff
+        E^P(x | F_t) = base under every member measure."""
+        raise NotImplementedError
+
+    def contains_masses(self, masses, t: int) -> bool:
+        """Whether some measure in the closure puts these masses on the
+        time-t cells."""
+        raise NotImplementedError
+
+
+def _cell_reps(space: FilteredSpace, t: int) -> list[int]:
+    return [space.cell_rep(t, c) for c in range(space.n_cells(t))]
 
 
 class GeneratorHull(MeasureSet):
@@ -191,18 +210,35 @@ class GeneratorHull(MeasureSet):
         i = int(np.argmax(vals))
         return float(vals[i]), self._matrix[i]
 
-    def min_expectation(self, x):
-        vals = self._matrix @ np.asarray(x, dtype=float)
-        i = int(np.argmin(vals))
-        return float(vals[i]), self._matrix[i]
-
     def cond_exp_sup(self, x, t):
         x = np.asarray(x, dtype=float)
         rows = np.array([_condexp_row(self.space, p, x, t) for p in self._matrix])
         values = rows.max(axis=0)
-        reps = [self.space.cell_rep(t, c) for c in range(self.space.n_cells(t))]
-        attained = tuple(int(np.argmax(rows[:, r])) for r in reps)
+        attained = tuple(int(np.argmax(rows[:, r])) for r in _cell_reps(self.space, t))
         return EssSupRow(values=values, attained=attained)
+
+    def step_gaps(self, x, base, t, equality):
+        # every member's conditional expectation is a positively weighted
+        # average of the generators', so the generators decide
+        x = np.asarray(x, dtype=float)
+        reps = _cell_reps(self.space, t)
+        out = []
+        for i, p in enumerate(self._matrix):
+            gaps = (_condexp_row(self.space, p, x, t) - base)[reps]
+            out.append((f"generator {i}", np.abs(gaps) if equality else gaps))
+        return out
+
+    def contains_masses(self, masses, t):
+        # the restriction of the hull to time t is the hull of the
+        # restricted generators: a convex-combination feasibility solve
+        atoms = self.space.atom_index[t]
+        k = self.space.n_cells(t)
+        restr = np.array(
+            [np.bincount(atoms, weights=p, minlength=k) for p in self._matrix]
+        ).T  # cells x generators
+        A_eq = np.vstack([restr, np.ones((1, self.k))])
+        b_eq = np.concatenate([masses, [1.0]])
+        return _lp.feasible_point(A_eq, b_eq, self.k) is not None
 
 
 class MartingalePolytope(MeasureSet):
@@ -243,7 +279,7 @@ class MartingalePolytope(MeasureSet):
         self._b_eq = np.concatenate([np.zeros(len(rows)), [1.0]])
 
         self._interior = self._solve_interior()
-        self._null_basis = _lp.equality_null_basis(self._A_eq)  # columns
+        self._null_basis = null_space(self._A_eq)  # orthonormal columns
         self._vertices: np.ndarray | None = None
 
     def _solve_interior(self) -> np.ndarray:
@@ -268,9 +304,6 @@ class MartingalePolytope(MeasureSet):
     def reference(self) -> np.ndarray:
         return self._interior
 
-    def null_basis(self) -> np.ndarray:
-        return self._null_basis
-
     def expectation_functionals(self):
         out = [(self._interior, 1.0)]
         out.extend((self._null_basis[:, j], 0.0) for j in range(self._null_basis.shape[1]))
@@ -287,10 +320,6 @@ class MartingalePolytope(MeasureSet):
     def max_expectation(self, x):
         value, q = _lp.maximize(np.asarray(x, dtype=float), A_eq=self._A_eq, b_eq=self._b_eq)
         return float(value), q
-
-    def min_expectation(self, x):
-        value, q = _lp.maximize(-np.asarray(x, dtype=float), A_eq=self._A_eq, b_eq=self._b_eq)
-        return float(-value), q
 
     def cond_exp_sup(self, x, t):
         """Per-cell sup of E^Q{x | F_t} over the closure, where the cell has mass.
@@ -316,11 +345,33 @@ class MartingalePolytope(MeasureSet):
             attained.append(u / u.sum())
         return EssSupRow(values=values, attained=tuple(attained))
 
+    def step_gaps(self, x, base, t, equality):
+        x = np.asarray(x, dtype=float)
+        if not equality:
+            reps = _cell_reps(self.space, t)
+            return [("lp max", (self.cond_exp_sup(x, t).values - base)[reps])]
+        # an identity across the whole polytope is a linear condition on its
+        # affine hull: test against the interior point and the null basis
+        base = np.broadcast_to(np.asarray(base, dtype=float), x.shape)
+        gaps = np.empty(self.space.n_cells(t))
+        for c, cell in enumerate(self.space.cells[t]):
+            idx = list(cell)
+            centred = x[idx] - base[idx]
+            res_ref = float(centred @ self._interior[idx])
+            res_null = centred @ self._null_basis[idx, :]
+            gaps[c] = max(abs(res_ref), float(np.abs(res_null).max(initial=0.0)))
+        return [("affine hull", gaps)]
+
+    def contains_masses(self, masses, t):
+        # a strictly positive member supplies the conditional extension
+        # beyond time t, so only the equalities up to step t constrain
+        return not self.equality_residuals(masses, t)
+
     def equality_residuals(self, mu: np.ndarray, up_to_time: int) -> list[tuple[int, int, int, float]]:
         """Evaluate the asset equalities with step <= up_to_time on a measure
         given by per-cell masses at up_to_time.  Returns nonzero residuals."""
         space = self.space
-        reps = [space.cell_rep(up_to_time, c) for c in range(space.n_cells(up_to_time))]
+        reps = _cell_reps(space, up_to_time)
         out = []
         for j, proc in enumerate(self.assets):
             scale = 1.0 + float(np.abs(proc.values).max())
@@ -341,12 +392,7 @@ def is_unit_claim(space: FilteredSpace, mset: MeasureSet, xi) -> bool:
         raise ShapeMismatch("claim length must equal the outcome count")
     if xi.min() < -EQ_TOL:
         return False
-    if isinstance(mset, GeneratorHull):
-        expectations = mset._matrix @ xi
-        return bool(np.all(np.abs(expectations - 1.0) <= EQ_TOL))
-    hi, _ = mset.max_expectation(xi)
-    lo, _ = mset.min_expectation(xi)
-    return abs(hi - 1.0) <= EQ_TOL and abs(lo - 1.0) <= EQ_TOL
+    return all(gaps.max() <= EQ_TOL for _, gaps in mset.step_gaps(xi, 1.0, 0, equality=True))
 
 
 def unit_claim_rows(space: FilteredSpace, mset: MeasureSet, xi0) -> np.ndarray:
@@ -361,34 +407,16 @@ def unit_claim_rows(space: FilteredSpace, mset: MeasureSet, xi0) -> np.ndarray:
     ref = mset.reference()
     rows = np.array([_condexp_row(space, ref, xi0, t) for t in range(space.horizon + 1)])
     scale = 1.0 + float(np.abs(xi0).max())
-
-    if isinstance(mset, GeneratorHull):
-        for i, p in enumerate(mset._matrix):
-            for t in range(space.horizon + 1):
-                other = _condexp_row(space, p, xi0, t)
-                gap = np.abs(other - rows[t])
-                if gap.max() > EQ_TOL * scale:
-                    c = int(space.atom_index[t, int(np.argmax(gap))])
-                    raise MeasureDependent(
-                        f"E(claim | F_{t}) differs across measures on cell {c} "
-                        f"(generator {i}, gap {gap.max():.3e})",
-                        time=t,
-                        cell=c,
-                    )
-    else:
-        basis = mset.null_basis()
-        for t in range(space.horizon + 1):
-            for c, cell in enumerate(space.cells[t]):
-                idx = list(cell)
-                centred = xi0[idx] - rows[t, idx[0]]
-                res = centred @ basis[idx, :]
-                if res.size and np.abs(res).max() > EQ_TOL * scale:
-                    raise MeasureDependent(
-                        f"E(claim | F_{t}) varies over the polytope on cell {c} "
-                        f"(residual {np.abs(res).max():.3e})",
-                        time=t,
-                        cell=c,
-                    )
+    for t in range(space.horizon + 1):
+        for label, gaps in mset.step_gaps(xi0, rows[t], t, equality=True):
+            if gaps.max() > EQ_TOL * scale:
+                c = int(np.argmax(gaps))
+                raise MeasureDependent(
+                    f"E(claim | F_{t}) differs across measures on cell {c} "
+                    f"({label}, gap {gaps.max():.3e})",
+                    time=t,
+                    cell=c,
+                )
     return rows
 
 
@@ -401,7 +429,7 @@ def increment_process(space: FilteredSpace, mset: MeasureSet, xi0) -> list[np.nd
     rows = unit_claim_rows(space, mset, xi0)
     out = []
     for n in range(1, space.horizon + 1):
-        reps = [space.cell_rep(n, c) for c in range(space.n_cells(n))]
+        reps = _cell_reps(space, n)
         out.append(rows[n][reps] - rows[n - 1][reps])
     return out
 
@@ -444,37 +472,15 @@ class CompletenessReport:
 
 
 def is_complete(space: FilteredSpace, mset: MeasureSet, xi0) -> CompletenessReport:
-    """Decide whether every completion measure lies in the closure of the family.
-
-    For a hull the restriction to each time is again a finite hull, so
-    membership is a convex-combination feasibility solve.  For a martingale
-    polytope membership of a time-n candidate reduces to the asset equalities
-    with step <= n evaluated on its cell masses (a strictly positive member
-    supplies the conditional extension beyond time n).
-    """
+    """Decide whether every completion measure lies in the closure of the family."""
     increments = increment_process(space, mset, xi0)
     failures = []
     tested = 0
     for n in range(1, space.horizon + 1):
-        candidates = completion_measures(space, mset, xi0, n, increments=increments)
-        if not candidates:
-            continue
-        if isinstance(mset, GeneratorHull):
-            atoms = space.atom_index[n]
-            k = space.n_cells(n)
-            restr = np.array(
-                [np.bincount(atoms, weights=p, minlength=k) for p in mset._matrix]
-            ).T  # cells x generators
-            A_eq = np.vstack([restr, np.ones((1, mset.k))])
-        for cm in candidates:
+        for cm in completion_measures(space, mset, xi0, n, increments=increments):
             tested += 1
-            if isinstance(mset, GeneratorHull):
-                b_eq = np.concatenate([cm.atom_probabilities, [1.0]])
-                if _lp.feasible_point(A_eq, b_eq, mset.k) is None:
-                    failures.append((n, cm.neg_atom, cm.pos_atom))
-            else:
-                if mset.equality_residuals(cm.atom_probabilities, n):
-                    failures.append((n, cm.neg_atom, cm.pos_atom))
+            if not mset.contains_masses(cm.atom_probabilities, n):
+                failures.append((n, cm.neg_atom, cm.pos_atom))
     return CompletenessReport(complete=not failures, failures=tuple(failures), tested=tested)
 
 

@@ -40,11 +40,6 @@ class FairPriceResult:
     weights: np.ndarray | None = None  # simplex weights when priced over a family
 
 
-def _terminal_cells(space: FilteredSpace):
-    t = space.horizon
-    return t, [space.cell_outcomes(t, c) for c in range(space.n_cells(t))]
-
-
 def _check_terminal_claim(space: FilteredSpace, f_N) -> np.ndarray:
     x = np.asarray(f_N, dtype=float)
     if x.shape != (space.outcome_count,):
@@ -67,13 +62,24 @@ def sup_expectation(space: FilteredSpace, mset: MeasureSet, f_N) -> float:
     return float(value)
 
 
+def _domination_rows(space: FilteredSpace, mset: MeasureSet, x: np.ndarray):
+    """Rows P and bounds b, one per (dominator, terminal cell), such that
+    eta dominates the terminal claim x under every member iff P @ eta >= b."""
+    t = space.horizon
+    cells = [space.cell_outcomes(t, c) for c in range(space.n_cells(t))]
+    dominators = mset.domination_measures()
+    P = np.zeros((len(dominators) * len(cells), space.outcome_count))
+    bounds = np.empty(len(P))
+    for i, p in enumerate(dominators):
+        for j, idx in enumerate(cells):
+            P[i * len(cells) + j, idx] = p[idx]
+            bounds[i * len(cells) + j] = x[idx[0]] * p[idx].sum()
+    return P, bounds
+
+
 def _witness_check(space, mset, f_N, eta, price) -> BoundCheck:
-    _, cells = _terminal_cells(space)
-    worst = 0.0
-    for p in mset.domination_measures():
-        for idx in cells:
-            violation = f_N[idx[0]] * p[idx].sum() - float(eta[idx] @ p[idx])
-            worst = max(worst, violation)
+    P, bounds = _domination_rows(space, mset, f_N)
+    worst = float((bounds - P @ eta).max(initial=0.0))
     scale = 1.0 + float(np.abs(f_N).max()) + abs(price)
     return BoundCheck(ok=worst <= EQ_TOL * scale, max_violation=worst)
 
@@ -83,9 +89,8 @@ def fair_price_full(space: FilteredSpace, mset: MeasureSet, f_N) -> FairPriceRes
     terminal conditional expectation, searched over all unit claims."""
     x = _check_terminal_claim(space, f_N)
     n = space.outcome_count
-    _, cells = _terminal_cells(space)
     functionals = mset.expectation_functionals()
-    dominators = mset.domination_measures()
+    P, bounds = _domination_rows(space, mset, x)
 
     # variables: [alpha, eta_0 .. eta_{n-1}]
     cost = np.zeros(n + 1)
@@ -94,15 +99,8 @@ def fair_price_full(space: FilteredSpace, mset: MeasureSet, f_N) -> FairPriceRes
     for i, (w, kappa) in enumerate(functionals):
         A_eq[i, 0] = -kappa
         A_eq[i, 1:] = w
-    rows = []
-    rhs = []
-    for p in dominators:
-        for idx in cells:
-            row = np.zeros(n + 1)
-            row[1 + idx] = -p[idx]
-            rows.append(row)
-            rhs.append(-x[idx[0]] * p[idx].sum())
-    res = _lp.solve(cost, A_ub=np.array(rows), b_ub=np.array(rhs),
+    A_ub = np.hstack([np.zeros((len(P), 1)), -P])
+    res = _lp.solve(cost, A_ub=A_ub, b_ub=-bounds,
                     A_eq=A_eq, b_eq=np.zeros(len(functionals)), bounds=(0, None))
     if res.status == 2:
         raise InfeasiblePricing("no dominating unit claim exists; "
@@ -136,16 +134,9 @@ def fair_price_generated(space: FilteredSpace, mset: MeasureSet, family, f_N) ->
         if not is_unit_claim(space, mset, xi):
             raise NotUnitClaim(f"family member {i} is not a unit claim")
 
-    _, cells = _terminal_cells(space)
-    dominators = mset.domination_measures()
-    rows = []
-    rhs = []
-    for p in dominators:
-        for idx in cells:
-            rows.append([-float(xi[idx] @ p[idx]) for xi in claims])
-            rhs.append(-x[idx[0]] * p[idx].sum())
-    res = _lp.solve(np.ones(len(claims)), A_ub=np.array(rows), b_ub=np.array(rhs),
-                    bounds=(0, None))
+    C = np.array(claims)  # claims x outcomes
+    P, bounds = _domination_rows(space, mset, x)
+    res = _lp.solve(np.ones(len(claims)), A_ub=-(P @ C.T), b_ub=-bounds, bounds=(0, None))
     if res.status == 2:
         raise InfeasiblePricing(
             "claim family cannot dominate the payoff (it vanishes where the payoff is positive)"
@@ -156,8 +147,8 @@ def fair_price_generated(space: FilteredSpace, mset: MeasureSet, family, f_N) ->
     beta = res.x
     price = float(beta.sum())
     eta = np.zeros(space.outcome_count)
-    for b, xi in zip(beta, claims):
-        eta += b * xi
+    for weight, xi in zip(beta, claims):
+        eta += weight * xi
     zeta = eta / price if price > EQ_TOL else np.ones(space.outcome_count)
     return FairPriceResult(
         price=price,

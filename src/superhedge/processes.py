@@ -2,9 +2,10 @@
 plus the constructive processes built from unit claims.
 
 A process f is a super-martingale for the family when
-E^P(f_m | F_{m-1}) <= f_{m-1} holds on every cell for every member measure P;
-for a hull the generators decide this, for a martingale polytope the per-cell
-conditional-expectation gap is maximized by LP over the closure.
+E^P(f_m | F_{m-1}) <= f_{m-1} holds on every cell for every member measure P,
+and a martingale when equality holds.  Both verdicts read the per-cell gaps
+the family reports through MeasureSet.step_gaps, so nothing here depends on
+which kind of family it is.
 """
 
 from __future__ import annotations
@@ -19,13 +20,7 @@ from .errors import (
     NotUnitClaim,
     ZeroInitialValue,
 )
-from .measures import (
-    GeneratorHull,
-    MeasureSet,
-    _condexp_row,
-    is_unit_claim,
-    unit_claim_rows,
-)
+from .measures import MeasureSet, ess_sup_conditional, is_unit_claim, unit_claim_rows
 from .spaces import AdaptedProcess, FilteredSpace, check_adapted
 from .tolerances import EQ_TOL
 
@@ -49,76 +44,35 @@ class MartingaleReport:
 
 
 def _as_process(space: FilteredSpace, f) -> AdaptedProcess:
-    if isinstance(f, AdaptedProcess):
-        return f
-    report = check_adapted(space, np.asarray(f, dtype=float))
-    if not report.ok:
-        raise NotAdapted(f"values not adapted at (time, cell) {report.violations[:4]}")
-    return AdaptedProcess(space, np.asarray(f, dtype=float))
+    return f if isinstance(f, AdaptedProcess) else AdaptedProcess(space, f)
+
+
+def _step_report(space: FilteredSpace, mset: MeasureSet, f, equality: bool) -> MartingaleReport:
+    proc = _as_process(space, f)
+    scale = 1.0 + float(np.abs(proc.values).max())
+    violations = []
+    for m in range(1, space.horizon + 1):
+        for label, gaps in mset.step_gaps(proc.values[m], proc.values[m - 1], m - 1, equality):
+            for c in np.flatnonzero(gaps > EQ_TOL * scale):
+                violations.append(StepViolation(m, int(c), label, float(gaps[c])))
+    return MartingaleReport(ok=not violations, equality=equality, violations=tuple(violations))
 
 
 def is_supermartingale(space: FilteredSpace, mset: MeasureSet, f) -> MartingaleReport:
     """Check E^P(f_m | F_{m-1}) <= f_{m-1} + tol for every member measure."""
-    proc = _as_process(space, f)
-    scale = 1.0 + float(np.abs(proc.values).max())
-    violations = []
-    for m in range(1, space.horizon + 1):
-        prev = proc.values[m - 1]
-        if isinstance(mset, GeneratorHull):
-            for i, p in enumerate(mset._matrix):
-                row = _condexp_row(space, p, proc.values[m], m - 1)
-                for c in range(space.n_cells(m - 1)):
-                    r = space.cell_rep(m - 1, c)
-                    gap = row[r] - prev[r]
-                    if gap > EQ_TOL * scale:
-                        violations.append(StepViolation(m, c, f"generator {i}", float(gap)))
-        else:
-            sup = mset.cond_exp_sup(proc.values[m], m - 1)
-            for c in range(space.n_cells(m - 1)):
-                r = space.cell_rep(m - 1, c)
-                gap = sup.values[r] - prev[r]
-                if gap > EQ_TOL * scale:
-                    violations.append(StepViolation(m, c, "lp max", float(gap)))
-    return MartingaleReport(ok=not violations, equality=False, violations=tuple(violations))
+    return _step_report(space, mset, f, equality=False)
 
 
 def is_martingale(space: FilteredSpace, mset: MeasureSet, f) -> MartingaleReport:
     """Check E^P(f_m | F_{m-1}) = f_{m-1} within tol for every member measure."""
-    proc = _as_process(space, f)
-    scale = 1.0 + float(np.abs(proc.values).max())
-    violations = []
-    for m in range(1, space.horizon + 1):
-        prev = proc.values[m - 1]
-        if isinstance(mset, GeneratorHull):
-            for i, p in enumerate(mset._matrix):
-                row = _condexp_row(space, p, proc.values[m], m - 1)
-                for c in range(space.n_cells(m - 1)):
-                    r = space.cell_rep(m - 1, c)
-                    gap = abs(row[r] - prev[r])
-                    if gap > EQ_TOL * scale:
-                        violations.append(StepViolation(m, c, f"generator {i}", float(gap)))
-        else:
-            # equality across the whole polytope is a linear condition on its
-            # affine hull: test against the interior point and the null basis
-            basis = mset.null_basis()
-            interior = mset.interior_measure
-            for c, cell in enumerate(space.cells[m - 1]):
-                idx = list(cell)
-                centred = proc.values[m, idx] - prev[idx]
-                res_ref = float(centred @ interior[idx])
-                res_null = centred @ basis[idx, :]
-                worst = max(abs(res_ref), float(np.abs(res_null).max(initial=0.0)))
-                if worst > EQ_TOL * scale:
-                    violations.append(StepViolation(m, c, "affine hull", worst))
-    return MartingaleReport(ok=not violations, equality=True, violations=tuple(violations))
+    return _step_report(space, mset, f, equality=True)
 
 
 def ess_sup_process(space: FilteredSpace, mset: MeasureSet, xi) -> AdaptedProcess:
     """The process of per-cell suprema of E^P(xi | F_t) over the family."""
-    xi = np.asarray(xi, dtype=float)
-    if xi.min() < -EQ_TOL:
-        raise ValueError("claim must be nonnegative")
-    rows = np.array([mset.cond_exp_sup(xi, t).values for t in range(space.horizon + 1)])
+    rows = np.array(
+        [ess_sup_conditional(space, mset, xi, t).values for t in range(space.horizon + 1)]
+    )
     return AdaptedProcess(space, rows)
 
 

@@ -118,6 +118,35 @@ class TestWitness:
                 assert residual <= 1e-3
         assert feasible_seen > 0 and infeasible_seen > 0
 
+    def test_cell_system_with_noisy_redundant_rows(self):
+        """A rank-2 cell system whose four redundant rows carry rounding
+        noise; the pinned solver tolerances alone declare it infeasible."""
+        from superhedge import _lp
+
+        W = np.array([
+            [0.40470528375359616, 0.3130091257259975, 0.022968431393893745],
+            [0.032352612657334065, 0.24018866014423615, -0.2725412728015696],
+            [-0.022307021569177965, -0.1656093026939784, 0.1879163242631562],
+            [-0.011513018976650469, -0.08547367198765776, 0.09698669096430725],
+            [-0.10121482766374804, -0.7514278398710571, 0.8526426675348039],
+            [7.810800710352644e-06, 5.798807586814003e-05, -6.579887657785843e-05],
+        ])
+        r = np.array([
+            0.27582713743321513, -3.2729391842251228, 2.2566809595999526,
+            1.1647099829776109, 10.23935776049852, -0.0007901765454419199,
+        ])
+        gamma = _lp.feasible_point(W, r, 3)
+        assert gamma is not None
+        assert gamma.min() >= 0.0
+        assert np.abs(W @ gamma - r).max() <= 1e-9
+
+    def test_inconsistent_cell_system_stays_infeasible(self):
+        from superhedge import _lp
+
+        W = np.array([[1.0, 1.0], [2.0, 2.0]])
+        assert _lp.feasible_point(W, np.array([1.0, 3.0]), 2) is None
+        assert _lp.feasible_point(np.array([[1.0, 1.0]]), np.array([-1.0]), 2) is None
+
     def test_shift_invariance(self):
         rng = np.random.default_rng(107)
         for _ in range(10):

@@ -131,6 +131,42 @@ class TestEssSup:
         assert np.allclose(row.values, 10.0)  # unique measure (0.5, 0.5)
 
 
+class TestFamilyContract:
+    """step_gaps and contains_masses, the family-specific half of MeasureSet."""
+
+    def test_step_gap_labels_and_shape(self, binomial, two_generator_hull):
+        space, asset, poly = binomial
+        x = asset.values[1]
+        hull_gaps = two_generator_hull.step_gaps(x, 100.0, 0, equality=False)
+        assert [label for label, _ in hull_gaps] == ["generator 0", "generator 1"]
+        assert [label for label, _ in poly.step_gaps(x, 100.0, 0, equality=False)] == ["lp max"]
+        assert [label for label, _ in poly.step_gaps(x, 100.0, 0, equality=True)] == ["affine hull"]
+        for _, gaps in hull_gaps:
+            assert gaps.shape == (space.n_cells(0),)
+
+    def test_hull_gaps_are_generator_excesses(self, binary_space, two_generator_hull):
+        x = np.array([2.0, 0.0])
+        signed = two_generator_hull.step_gaps(x, 1.2, 0, equality=False)
+        assert [float(g[0]) for _, g in signed] == pytest.approx([-0.2, 0.4])
+        absolute = two_generator_hull.step_gaps(x, 1.2, 0, equality=True)
+        assert [float(g[0]) for _, g in absolute] == pytest.approx([0.2, 0.4])
+
+    def test_polytope_gaps_vanish_on_martingale(self, binomial):
+        space, asset, poly = binomial
+        for equality in (False, True):
+            (_, gaps), = poly.step_gaps(asset.values[1], asset.values[0], 0, equality)
+            assert np.abs(gaps).max() <= 1e-9
+        (_, gaps), = poly.step_gaps(asset.values[1], asset.values[0] - 1.0, 0, True)
+        assert gaps.min() > 0.5
+
+    def test_contains_masses(self, binomial, two_generator_hull):
+        _, _, poly = binomial
+        assert poly.contains_masses(np.array([0.5, 0.5]), 1)
+        assert not poly.contains_masses(np.array([0.9, 0.1]), 1)
+        assert two_generator_hull.contains_masses(np.array([0.6, 0.4]), 1)
+        assert not two_generator_hull.contains_masses(np.array([0.4, 0.6]), 1)
+
+
 class TestRestrictionMetric:
     def test_same_measure(self, binary_space):
         assert restriction_metric(binary_space, [0.5, 0.5], [0.5, 0.5], 1) == 0.0

@@ -6,11 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from superhedge import (
+    EQ_TOL,
     GeneratorHull,
+    asset_ratio_family,
     build_space,
     change_of_measure_conditional,
     conditional_expectation,
     ess_sup_conditional,
+    is_unit_claim,
     restriction_metric,
 )
 
@@ -160,3 +163,31 @@ def test_closure_vertices_satisfy_asset_equalities():
         # the interior measure is in the convex hull of the vertices: its
         # equalities were checked at construction, spot check positivity
         assert poly.interior_measure.min() > 0
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    complete=st.booleans(),
+    delta=st.sampled_from([0.0, 1e-5, 1e-3, 0.1]),
+)
+def test_polytope_unit_claim_matches_lp_oracle(seed, complete, delta):
+    """The linear affine-hull test agrees with the extremes of E over the
+    closure: a perturbed mix of asset-ratio claims is a unit claim iff its
+    largest and smallest expectations are both one."""
+    from gen import complete_polytope, random_market_tree
+
+    rng = np.random.default_rng(seed)
+    if complete:
+        space, _, poly, _ = complete_polytope(rng)
+    else:
+        space, _, poly = random_market_tree(rng)
+    family, _ = asset_ratio_family(poly)
+    weights = rng.dirichlet(np.ones(len(family)))
+    v = rng.uniform(-1.0, 1.0, size=space.outcome_count)
+    xi = np.clip(weights @ np.array(family) + delta * v, 0.0, None)
+
+    hi, _ = poly.max_expectation(xi)
+    lo = -poly.max_expectation(-xi)[0]
+    oracle = abs(hi - 1.0) <= EQ_TOL and abs(lo - 1.0) <= EQ_TOL
+    assert is_unit_claim(space, poly, xi) == oracle
