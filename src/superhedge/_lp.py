@@ -1,13 +1,12 @@
-"""Thin wrappers around scipy's HiGHS LP solver plus small polyhedral helpers.
+"""Thin wrappers around scipy's HiGHS LP solver.
 
-All programs in this library are tiny and dense, so tolerances are pushed
-well below the library-wide identity tolerance and vertices of equality-form
-polytopes are enumerated combinatorially.
+All programs in this library are small and dense, so tolerances are pushed
+well below the library-wide identity tolerance.  Nothing here enumerates
+polytope vertices: no production path needs them, and the combinatorial
+enumeration the tests use as an oracle lives with the tests.
 """
 
 from __future__ import annotations
-
-from itertools import combinations
 
 import numpy as np
 from scipy.optimize import linprog
@@ -79,29 +78,3 @@ def _row_space_system(A_eq, b_eq):
         return None
     return Vt[keep], coeffs / s[keep]
 
-
-def enumerate_vertices(A_eq: np.ndarray, b_eq: np.ndarray, tol: float = FEAS_TOL) -> np.ndarray:
-    """All vertices of {x >= 0 : A_eq x = b_eq} as rows, lexicographically sorted.
-
-    Basic-feasible-solution enumeration over column subsets of size rank(A);
-    intended for the desk-scale polytopes this library works with.
-    """
-    A = np.asarray(A_eq, dtype=float)
-    b = np.asarray(b_eq, dtype=float)
-    m, n = A.shape
-    r = int(np.linalg.matrix_rank(A, tol=1e-11))
-    found = {}
-    for cols in combinations(range(n), r):
-        sub = A[:, cols]
-        x_sub, residual, rank, _ = np.linalg.lstsq(sub, b, rcond=None)
-        if rank < r:
-            continue
-        if np.max(np.abs(sub @ x_sub - b)) > tol:
-            continue
-        if x_sub.min() < -tol:
-            continue
-        x = np.zeros(n)
-        x[list(cols)] = np.clip(x_sub, 0.0, None)
-        key = tuple(np.round(x, 10))
-        found.setdefault(key, x)
-    return np.array([found[k] for k in sorted(found)]) if found else np.empty((0, n))

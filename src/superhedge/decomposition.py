@@ -27,7 +27,7 @@ from .errors import (
 )
 from .measures import MeasureSet, increment_process
 from .processes import _as_process, is_martingale, is_supermartingale
-from .spaces import AdaptedProcess, FilteredSpace
+from .spaces import AdaptedProcess, FilteredSpace, cell_ranges
 from .tolerances import EQ_TOL
 
 
@@ -170,9 +170,9 @@ def alpha_coefficient(space: FilteredSpace, mset: MeasureSet, xi0, n: int, ratio
 def _alpha(space: FilteredSpace, n: int, d: np.ndarray, ratio) -> float:
     """alpha_coefficient given the time-n increments d of the unit claim."""
     ratio = np.asarray(ratio, dtype=float)
-    for c, cell in enumerate(space.cells[n]):
-        if np.ptp(ratio[list(cell)]) > EQ_TOL:
-            raise ValueError(f"ratio vector varies on time-{n} cell {c}")
+    varies = np.flatnonzero(cell_ranges(space, n, ratio) > EQ_TOL)
+    if varies.size:
+        raise ValueError(f"ratio vector varies on time-{n} cell {varies[0]}")
     reps = [space.cell_rep(n, c) for c in range(space.n_cells(n))]
     fvals = ratio[reps]
     if fvals.min() < -EQ_TOL:

@@ -18,7 +18,7 @@ from .errors import NoRepresentation, NotMartingale, NotPredictable, ShapeMismat
 from .measures import MartingalePolytope, _condexp_row
 from .pricing import FairPriceResult, fair_price_full, fair_price_generated
 from .processes import is_martingale
-from .spaces import AdaptedProcess, FilteredSpace, PredictableProcess
+from .spaces import AdaptedProcess, FilteredSpace, PredictableProcess, cell_ranges
 from .tolerances import EQ_TOL
 
 
@@ -67,10 +67,12 @@ class TradingStrategy:
             raise ShapeMismatch(f"risky must have shape {(N + 1, n, len(self.assets))}")
         for m in range(N + 1):
             t = max(m - 1, 0)
-            for c, cell in enumerate(self.space.cells[t]):
-                idx = list(cell)
-                if np.ptp(cash[m, idx]) > EQ_TOL or np.ptp(risky[m, idx, :], axis=0).max() > EQ_TOL:
-                    raise NotPredictable(f"time-{m} holdings vary on time-{t} cell {c}")
+            varies = np.flatnonzero(
+                (cell_ranges(self.space, t, cash[m]) > EQ_TOL)
+                | (cell_ranges(self.space, t, risky[m]).max(axis=1) > EQ_TOL)
+            )
+            if varies.size:
+                raise NotPredictable(f"time-{m} holdings vary on time-{t} cell {varies[0]}")
 
     @property
     def n_assets(self) -> int:

@@ -15,6 +15,13 @@ the families apart.  Two concrete families are supported:
   identity that must hold under every member is a linear test on the
   affine hull (an interior member and the null space of the equalities).
 
+Pricing asks each family for its domination rows, domination_rows(x) ->
+(P, b): a claim eta dominates the terminal claim x under every member
+measure iff P @ eta >= b.  A hull gives one row per (generator, terminal
+cell).  A polytope gives eta >= x outcome by outcome: its asset equalities
+only see cell masses, so a closure member may put a terminal cell's whole
+mass on any one of its outcomes.
+
 Claims with expectation one under every member measure ("unit claims") play
 the role of normalized state-price densities.  Their conditional-expectation
 martingales, increments, two-point completion measures and the completeness
@@ -146,9 +153,10 @@ class MeasureSet:
         iff w @ c == kappa * r for every pair."""
         raise NotImplementedError
 
-    def domination_measures(self) -> list[np.ndarray]:
-        """Nonnegative vectors whose linear inequalities imply inequalities
-        under every member measure (generators, or closure vertices)."""
+    def domination_rows(self, x) -> tuple[np.ndarray, np.ndarray]:
+        """Rows P and bounds b such that eta satisfies E^P(eta | F_N) >= x on
+        every terminal cell under every member measure iff P @ eta >= b; x
+        is constant on the terminal cells."""
         raise NotImplementedError
 
     def max_expectation(self, x) -> tuple[float, np.ndarray]:
@@ -202,8 +210,20 @@ class GeneratorHull(MeasureSet):
     def expectation_functionals(self):
         return [(row, 1.0) for row in self._matrix]
 
-    def domination_measures(self):
-        return [row for row in self._matrix]
+    def domination_rows(self, x):
+        # one row per (generator, terminal cell): the cell's generator mass
+        # against the claim's value there
+        x = np.asarray(x, dtype=float)
+        space = self.space
+        t = space.horizon
+        cells = [space.cell_outcomes(t, c) for c in range(space.n_cells(t))]
+        P = np.zeros((self.k * len(cells), space.outcome_count))
+        bounds = np.empty(len(P))
+        for i, p in enumerate(self._matrix):
+            for j, idx in enumerate(cells):
+                P[i * len(cells) + j, idx] = p[idx]
+                bounds[i * len(cells) + j] = x[idx[0]] * p[idx].sum()
+        return P, bounds
 
     def max_expectation(self, x):
         vals = self._matrix @ np.asarray(x, dtype=float)
@@ -279,8 +299,37 @@ class MartingalePolytope(MeasureSet):
         self._b_eq = np.concatenate([np.zeros(len(rows)), [1.0]])
 
         self._interior = self._solve_interior()
-        self._null_basis = null_space(self._A_eq)  # orthonormal columns
-        self._vertices: np.ndarray | None = None
+        # orthonormal columns; the SVD is skipped when the tree pins every
+        # direction, which is the common case for complete markets
+        if self._free_dimension() > 0:
+            self._null_basis = null_space(self._A_eq)
+        else:
+            self._null_basis = np.empty((n, 0))
+
+    def _free_dimension(self) -> int:
+        """Dimension of the null space of the equality matrix, counted node
+        by node.
+
+        Given its parent's mass, a node's children masses range over an
+        affine space of dimension len(children) - 1 - rank(moves), where
+        moves holds the asset increments towards each child; the total-mass
+        row is independent of them because an interior member exists.
+        Inside a terminal cell the mass may be spread freely.  Ranks are
+        taken with a loose tolerance: a near-degenerate node can only raise
+        the count, which sends the constructor to the SVD, never past it.
+        """
+        space = self.space
+        tol = np.sqrt(np.finfo(float).eps) * np.abs(self._A_eq).max()
+        count = sum(len(cell) - 1 for cell in space.cells[space.horizon])
+        for t in range(space.horizon):
+            for c, kids in enumerate(space.children[t]):
+                if len(kids) < 2:
+                    continue
+                rep = space.cell_rep(t, c)
+                reps = [space.cell_rep(t + 1, k) for k in kids]
+                moves = np.array([a.values[t + 1, reps] - a.values[t, rep] for a in self.assets])
+                count += len(kids) - 1 - int(np.linalg.matrix_rank(moves, tol=tol))
+        return count
 
     def _solve_interior(self) -> np.ndarray:
         n = self.space.outcome_count
@@ -309,13 +358,11 @@ class MartingalePolytope(MeasureSet):
         out.extend((self._null_basis[:, j], 0.0) for j in range(self._null_basis.shape[1]))
         return out
 
-    def closure_vertices(self) -> np.ndarray:
-        if self._vertices is None:
-            self._vertices = _lp.enumerate_vertices(self._A_eq, self._b_eq)
-        return self._vertices
-
-    def domination_measures(self):
-        return [v for v in self.closure_vertices()]
+    def domination_rows(self, x):
+        # the closure's vertices put each terminal cell's mass on a single
+        # outcome, and the interior member charges every cell, so eta
+        # dominates under every member iff it dominates pointwise
+        return np.eye(self.space.outcome_count), np.array(x, dtype=float)
 
     def max_expectation(self, x):
         value, q = _lp.maximize(np.asarray(x, dtype=float), A_eq=self._A_eq, b_eq=self._b_eq)

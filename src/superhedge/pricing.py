@@ -4,9 +4,13 @@ The fair price is the least alpha >= 0 admitting a unit claim zeta with
 f_N <= alpha * E^P(zeta | F_N) on every terminal cell under every member
 measure.  Writing eta = alpha * zeta turns the search into a single LP:
 minimize alpha subject to eta >= 0, E^P(eta) = alpha for every member, and
-the per-cell domination inequalities.  A second program prices over the
-simplex spanned by a finite list of unit claims.  Closed forms for European
-calls and puts against a price-band model are provided for cross-checking.
+the family's domination rows P @ eta >= b (MeasureSet.domination_rows).  A
+generator hull contributes one row per (generator, terminal cell); a
+martingale polytope contributes eta >= f_N outcome by outcome, because its
+closure can concentrate each terminal cell's mass on any single outcome.  A
+second program prices over the simplex spanned by a finite list of unit
+claims.  Closed forms for European calls and puts against a price-band
+model are provided for cross-checking.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ import numpy as np
 from . import _lp
 from .errors import InfeasiblePricing, NotUnitClaim, ShapeMismatch, ValidationError
 from .measures import MeasureSet, is_unit_claim
-from .spaces import FilteredSpace
+from .spaces import FilteredSpace, cell_ranges
 from .tolerances import EQ_TOL
 
 
@@ -46,10 +50,9 @@ def _check_terminal_claim(space: FilteredSpace, f_N) -> np.ndarray:
         raise ShapeMismatch("claim length must equal the outcome count")
     if x.min() < -EQ_TOL:
         raise ValidationError("claim must be nonnegative")
-    t = space.horizon
-    for c, cell in enumerate(space.cells[t]):
-        if np.ptp(x[list(cell)]) > EQ_TOL:
-            raise ValidationError(f"claim varies on terminal cell {c}")
+    varies = np.flatnonzero(cell_ranges(space, space.horizon, x) > EQ_TOL)
+    if varies.size:
+        raise ValidationError(f"claim varies on terminal cell {varies[0]}")
     return x
 
 
@@ -62,23 +65,8 @@ def sup_expectation(space: FilteredSpace, mset: MeasureSet, f_N) -> float:
     return float(value)
 
 
-def _domination_rows(space: FilteredSpace, mset: MeasureSet, x: np.ndarray):
-    """Rows P and bounds b, one per (dominator, terminal cell), such that
-    eta dominates the terminal claim x under every member iff P @ eta >= b."""
-    t = space.horizon
-    cells = [space.cell_outcomes(t, c) for c in range(space.n_cells(t))]
-    dominators = mset.domination_measures()
-    P = np.zeros((len(dominators) * len(cells), space.outcome_count))
-    bounds = np.empty(len(P))
-    for i, p in enumerate(dominators):
-        for j, idx in enumerate(cells):
-            P[i * len(cells) + j, idx] = p[idx]
-            bounds[i * len(cells) + j] = x[idx[0]] * p[idx].sum()
-    return P, bounds
-
-
-def _witness_check(space, mset, f_N, eta, price) -> BoundCheck:
-    P, bounds = _domination_rows(space, mset, f_N)
+def _witness_check(mset, f_N, eta, price) -> BoundCheck:
+    P, bounds = mset.domination_rows(f_N)
     worst = float((bounds - P @ eta).max(initial=0.0))
     scale = 1.0 + float(np.abs(f_N).max()) + abs(price)
     return BoundCheck(ok=worst <= EQ_TOL * scale, max_violation=worst)
@@ -90,7 +78,7 @@ def fair_price_full(space: FilteredSpace, mset: MeasureSet, f_N) -> FairPriceRes
     x = _check_terminal_claim(space, f_N)
     n = space.outcome_count
     functionals = mset.expectation_functionals()
-    P, bounds = _domination_rows(space, mset, x)
+    P, bounds = mset.domination_rows(x)
 
     # variables: [alpha, eta_0 .. eta_{n-1}]
     cost = np.zeros(n + 1)
@@ -114,7 +102,7 @@ def fair_price_full(space: FilteredSpace, mset: MeasureSet, f_N) -> FairPriceRes
     return FairPriceResult(
         price=price,
         witness_claim=zeta,
-        witness_bound=_witness_check(space, mset, x, eta, price),
+        witness_bound=_witness_check(mset, x, eta, price),
         lower_bound=sup_expectation(space, mset, x),
     )
 
@@ -135,7 +123,7 @@ def fair_price_generated(space: FilteredSpace, mset: MeasureSet, family, f_N) ->
             raise NotUnitClaim(f"family member {i} is not a unit claim")
 
     C = np.array(claims)  # claims x outcomes
-    P, bounds = _domination_rows(space, mset, x)
+    P, bounds = mset.domination_rows(x)
     res = _lp.solve(np.ones(len(claims)), A_ub=-(P @ C.T), b_ub=-bounds, bounds=(0, None))
     if res.status == 2:
         raise InfeasiblePricing(
@@ -153,7 +141,7 @@ def fair_price_generated(space: FilteredSpace, mset: MeasureSet, family, f_N) ->
     return FairPriceResult(
         price=price,
         witness_claim=zeta,
-        witness_bound=_witness_check(space, mset, x, eta, price),
+        witness_bound=_witness_check(mset, x, eta, price),
         lower_bound=sup_expectation(space, mset, x),
         weights=beta,
     )

@@ -9,6 +9,7 @@ time-t row is constant on the time-(t-1) cells.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -50,6 +51,17 @@ class FilteredSpace:
     def cell_rep(self, t: int, c: int) -> int:
         """First outcome of a cell; enough to read any time-t measurable value."""
         return self.cells[t][c][0]
+
+    @cached_property
+    def _cell_groups(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """Per time, the outcomes in a stable sort by cell and the position
+        where each cell starts in that order."""
+        groups = []
+        for atoms in self.atom_index:
+            order = np.argsort(atoms, kind="stable")
+            starts = np.concatenate(([0], np.cumsum(np.bincount(atoms))[:-1]))
+            groups.append((order, starts))
+        return tuple(groups)
 
 
 def build_space(outcome_count: int, partitions) -> FilteredSpace:
@@ -133,6 +145,18 @@ def atom_of(space: FilteredSpace, t: int, omega: int) -> Cell:
     return space.cells[t][space.atom_index[t, omega]]
 
 
+def cell_ranges(space: FilteredSpace, t: int, row) -> np.ndarray:
+    """max - min of an outcome row over each time-t cell.
+
+    row has shape (n, ...); the result has shape (n_cells(t), ...), one
+    entry per cell in cell order, reduced along the outcome axis only.
+    """
+    order, starts = space._cell_groups[t]
+    grouped = np.asarray(row, dtype=float)[order]
+    high = np.maximum.reduceat(grouped, starts, axis=0)
+    return high - np.minimum.reduceat(grouped, starts, axis=0)
+
+
 def check_adapted(space: FilteredSpace, values, tol: float = EQ_TOL) -> AdaptednessReport:
     """Report whether a (N+1, n) matrix is constant on every cell at every time."""
     values = np.asarray(values, dtype=float)
@@ -140,12 +164,11 @@ def check_adapted(space: FilteredSpace, values, tol: float = EQ_TOL) -> Adaptedn
         raise ShapeMismatch(
             f"expected shape {(space.horizon + 1, space.outcome_count)}, got {values.shape}"
         )
-    bad = []
-    for t in range(space.horizon + 1):
-        for c, cell in enumerate(space.cells[t]):
-            block = values[t, list(cell)]
-            if np.ptp(block) > tol:
-                bad.append((t, c))
+    bad = [
+        (t, int(c))
+        for t in range(space.horizon + 1)
+        for c in np.flatnonzero(cell_ranges(space, t, values[t]) > tol)
+    ]
     return AdaptednessReport(ok=not bad, violations=tuple(bad))
 
 
@@ -191,10 +214,10 @@ class PredictableProcess:
                 f"expected shape ({self.space.horizon}, {n}, {d}), got {values.shape}"
             )
         for m in range(1, self.space.horizon + 1):
-            for c, cell in enumerate(self.space.cells[m - 1]):
-                block = values[m - 1, list(cell), :]
-                if np.ptp(block, axis=0).max() > EQ_TOL:
-                    raise NotPredictable(f"time-{m} row varies on time-{m - 1} cell {c}")
+            ranges = cell_ranges(self.space, m - 1, values[m - 1]).max(axis=1)
+            varies = np.flatnonzero(ranges > EQ_TOL)
+            if varies.size:
+                raise NotPredictable(f"time-{m} row varies on time-{m - 1} cell {varies[0]}")
 
     @property
     def n_assets(self) -> int:

@@ -8,13 +8,20 @@ the corresponding suites generate accordingly.
 Complete martingale polytopes are generated structurally: a single asset
 that is flat except across one branching step inside one branch, which makes
 every two-point completion measure satisfy the asset equalities.
+
+closure_vertices is a brute-force oracle: it enumerates the vertices of a
+polytope's closure over all column subsets, so it is only for the small
+instances the tests build.
 """
 
 from __future__ import annotations
 
+from itertools import combinations
+
 import numpy as np
 
 from superhedge import (
+    FEAS_TOL,
     AdaptedProcess,
     GeneratorHull,
     MartingalePolytope,
@@ -186,3 +193,54 @@ def random_market_tree(rng, max_leaves=10, max_horizon=3, branching=(2, 3)):
     asset = AdaptedProcess(space, values)
     poly = MartingalePolytope(space, [asset], names=("S",))
     return space, asset, poly
+
+
+def equality_system(poly):
+    """(A_eq, b_eq) of a polytope's closure, rebuilt from its assets and
+    space: one homogeneous row per (asset, step t, time-(t-1) cell) in that
+    order, then total mass one."""
+    space = poly.space
+    n = space.outcome_count
+    rows = []
+    for asset in poly.assets:
+        for t in range(1, space.horizon + 1):
+            for cell in space.cells[t - 1]:
+                row = np.zeros(n)
+                idx = list(cell)
+                row[idx] = asset.values[t, idx] - asset.values[t - 1, idx]
+                rows.append(row)
+    A_eq = np.vstack(rows + [np.ones(n)])
+    b_eq = np.zeros(len(A_eq))
+    b_eq[-1] = 1.0
+    return A_eq, b_eq
+
+
+def enumerate_vertices(A_eq, b_eq, tol=FEAS_TOL):
+    """All vertices of {x >= 0 : A_eq x = b_eq} as rows, lexicographically sorted.
+
+    Basic-feasible-solution enumeration over column subsets of size rank(A).
+    """
+    A = np.asarray(A_eq, dtype=float)
+    b = np.asarray(b_eq, dtype=float)
+    n = A.shape[1]
+    r = int(np.linalg.matrix_rank(A, tol=1e-11))
+    found = {}
+    for cols in combinations(range(n), r):
+        sub = A[:, cols]
+        x_sub, _, rank, _ = np.linalg.lstsq(sub, b, rcond=None)
+        if rank < r:
+            continue
+        if np.max(np.abs(sub @ x_sub - b)) > tol:
+            continue
+        if x_sub.min() < -tol:
+            continue
+        x = np.zeros(n)
+        x[list(cols)] = np.clip(x_sub, 0.0, None)
+        key = tuple(np.round(x, 10))
+        found.setdefault(key, x)
+    return np.array([found[k] for k in sorted(found)]) if found else np.empty((0, n))
+
+
+def closure_vertices(poly):
+    """Vertices of the closure of a martingale polytope, one per row."""
+    return enumerate_vertices(*equality_system(poly))

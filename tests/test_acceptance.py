@@ -38,6 +38,7 @@ from superhedge.cli import main
 from conftest import bound_tree as make_bound_tree
 from gen import (
     cellwise_unit_claim,
+    closure_vertices,
     compliant_hull,
     complete_polytope,
     generic_claim,
@@ -222,7 +223,7 @@ def test_criterion_6_step_claim_bound_on_complete_sets():
             claim = 1.0 + alpha * d_row
             if (normalized - claim).max() > 1e-9:
                 ok = False
-            for v in poly.closure_vertices():
+            for v in closure_vertices(poly):
                 for c, cell in enumerate(space.cells[n - 1]):
                     idx = list(cell)
                     mass = v[idx].sum()

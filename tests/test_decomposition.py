@@ -20,6 +20,7 @@ from superhedge import (
 
 from gen import (
     cellwise_unit_claim,
+    closure_vertices,
     compliant_hull,
     complete_polytope,
     random_measure,
@@ -241,7 +242,7 @@ class TestAlphaCoefficient:
                     d_row[list(cell)] = increments[n - 1][c]
                 claim = 1.0 + alpha * d_row
                 assert claim.min() >= -1e-9
-                for v in poly.closure_vertices():
+                for v in closure_vertices(poly):
                     for c, cell in enumerate(space.cells[n - 1]):
                         idx = list(cell)
                         mass = v[idx].sum()

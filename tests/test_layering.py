@@ -70,3 +70,29 @@ def test_only_measures_knows_the_family():
         if found:
             offenders[path.name] = found
     assert offenders == {}
+
+
+ORACLE_ONLY = {"enumerate_vertices", "closure_vertices"}
+
+
+def _identifiers(source: str) -> set[str]:
+    tree = ast.parse(source)
+    found = _names(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found.add(node.name)
+        elif isinstance(node, ast.alias):
+            found.add(node.asname or node.name)
+            found.add(node.name)
+    return found
+
+
+def test_no_module_enumerates_vertices():
+    """Vertex enumeration is a test oracle only: no module of the package
+    defines, imports or calls it."""
+    offenders = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        named = _identifiers(path.read_text(encoding="utf-8")) & ORACLE_ONLY
+        if named:
+            offenders[path.name] = sorted(named)
+    assert offenders == {}

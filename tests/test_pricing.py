@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from superhedge import (
+    EQ_TOL,
     GeneratorHull,
     InfeasiblePricing,
     MartingalePolytope,
@@ -18,7 +20,16 @@ from superhedge import (
 )
 from superhedge.spaces import AdaptedProcess
 
-from gen import cellwise_unit_claim, compliant_hull, generic_claim, random_hull, random_space
+from gen import (
+    cellwise_unit_claim,
+    closure_vertices,
+    complete_polytope,
+    compliant_hull,
+    generic_claim,
+    random_hull,
+    random_market_tree,
+    random_space,
+)
 
 
 def _eta_violation(members, cells, f_N, alpha, top, steps=21, rounds=30):
@@ -276,3 +287,70 @@ class TestGridOracle:
         f_N = np.array([2.0, 2.0])
         lp = fair_price_full(coarse, hull, f_N).price
         assert lp == pytest.approx(grid_oracle_price(coarse, hull, f_N), abs=1e-6)
+
+
+def vertex_rows(space, vertices, f_N):
+    """Domination rows on the closure vertices: one per (vertex, terminal
+    cell), the cell's vertex mass against the claim's value there."""
+    t = space.horizon
+    rows, bounds = [], []
+    for v in vertices:
+        for cell in space.cells[t]:
+            idx = list(cell)
+            row = np.zeros(space.outcome_count)
+            row[idx] = v[idx]
+            rows.append(row)
+            bounds.append(f_N[idx[0]] * v[idx].sum())
+    return np.array(rows), np.array(bounds)
+
+
+def vertex_price_full(vertices, P, bounds):
+    """Least alpha with eta >= 0, v @ eta = alpha on every vertex and
+    P @ eta >= bounds; variables [alpha, eta]."""
+    n = vertices.shape[1]
+    cost = np.zeros(n + 1)
+    cost[0] = 1.0
+    A_eq = np.hstack([-np.ones((len(vertices), 1)), vertices])
+    A_ub = np.hstack([np.zeros((len(P), 1)), -P])
+    res = linprog(cost, A_ub=A_ub, b_ub=-bounds, A_eq=A_eq, b_eq=np.zeros(len(vertices)),
+                  bounds=(0, None), method="highs")
+    assert res.status == 0
+    return res.fun
+
+
+def vertex_price_generated(family, P, bounds):
+    """Least sum(beta) with beta >= 0 and P @ (sum beta_i xi_i) >= bounds."""
+    C = np.array(family)
+    res = linprog(np.ones(len(C)), A_ub=-(P @ C.T), b_ub=-bounds, bounds=(0, None),
+                  method="highs")
+    assert res.status == 0
+    return res.fun
+
+
+class TestPolytopeDominationOracle:
+    def test_prices_and_witnesses_match_vertex_rows(self):
+        """Pointwise domination prices a polytope exactly as the rows on
+        every closure vertex do, and its witnesses satisfy those rows."""
+        rng = np.random.default_rng(4242)
+        non_singleton = 0
+        for i in range(200):
+            if i % 2:
+                space, _, poly, _ = complete_polytope(rng)
+            else:
+                space, _, poly = random_market_tree(rng)
+            non_singleton += any(len(c) > 1 for c in space.cells[space.horizon])
+            f_N = generic_claim(rng, space)
+            vertices = closure_vertices(poly)
+            P, bounds = vertex_rows(space, vertices, f_N)
+            family, _ = asset_ratio_family(poly)
+            for result, oracle in (
+                (fair_price_full(space, poly, f_N), vertex_price_full(vertices, P, bounds)),
+                (fair_price_generated(space, poly, family, f_N),
+                 vertex_price_generated(family, P, bounds)),
+            ):
+                scale = 1.0 + float(np.abs(f_N).max()) + abs(result.price)
+                assert abs(result.price - oracle) <= EQ_TOL * scale
+                eta = result.price * result.witness_claim
+                assert (bounds - P @ eta).max() <= EQ_TOL * scale
+                assert result.witness_bound.ok
+        assert non_singleton >= 50

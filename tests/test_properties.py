@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 from superhedge import (
     EQ_TOL,
     GeneratorHull,
+    MartingalePolytope,
     asset_ratio_family,
     build_space,
+    cell_ranges,
     change_of_measure_conditional,
     conditional_expectation,
     ess_sup_conditional,
@@ -145,11 +147,11 @@ class TestRestrictionMetricAxioms:
 
 def test_closure_vertices_satisfy_asset_equalities():
     rng = np.random.default_rng(95)
-    from gen import random_market_tree
+    from gen import closure_vertices, random_market_tree
 
     for _ in range(12):
         space, asset, poly = random_market_tree(rng)
-        vertices = poly.closure_vertices()
+        vertices = closure_vertices(poly)
         assert len(vertices) >= 1
         scale = 1.0 + np.abs(asset.values).max()
         for v in vertices:
@@ -191,3 +193,53 @@ def test_polytope_unit_claim_matches_lp_oracle(seed, complete, delta):
     lo = -poly.max_expectation(-xi)[0]
     oracle = abs(hi - 1.0) <= EQ_TOL and abs(lo - 1.0) <= EQ_TOL
     assert is_unit_claim(space, poly, xi) == oracle
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    complete=st.booleans(),
+    second_asset=st.booleans(),
+)
+def test_node_local_free_dimension_matches_global_rank(seed, complete, second_asset):
+    """Counting free directions node by node gives the null-space dimension
+    of the whole equality matrix, and the polytope's functionals use it."""
+    from gen import complete_polytope, equality_system, random_market_tree
+
+    rng = np.random.default_rng(seed)
+    if complete:
+        space, asset, poly, _ = complete_polytope(rng)
+    else:
+        space, asset, poly = random_market_tree(rng, max_leaves=12)
+    if second_asset:
+        # a martingale under the interior member: nodes with three or more
+        # children then carry rank-two moves
+        claim = rng.uniform(50.0, 150.0, size=space.outcome_count)
+        rows = [conditional_expectation(space, poly.interior_measure, claim, t)
+                for t in range(space.horizon + 1)]
+        poly = MartingalePolytope(space, [asset, np.array(rows)])
+    A_eq, _ = equality_system(poly)
+    expected = space.outcome_count - int(np.linalg.matrix_rank(A_eq))
+    assert poly._free_dimension() == expected
+    assert len(poly.expectation_functionals()) == 1 + expected
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 3))
+def test_cell_ranges_match_per_cell_ptp(seed, d):
+    rng = np.random.default_rng(seed)
+    space = random_space(rng, max_outcomes=16)
+    N, n = space.horizon, space.outcome_count
+    values = rng.normal(size=(N + 1, n))
+    holdings = rng.normal(size=(N + 1, n, d))
+    # make some rows cell-constant so that exact zeros are covered too
+    for t in range(N + 1):
+        if rng.random() < 0.3:
+            values[t] = values[t][space.atom_index[t]]
+            holdings[t] = holdings[t][space.atom_index[t]]
+    for t in range(N + 1):
+        for row in (values[t], holdings[t]):
+            expected = np.array([np.ptp(row[list(cell)], axis=0) for cell in space.cells[t]])
+            got = cell_ranges(space, t, row)
+            assert got.shape == expected.shape
+            assert np.array_equal(got, expected)
