@@ -26,6 +26,7 @@ from .measures import is_unit_claim
 from .pricing import euro_call_price, euro_put_price, fair_price_full, fair_price_generated, sup_expectation
 from .processes import is_martingale, is_supermartingale
 from .spaces import AdaptedProcess
+from .tolerances import EQ_TOL
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -53,19 +54,8 @@ def _print_rows(out, space, values, indent="  "):
         out.write(f"{indent}t={t}: " + " ".join(parts) + "\n")
 
 
-def _load(path: str):
-    try:
-        return market_io.load_market(path)
-    except OSError as exc:
-        raise _IOFailure(str(exc)) from exc
-
-
-class _IOFailure(Exception):
-    pass
-
-
 def cmd_check(args, out) -> int:
-    model = _load(args.spec)
+    model = market_io.load_market(args.spec)
     space, mset = model.space, model.measure_set
     out.write(f"space: outcomes={space.outcome_count} horizon={space.horizon}\n")
     out.write(
@@ -92,12 +82,15 @@ def cmd_check(args, out) -> int:
         out.write(f"process {name}: adapted=yes verdict={verdict}\n")
     for name in sorted(model.claims):
         vec = model.claims[name]
-        nonneg = "yes" if vec.min() >= -1e-9 else "no"
+        nonneg = "yes" if vec.min() >= -EQ_TOL else "no"
         unit = "yes" if is_unit_claim(space, mset, vec) else "no"
         out.write(f"claim {name}: nonnegative={nonneg} unit-claim={unit}\n")
 
     if args.strategy:
         doc = market_io.load_strategy(args.strategy)
+        undeclared = [a for a in doc.get("assets", ()) if a not in model.processes]
+        if undeclared:
+            raise ValidationError(f"strategy assets reference unknown processes {undeclared}")
         assets = tuple(model.processes[a] for a in doc.get("assets", ()))
         strategy = TradingStrategy(
             space=space,
@@ -122,7 +115,7 @@ def cmd_check(args, out) -> int:
 
 
 def cmd_decompose(args, out) -> int:
-    model = _load(args.spec)
+    model = market_io.load_market(args.spec)
     space, mset = model.space, model.measure_set
     if args.process not in model.processes:
         raise ValidationError(f"process {args.process!r} not declared in the file")
@@ -188,7 +181,7 @@ def _resolve_claim(model, args):
 
 
 def cmd_price(args, out) -> int:
-    model = _load(args.spec)
+    model = market_io.load_market(args.spec)
     space, mset = model.space, model.measure_set
     payoff, asset = _resolve_claim(model, args)
 
@@ -237,7 +230,7 @@ def _generated_family(model, args):
 
 
 def cmd_hedge(args, out) -> int:
-    model = _load(args.spec)
+    model = market_io.load_market(args.spec)
     space, mset = model.space, model.measure_set
     if not model.is_polytope:
         raise ValidationError("hedging requires a martingale-asset market")
@@ -315,9 +308,6 @@ def main(argv=None) -> int:
     out = sys.stdout
     try:
         return args.func(args, out)
-    except _IOFailure as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -10,6 +10,11 @@ nondecreasing from zero.  The constructive route applies to complete measure
 families: each step's ratio f_n / f_{n-1} is normalized and dominated by a
 step claim 1 + alpha_n d_n built from a unit-claim increment, from which the
 martingale and compensator follow in closed form.
+
+Both routes start with the same super-martingale guard and end in
+validate_decomposition: a result that fails its reconstruction, its
+compensator or its martingale test under every member raises
+InvalidDecomposition instead of being returned.
 """
 
 from __future__ import annotations
@@ -80,21 +85,23 @@ def validate_decomposition(
     return DecompositionReport(ok, reconstruction, g0, min_step, mart_ok)
 
 
-def _verify_step_identity(space, mset, proc, dec, tol):
-    """Re-verify the defining per-step identity of the compensator increments."""
-    scale = 1.0 + float(np.abs(proc.values).max())
-    g = dec.compensator.values
-    for m in range(1, space.horizon + 1):
-        gbar = g[m] - g[m - 1]
-        drop = proc.values[m - 1] - proc.values[m]
-        for w, _ in mset.expectation_functionals():
-            for c, cell in enumerate(space.cells[m - 1]):
-                idx = list(cell)
-                residual = float((gbar[idx] - drop[idx]) @ w[idx])
-                if abs(residual) > tol * scale:
-                    raise InvalidDecomposition(
-                        f"step identity fails at time {m}, cell {c} (residual {residual:.3e})"
-                    )
+def _require_supermartingale(space: FilteredSpace, mset: MeasureSet, proc) -> None:
+    report = is_supermartingale(space, mset, proc)
+    if not report.ok:
+        v = report.violations[0]
+        raise NotSupermartingale(
+            f"not a super-martingale at time {v.time}, cell {v.cell} (gap {v.gap:.3e})",
+            report=report,
+        )
+
+
+def _validated(space: FilteredSpace, mset: MeasureSet, proc, dec: Decomposition) -> Decomposition:
+    """Self-check shared by both routes: raise InvalidDecomposition unless
+    validate_decomposition accepts dec."""
+    report = validate_decomposition(space, mset, proc, dec)
+    if not report.ok:
+        raise report.error()
+    return dec
 
 
 def local_regular_witness(space: FilteredSpace, mset: MeasureSet, f) -> Decomposition:
@@ -107,13 +114,7 @@ def local_regular_witness(space: FilteredSpace, mset: MeasureSet, f) -> Decompos
     infeasibility of any cell proves no decomposition exists.
     """
     proc = _as_process(space, f)
-    report = is_supermartingale(space, mset, proc)
-    if not report.ok:
-        v = report.violations[0]
-        raise NotSupermartingale(
-            f"not a super-martingale at time {v.time}, cell {v.cell} (gap {v.gap:.3e})",
-            report=report,
-        )
+    _require_supermartingale(space, mset, proc)
 
     functionals = mset.expectation_functionals()
     gbar = np.zeros((space.horizon, space.outcome_count))
@@ -148,8 +149,7 @@ def local_regular_witness(space: FilteredSpace, mset: MeasureSet, f) -> Decompos
         step_claims=None,
         shift=0.0,
     )
-    _verify_step_identity(space, mset, proc, dec, EQ_TOL)
-    return dec
+    return _validated(space, mset, proc, dec)
 
 
 def alpha_coefficient(space: FilteredSpace, mset: MeasureSet, xi0, n: int, ratio) -> float:
@@ -217,13 +217,7 @@ def optional_decomposition_complete(
     per-step domination scan.
     """
     proc = _as_process(space, f)
-    report = is_supermartingale(space, mset, proc)
-    if not report.ok:
-        v = report.violations[0]
-        raise NotSupermartingale(
-            f"not a super-martingale at time {v.time}, cell {v.cell} (gap {v.gap:.3e})",
-            report=report,
-        )
+    _require_supermartingale(space, mset, proc)
 
     increments = increment_process(space, mset, xi0)
     shift = max(0.0, -float(proc.values.min())) + 1.0
@@ -236,7 +230,7 @@ def optional_decomposition_complete(
     mart[0] = shifted[0]
     for n in range(1, space.horizon + 1):
         ratio = shifted[n] / shifted[n - 1]
-        sup_exp, _ = mset.max_expectation(ratio)
+        sup_exp = mset.cond_exp_sup(ratio, 0).values[0]
         normalized = ratio / sup_exp
         alpha = _alpha(space, n, increments[n - 1], normalized)
         d_row = np.empty(n_out)
@@ -262,8 +256,4 @@ def optional_decomposition_complete(
         step_claims=tuple(claims),
         shift=shift,
     )
-    _verify_step_identity(space, mset, proc, dec, EQ_TOL)
-    vreport = validate_decomposition(space, mset, proc, dec)
-    if not vreport.ok:
-        raise vreport.error()
-    return dec
+    return _validated(space, mset, proc, dec)

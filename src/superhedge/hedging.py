@@ -65,10 +65,13 @@ class TradingStrategy:
             raise ShapeMismatch(f"cash must have shape {(N + 1, n)}")
         if risky.shape[:2] != (N + 1, n) or risky.shape[2] != len(self.assets):
             raise ShapeMismatch(f"risky must have shape {(N + 1, n, len(self.assets))}")
+        # the cash leg is capital minus holdings times prices, so it carries
+        # residuals that grow with its own size; holdings are compared as is
+        cash_tol = EQ_TOL * (1.0 + float(np.abs(cash).max()))
         for m in range(N + 1):
             t = max(m - 1, 0)
             varies = np.flatnonzero(
-                (cell_ranges(self.space, t, cash[m]) > EQ_TOL)
+                (cell_ranges(self.space, t, cash[m]) > cash_tol)
                 | (cell_ranges(self.space, t, risky[m]).max(axis=1) > EQ_TOL)
             )
             if varies.size:
@@ -193,15 +196,16 @@ def superhedge(
     mset: MartingalePolytope,
     f_N,
     price_mode: str = "full",
-    family=None,
 ) -> tuple[TradingStrategy, Decomposition, FairPriceResult]:
     """Price a terminal claim and build a self-financed dominating strategy.
 
-    price_mode "full" searches all unit claims; "generated" prices over the
-    asset-ratio family (or an explicit family of unit claims).  The strategy
-    starts at the fair price, its capital is the witness martingale, and its
-    terminal value dominates the claim pointwise with surplus equal to the
-    terminal compensator.
+    price_mode "full" searches all unit claims, and the capital is the
+    reference-measure martingale of the witness mass.  "generated" prices
+    over the asset-ratio family S^j_i / S^j_0, and the capital is the exact
+    weighted sum of stopped asset paths.  The strategy starts at the fair
+    price, its capital is the witness martingale, and its terminal value
+    dominates the claim pointwise with surplus equal to the terminal
+    compensator.
     """
     if not isinstance(mset, MartingalePolytope):
         raise ValidationError("superhedging requires a martingale polytope")
@@ -211,16 +215,9 @@ def superhedge(
         result = fair_price_full(space, mset, f_N)
         capital = _capital_martingale_full(space, mset, result)
     elif price_mode == "generated":
-        if family is None:
-            family, index = asset_ratio_family(mset)
-        else:
-            family = [np.asarray(xi, dtype=float) for xi in family]
-            index = None
+        family, index = asset_ratio_family(mset)
         result = fair_price_generated(space, mset, family, f_N)
-        if index is not None:
-            capital = _capital_martingale_generated(space, mset, index, result)
-        else:
-            capital = _capital_martingale_full(space, mset, result)
+        capital = _capital_martingale_generated(space, mset, index, result)
     else:
         raise ValidationError(f"unknown price mode {price_mode!r}")
 

@@ -1,7 +1,10 @@
 """Convex families of equivalent measures on a finite filtered space.
 
 Every family implements one contract, MeasureSet, and no other module tells
-the families apart.  Two concrete families are supported:
+the families apart.  The contract has six methods: reference,
+expectation_functionals, domination_rows, cond_exp_sup, step_gaps and
+contains_masses.  The largest expectation over the family is
+cond_exp_sup at time 0.  Two concrete families are supported:
 
 * GeneratorHull -- the convex hull of finitely many strictly positive
   measures.  Conditional expectations under any hull member are positively
@@ -140,7 +143,8 @@ class EssSupRow:
 
 
 class MeasureSet:
-    """Common interface of the two measure-family flavours."""
+    """Common interface of the two measure-family flavours: the six methods
+    below, each overridden by every family."""
 
     space: FilteredSpace
 
@@ -159,10 +163,9 @@ class MeasureSet:
         is constant on the terminal cells."""
         raise NotImplementedError
 
-    def max_expectation(self, x) -> tuple[float, np.ndarray]:
-        raise NotImplementedError
-
     def cond_exp_sup(self, x, t: int) -> EssSupRow:
+        """Per-cell sup of E^P(x | F_t) over the closure of the family; at
+        t = 0 its single value is the largest expectation of x."""
         raise NotImplementedError
 
     def step_gaps(self, x, base, t: int, equality: bool) -> list[tuple[str, np.ndarray]]:
@@ -225,11 +228,6 @@ class GeneratorHull(MeasureSet):
                 bounds[i * len(cells) + j] = x[idx[0]] * p[idx].sum()
         return P, bounds
 
-    def max_expectation(self, x):
-        vals = self._matrix @ np.asarray(x, dtype=float)
-        i = int(np.argmax(vals))
-        return float(vals[i]), self._matrix[i]
-
     def cond_exp_sup(self, x, t):
         x = np.asarray(x, dtype=float)
         rows = np.array([_condexp_row(self.space, p, x, t) for p in self._matrix])
@@ -284,16 +282,14 @@ class MartingalePolytope(MeasureSet):
         )
 
         rows = []
-        self._row_tags = []  # (asset index, step t, cell index at t-1)
         n = space.outcome_count
-        for j, proc in enumerate(procs):
+        for proc in procs:
             for t in range(1, space.horizon + 1):
-                for c, cell in enumerate(space.cells[t - 1]):
+                for cell in space.cells[t - 1]:
                     row = np.zeros(n)
                     idx = list(cell)
                     row[idx] = proc.values[t, idx] - proc.values[t - 1, idx]
                     rows.append(row)
-                    self._row_tags.append((j, t, c))
         self._homogeneous = np.array(rows) if rows else np.empty((0, n))
         self._A_eq = np.vstack([self._homogeneous, np.ones((1, n))])
         self._b_eq = np.concatenate([np.zeros(len(rows)), [1.0]])
@@ -363,10 +359,6 @@ class MartingalePolytope(MeasureSet):
         # outcome, and the interior member charges every cell, so eta
         # dominates under every member iff it dominates pointwise
         return np.eye(self.space.outcome_count), np.array(x, dtype=float)
-
-    def max_expectation(self, x):
-        value, q = _lp.maximize(np.asarray(x, dtype=float), A_eq=self._A_eq, b_eq=self._b_eq)
-        return float(value), q
 
     def cond_exp_sup(self, x, t):
         """Per-cell sup of E^Q{x | F_t} over the closure, where the cell has mass.

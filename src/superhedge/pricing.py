@@ -9,8 +9,11 @@ generator hull contributes one row per (generator, terminal cell); a
 martingale polytope contributes eta >= f_N outcome by outcome, because its
 closure can concentrate each terminal cell's mass on any single outcome.  A
 second program prices over the simplex spanned by a finite list of unit
-claims.  Closed forms for European calls and puts against a price-band
-model are provided for cross-checking.
+claims.  Both programs end in one shared tail: the LP status becomes
+InfeasiblePricing, the witness is normalized into a unit claim and checked
+against the domination rows, and the lower bound sup E^P f_N is the family's
+cond_exp_sup at time 0.  Closed forms for European calls and puts against a
+price-band model are provided for cross-checking.
 """
 
 from __future__ import annotations
@@ -57,12 +60,12 @@ def _check_terminal_claim(space: FilteredSpace, f_N) -> np.ndarray:
 
 
 def sup_expectation(space: FilteredSpace, mset: MeasureSet, f_N) -> float:
-    """Largest expectation of the terminal payoff over the family."""
+    """Largest expectation of the terminal payoff over the family: the
+    family's per-cell sup at time 0."""
     x = np.asarray(f_N, dtype=float)
     if x.shape != (space.outcome_count,):
         raise ShapeMismatch("claim length must equal the outcome count")
-    value, _ = mset.max_expectation(x)
-    return float(value)
+    return float(mset.cond_exp_sup(x, 0).values[0])
 
 
 def _witness_check(mset, f_N, eta, price) -> BoundCheck:
@@ -90,21 +93,9 @@ def fair_price_full(space: FilteredSpace, mset: MeasureSet, f_N) -> FairPriceRes
     A_ub = np.hstack([np.zeros((len(P), 1)), -P])
     res = _lp.solve(cost, A_ub=A_ub, b_ub=-bounds,
                     A_eq=A_eq, b_eq=np.zeros(len(functionals)), bounds=(0, None))
-    if res.status == 2:
-        raise InfeasiblePricing("no dominating unit claim exists; "
-                                "this cannot happen for a bounded claim")
-    if res.status != 0:
-        raise InfeasiblePricing(f"pricing LP failed (status {res.status}): {res.message}")
-
-    price = float(res.fun)
-    eta = res.x[1:]
-    zeta = eta / price if price > EQ_TOL else np.ones(n)
-    return FairPriceResult(
-        price=price,
-        witness_claim=zeta,
-        witness_bound=_witness_check(mset, x, eta, price),
-        lower_bound=sup_expectation(space, mset, x),
-    )
+    return _priced(space, mset, x, res, "no dominating unit claim exists; "
+                   "this cannot happen for a bounded claim",
+                   lambda sol: (float(sol.fun), sol.x[1:], None))
 
 
 def fair_price_generated(space: FilteredSpace, mset: MeasureSet, family, f_N) -> FairPriceResult:
@@ -125,26 +116,23 @@ def fair_price_generated(space: FilteredSpace, mset: MeasureSet, family, f_N) ->
     C = np.array(claims)  # claims x outcomes
     P, bounds = mset.domination_rows(x)
     res = _lp.solve(np.ones(len(claims)), A_ub=-(P @ C.T), b_ub=-bounds, bounds=(0, None))
+    return _priced(space, mset, x, res, "claim family cannot dominate the payoff "
+                   "(it vanishes where the payoff is positive)",
+                   lambda sol: (float(sol.x.sum()),
+                                sum(b * xi for b, xi in zip(sol.x, claims)), sol.x))
+
+
+def _priced(space, mset, x, res, infeasible: str, read) -> FairPriceResult:
+    """Shared tail of both programs: the LP status becomes InfeasiblePricing,
+    and read(res) -> (price, eta, weights) becomes the certified result."""
     if res.status == 2:
-        raise InfeasiblePricing(
-            "claim family cannot dominate the payoff (it vanishes where the payoff is positive)"
-        )
+        raise InfeasiblePricing(infeasible)
     if res.status != 0:
         raise InfeasiblePricing(f"pricing LP failed (status {res.status}): {res.message}")
-
-    beta = res.x
-    price = float(beta.sum())
-    eta = np.zeros(space.outcome_count)
-    for weight, xi in zip(beta, claims):
-        eta += weight * xi
+    price, eta, weights = read(res)
     zeta = eta / price if price > EQ_TOL else np.ones(space.outcome_count)
-    return FairPriceResult(
-        price=price,
-        witness_claim=zeta,
-        witness_bound=_witness_check(mset, x, eta, price),
-        lower_bound=sup_expectation(space, mset, x),
-        weights=beta,
-    )
+    return FairPriceResult(price, zeta, _witness_check(mset, x, eta, price),
+                           sup_expectation(space, mset, x), weights)
 
 
 def euro_call_price(S0: float, D_N2: float, K: float) -> float:

@@ -214,7 +214,7 @@ def test_criterion_6_step_claim_bound_on_complete_sets():
         increments = increment_process(space, poly, xi0)
         for n in range(1, space.horizon + 1):
             ratio = f.values[n] / f.values[n - 1]
-            sup, _ = poly.max_expectation(ratio)
+            sup = poly.cond_exp_sup(ratio, 0).values[0]
             normalized = ratio / sup
             alpha = alpha_coefficient(space, poly, xi0, n, normalized)
             d_row = np.empty(space.outcome_count)

@@ -121,3 +121,61 @@ def test_hedge_call_mode_synthesizes_payoff(capsys):
     assert "price: 25" in out
     assert "self-financing: ok" in out
     assert "min surplus 0" in out
+
+
+STRATEGY = {
+    "assets": ["S"],
+    "cash": [[10.0, 10.0], [-40.0, -40.0]],
+    "claim": "call100",
+    "mode": "full",
+    "price": 10.0,
+    "risky": [[[0.0], [0.0]], [[0.5], [0.5]]],
+}
+
+# (id, key path into the binomial market, new value, strategy document, word
+# the error must name); a None path leaves the market as it is
+MALFORMED = [
+    ("ragged-process", ("processes", "S"), [[100, 100], [120]], None, "process"),
+    ("non-numeric-claim", ("claims", "call100"), [20, "x"], None, "claim"),
+    ("non-numeric-generator", ("measures",), {"generators": [[0.5, "half"]]}, None, "generator"),
+    ("generators-number", ("measures",), {"generators": 5}, None, "generators"),
+    ("string-filtration-entry", ("filtration", 1), [["a"], [1]], None, "filtration"),
+    ("fractional-filtration-entry", ("filtration", 1), [[0.5], [1]], None, "filtration"),
+    ("labels-number", ("outcomes", "labels"), 5, None, "labels"),
+    ("labels-string", ("outcomes", "labels"), "ud", None, "labels"),
+    ("assets-string", ("measures", "martingale_assets"), "S", None, "martingale_assets"),
+    ("count-text", ("outcomes", "count"), "two", None, "count"),
+    ("count-fractional", ("outcomes", "count"), 2.5, None, "count"),
+    ("processes-list", ("processes",), ["S"], None, "processes"),
+    ("measures-string", ("measures",), "generators", None, "measures"),
+    ("strategy-list", None, None, [STRATEGY], "top level"),
+    ("strategy-without-cash", None, None, {k: v for k, v in STRATEGY.items() if k != "cash"},
+     "cash"),
+    ("strategy-ragged-risky", None, None, {**STRATEGY, "risky": [[[0.0], [0.0]], [[0.5]]]},
+     "risky"),
+    ("strategy-undeclared-asset", None, None, {**STRATEGY, "assets": ["T"]}, "unknown"),
+    ("strategy-price-text", None, None, {**STRATEGY, "price": "ten"}, "price"),
+]
+
+
+@pytest.mark.parametrize(
+    "path,value,strategy,word", [c[1:] for c in MALFORMED], ids=[c[0] for c in MALFORMED]
+)
+def test_malformed_files_are_validation_errors(tmp_path, capsys, path, value, strategy, word):
+    doc = json.loads((DATA / "binomial.json").read_text())
+    if path is not None:
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+    market = tmp_path / "market.json"
+    market.write_text(json.dumps(doc))
+    args = ["check", str(market)]
+    if strategy is not None:
+        strategy_file = tmp_path / "strategy.json"
+        strategy_file.write_text(json.dumps(strategy))
+        args += ["--strategy", str(strategy_file)]
+    code = main(args)
+    err = capsys.readouterr().err.splitlines()
+    assert code == 2
+    assert len(err) == 1 and err[0].startswith("error: ") and word in err[0]

@@ -235,7 +235,7 @@ class TestAlphaCoefficient:
             increments = increment_process(space, poly, xi0)
             for n in range(1, space.horizon + 1):
                 ratio = f.values[n] / f.values[n - 1]
-                sup, _ = poly.max_expectation(ratio)
+                sup = poly.cond_exp_sup(ratio, 0).values[0]
                 alpha = alpha_coefficient(space, poly, xi0, n, ratio / sup)
                 d_row = np.empty(space.outcome_count)
                 for c, cell in enumerate(space.cells[n]):

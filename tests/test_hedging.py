@@ -5,6 +5,7 @@ from superhedge import (
     AdaptedProcess,
     NoRepresentation,
     NotMartingale,
+    NotPredictable,
     TradingStrategy,
     build_space,
     is_martingale,
@@ -161,3 +162,42 @@ class TestStrategyChecks:
         report = verify_self_financing(leaky)
         assert not report.ok
         assert report.violations[0].time == 1
+
+
+class TestScaledMarkets:
+    """Representation residuals reach the cash leg and grow with the prices,
+    so the cash leg's predictability is judged relative to its own size."""
+
+    def test_binomial_scaled_by_a_million(self):
+        space = build_space(2, [[(0, 1)], [(0,), (1,)]])
+        asset = AdaptedProcess(space, [[1e8, 1e8], [1.2e8, 8e7]])
+        poly = MartingalePolytope(space, [asset], names=("S",))
+        payoff = np.maximum(asset.values[1] - 1e8, 0.0)
+        strategy, _, result = superhedge(space, poly, payoff, price_mode="full")
+        assert result.price == pytest.approx(1e7)
+        assert np.allclose(strategy.risky[1, :, 0], 0.5)
+        assert verify_self_financing(strategy).ok
+        strategy, _, result = superhedge(space, poly, payoff, price_mode="generated")
+        assert (strategy_capital(strategy).values[-1] - payoff).min() >= -1e-9 * 1e8
+        assert verify_self_financing(strategy).ok
+
+    @pytest.mark.parametrize("scale", [1e3, 1e6])
+    def test_scaled_trees_hedge_cleanly(self, scale):
+        rng = np.random.default_rng(1)
+        for _ in range(30):
+            space, asset, _ = random_market_tree(rng)
+            scaled = AdaptedProcess(space, scale * asset.values)
+            poly = MartingalePolytope(space, [scaled], names=("S",))
+            payoff = np.maximum(scaled.values[-1] - scaled.values[0, 0], 0.0)
+            for mode in ("full", "generated"):
+                strategy, _, result = superhedge(space, poly, payoff, price_mode=mode)
+                assert verify_self_financing(strategy).ok
+                assert result.witness_bound.ok
+
+    @pytest.mark.parametrize("level", [40.0, 4e8])
+    def test_cash_varying_inside_a_cell_is_not_predictable(self, binomial, level):
+        space, asset, _ = binomial
+        cash = np.array([[level, level], [-level, -level * (1.0 + 1e-6)]])
+        risky = np.zeros((2, 2, 1))
+        with pytest.raises(NotPredictable, match="time-1 holdings vary on time-0 cell 0"):
+            TradingStrategy(space=space, cash=cash, risky=risky, assets=(asset,))

@@ -10,6 +10,7 @@ import ast
 from pathlib import Path
 
 import superhedge
+from superhedge.measures import GeneratorHull, MartingalePolytope, MeasureSet
 
 PACKAGE = Path(superhedge.__file__).parent
 
@@ -96,3 +97,24 @@ def test_no_module_enumerates_vertices():
         if named:
             offenders[path.name] = sorted(named)
     assert offenders == {}
+
+
+CONTRACT = {
+    "reference",
+    "expectation_functionals",
+    "domination_rows",
+    "cond_exp_sup",
+    "step_gaps",
+    "contains_masses",
+}
+
+
+def test_measure_set_contract_is_six_methods():
+    public = {name for name, value in vars(MeasureSet).items()
+              if callable(value) and not name.startswith("_")}
+    assert public == CONTRACT
+
+
+def test_every_family_overrides_the_whole_contract():
+    for family in (GeneratorHull, MartingalePolytope):
+        assert CONTRACT - set(vars(family)) == set(), family.__name__

@@ -189,8 +189,8 @@ def test_polytope_unit_claim_matches_lp_oracle(seed, complete, delta):
     v = rng.uniform(-1.0, 1.0, size=space.outcome_count)
     xi = np.clip(weights @ np.array(family) + delta * v, 0.0, None)
 
-    hi, _ = poly.max_expectation(xi)
-    lo = -poly.max_expectation(-xi)[0]
+    hi = poly.cond_exp_sup(xi, 0).values[0]
+    lo = -poly.cond_exp_sup(-xi, 0).values[0]
     oracle = abs(hi - 1.0) <= EQ_TOL and abs(lo - 1.0) <= EQ_TOL
     assert is_unit_claim(space, poly, xi) == oracle
 
