@@ -185,7 +185,7 @@ def _alpha(space: FilteredSpace, n: int, d: np.ndarray, ratio) -> float:
         c = int(np.argmax(fvals))
         raise IncompletenessDetected(
             f"increments vanish at step {n} but the normalized ratio exceeds one "
-            f"on cell {c} ({fvals[c]!r})",
+            f"on cell {c} ({fvals[c]:.12g})",
             time=n,
             cell=c,
         )
@@ -198,7 +198,7 @@ def _alpha(space: FilteredSpace, n: int, d: np.ndarray, ratio) -> float:
         c = int(np.argmax(slack))
         raise IncompletenessDetected(
             f"domination scan fails at step {n}, cell {c}: "
-            f"ratio {fvals[c]!r} > bound {bound[c]!r}",
+            f"ratio {fvals[c]:.12g} > bound {bound[c]:.12g}",
             time=n,
             cell=c,
         )

@@ -13,10 +13,13 @@ cond_exp_sup at time 0.  Two concrete families are supported:
 
 * MartingalePolytope -- all strictly positive measures making the listed
   asset processes martingales.  The family is an open face of the polyhedron
-  {q >= 0, asset equalities, total mass 1}; suprema of linear and
-  linear-fractional functionals over its closure are computed by LP, and an
-  identity that must hold under every member is a linear test on the
-  affine hull (an interior member and the null space of the equalities).
+  {q >= 0, asset equalities, total mass 1}.  Its closure is m-stable: a
+  member is one martingale kernel per node of the tree, so per-cell suprema
+  of conditional expectations are a backward induction of one-step problems
+  over a node's children (closed form for one asset, small linear solves
+  for more).  An identity that must hold under every member is a linear
+  test on the affine hull (an interior member and the null space of the
+  equalities).
 
 Pricing asks each family for its domination rows, domination_rows(x) ->
 (P, b): a claim eta dominates the terminal claim x under every member
@@ -34,6 +37,8 @@ test live here as well.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
+from math import comb
 
 import numpy as np
 from scipy.linalg import null_space
@@ -62,9 +67,9 @@ class Measure:
         if p.ndim != 1:
             raise InvalidMeasure("probability vector must be one-dimensional")
         if p.min() <= 0.0:
-            raise InvalidMeasure(f"measure has a nonpositive entry (min={p.min()!r})")
+            raise InvalidMeasure(f"measure has a nonpositive entry (min={p.min():.12g})")
         if abs(p.sum() - 1.0) > MASS_TOL:
-            raise InvalidMeasure(f"probabilities sum to {p.sum()!r}, not 1")
+            raise InvalidMeasure(f"probabilities sum to {p.sum():.12g}, not 1")
 
     def __len__(self) -> int:
         return len(self.probabilities)
@@ -139,7 +144,8 @@ class EssSupRow:
     """Per-cell supremum of conditional expectations over a measure family."""
 
     values: np.ndarray            # outcome row, constant per cell
-    attained: tuple               # per cell: generator index or attaining measure
+    attained: tuple               # per cell: maximising generator's index (hull), or
+                                  # attaining measure over the cell's outcomes (polytope)
 
 
 class MeasureSet:
@@ -259,6 +265,146 @@ class GeneratorHull(MeasureSet):
         return _lp.feasible_point(A_eq, b_eq, self.k) is not None
 
 
+# A node with more candidate supports than this (only possible with two or
+# more assets) gets its one-step sup from a small LP over its children.
+_MAX_SUPPORTS = 256
+
+
+@dataclass(frozen=True, eq=False)
+class _NodeGroup:
+    """The time-t cells with the same child count k, and their candidate
+    one-step martingale kernels.
+
+    Candidate c of node g puts weights[g, c] on the children at positions
+    support[c] (padding entries carry weight zero); penalty[g, c] is 0 when
+    that kernel is a martingale kernel of the node and -inf when it is not.
+    The candidates are None for a group solved by LP, node by node.
+    """
+
+    nodes: np.ndarray                # (G,) time-t cell ids
+    kids: np.ndarray                 # (G, k) time-(t+1) cell ids
+    moves: np.ndarray                # (G, d, k) asset increments towards each child
+    support: np.ndarray | None       # (C, s) child positions of each candidate
+    weights: np.ndarray | None       # (G, C, s)
+    penalty: np.ndarray | None       # (G, C)
+
+
+def _node_table(space: FilteredSpace, assets) -> tuple[tuple[_NodeGroup, ...], ...]:
+    """Per time t < N, the time-t cells grouped by child count.
+
+    Increments within MASS_TOL of the asset's scale count as flat: they are
+    the rounding residue of equal prices, and a flat child must carry a
+    point mass.
+    """
+    values = np.array([a.values for a in assets])              # (d, N+1, n)
+    flat = MASS_TOL * (1.0 + np.abs(values).max(axis=(1, 2)))
+    table = []
+    for t in range(space.horizon):
+        reps = np.array(_cell_reps(space, t))
+        reps_next = np.array(_cell_reps(space, t + 1))
+        by_count: dict[int, list[int]] = {}
+        for c, kids in enumerate(space.children[t]):
+            by_count.setdefault(len(kids), []).append(c)
+        groups = []
+        for nodes in by_count.values():
+            nodes = np.array(nodes)
+            kids = np.array([space.children[t][c] for c in nodes])
+            moves = values[:, t + 1, reps_next[kids]] - values[:, t, reps[nodes], None]
+            moves = moves.transpose(1, 0, 2)
+            moves[np.abs(moves) <= flat[:, None]] = 0.0
+            groups.append(_NodeGroup(nodes, kids, moves, *_candidate_kernels(moves)))
+        table.append(tuple(groups))
+    return tuple(table)
+
+
+def _candidate_kernels(moves: np.ndarray):
+    """(support, weights, penalty) covering every vertex of each node's
+    kernel set {q >= 0, sum q = 1, moves @ q = 0}, or Nones for the LP:
+    when a multi-asset node has too many supports, or when some node is left
+    without a candidate by rounding.
+
+    A vertex is supported on at most d + 1 children.  A flat child carries
+    a point mass.  With one asset the other vertices are the straddling
+    pairs, in closed form: the down child gets m_up / (m_up - m_down).  With
+    more assets each support of d + 1 children is one batched square solve
+    and each smaller one a least-squares solve, kept when it satisfies the
+    equalities with nonnegative weights.
+    """
+    G, d, k = moves.shape
+    width = min(k, d + 1)
+    if d > 1 and sum(comb(k, s) for s in range(1, width + 1)) > _MAX_SUPPORTS:
+        return None, None, None
+    parts = [(np.arange(k)[:, None], np.ones((G, k, 1)), ~moves.any(axis=1))]
+    if d == 1 and k > 1:
+        pairs = np.array(list(combinations(range(k), 2)))
+        i, j = pairs.T
+        mi, mj = moves[:, 0, i], moves[:, 0, j]
+        down_i = (mi < 0.0) & (mj > 0.0)
+        ok = down_i | ((mj < 0.0) & (mi > 0.0))
+        up, down = np.where(down_i, mj, mi), np.where(down_i, mi, mj)
+        w_down = np.where(ok, up / np.where(ok, up - down, 1.0), 0.0)
+        w_up = np.where(ok, 1.0 - w_down, 0.0)
+        w = np.stack([np.where(down_i, w_down, w_up), np.where(down_i, w_up, w_down)], axis=2)
+        parts.append((pairs, w, ok))
+    elif d > 1:
+        A = np.concatenate([np.ones((G, 1, k)), moves], axis=1)   # (G, d+1, k)
+        b = np.zeros(d + 1)
+        b[0] = 1.0
+        tol = FEAS_TOL * (1.0 + np.abs(moves).max(axis=(1, 2)))[:, None]
+        for s in range(2, width + 1):
+            support = np.array(list(combinations(range(k), s)))
+            A_S = A[:, :, support].transpose(0, 2, 1, 3)            # (G, C, d+1, s)
+            if s == d + 1:
+                sv = np.linalg.svd(A_S, compute_uv=False)
+                ok = sv[..., -1] > (d + 1) * np.finfo(float).eps * sv[..., 0]
+                A_S = np.where(ok[..., None, None], A_S, np.eye(s))
+                q = np.linalg.solve(A_S, np.broadcast_to(b[:, None], A_S.shape[:-1] + (1,)))[..., 0]
+            else:
+                ok = True
+                q = np.linalg.pinv(A_S) @ b
+            residual = np.abs(np.einsum("gcrs,gcs->gcr", A_S, q) - b).max(axis=2)
+            ok = ok & (residual <= tol) & (q.min(axis=2) >= -FEAS_TOL)
+            parts.append((support, np.where(ok[..., None], np.clip(q, 0.0, None), 0.0), ok))
+    count = sum(len(p[0]) for p in parts)
+    support = np.empty((count, width), dtype=int)
+    weights = np.zeros((G, count, width))
+    ok = np.empty((G, count), dtype=bool)
+    c = 0
+    for part_support, part_weights, part_ok in parts:
+        m, s = part_support.shape
+        support[c:c + m] = part_support[:, -1:]          # padding repeats a child
+        support[c:c + m, :s] = part_support
+        weights[:, c:c + m, :s] = part_weights
+        ok[:, c:c + m] = part_ok
+        c += m
+    if not ok.any(axis=1).all():
+        return None, None, None
+    return support, weights, np.where(ok, 0.0, -np.inf)
+
+
+def _one_step_sups(groups, vals: np.ndarray, n_kids: int):
+    """One level of the backward induction: per time-t cell, the largest
+    kernel expectation of its children's values vals; and per child cell,
+    its weight under its parent's maximising kernel."""
+    out = np.empty(sum(len(g.nodes) for g in groups))
+    kernel = np.zeros(n_kids)
+    for g in groups:
+        v = vals[g.kids]                                              # (G, k)
+        if g.support is None:
+            for node, kids, moves, row in zip(g.nodes, g.kids, g.moves, v):
+                A_eq = np.vstack([np.ones(len(kids)), moves])
+                b_eq = np.zeros(len(A_eq))
+                b_eq[0] = 1.0
+                out[node], kernel[kids] = _lp.maximize(row, A_eq=A_eq, b_eq=b_eq)
+            continue
+        candidates = (g.weights * v[:, g.support]).sum(axis=2) + g.penalty
+        best = candidates.argmax(axis=1)
+        rows = np.arange(len(best))
+        out[g.nodes] = candidates[rows, best]
+        np.add.at(kernel, g.kids[rows[:, None], g.support[best]], g.weights[rows, best])
+    return out, kernel
+
+
 class MartingalePolytope(MeasureSet):
     """All strictly positive measures making the listed assets martingales.
 
@@ -290,11 +436,11 @@ class MartingalePolytope(MeasureSet):
                     idx = list(cell)
                     row[idx] = proc.values[t, idx] - proc.values[t - 1, idx]
                     rows.append(row)
-        self._homogeneous = np.array(rows) if rows else np.empty((0, n))
-        self._A_eq = np.vstack([self._homogeneous, np.ones((1, n))])
+        self._A_eq = np.vstack(rows + [np.ones(n)])
         self._b_eq = np.concatenate([np.zeros(len(rows)), [1.0]])
 
         self._interior = self._solve_interior()
+        self._nodes = _node_table(space, procs)
         # orthonormal columns; the SVD is skipped when the tree pins every
         # direction, which is the common case for complete markets
         if self._free_dimension() > 0:
@@ -317,14 +463,10 @@ class MartingalePolytope(MeasureSet):
         space = self.space
         tol = np.sqrt(np.finfo(float).eps) * np.abs(self._A_eq).max()
         count = sum(len(cell) - 1 for cell in space.cells[space.horizon])
-        for t in range(space.horizon):
-            for c, kids in enumerate(space.children[t]):
-                if len(kids) < 2:
-                    continue
-                rep = space.cell_rep(t, c)
-                reps = [space.cell_rep(t + 1, k) for k in kids]
-                moves = np.array([a.values[t + 1, reps] - a.values[t, rep] for a in self.assets])
-                count += len(kids) - 1 - int(np.linalg.matrix_rank(moves, tol=tol))
+        for g in (g for level in self._nodes for g in level):
+            k = g.kids.shape[1]
+            if k >= 2:
+                count += int((k - 1 - np.linalg.matrix_rank(g.moves, tol=tol)).sum())
         return count
 
     def _solve_interior(self) -> np.ndarray:
@@ -361,28 +503,30 @@ class MartingalePolytope(MeasureSet):
         return np.eye(self.space.outcome_count), np.array(x, dtype=float)
 
     def cond_exp_sup(self, x, t):
-        """Per-cell sup of E^Q{x | F_t} over the closure, where the cell has mass.
+        """Per-cell sup of E^Q{x | F_t} over the closure, by backward induction.
 
-        Linear-fractional program per cell, solved in the standard projective
-        form: maximize sum_{w in A} x_w u_w over u >= 0 with the homogeneous
-        asset equalities and sum_{w in A} u_w = 1.
+        The closure is m-stable: below a time-t cell a member is any choice
+        of one martingale kernel per node and any spread inside each
+        terminal cell.  So the sup starts from the max of x on each terminal
+        cell and, level by level up to t, takes each node's largest
+        expectation of its children's values over its martingale kernels.
+        The attaining measure of a cell is the product of the maximising
+        kernels, with each terminal cell's mass on its largest outcome.
         """
         x = np.asarray(x, dtype=float)
-        n = self.space.outcome_count
-        values = np.empty(n)
-        attained = []
-        for c, cell in enumerate(self.space.cells[t]):
-            idx = list(cell)
-            indicator = np.zeros(n)
-            indicator[idx] = 1.0
-            objective = np.zeros(n)
-            objective[idx] = x[idx]
-            A_eq = np.vstack([self._homogeneous, indicator])
-            b_eq = np.concatenate([np.zeros(self._homogeneous.shape[0]), [1.0]])
-            value, u = _lp.maximize(objective, A_eq=A_eq, b_eq=b_eq)
-            values[idx] = value
-            attained.append(u / u.sum())
-        return EssSupRow(values=values, attained=tuple(attained))
+        space = self.space
+        # per terminal cell, its first outcome with the largest x
+        _, starts = space._cell_groups[space.horizon]
+        tops = np.lexsort((-x, space.atom_index[space.horizon]))[starts]
+        vals = x[tops]
+        weights = np.zeros(space.outcome_count)
+        weights[tops] = 1.0
+        for s in range(space.horizon - 1, t - 1, -1):
+            vals, kernel = _one_step_sups(self._nodes[s], vals, space.n_cells(s + 1))
+            weights *= kernel[space.atom_index[s + 1]]
+        order, starts = space._cell_groups[t]
+        attained = tuple(np.split(weights[order], starts[1:]))
+        return EssSupRow(values=vals[space.atom_index[t]], attained=attained)
 
     def step_gaps(self, x, base, t, equality):
         x = np.asarray(x, dtype=float)
@@ -527,7 +671,8 @@ def ess_sup_conditional(space: FilteredSpace, mset: MeasureSet, X, t: int) -> Es
     """Smallest F_t-measurable upper envelope of E^P{X | F_t} over the family.
 
     Over a hull this is the per-cell maximum across generators; over a
-    martingale polytope the per-cell LP supremum across the closure.
+    martingale polytope the per-cell supremum across the closure, by
+    backward induction over the nodes of the tree.
     """
     x = np.asarray(X, dtype=float)
     if x.min() < -EQ_TOL:

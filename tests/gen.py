@@ -11,7 +11,9 @@ every two-point completion measure satisfy the asset equalities.
 
 closure_vertices is a brute-force oracle: it enumerates the vertices of a
 polytope's closure over all column subsets, so it is only for the small
-instances the tests build.
+instances the tests build.  cond_exp_sup_lp is the other polytope oracle:
+one LP over the whole closure per cell, against which the library's
+node-by-node backward induction is checked.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from superhedge import (
     MartingalePolytope,
     build_space,
 )
+from superhedge import _lp
 
 
 def random_space(rng, max_outcomes=12, max_horizon=4, min_outcomes=2, min_horizon=1):
@@ -150,11 +153,12 @@ def complete_polytope(rng, max_outcomes=12, max_horizon=4):
     return space, asset, poly, xi0
 
 
-def random_market_tree(rng, max_leaves=10, max_horizon=3, branching=(2, 3)):
+def random_market_tree(rng, max_leaves=10, max_horizon=3, branching=(2, 3), flat_prob=0.0):
     """Strictly positive single-asset tree with a nonempty martingale polytope.
 
     Nodes split into 2..3 children with child prices straddling the parent.
-    Returns (space, asset, polytope).
+    Each child beyond the first two keeps its parent's price with
+    probability flat_prob.  Returns (space, asset, polytope).
     """
     horizon = int(rng.integers(1, max_horizon + 1))
     root = {"price": 100.0, "children": []}
@@ -173,7 +177,9 @@ def random_market_tree(rng, max_leaves=10, max_horizon=3, branching=(2, 3)):
                 count += k - 1
                 p = node["price"]
                 vals = [p * rng.uniform(0.55, 0.95), p * rng.uniform(1.05, 1.45)]
-                vals += [p * rng.uniform(0.6, 1.4) for _ in range(k - 2)]
+                for _ in range(k - 2):
+                    v = p * rng.uniform(0.6, 1.4)
+                    vals.append(p if flat_prob and rng.random() < flat_prob else v)
                 node["children"] = [{"price": v, "children": []} for v in vals]
             nxt.extend(node["children"])
         level_nodes.append(nxt)
@@ -213,6 +219,32 @@ def equality_system(poly):
     b_eq = np.zeros(len(A_eq))
     b_eq[-1] = 1.0
     return A_eq, b_eq
+
+
+def cond_exp_sup_lp(poly, x, t):
+    """Per-cell sup of E^Q(x | F_t) over a polytope's closure, one LP per
+    time-t cell, as an outcome row.
+
+    The linear-fractional program of a cell A in projective form: maximize
+    sum_{w in A} x_w u_w over u >= 0 with the homogeneous asset equalities
+    and sum_{w in A} u_w = 1.
+    """
+    A_eq, _ = equality_system(poly)
+    homogeneous = A_eq[:-1]
+    x = np.asarray(x, dtype=float)
+    n = poly.space.outcome_count
+    values = np.empty(n)
+    for cell in poly.space.cells[t]:
+        idx = list(cell)
+        indicator = np.zeros(n)
+        indicator[idx] = 1.0
+        objective = np.zeros(n)
+        objective[idx] = x[idx]
+        b_eq = np.zeros(len(homogeneous) + 1)
+        b_eq[-1] = 1.0
+        values[idx], _ = _lp.maximize(objective, A_eq=np.vstack([homogeneous, indicator]),
+                                      b_eq=b_eq)
+    return values
 
 
 def enumerate_vertices(A_eq, b_eq, tol=FEAS_TOL):

@@ -225,6 +225,17 @@ class TestAlphaCoefficient:
         with pytest.raises(IncompletenessDetected):
             alpha_coefficient(space, poly, xi0, 1, np.array([0.8, 1.3]))
 
+    def test_messages_print_plain_numbers(self, half_jump):
+        space, poly, xi0 = half_jump
+        with pytest.raises(IncompletenessDetected) as scan:
+            alpha_coefficient(space, poly, xi0, 1, np.array([0.8, 1.3]))
+        with pytest.raises(IncompletenessDetected) as flat:
+            alpha_coefficient(space, poly, np.ones(2), 1, np.array([1.25, 0.5]))
+        assert "ratio 1.3 > bound 1.2" in str(scan.value)
+        assert "(1.25)" in str(flat.value)
+        for err in (scan, flat):
+            assert "float64" not in str(err.value)
+
     def test_bound_claim_has_unit_step_expectation(self):
         rng = np.random.default_rng(109)
         from superhedge import increment_process

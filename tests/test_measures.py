@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import superhedge
 from superhedge import (
     GeneratorHull,
     InvalidMeasure,
@@ -12,15 +13,26 @@ from superhedge import (
     completion_measures,
     conditional_expectation,
     ess_sup_conditional,
+    ess_sup_process,
     increment_process,
     is_complete,
+    is_supermartingale,
     is_unit_claim,
+    optional_decomposition_complete,
     restriction_metric,
+    sup_expectation,
     unit_claim_martingale,
+    validate_decomposition,
 )
 from superhedge.spaces import AdaptedProcess, build_space
 
-from gen import random_measure, random_space
+from gen import (
+    complete_polytope,
+    generic_claim,
+    random_measure,
+    random_space,
+    random_supermartingale,
+)
 
 
 def brute_condexp(space, p, x, t):
@@ -38,6 +50,15 @@ def test_measure_validation():
         Measure(np.array([1.0, 0.0]))
     with pytest.raises(InvalidMeasure):
         Measure(np.array([0.6, 0.6]))
+
+
+def test_measure_errors_print_plain_numbers():
+    with pytest.raises(InvalidMeasure, match=r"\(min=-0\.25\)") as negative:
+        Measure(np.array([0.5, -0.25, 0.75]))
+    with pytest.raises(InvalidMeasure, match="sum to 1.2, not 1") as total:
+        Measure(np.array([0.6, 0.6]))
+    for err in (negative, total):
+        assert "float64" not in str(err.value)
 
 
 class TestConditionalExpectation:
@@ -129,6 +150,45 @@ class TestEssSup:
         space, asset, poly = binomial
         row = ess_sup_conditional(space, poly, [20.0, 0.0], 0)
         assert np.allclose(row.values, 10.0)  # unique measure (0.5, 0.5)
+
+
+class TestNodeLocalSup:
+    """The polytope sup is a backward induction over one-step kernels."""
+
+    def test_one_asset_verdicts_sups_and_envelopes_run_no_lp(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        space, _, poly, xi0 = complete_polytope(rng)
+        f = random_supermartingale(rng, space, poly)
+        claim = generic_claim(rng, space)
+
+        def no_lp(*args, **kwargs):
+            raise AssertionError("an LP was solved")
+
+        monkeypatch.setattr(superhedge._lp, "solve", no_lp)
+        assert is_supermartingale(space, poly, f).ok
+        envelope = ess_sup_process(space, poly, claim)
+        assert sup_expectation(space, poly, claim) == envelope.values[0, 0]
+        dec = optional_decomposition_complete(space, poly, xi0, f)
+        assert validate_decomposition(space, poly, f, dec).ok
+
+    def test_binomial_kernel_and_flat_child(self):
+        # one node, children moving -20, 0 and +30: the sup is the best of
+        # the flat child's point mass and the straddling pair (0.6, 0.4)
+        space = build_space(3, [[(0, 1, 2)], [(0,), (1,), (2,)]])
+        poly = MartingalePolytope(space, [[[100.0] * 3, [80.0, 100.0, 130.0]]])
+        pair = poly.cond_exp_sup([10.0, 0.0, 5.0], 0)
+        assert pair.values[0] == pytest.approx(8.0)
+        assert np.allclose(pair.attained[0], [0.6, 0.0, 0.4])
+        point = poly.cond_exp_sup([10.0, 9.0, 5.0], 0)
+        assert point.values[0] == pytest.approx(9.0)
+        assert np.array_equal(point.attained[0], [0.0, 1.0, 0.0])
+
+    def test_terminal_cell_mass_sits_on_its_largest_outcome(self):
+        space = build_space(3, [[(0, 1, 2)], [(0, 1), (2,)]])
+        poly = MartingalePolytope(space, [[[100.0] * 3, [90.0, 90.0, 110.0]]])
+        row = poly.cond_exp_sup([1.0, 3.0, 2.0], 1)
+        assert np.array_equal(row.values, [3.0, 3.0, 2.0])
+        assert [list(a) for a in row.attained] == [[0.0, 1.0], [1.0]]
 
 
 class TestFamilyContract:

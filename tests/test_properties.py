@@ -243,3 +243,64 @@ def test_cell_ranges_match_per_cell_ptp(seed, d):
             got = cell_ranges(space, t, row)
             assert got.shape == expected.shape
             assert np.array_equal(got, expected)
+
+
+def _sup_instance(rng, kind):
+    """A polytope of the given kind: a one-asset tree with flat children and
+    up to four children per node, a complete polytope, the tree with a second
+    asset (nodes with k = 3 = d + 1 and k = 4 > d + 1 children), or one
+    two-asset node too wide to enumerate."""
+    from gen import complete_polytope, random_market_tree
+
+    if kind == "complete":
+        space, _, poly, _ = complete_polytope(rng)
+        return space, poly
+    if kind == "wide node":
+        k = int(rng.integers(14, 18))
+        space = build_space(k, [[tuple(range(k))], [(w,) for w in range(k)]])
+        q = random_measure(rng, k)
+        steps = rng.normal(size=(2, k))
+        steps -= (steps @ q)[:, None]
+        return space, MartingalePolytope(space, [[np.full(k, 100.0), 100.0 + 10.0 * s]
+                                                 for s in steps])
+    space, asset, poly = random_market_tree(rng, max_leaves=14, branching=(2, 4), flat_prob=0.5)
+    if kind == "two assets":
+        claim = rng.uniform(50.0, 150.0, size=space.outcome_count)
+        rows = [conditional_expectation(space, poly.interior_measure, claim, t)
+                for t in range(space.horizon + 1)]
+        poly = MartingalePolytope(space, [asset, np.array(rows)])
+    return space, poly
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(["tree", "complete", "two assets", "wide node"]),
+)
+def test_node_local_sup_matches_lp_oracle(seed, kind):
+    """At every time the backward induction equals one LP per cell over the
+    whole closure, and each attaining measure is a certificate: spliced into
+    the reference member at its cell's mass it satisfies every asset
+    equality and gives the sup as its conditional expectation."""
+    from gen import cond_exp_sup_lp
+
+    rng = np.random.default_rng(seed)
+    space, poly = _sup_instance(rng, kind)
+    N = space.horizon
+    x = rng.uniform(-5.0, 5.0, size=space.outcome_count)
+    tol = EQ_TOL * (1.0 + float(np.abs(x).max()))
+    ref = poly.reference()
+    for t in range(N + 1):
+        row = poly.cond_exp_sup(x, t)
+        assert np.abs(row.values - cond_exp_sup_lp(poly, x, t)).max() <= tol
+        assert len(row.attained) == space.n_cells(t)
+        for cell, q in zip(space.cells[t], row.attained):
+            idx = list(cell)
+            assert q.shape == (len(idx),)
+            assert q.min() >= 0.0
+            assert abs(q.sum() - 1.0) <= 1e-12
+            assert abs(q @ x[idx] - row.values[idx[0]]) <= tol
+            spliced = ref.copy()
+            spliced[idx] = ref[idx].sum() * q
+            masses = np.bincount(space.atom_index[N], weights=spliced, minlength=space.n_cells(N))
+            assert poly.equality_residuals(masses, N) == []
