@@ -1,7 +1,8 @@
 """Thin wrappers around scipy's HiGHS LP solver.
 
-All programs in this library are small and dense, so tolerances are pushed
-well below the library-wide identity tolerance.  Nothing here enumerates
+The programs of this library are small, or sparse like a polytope's
+interior LP, so tolerances are pushed well below the library-wide identity
+tolerance.  Nothing here enumerates
 polytope vertices: no production path needs them, and the combinatorial
 enumeration the tests use as an oracle lives with the tests.
 """

@@ -32,7 +32,7 @@ from .errors import (
 )
 from .measures import MeasureSet, increment_process
 from .processes import _as_process, is_martingale, is_supermartingale
-from .spaces import AdaptedProcess, FilteredSpace, cell_ranges
+from .spaces import AdaptedProcess, FilteredSpace, cell_ranges, cell_reps
 from .tolerances import EQ_TOL
 
 
@@ -173,8 +173,7 @@ def _alpha(space: FilteredSpace, n: int, d: np.ndarray, ratio) -> float:
     varies = np.flatnonzero(cell_ranges(space, n, ratio) > EQ_TOL)
     if varies.size:
         raise ValueError(f"ratio vector varies on time-{n} cell {varies[0]}")
-    reps = [space.cell_rep(n, c) for c in range(space.n_cells(n))]
-    fvals = ratio[reps]
+    fvals = ratio[cell_reps(space, n)]
     if fvals.min() < -EQ_TOL:
         raise ValueError("ratio vector must be nonnegative")
 

@@ -4,7 +4,8 @@ A self-financed strategy holds cash and asset positions chosen one step
 ahead; rebalancing moves no money in or out.  The superhedge of a terminal
 claim prices it (full search or over the asset family), builds the capital
 martingale from the witness claim, represents its increments in the traded
-assets, and reads the cash leg off the capital identity.
+assets (one batched projection per group of tree nodes, through the
+polytope's hedge_ratios), and reads the cash leg off the capital identity.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from .errors import NoRepresentation, NotMartingale, NotPredictable, ShapeMismat
 from .measures import MartingalePolytope, _condexp_row
 from .pricing import FairPriceResult, fair_price_full, fair_price_generated
 from .processes import is_martingale
-from .spaces import AdaptedProcess, FilteredSpace, PredictableProcess, cell_ranges
+from .spaces import AdaptedProcess, FilteredSpace, PredictableProcess, cell_ranges, cell_reps
 from .tolerances import EQ_TOL
 
 
@@ -87,9 +88,11 @@ def martingale_representation(
 ) -> PredictableProcess:
     """Predictable asset holdings H with M_m = M_0 + sum <H_i, dS_i>.
 
-    Solved per step and predecessor cell by least squares over the child
-    cells; a residual above tolerance means the increment lies outside the
-    span of the asset increments there.
+    At each node the holdings are the least-squares projection of the
+    increments towards its children onto the asset moves, taken for every
+    node of a group at once (MartingalePolytope.hedge_ratios); a residual
+    above tolerance means the increment lies outside the span of the asset
+    increments there.
     """
     if not isinstance(mset, MartingalePolytope):
         raise ValidationError("representation requires a martingale polytope")
@@ -101,28 +104,20 @@ def martingale_representation(
             report=report,
         )
 
-    d = len(mset.assets)
+    holdings, residuals = mset.hedge_ratios(mprocess.values)
     scale = 1.0 + float(np.abs(mprocess.values).max())
-    holdings = np.zeros((space.horizon, space.outcome_count, d))
-    for m in range(1, space.horizon + 1):
-        for c, cell in enumerate(space.cells[m - 1]):
-            kids = space.children[m - 1][c]
-            reps = [space.cell_rep(m, k) for k in kids]
-            A = np.array(
-                [[a.values[m, r] - a.values[m - 1, r] for a in mset.assets] for r in reps]
+    for m, miss in enumerate(residuals, start=1):
+        bad = np.flatnonzero(miss > EQ_TOL * scale)
+        if bad.size:
+            c = int(bad[0])
+            residual = float(miss[c])
+            raise NoRepresentation(
+                f"martingale increment not spanned by asset increments at "
+                f"time {m}, cell {c} (residual {residual:.3e})",
+                time=m,
+                cell=c,
+                residual=residual,
             )
-            b = np.array([mprocess.values[m, r] - mprocess.values[m - 1, r] for r in reps])
-            h, *_ = np.linalg.lstsq(A, b, rcond=None)
-            residual = float(np.abs(A @ h - b).max()) if len(reps) else 0.0
-            if residual > EQ_TOL * scale:
-                raise NoRepresentation(
-                    f"martingale increment not spanned by asset increments at "
-                    f"time {m}, cell {c} (residual {residual:.3e})",
-                    time=m,
-                    cell=c,
-                    residual=residual,
-                )
-            holdings[m - 1, list(cell), :] = h
     return PredictableProcess(space, holdings)
 
 
@@ -138,15 +133,14 @@ def verify_self_financing(strategy: TradingStrategy) -> SelfFinancingReport:
     """Check that rebalancing at every step moves no cash in or out."""
     space = strategy.space
     prices = np.stack([a.values for a in strategy.assets], axis=2)
+    tol = EQ_TOL * (1.0 + float(np.abs(prices).max()))
     violations = []
     for m in range(1, space.horizon + 1):
         dcash = strategy.cash[m] - strategy.cash[m - 1]
         dhold = strategy.risky[m] - strategy.risky[m - 1]
-        residual = dcash + np.einsum("nd,nd->n", dhold, prices[m - 1])
-        for c in range(space.n_cells(m - 1)):
-            r = space.cell_rep(m - 1, c)
-            if abs(residual[r]) > EQ_TOL * (1.0 + float(np.abs(prices).max())):
-                violations.append(SelfFinancingViolation(m, c, float(residual[r])))
+        residual = (dcash + np.einsum("nd,nd->n", dhold, prices[m - 1]))[cell_reps(space, m - 1)]
+        violations.extend(SelfFinancingViolation(m, int(c), float(residual[c]))
+                          for c in np.flatnonzero(np.abs(residual) > tol))
     return SelfFinancingReport(ok=not violations, violations=tuple(violations))
 
 
@@ -228,9 +222,8 @@ def superhedge(
     risky = np.zeros((N + 1, n, d))
     cash = np.zeros((N + 1, n))
     cash[0] = result.price
-    for m in range(1, N + 1):
-        risky[m] = holdings.row(m)
-        cash[m] = capital.values[m] - np.einsum("nd,nd->n", risky[m], prices[m])
+    risky[1:] = holdings.values
+    cash[1:] = capital.values[1:] - np.einsum("tnd,tnd->tn", risky[1:], prices[1:])
     strategy = TradingStrategy(space=space, cash=cash, risky=risky, assets=mset.assets)
 
     g = np.zeros((N + 1, n))

@@ -19,14 +19,17 @@ cond_exp_sup at time 0.  Two concrete families are supported:
   over a node's children (closed form for one asset, small linear solves
   for more).  An identity that must hold under every member is a linear
   test on the affine hull (an interior member and the null space of the
-  equalities).
+  equalities), and the holdings that replicate a martingale's increments
+  come from one batched projection per group of nodes.  The equalities are
+  one sparse matrix, so memory stays linear in the outcome count.
 
 Pricing asks each family for its domination rows, domination_rows(x) ->
 (P, b): a claim eta dominates the terminal claim x under every member
 measure iff P @ eta >= b.  A hull gives one row per (generator, terminal
-cell).  A polytope gives eta >= x outcome by outcome: its asset equalities
-only see cell masses, so a closure member may put a terminal cell's whole
-mass on any one of its outcomes.
+cell).  A polytope gives P = None, which stands for the identity: eta >= x
+outcome by outcome, which pricing imposes as variable bounds.  Its asset
+equalities only see cell masses, so a closure member may put a terminal
+cell's whole mass on any one of its outcomes.
 
 Claims with expectation one under every member measure ("unit claims") play
 the role of normalized state-price densities.  Their conditional-expectation
@@ -41,6 +44,7 @@ from itertools import combinations
 from math import comb
 
 import numpy as np
+from scipy import sparse
 from scipy.linalg import null_space
 
 from . import _lp
@@ -51,7 +55,7 @@ from .errors import (
     NotUnitClaim,
     ShapeMismatch,
 )
-from .spaces import AdaptedProcess, FilteredSpace
+from .spaces import AdaptedProcess, FilteredSpace, cell_reps
 from .tolerances import EQ_TOL, FEAS_TOL, MASS_TOL
 
 
@@ -163,10 +167,11 @@ class MeasureSet:
         iff w @ c == kappa * r for every pair."""
         raise NotImplementedError
 
-    def domination_rows(self, x) -> tuple[np.ndarray, np.ndarray]:
+    def domination_rows(self, x) -> tuple[np.ndarray | None, np.ndarray]:
         """Rows P and bounds b such that eta satisfies E^P(eta | F_N) >= x on
         every terminal cell under every member measure iff P @ eta >= b; x
-        is constant on the terminal cells."""
+        is constant on the terminal cells.  P None stands for the identity:
+        eta >= b outcome by outcome, a set of variable bounds."""
         raise NotImplementedError
 
     def cond_exp_sup(self, x, t: int) -> EssSupRow:
@@ -187,10 +192,6 @@ class MeasureSet:
         """Whether some measure in the closure puts these masses on the
         time-t cells."""
         raise NotImplementedError
-
-
-def _cell_reps(space: FilteredSpace, t: int) -> list[int]:
-    return [space.cell_rep(t, c) for c in range(space.n_cells(t))]
 
 
 class GeneratorHull(MeasureSet):
@@ -238,14 +239,14 @@ class GeneratorHull(MeasureSet):
         x = np.asarray(x, dtype=float)
         rows = np.array([_condexp_row(self.space, p, x, t) for p in self._matrix])
         values = rows.max(axis=0)
-        attained = tuple(int(np.argmax(rows[:, r])) for r in _cell_reps(self.space, t))
+        attained = tuple(int(np.argmax(rows[:, r])) for r in cell_reps(self.space, t))
         return EssSupRow(values=values, attained=attained)
 
     def step_gaps(self, x, base, t, equality):
         # every member's conditional expectation is a positively weighted
         # average of the generators', so the generators decide
         x = np.asarray(x, dtype=float)
-        reps = _cell_reps(self.space, t)
+        reps = cell_reps(self.space, t)
         out = []
         for i, p in enumerate(self._matrix):
             gaps = (_condexp_row(self.space, p, x, t) - base)[reps]
@@ -269,6 +270,10 @@ class GeneratorHull(MeasureSet):
 # more assets) gets its one-step sup from a small LP over its children.
 _MAX_SUPPORTS = 256
 
+# Relative singular-value cutoff of the hedge-ratio projections: the same
+# loose sqrt(eps) level as the rank tolerance of _free_dimension.
+_PROJECTION_RCOND = float(np.sqrt(np.finfo(float).eps))
+
 
 @dataclass(frozen=True, eq=False)
 class _NodeGroup:
@@ -279,11 +284,15 @@ class _NodeGroup:
     support[c] (padding entries carry weight zero); penalty[g, c] is 0 when
     that kernel is a martingale kernel of the node and -inf when it is not.
     The candidates are None for a group solved by LP, node by node.
+    projection[g] is the pseudo-inverse of moves[g].T, taken with each
+    asset in its own units: it maps the increments of a process towards the
+    children to the least-squares asset holdings that replicate them.
     """
 
     nodes: np.ndarray                # (G,) time-t cell ids
     kids: np.ndarray                 # (G, k) time-(t+1) cell ids
     moves: np.ndarray                # (G, d, k) asset increments towards each child
+    projection: np.ndarray           # (G, d, k) pinv(moves^T), per asset unit
     support: np.ndarray | None       # (C, s) child positions of each candidate
     weights: np.ndarray | None       # (G, C, s)
     penalty: np.ndarray | None       # (G, C)
@@ -294,14 +303,22 @@ def _node_table(space: FilteredSpace, assets) -> tuple[tuple[_NodeGroup, ...], .
 
     Increments within MASS_TOL of the asset's scale count as flat: they are
     the rounding residue of equal prices, and a flat child must carry a
-    point mass.
+    point mass.  Projections drop the directions of a node's moves whose
+    singular values fall below _PROJECTION_RCOND times the largest: two
+    assets across two children span one direction, and the rounding residue
+    of the second would otherwise turn into holdings of order 1/eps.  Each
+    asset's moves are divided by a power of two near its largest price
+    before the cutoff, so that an asset priced far below another keeps its
+    direction; the division is exact.
     """
     values = np.array([a.values for a in assets])              # (d, N+1, n)
-    flat = MASS_TOL * (1.0 + np.abs(values).max(axis=(1, 2)))
+    peak = np.abs(values).max(axis=(1, 2))
+    flat = MASS_TOL * (1.0 + peak)
+    unit = np.ldexp(1.0, np.frexp(peak)[1])[:, None]           # (d, 1); 1 for a zero asset
     table = []
     for t in range(space.horizon):
-        reps = np.array(_cell_reps(space, t))
-        reps_next = np.array(_cell_reps(space, t + 1))
+        reps = cell_reps(space, t)
+        reps_next = cell_reps(space, t + 1)
         by_count: dict[int, list[int]] = {}
         for c, kids in enumerate(space.children[t]):
             by_count.setdefault(len(kids), []).append(c)
@@ -312,7 +329,10 @@ def _node_table(space: FilteredSpace, assets) -> tuple[tuple[_NodeGroup, ...], .
             moves = values[:, t + 1, reps_next[kids]] - values[:, t, reps[nodes], None]
             moves = moves.transpose(1, 0, 2)
             moves[np.abs(moves) <= flat[:, None]] = 0.0
-            groups.append(_NodeGroup(nodes, kids, moves, *_candidate_kernels(moves)))
+            projection = np.linalg.pinv((moves / unit).transpose(0, 2, 1),
+                                        rcond=_PROJECTION_RCOND) / unit
+            groups.append(_NodeGroup(nodes, kids, moves, projection,
+                                     *_candidate_kernels(moves)))
         table.append(tuple(groups))
     return tuple(table)
 
@@ -405,6 +425,28 @@ def _one_step_sups(groups, vals: np.ndarray, n_kids: int):
     return out, kernel
 
 
+def _equality_matrix(space: FilteredSpace, assets) -> sparse.csr_array:
+    """The closure's equalities as one sparse matrix: a homogeneous row per
+    (asset, step t, time-(t-1) cell), in that order, holding the asset's
+    increments over the cell's outcomes, then the total-mass row.  Exact
+    zeros are not stored."""
+    n, N = space.outcome_count, space.horizon
+    rows, data = [], []
+    offset = 0
+    for proc in assets:
+        for t in range(1, N + 1):
+            rows.append(offset + space.atom_index[t - 1])
+            data.append(proc.values[t] - proc.values[t - 1])
+            offset += space.n_cells(t - 1)
+    rows.append(np.full(n, offset))
+    data.append(np.ones(n))
+    rows, data = np.concatenate(rows), np.concatenate(data)
+    cols = np.tile(np.arange(n), len(rows) // n)
+    keep = data != 0.0
+    return sparse.coo_array((data[keep], (rows[keep], cols[keep])),
+                            shape=(offset + 1, n)).tocsr()
+
+
 class MartingalePolytope(MeasureSet):
     """All strictly positive measures making the listed assets martingales.
 
@@ -427,26 +469,18 @@ class MartingalePolytope(MeasureSet):
             names if names is not None else (f"asset{i}" for i in range(len(procs)))
         )
 
-        rows = []
-        n = space.outcome_count
-        for proc in procs:
-            for t in range(1, space.horizon + 1):
-                for cell in space.cells[t - 1]:
-                    row = np.zeros(n)
-                    idx = list(cell)
-                    row[idx] = proc.values[t, idx] - proc.values[t - 1, idx]
-                    rows.append(row)
-        self._A_eq = np.vstack(rows + [np.ones(n)])
-        self._b_eq = np.concatenate([np.zeros(len(rows)), [1.0]])
+        self._A_eq = _equality_matrix(space, procs)
+        self._b_eq = np.zeros(self._A_eq.shape[0])
+        self._b_eq[-1] = 1.0
 
         self._interior = self._solve_interior()
         self._nodes = _node_table(space, procs)
-        # orthonormal columns; the SVD is skipped when the tree pins every
-        # direction, which is the common case for complete markets
+        # orthonormal columns; the dense SVD is skipped when the tree pins
+        # every direction, which is the common case for complete markets
         if self._free_dimension() > 0:
-            self._null_basis = null_space(self._A_eq)
+            self._null_basis = null_space(self._A_eq.toarray())
         else:
-            self._null_basis = np.empty((n, 0))
+            self._null_basis = np.empty((space.outcome_count, 0))
 
     def _free_dimension(self) -> int:
         """Dimension of the null space of the equality matrix, counted node
@@ -461,7 +495,7 @@ class MartingalePolytope(MeasureSet):
         the count, which sends the constructor to the SVD, never past it.
         """
         space = self.space
-        tol = np.sqrt(np.finfo(float).eps) * np.abs(self._A_eq).max()
+        tol = np.sqrt(np.finfo(float).eps) * np.abs(self._A_eq.data).max()
         count = sum(len(cell) - 1 for cell in space.cells[space.horizon])
         for g in (g for level in self._nodes for g in level):
             k = g.kids.shape[1]
@@ -471,11 +505,18 @@ class MartingalePolytope(MeasureSet):
 
     def _solve_interior(self) -> np.ndarray:
         n = self.space.outcome_count
-        # maximize the floor t subject to q >= t, equalities, sum q = 1
+        # maximize the floor t subject to q >= t, equalities, sum q = 1;
+        # the variables are (q, t), so the equalities get an empty last column
         c = np.zeros(n + 1)
         c[-1] = -1.0
-        A_eq = np.hstack([self._A_eq, np.zeros((self._A_eq.shape[0], 1))])
-        A_ub = np.hstack([-np.eye(n), np.ones((n, 1))])
+        A = self._A_eq
+        A_eq = sparse.csr_array((A.data, A.indices, A.indptr), shape=(A.shape[0], n + 1))
+        # row i of [-I | 1]: -q_i + t <= 0
+        A_ub = sparse.csr_array(
+            (np.tile([-1.0, 1.0], n), np.stack([np.arange(n), np.full(n, n)], axis=1).ravel(),
+             np.arange(0, 2 * n + 1, 2)),
+            shape=(n, n + 1),
+        )
         res = _lp.solve(c, A_ub=A_ub, b_ub=np.zeros(n), A_eq=A_eq, b_eq=self._b_eq,
                         bounds=[(0, 1)] * n + [(None, 1)])
         if res.status != 0 or res.x[-1] <= FEAS_TOL:
@@ -499,8 +540,8 @@ class MartingalePolytope(MeasureSet):
     def domination_rows(self, x):
         # the closure's vertices put each terminal cell's mass on a single
         # outcome, and the interior member charges every cell, so eta
-        # dominates under every member iff it dominates pointwise
-        return np.eye(self.space.outcome_count), np.array(x, dtype=float)
+        # dominates under every member iff it dominates pointwise: bounds
+        return None, np.array(x, dtype=float)
 
     def cond_exp_sup(self, x, t):
         """Per-cell sup of E^Q{x | F_t} over the closure, by backward induction.
@@ -531,19 +572,46 @@ class MartingalePolytope(MeasureSet):
     def step_gaps(self, x, base, t, equality):
         x = np.asarray(x, dtype=float)
         if not equality:
-            reps = _cell_reps(self.space, t)
+            reps = cell_reps(self.space, t)
             return [("lp max", (self.cond_exp_sup(x, t).values - base)[reps])]
         # an identity across the whole polytope is a linear condition on its
-        # affine hull: test against the interior point and the null basis
-        base = np.broadcast_to(np.asarray(base, dtype=float), x.shape)
-        gaps = np.empty(self.space.n_cells(t))
-        for c, cell in enumerate(self.space.cells[t]):
-            idx = list(cell)
-            centred = x[idx] - base[idx]
-            res_ref = float(centred @ self._interior[idx])
-            res_null = centred @ self._null_basis[idx, :]
-            gaps[c] = max(abs(res_ref), float(np.abs(res_null).max(initial=0.0)))
+        # affine hull: test against the interior point and the null basis,
+        # one sum per time-t cell
+        order, starts = self.space._cell_groups[t]
+        centred = (x - base)[order]
+        res_ref = np.add.reduceat(centred * self._interior[order], starts)
+        gaps = np.abs(res_ref)
+        if self._null_basis.shape[1]:
+            res_null = np.add.reduceat(centred[:, None] * self._null_basis[order], starts)
+            gaps = np.maximum(gaps, np.abs(res_null).max(axis=1))
         return [("affine hull", gaps)]
+
+    def hedge_ratios(self, values) -> tuple[np.ndarray, list[np.ndarray]]:
+        """Asset holdings that replicate the one-step increments of an adapted
+        process, in the least-squares sense, and how far they miss.
+
+        values has shape (N+1, n).  Per node, the holdings are the projection
+        of the increments towards its children onto the asset moves, one
+        batched product per group of nodes.  Returns holdings of shape
+        (N, n, d), row m-1 chosen on the time-(m-1) cells, and per step m
+        the largest replication residual on each time-(m-1) cell.
+        """
+        space = self.space
+        values = np.asarray(values, dtype=float)
+        holdings = np.empty((space.horizon, space.outcome_count, len(self.assets)))
+        residuals = []
+        for t, level in enumerate(self._nodes):
+            reps, reps_next = cell_reps(space, t), cell_reps(space, t + 1)
+            h = np.empty((space.n_cells(t), len(self.assets)))
+            miss = np.empty(space.n_cells(t))
+            for g in level:
+                b = values[t + 1, reps_next[g.kids]] - values[t, reps[g.nodes], None]
+                h_g = np.einsum("gdk,gk->gd", g.projection, b)
+                miss[g.nodes] = np.abs(np.einsum("gdk,gd->gk", g.moves, h_g) - b).max(axis=1)
+                h[g.nodes] = h_g
+            holdings[t] = h[space.atom_index[t]]
+            residuals.append(miss)
+        return holdings, residuals
 
     def contains_masses(self, masses, t):
         # a strictly positive member supplies the conditional extension
@@ -554,7 +622,7 @@ class MartingalePolytope(MeasureSet):
         """Evaluate the asset equalities with step <= up_to_time on a measure
         given by per-cell masses at up_to_time.  Returns nonzero residuals."""
         space = self.space
-        reps = _cell_reps(space, up_to_time)
+        reps = cell_reps(space, up_to_time)
         out = []
         for j, proc in enumerate(self.assets):
             scale = 1.0 + float(np.abs(proc.values).max())
@@ -612,7 +680,7 @@ def increment_process(space: FilteredSpace, mset: MeasureSet, xi0) -> list[np.nd
     rows = unit_claim_rows(space, mset, xi0)
     out = []
     for n in range(1, space.horizon + 1):
-        reps = _cell_reps(space, n)
+        reps = cell_reps(space, n)
         out.append(rows[n][reps] - rows[n - 1][reps])
     return out
 

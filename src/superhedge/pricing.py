@@ -6,8 +6,9 @@ measure.  Writing eta = alpha * zeta turns the search into a single LP:
 minimize alpha subject to eta >= 0, E^P(eta) = alpha for every member, and
 the family's domination rows P @ eta >= b (MeasureSet.domination_rows).  A
 generator hull contributes one row per (generator, terminal cell); a
-martingale polytope contributes eta >= f_N outcome by outcome, because its
-closure can concentrate each terminal cell's mass on any single outcome.  A
+martingale polytope contributes eta >= f_N outcome by outcome (P None),
+because its closure can concentrate each terminal cell's mass on any single
+outcome, and that domination becomes variable bounds, not rows.  A
 second program prices over the simplex spanned by a finite list of unit
 claims.  Both programs end in one shared tail: the LP status becomes
 InfeasiblePricing, the witness is normalized into a unit claim and checked
@@ -68,9 +69,14 @@ def sup_expectation(space: FilteredSpace, mset: MeasureSet, f_N) -> float:
     return float(mset.cond_exp_sup(x, 0).values[0])
 
 
+def _dominated(P, eta):
+    """P @ eta for domination rows P, where None stands for the identity."""
+    return eta if P is None else P @ eta
+
+
 def _witness_check(mset, f_N, eta, price) -> BoundCheck:
     P, bounds = mset.domination_rows(f_N)
-    worst = float((bounds - P @ eta).max(initial=0.0))
+    worst = float((bounds - _dominated(P, eta)).max(initial=0.0))
     scale = 1.0 + float(np.abs(f_N).max()) + abs(price)
     return BoundCheck(ok=worst <= EQ_TOL * scale, max_violation=worst)
 
@@ -90,9 +96,17 @@ def fair_price_full(space: FilteredSpace, mset: MeasureSet, f_N) -> FairPriceRes
     for i, (w, kappa) in enumerate(functionals):
         A_eq[i, 0] = -kappa
         A_eq[i, 1:] = w
-    A_ub = np.hstack([np.zeros((len(P), 1)), -P])
-    res = _lp.solve(cost, A_ub=A_ub, b_ub=-bounds,
-                    A_eq=A_eq, b_eq=np.zeros(len(functionals)), bounds=(0, None))
+    if P is None:
+        # pointwise domination: eta >= max(x, 0) as variable bounds
+        box = np.zeros((n + 1, 2))
+        box[1:, 0] = np.maximum(bounds, 0.0)
+        box[:, 1] = np.inf
+        A_ub, b_ub = None, None
+    else:
+        box = (0, None)
+        A_ub, b_ub = np.hstack([np.zeros((len(P), 1)), -P]), -bounds
+    res = _lp.solve(cost, A_ub=A_ub, b_ub=b_ub,
+                    A_eq=A_eq, b_eq=np.zeros(len(functionals)), bounds=box)
     return _priced(space, mset, x, res, "no dominating unit claim exists; "
                    "this cannot happen for a bounded claim",
                    lambda sol: (float(sol.fun), sol.x[1:], None))
@@ -115,7 +129,8 @@ def fair_price_generated(space: FilteredSpace, mset: MeasureSet, family, f_N) ->
 
     C = np.array(claims)  # claims x outcomes
     P, bounds = mset.domination_rows(x)
-    res = _lp.solve(np.ones(len(claims)), A_ub=-(P @ C.T), b_ub=-bounds, bounds=(0, None))
+    res = _lp.solve(np.ones(len(claims)), A_ub=-_dominated(P, C.T), b_ub=-bounds,
+                    bounds=(0, None))
     return _priced(space, mset, x, res, "claim family cannot dominate the payoff "
                    "(it vanishes where the payoff is positive)",
                    lambda sol: (float(sol.x.sum()),

@@ -145,6 +145,12 @@ def atom_of(space: FilteredSpace, t: int, omega: int) -> Cell:
     return space.cells[t][space.atom_index[t, omega]]
 
 
+def cell_reps(space: FilteredSpace, t: int) -> np.ndarray:
+    """The first outcome of every time-t cell (space.cell_rep), in cell order."""
+    order, starts = space._cell_groups[t]
+    return order[starts]
+
+
 def cell_ranges(space: FilteredSpace, t: int, row) -> np.ndarray:
     """max - min of an outcome row over each time-t cell.
 

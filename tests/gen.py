@@ -11,9 +11,11 @@ every two-point completion measure satisfy the asset equalities.
 
 closure_vertices is a brute-force oracle: it enumerates the vertices of a
 polytope's closure over all column subsets, so it is only for the small
-instances the tests build.  cond_exp_sup_lp is the other polytope oracle:
+instances the tests build.  cond_exp_sup_lp is another polytope oracle:
 one LP over the whole closure per cell, against which the library's
-node-by-node backward induction is checked.
+node-by-node backward induction is checked.  hedge_ratios_lstsq and
+martingale_representation_lstsq solve the representation one cell at a
+time by least squares, against which the batched projections are checked.
 """
 
 from __future__ import annotations
@@ -23,11 +25,17 @@ from itertools import combinations
 import numpy as np
 
 from superhedge import (
+    EQ_TOL,
     FEAS_TOL,
+    MASS_TOL,
     AdaptedProcess,
     GeneratorHull,
     MartingalePolytope,
+    NoRepresentation,
+    NotMartingale,
+    PredictableProcess,
     build_space,
+    is_martingale,
 )
 from superhedge import _lp
 
@@ -227,7 +235,10 @@ def cond_exp_sup_lp(poly, x, t):
 
     The linear-fractional program of a cell A in projective form: maximize
     sum_{w in A} x_w u_w over u >= 0 with the homogeneous asset equalities
-    and sum_{w in A} u_w = 1.
+    and sum_{w in A} u_w = 1.  Redundant equality rows carry rounding noise
+    that HiGHS can reject as infeasible, so such a program is solved once
+    more on an orthonormal basis of its row space, as _lp.feasible_point
+    does.
     """
     A_eq, _ = equality_system(poly)
     homogeneous = A_eq[:-1]
@@ -240,11 +251,69 @@ def cond_exp_sup_lp(poly, x, t):
         indicator[idx] = 1.0
         objective = np.zeros(n)
         objective[idx] = x[idx]
-        b_eq = np.zeros(len(homogeneous) + 1)
+        A_eq = np.vstack([homogeneous, indicator])
+        b_eq = np.zeros(len(A_eq))
         b_eq[-1] = 1.0
-        values[idx], _ = _lp.maximize(objective, A_eq=np.vstack([homogeneous, indicator]),
-                                      b_eq=b_eq)
+        res = _lp.solve(-objective, A_eq=A_eq, b_eq=b_eq, bounds=(0, None))
+        if res.status == 2:
+            V, y = _lp._row_space_system(A_eq, b_eq)
+            res = _lp.solve(-objective, A_eq=V, b_eq=y, bounds=(0, None))
+        assert res.status == 0, res.message
+        values[idx] = -res.fun
     return values
+
+
+def hedge_ratios_lstsq(poly, values, raw=False):
+    """MartingalePolytope.hedge_ratios, one least-squares solve per cell.
+
+    By default it follows the library's rules: moves within MASS_TOL of an
+    asset's scale count as flat, each asset is measured in units of the
+    power of two just above its largest price, and singular values below
+    sqrt(eps) times the largest are dropped.  With raw=True it is the plain
+    lstsq(rcond=None) on the raw moves.
+    """
+    space = poly.space
+    values = np.asarray(values, dtype=float)
+    d = len(poly.assets)
+    peak = np.array([np.abs(a.values).max() for a in poly.assets])
+    flat = MASS_TOL * (1.0 + peak)
+    unit = np.array([2.0 ** (np.floor(np.log2(p)) + 1.0) if p > 0.0 else 1.0 for p in peak])
+    holdings = np.zeros((space.horizon, space.outcome_count, d))
+    residuals = []
+    for m in range(1, space.horizon + 1):
+        miss = np.zeros(space.n_cells(m - 1))
+        for c, cell in enumerate(space.cells[m - 1]):
+            reps = [space.cell_rep(m, k) for k in space.children[m - 1][c]]
+            A = np.array(
+                [[a.values[m, r] - a.values[m - 1, r] for a in poly.assets] for r in reps]
+            )
+            b = np.array([values[m, r] - values[m - 1, r] for r in reps])
+            if raw:
+                h, *_ = np.linalg.lstsq(A, b, rcond=None)
+            else:
+                A[np.abs(A) <= flat] = 0.0
+                h, *_ = np.linalg.lstsq(A / unit, b, rcond=np.sqrt(np.finfo(float).eps))
+                h = h / unit
+            miss[c] = np.abs(A @ h - b).max()
+            holdings[m - 1, list(cell), :] = h
+        residuals.append(miss)
+    return holdings, residuals
+
+
+def martingale_representation_lstsq(space, poly, mprocess, raw=False):
+    """martingale_representation with its holdings from hedge_ratios_lstsq."""
+    report = is_martingale(space, poly, mprocess)
+    if not report.ok:
+        v = report.violations[0]
+        raise NotMartingale(f"not a martingale at time {v.time}, cell {v.cell}", report=report)
+    holdings, residuals = hedge_ratios_lstsq(poly, mprocess.values, raw=raw)
+    scale = 1.0 + float(np.abs(mprocess.values).max())
+    for m, miss in enumerate(residuals, start=1):
+        for c, residual in enumerate(miss):
+            if residual > EQ_TOL * scale:
+                raise NoRepresentation(f"not spanned at time {m}, cell {c}",
+                                       time=m, cell=c, residual=float(residual))
+    return PredictableProcess(space, holdings)
 
 
 def enumerate_vertices(A_eq, b_eq, tol=FEAS_TOL):

@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from superhedge import (
+    EQ_TOL,
     AdaptedProcess,
     NoRepresentation,
     NotMartingale,
@@ -194,6 +197,45 @@ class TestScaledMarkets:
                 assert verify_self_financing(strategy).ok
                 assert result.witness_bound.ok
 
+    def test_asset_priced_far_below_another_keeps_its_direction(self):
+        """Two assets priced 1e8 apart on a two-step trinomial tree: every
+        node's moves span both assets, so the holdings are those of the plain
+        per-cell least squares on the raw moves."""
+        from gen import hedge_ratios_lstsq, martingale_representation_lstsq, random_measure
+
+        rng = np.random.default_rng(5)
+        space = build_space(9, [[tuple(range(9))], [(0, 1, 2), (3, 4, 5), (6, 7, 8)],
+                                [(w,) for w in range(9)]])
+        values = np.empty((2, 3, 9))
+        values[:, 0] = np.array([100.0, 1e-6])[:, None]
+        holdings = np.empty((2, 9, 2))
+        for t in range(2):
+            for cell in space.cells[t]:
+                q = random_measure(rng, 3)
+                steps = rng.normal(size=(2, 3))
+                steps -= (steps @ q)[:, None]
+                parent = values[:, t, cell[0]]
+                for j, w in enumerate(cell):       # w lies in child j * 3 // len(cell)
+                    values[:, t + 1, w] = parent * (1.0 + 0.1 * steps[:, j * 3 // len(cell)])
+                holdings[t, list(cell)] = rng.normal(size=2) * (100.0 / values[:, 0, 0])
+        assets = [AdaptedProcess(space, v) for v in values]
+        poly = MartingalePolytope(space, assets)
+        m = np.empty((3, 9))
+        m[0] = 1.0
+        for t in range(2):
+            m[t + 1] = m[t] + (holdings[t] * (values[:, t + 1] - values[:, t]).T).sum(axis=1)
+        martingale = AdaptedProcess(space, m)
+
+        got, residuals = poly.hedge_ratios(m)
+        want, want_residuals = hedge_ratios_lstsq(poly, m, raw=True)
+        assert np.allclose(got, want, rtol=1e-9, atol=0.0)
+        assert np.allclose(got, holdings, rtol=1e-6, atol=0.0)
+        scale = 1.0 + np.abs(m).max()
+        assert max(r.max() for r in residuals + want_residuals) <= EQ_TOL * scale
+        h = martingale_representation(space, poly, martingale).values
+        assert np.allclose(h, martingale_representation_lstsq(space, poly, martingale, raw=True).values,
+                           rtol=1e-9, atol=0.0)
+
     @pytest.mark.parametrize("level", [40.0, 4e8])
     def test_cash_varying_inside_a_cell_is_not_predictable(self, binomial, level):
         space, asset, _ = binomial
@@ -201,3 +243,49 @@ class TestScaledMarkets:
         risky = np.zeros((2, 2, 1))
         with pytest.raises(NotPredictable, match="time-1 holdings vary on time-0 cell 0"):
             TradingStrategy(space=space, cash=cash, risky=risky, assets=(asset,))
+
+
+def _binomial_tree(rng, steps):
+    """Non-recombining one-asset binomial tree with 2**steps outcomes: the
+    up and down factors of every node are drawn independently."""
+    n = 2**steps
+    outcomes = np.arange(n)
+    values = np.empty((steps + 1, n))
+    values[0] = 100.0
+    partitions = [[outcomes]]
+    for t in range(1, steps + 1):
+        node = outcomes >> (steps - t + 1)          # time-(t-1) cell of each outcome
+        up = (outcomes >> (steps - t)) & 1 == 0
+        factors = np.where(up, rng.uniform(1.04, 1.25, size=n // 2 ** (steps - t + 1))[node],
+                           rng.uniform(0.8, 0.96, size=n // 2 ** (steps - t + 1))[node])
+        values[t] = values[t - 1] * factors
+        partitions.append(np.split(outcomes, 2**t))
+    space = build_space(n, partitions)
+    return space, AdaptedProcess(space, values)
+
+
+def test_large_binomial_builds_in_linear_memory():
+    """A 4,096-outcome tree: the polytope's construction traces far less
+    memory than a dense equality matrix alone would take (one row per
+    internal cell plus one, 4,096 columns: 134 MB), and the full-mode
+    superhedge is self-financing and dominates the claim."""
+    rng = np.random.default_rng(12)
+    space, asset = _binomial_tree(rng, 12)
+    n = space.outcome_count
+    dense_bytes = (sum(space.n_cells(t) for t in range(space.horizon)) + 1) * n * 8
+    assert dense_bytes > 130e6
+    tracemalloc.start()
+    try:
+        poly = MartingalePolytope(space, [asset])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < dense_bytes / 8
+
+    claim = np.maximum(asset.values[-1] - 100.0, 0.0)
+    strategy, _, result = superhedge(space, poly, claim, price_mode="full")
+    assert verify_self_financing(strategy).ok
+    capital = strategy_capital(strategy).values
+    scale = 1.0 + float(claim.max()) + result.price
+    assert capital[0, 0] == result.price
+    assert (capital[-1] - claim).min() >= -EQ_TOL * scale

@@ -21,6 +21,7 @@ FAMILY_PRIVATE = {
     "_A_eq",
     "_b_eq",
     "_homogeneous",
+    "_nodes",
     "_vertices",
     "null_basis",
 }

@@ -2,13 +2,16 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from superhedge import (
     EQ_TOL,
+    AdaptedProcess,
     GeneratorHull,
     MartingalePolytope,
+    NoRepresentation,
+    NotMartingale,
     asset_ratio_family,
     build_space,
     cell_ranges,
@@ -16,8 +19,10 @@ from superhedge import (
     conditional_expectation,
     ess_sup_conditional,
     is_unit_claim,
+    martingale_representation,
     restriction_metric,
 )
+from superhedge.spaces import cell_reps
 
 from gen import compliant_hull, random_hull, random_measure, random_space
 
@@ -248,21 +253,23 @@ def test_cell_ranges_match_per_cell_ptp(seed, d):
 def _sup_instance(rng, kind):
     """A polytope of the given kind: a one-asset tree with flat children and
     up to four children per node, a complete polytope, the tree with a second
-    asset (nodes with k = 3 = d + 1 and k = 4 > d + 1 children), or one
-    two-asset node too wide to enumerate."""
+    asset (nodes with k = 3 = d + 1 and k = 4 > d + 1 children), one
+    two-asset node with 3 to 6 children whose second asset is priced 1e8
+    times below the first, or one two-asset node too wide to enumerate."""
     from gen import complete_polytope, random_market_tree
 
     if kind == "complete":
         space, _, poly, _ = complete_polytope(rng)
         return space, poly
-    if kind == "wide node":
-        k = int(rng.integers(14, 18))
+    if kind in ("wide node", "mixed scales"):
+        k = int(rng.integers(14, 18) if kind == "wide node" else rng.integers(3, 7))
         space = build_space(k, [[tuple(range(k))], [(w,) for w in range(k)]])
         q = random_measure(rng, k)
         steps = rng.normal(size=(2, k))
         steps -= (steps @ q)[:, None]
-        return space, MartingalePolytope(space, [[np.full(k, 100.0), 100.0 + 10.0 * s]
-                                                 for s in steps])
+        price = np.array([100.0, 1e-6 if kind == "mixed scales" else 100.0])[:, None]
+        return space, MartingalePolytope(space, [[np.full(k, p), p + 0.1 * p * s]
+                                                 for p, s in zip(price, steps)])
     space, asset, poly = random_market_tree(rng, max_leaves=14, branching=(2, 4), flat_prob=0.5)
     if kind == "two assets":
         claim = rng.uniform(50.0, 150.0, size=space.outcome_count)
@@ -277,6 +284,7 @@ def _sup_instance(rng, kind):
     seed=st.integers(0, 2**32 - 1),
     kind=st.sampled_from(["tree", "complete", "two assets", "wide node"]),
 )
+@example(seed=139596, kind="two assets")  # the oracle's rank-deficient cell LP
 def test_node_local_sup_matches_lp_oracle(seed, kind):
     """At every time the backward induction equals one LP per cell over the
     whole closure, and each attaining measure is a certificate: spliced into
@@ -304,3 +312,103 @@ def test_node_local_sup_matches_lp_oracle(seed, kind):
             spliced[idx] = ref[idx].sum() * q
             masses = np.bincount(space.atom_index[N], weights=spliced, minlength=space.n_cells(N))
             assert poly.equality_residuals(masses, N) == []
+
+
+def _polytope_martingale(rng, space, poly, noise):
+    """M_0 + sum of random predictable holdings times the asset increments,
+    a martingale for every member, plus noise on the terminal cells.  The
+    holdings of each asset are of order 100 over its largest price."""
+    N = space.horizon
+    peak = np.array([np.abs(a.values).max() for a in poly.assets])
+    values = np.empty((N + 1, space.outcome_count))
+    values[0] = rng.uniform(-10.0, 10.0)
+    for m in range(1, N + 1):
+        h = rng.normal(size=(space.n_cells(m - 1), len(poly.assets))) * (100.0 / peak)
+        h = h[space.atom_index[m - 1]]
+        moves = np.array([a.values[m] - a.values[m - 1] for a in poly.assets]).T
+        values[m] = values[m - 1] + (h * moves).sum(axis=1)
+    values[N] += noise * rng.normal(size=space.n_cells(N))[space.atom_index[N]]
+    return AdaptedProcess(space, values)
+
+
+def _verdict(represent, space, poly, proc):
+    try:
+        return represent(space, poly, proc).values
+    except NotMartingale as e:
+        v = e.report.violations[0]
+        return ("NotMartingale", v.time, v.cell)
+    except NoRepresentation as e:
+        return ("NoRepresentation", e.time, e.cell)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(["tree", "complete", "two assets", "mixed scales"]),
+    noise=st.sampled_from([0.0, 1e-12, 1e-8, 1e-3]),
+)
+@example(seed=3, kind="two assets", noise=0.0)  # two assets across two children: rank one
+def test_batched_representation_matches_per_cell_lstsq(seed, kind, noise):
+    """The holdings and residuals of one projection per node group equal one
+    least-squares solve per cell, and martingale_representation reaches the
+    same verdict as the per-cell version: one-asset trees with flat children,
+    complete polytopes, two-asset trees with k = 2, 3 and 4 > d + 1, and
+    two-asset nodes with prices 1e8 apart."""
+    from gen import hedge_ratios_lstsq, martingale_representation_lstsq
+
+    rng = np.random.default_rng(seed)
+    space, poly = _sup_instance(rng, kind)
+    proc = _polytope_martingale(rng, space, poly, noise)
+    scale = 1.0 + float(np.abs(proc.values).max())
+    holdings, residuals = poly.hedge_ratios(proc.values)
+    expected, expected_residuals = hedge_ratios_lstsq(poly, proc.values)
+    assert holdings.shape == expected.shape
+    assert np.abs(holdings - expected).max() <= 1e-9 * (1.0 + np.abs(expected).max())
+    assert len(residuals) == len(expected_residuals) == space.horizon
+    for got, want in zip(residuals, expected_residuals):
+        assert np.abs(got - want).max() <= 1e-12 * scale
+
+    got = _verdict(martingale_representation, space, poly, proc)
+    want = _verdict(martingale_representation_lstsq, space, poly, proc)
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert not isinstance(got, tuple), got
+        assert np.abs(got - want).max() <= 1e-9 * (1.0 + np.abs(want).max())
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(["tree", "complete", "two assets", "wide node"]),
+)
+def test_affine_hull_gaps_match_per_cell_loop(seed, kind):
+    """The equality gaps summed per cell with reduceat equal the per-cell dot
+    products with the interior member and each null-basis vector."""
+    rng = np.random.default_rng(seed)
+    space, poly = _sup_instance(rng, kind)
+    functionals = [w for w, _ in poly.expectation_functionals()]
+    for t in range(space.horizon + 1):
+        x = rng.normal(scale=10.0, size=space.outcome_count)
+        base = rng.normal(scale=10.0, size=space.n_cells(t))[space.atom_index[t]]
+        if rng.random() < 0.5:
+            base = float(base[0])
+        (label, gaps), = poly.step_gaps(x, base, t, equality=True)
+        centred = x - base
+        expected = np.array([
+            max(abs(float(centred[list(cell)] @ w[list(cell)])) for w in functionals)
+            for cell in space.cells[t]
+        ])
+        assert label == "affine hull"
+        assert gaps.shape == expected.shape
+        assert np.abs(gaps - expected).max() <= 1e-12 * (1.0 + np.abs(centred).max())
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_cell_reps_are_first_outcomes(seed):
+    rng = np.random.default_rng(seed)
+    space = random_space(rng, max_outcomes=16)
+    for t in range(space.horizon + 1):
+        expected = [space.cell_rep(t, c) for c in range(space.n_cells(t))]
+        assert cell_reps(space, t).tolist() == expected
