@@ -17,11 +17,12 @@ cond_exp_sup at time 0.  Two concrete families are supported:
   member is one martingale kernel per node of the tree, so per-cell suprema
   of conditional expectations are a backward induction of one-step problems
   over a node's children (closed form for one asset, small linear solves
-  for more).  An identity that must hold under every member is a linear
-  test on the affine hull (an interior member and the null space of the
-  equalities), and the holdings that replicate a martingale's increments
-  come from one batched projection per group of nodes.  The equalities are
-  one sparse matrix, so memory stays linear in the outcome count.
+  for more).  Members move only in node-local directions, so an identity
+  that holds under every member is a linear test against an interior
+  member and those directions.  One batched projection per group of nodes
+  gives the holdings that replicate a martingale's increments, and each
+  asset is measured in its own power-of-two unit, so that the verdicts do
+  not depend on the assets' relative scale.
 
 Pricing asks each family for its domination rows, domination_rows(x) ->
 (P, b): a claim eta dominates the terminal claim x under every member
@@ -45,7 +46,6 @@ from math import comb
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import null_space
 
 from . import _lp
 from .errors import (
@@ -270,9 +270,13 @@ class GeneratorHull(MeasureSet):
 # more assets) gets its one-step sup from a small LP over its children.
 _MAX_SUPPORTS = 256
 
-# Relative singular-value cutoff of the hedge-ratio projections: the same
-# loose sqrt(eps) level as the rank tolerance of _free_dimension.
+# Relative singular-value cutoff of every node rank, in per-asset units.
 _PROJECTION_RCOND = float(np.sqrt(np.finfo(float).eps))
+
+
+def _asset_units(assets) -> np.ndarray:
+    """Per asset, the power of two above its largest absolute price, or 1."""
+    return np.ldexp(1.0, np.frexp([np.abs(a.values).max() for a in assets])[1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -296,6 +300,8 @@ class _NodeGroup:
     support: np.ndarray | None       # (C, s) child positions of each candidate
     weights: np.ndarray | None       # (G, C, s)
     penalty: np.ndarray | None       # (G, C)
+    free: np.ndarray                 # (F,) node position of each kernel direction
+    directions: np.ndarray           # (F, k) orthonormal per node; sum 0, moves @ it 0
 
 
 def _node_table(space: FilteredSpace, assets) -> tuple[tuple[_NodeGroup, ...], ...]:
@@ -303,22 +309,20 @@ def _node_table(space: FilteredSpace, assets) -> tuple[tuple[_NodeGroup, ...], .
 
     Increments within MASS_TOL of the asset's scale count as flat: they are
     the rounding residue of equal prices, and a flat child must carry a
-    point mass.  Projections drop the directions of a node's moves whose
-    singular values fall below _PROJECTION_RCOND times the largest: two
-    assets across two children span one direction, and the rounding residue
-    of the second would otherwise turn into holdings of order 1/eps.  Each
-    asset's moves are divided by a power of two near its largest price
-    before the cutoff, so that an asset priced far below another keeps its
-    direction; the division is exact.
+    point mass.  Each asset is measured in its unit (_asset_units), and the
+    projection drops the singular directions of a node's moves below
+    _PROJECTION_RCOND times the largest: two assets across two children
+    span one direction, and the rounding residue of the second would
+    otherwise turn into holdings of order 1/eps.  The rank it keeps, plus
+    one for the total mass, is the node's rank, so the right singular
+    vectors of [1; moves] beyond it are the node's kernel directions.
     """
     values = np.array([a.values for a in assets])              # (d, N+1, n)
-    peak = np.abs(values).max(axis=(1, 2))
-    flat = MASS_TOL * (1.0 + peak)
-    unit = np.ldexp(1.0, np.frexp(peak)[1])[:, None]           # (d, 1); 1 for a zero asset
+    flat = MASS_TOL * (1.0 + np.abs(values).max(axis=(1, 2)))
+    unit = _asset_units(assets)[:, None]                       # (d, 1)
     table = []
     for t in range(space.horizon):
-        reps = cell_reps(space, t)
-        reps_next = cell_reps(space, t + 1)
+        reps, reps_next = cell_reps(space, t), cell_reps(space, t + 1)
         by_count: dict[int, list[int]] = {}
         for c, kids in enumerate(space.children[t]):
             by_count.setdefault(len(kids), []).append(c)
@@ -329,10 +333,16 @@ def _node_table(space: FilteredSpace, assets) -> tuple[tuple[_NodeGroup, ...], .
             moves = values[:, t + 1, reps_next[kids]] - values[:, t, reps[nodes], None]
             moves = moves.transpose(1, 0, 2)
             moves[np.abs(moves) <= flat[:, None]] = 0.0
-            projection = np.linalg.pinv((moves / unit).transpose(0, 2, 1),
-                                        rcond=_PROJECTION_RCOND) / unit
-            groups.append(_NodeGroup(nodes, kids, moves, projection,
-                                     *_candidate_kernels(moves)))
+            scaled = moves / unit
+            pinv = np.linalg.pinv(scaled.transpose(0, 2, 1), rcond=_PROJECTION_RCOND)
+            # the trace of pinv(A) @ A counts the singular directions the cutoff kept
+            rank = 1 + np.rint(np.einsum("gdk,gdk->g", pinv, scaled)).astype(int)
+            kernel = np.arange(kids.shape[1]) >= rank[:, None]        # (G, k)
+            some = kernel.any(axis=1)
+            system = np.concatenate([np.ones_like(scaled[some, :1]), scaled[some]], axis=1)
+            directions = np.linalg.svd(system)[2][kernel[some]]
+            groups.append(_NodeGroup(nodes, kids, moves, pinv / unit, *_candidate_kernels(moves),
+                                     np.nonzero(kernel)[0], directions))
         table.append(tuple(groups))
     return tuple(table)
 
@@ -385,18 +395,12 @@ def _candidate_kernels(moves: np.ndarray):
             residual = np.abs(np.einsum("gcrs,gcs->gcr", A_S, q) - b).max(axis=2)
             ok = ok & (residual <= tol) & (q.min(axis=2) >= -FEAS_TOL)
             parts.append((support, np.where(ok[..., None], np.clip(q, 0.0, None), 0.0), ok))
-    count = sum(len(p[0]) for p in parts)
-    support = np.empty((count, width), dtype=int)
-    weights = np.zeros((G, count, width))
-    ok = np.empty((G, count), dtype=bool)
-    c = 0
-    for part_support, part_weights, part_ok in parts:
-        m, s = part_support.shape
-        support[c:c + m] = part_support[:, -1:]          # padding repeats a child
-        support[c:c + m, :s] = part_support
-        weights[:, c:c + m, :s] = part_weights
-        ok[:, c:c + m] = part_ok
-        c += m
+    # pad each part to width columns with copies of its last child, at weight zero
+    cols = [np.minimum(np.arange(width), p.shape[1] - 1) for p, _, _ in parts]
+    support = np.concatenate([p[:, c] for (p, _, _), c in zip(parts, cols)])
+    weights = np.concatenate([w[:, :, c] * (c == np.arange(width))
+                              for (_, w, _), c in zip(parts, cols)], axis=1)
+    ok = np.concatenate([o for _, _, o in parts], axis=1)
     if not ok.any(axis=1).all():
         return None, None, None
     return support, weights, np.where(ok, 0.0, -np.inf)
@@ -428,15 +432,15 @@ def _one_step_sups(groups, vals: np.ndarray, n_kids: int):
 def _equality_matrix(space: FilteredSpace, assets) -> sparse.csr_array:
     """The closure's equalities as one sparse matrix: a homogeneous row per
     (asset, step t, time-(t-1) cell), in that order, holding the asset's
-    increments over the cell's outcomes, then the total-mass row.  Exact
-    zeros are not stored."""
+    increments over the cell's outcomes in the asset's unit (_asset_units),
+    then the total-mass row.  Exact zeros are not stored."""
     n, N = space.outcome_count, space.horizon
     rows, data = [], []
     offset = 0
-    for proc in assets:
+    for proc, unit in zip(assets, _asset_units(assets)):
         for t in range(1, N + 1):
             rows.append(offset + space.atom_index[t - 1])
-            data.append(proc.values[t] - proc.values[t - 1])
+            data.append((proc.values[t] - proc.values[t - 1]) / unit)
             offset += space.n_cells(t - 1)
     rows.append(np.full(n, offset))
     data.append(np.ones(n))
@@ -445,6 +449,32 @@ def _equality_matrix(space: FilteredSpace, assets) -> sparse.csr_array:
     keep = data != 0.0
     return sparse.coo_array((data[keep], (rows[keep], cols[keep])),
                             shape=(offset + 1, n)).tocsr()
+
+
+def _free_directions(space: FilteredSpace, table, q: np.ndarray) -> np.ndarray:
+    """Columns spanning the null space of the closure's equalities.
+
+    A node's kernel direction delta is lifted through the strictly positive
+    member q's law below each child: v = q * delta_j / q(child j) on child
+    j.  Inside a terminal cell each outcome after the first trades mass with
+    the one before it.
+    """
+    n, N = space.outcome_count, space.horizon
+    order, starts = space._cell_groups[N]
+    later = np.setdiff1d(np.arange(n), starts)              # positions in order
+    basis = np.zeros((n, sum(len(g.free) for level in table for g in level) + len(later)))
+    col = 0
+    for t, level in enumerate(table):
+        atoms = space.atom_index[t + 1]
+        mass = np.bincount(atoms, weights=q, minlength=space.n_cells(t + 1))[:, None]
+        for g in (g for g in level if len(g.free)):
+            coef = np.zeros((len(mass), len(g.free)))
+            coef[g.kids[g.free], np.arange(len(g.free))[:, None]] = g.directions
+            np.multiply(q[:, None], (coef / mass)[atoms], out=basis[:, col:col + len(g.free)])
+            col += len(g.free)
+    basis[order[later], col + np.arange(len(later))] = 1.0
+    basis[order[later - 1], col + np.arange(len(later))] = -1.0
+    return basis
 
 
 class MartingalePolytope(MeasureSet):
@@ -472,36 +502,9 @@ class MartingalePolytope(MeasureSet):
         self._A_eq = _equality_matrix(space, procs)
         self._b_eq = np.zeros(self._A_eq.shape[0])
         self._b_eq[-1] = 1.0
-
         self._interior = self._solve_interior()
         self._nodes = _node_table(space, procs)
-        # orthonormal columns; the dense SVD is skipped when the tree pins
-        # every direction, which is the common case for complete markets
-        if self._free_dimension() > 0:
-            self._null_basis = null_space(self._A_eq.toarray())
-        else:
-            self._null_basis = np.empty((space.outcome_count, 0))
-
-    def _free_dimension(self) -> int:
-        """Dimension of the null space of the equality matrix, counted node
-        by node.
-
-        Given its parent's mass, a node's children masses range over an
-        affine space of dimension len(children) - 1 - rank(moves), where
-        moves holds the asset increments towards each child; the total-mass
-        row is independent of them because an interior member exists.
-        Inside a terminal cell the mass may be spread freely.  Ranks are
-        taken with a loose tolerance: a near-degenerate node can only raise
-        the count, which sends the constructor to the SVD, never past it.
-        """
-        space = self.space
-        tol = np.sqrt(np.finfo(float).eps) * np.abs(self._A_eq.data).max()
-        count = sum(len(cell) - 1 for cell in space.cells[space.horizon])
-        for g in (g for level in self._nodes for g in level):
-            k = g.kids.shape[1]
-            if k >= 2:
-                count += int((k - 1 - np.linalg.matrix_rank(g.moves, tol=tol)).sum())
-        return count
+        self._null_basis = _free_directions(space, self._nodes, self._interior)
 
     def _solve_interior(self) -> np.ndarray:
         n = self.space.outcome_count
@@ -533,9 +536,7 @@ class MartingalePolytope(MeasureSet):
         return self._interior
 
     def expectation_functionals(self):
-        out = [(self._interior, 1.0)]
-        out.extend((self._null_basis[:, j], 0.0) for j in range(self._null_basis.shape[1]))
-        return out
+        return [(self._interior, 1.0)] + [(v, 0.0) for v in self._null_basis.T]
 
     def domination_rows(self, x):
         # the closure's vertices put each terminal cell's mass on a single
@@ -575,12 +576,11 @@ class MartingalePolytope(MeasureSet):
             reps = cell_reps(self.space, t)
             return [("lp max", (self.cond_exp_sup(x, t).values - base)[reps])]
         # an identity across the whole polytope is a linear condition on its
-        # affine hull: test against the interior point and the null basis,
-        # one sum per time-t cell
+        # affine hull: test against the interior point and the free
+        # directions, one sum per time-t cell
         order, starts = self.space._cell_groups[t]
         centred = (x - base)[order]
-        res_ref = np.add.reduceat(centred * self._interior[order], starts)
-        gaps = np.abs(res_ref)
+        gaps = np.abs(np.add.reduceat(centred * self._interior[order], starts))
         if self._null_basis.shape[1]:
             res_null = np.add.reduceat(centred[:, None] * self._null_basis[order], starts)
             gaps = np.maximum(gaps, np.abs(res_null).max(axis=1))
@@ -630,9 +630,8 @@ class MartingalePolytope(MeasureSet):
                 parents = space.atom_index[t - 1][reps]
                 diffs = proc.values[t][reps] - proc.values[t - 1][reps]
                 res = np.bincount(parents, weights=diffs * mu, minlength=space.n_cells(t - 1))
-                for c in range(space.n_cells(t - 1)):
-                    if abs(res[c]) > EQ_TOL * scale:
-                        out.append((j, t, c, float(res[c])))
+                out.extend((j, t, int(c), float(res[c]))
+                           for c in np.flatnonzero(np.abs(res) > EQ_TOL * scale))
         return out
 
 

@@ -11,6 +11,7 @@ from superhedge import (
     NotPredictable,
     TradingStrategy,
     build_space,
+    fair_price_full,
     is_martingale,
     martingale_representation,
     strategy_capital,
@@ -289,3 +290,55 @@ def test_large_binomial_builds_in_linear_memory():
     scale = 1.0 + float(claim.max()) + result.price
     assert capital[0, 0] == result.price
     assert (capital[-1] - claim).min() >= -EQ_TOL * scale
+
+
+def _incomplete_tree(rng, outcomes, ternary, horizon):
+    """One-asset tree with the given number of outcomes: ternary three-way
+    splits and two-way splits otherwise, in random order, each on a random
+    leaf above the horizon.  Child prices straddle their parent's, and a
+    leaf above the horizon keeps its price to the end."""
+    splits = rng.permutation([3] * ternary + [2] * (outcomes - 1 - 2 * ternary))
+    price, parent, depth = [100.0], [0], [0]
+    open_leaves = [0]
+    for k in splits:
+        node = open_leaves.pop(int(rng.integers(len(open_leaves))))
+        p = price[node]
+        kids = [p * rng.uniform(0.55, 0.95), p * rng.uniform(1.05, 1.45)]
+        kids += [p * rng.uniform(0.6, 1.4) for _ in range(k - 2)]
+        for v in kids:
+            price.append(v)
+            parent.append(node)
+            depth.append(depth[node] + 1)
+            if depth[-1] < horizon:
+                open_leaves.append(len(price) - 1)
+    leaves = sorted(set(range(len(price))) - set(parent[1:]))
+    paths = []                                   # the node of each outcome at each time
+    for leaf in leaves:
+        path = [leaf]
+        while path[-1]:
+            path.append(parent[path[-1]])
+        paths.append(path[::-1] + [leaf] * (horizon - depth[leaf]))
+    nodes = np.array(paths).T                    # (horizon + 1, outcomes)
+    partitions = [[np.flatnonzero(row == c) for c in np.unique(row)] for row in nodes]
+    space = build_space(len(leaves), partitions)
+    return space, AdaptedProcess(space, np.array(price)[nodes])
+
+
+def test_large_incomplete_tree_builds_in_linear_memory():
+    """A 1,024-outcome tree with 200 three-way splits has 200 free
+    directions: they are taken node by node, so the polytope's construction
+    traces a few megabytes, and the full-mode price is certified."""
+    rng = np.random.default_rng(5)
+    space, asset = _incomplete_tree(rng, 1024, 200, horizon=12)
+    assert space.outcome_count == 1024
+    tracemalloc.start()
+    try:
+        poly = MartingalePolytope(space, [asset])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(poly.expectation_functionals()) == 1 + 200
+    assert peak < 16e6
+
+    claim = np.maximum(asset.values[-1] - 100.0, 0.0)
+    assert fair_price_full(space, poly, claim).witness_bound.ok

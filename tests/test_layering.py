@@ -100,6 +100,30 @@ def test_no_module_enumerates_vertices():
     assert offenders == {}
 
 
+def _imports(source: str) -> set[str]:
+    """Every module, or module.name, that the source imports."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found |= {a.name for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            found |= {node.module} | {f"{node.module}.{a.name}" for a in node.names}
+    return found
+
+
+def test_no_module_takes_a_dense_null_space():
+    """The free directions of a polytope are node-local: no module of the
+    package imports scipy.linalg or names null_space."""
+    offenders = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        named = {m for m in _imports(source) if m.startswith("scipy.linalg")}
+        named |= _identifiers(source) & {"null_space"}
+        if named:
+            offenders[path.name] = sorted(named)
+    assert offenders == {}
+
+
 CONTRACT = {
     "reference",
     "expectation_functionals",

@@ -16,6 +16,7 @@ from superhedge import (
     ess_sup_process,
     increment_process,
     is_complete,
+    is_martingale,
     is_supermartingale,
     is_unit_claim,
     optional_decomposition_complete,
@@ -366,3 +367,40 @@ def test_polytope_requires_equivalent_measure():
     rising = AdaptedProcess(space, [[100.0, 100.0], [120.0, 110.0]])
     with pytest.raises(NoEquivalentMartingaleMeasure):
         MartingalePolytope(space, [rising])
+
+
+class TestAssetScales:
+    """A second asset c times a martingale of the first asset's polytope:
+    the interior member of that polytope makes both assets martingales, so
+    every verdict must be the same whatever c is."""
+
+    @staticmethod
+    def _two_asset_tree(seed, c, branching):
+        from gen import random_market_tree
+
+        rng = np.random.default_rng(seed)
+        space, asset, poly = random_market_tree(rng, branching=branching)
+        claim = rng.uniform(50.0, 150.0, size=space.outcome_count)
+        rows = [conditional_expectation(space, poly.interior_measure, claim, t)
+                for t in range(space.horizon + 1)]
+        return rng, space, MartingalePolytope(space, [asset, c * np.array(rows)])
+
+    def test_asset_priced_far_above_another_has_an_equivalent_measure(self):
+        for seed in range(20):
+            _, _, poly = self._two_asset_tree(seed, 1e8, (2, 3))
+            assert poly.interior_measure.min() > 0.0
+
+    def test_asset_priced_far_below_another_keeps_its_martingales(self):
+        """Holdings times the asset moves, each asset's holdings of order
+        100 over its largest price, is a martingale for every member."""
+        for seed in range(30):
+            rng, space, poly = self._two_asset_tree(seed, 1e-8, (3, 4))
+            N = space.horizon
+            peak = np.array([np.abs(a.values).max() for a in poly.assets])[:, None]
+            values = np.empty((N + 1, space.outcome_count))
+            values[0] = rng.uniform(-10.0, 10.0)
+            for m in range(1, N + 1):
+                moves = np.array([a.values[m] - a.values[m - 1] for a in poly.assets])
+                h = rng.normal(size=(len(poly.assets), space.n_cells(m - 1))) * (100.0 / peak)
+                values[m] = values[m - 1] + (h[:, space.atom_index[m - 1]] * moves).sum(axis=0)
+            assert is_martingale(space, poly, values).ok, seed

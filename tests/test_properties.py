@@ -204,11 +204,13 @@ def test_polytope_unit_claim_matches_lp_oracle(seed, complete, delta):
 @given(
     seed=st.integers(0, 2**32 - 1),
     complete=st.booleans(),
-    second_asset=st.booleans(),
+    second_asset=st.sampled_from(["none", "same scale", "mixed scales"]),
 )
 def test_node_local_free_dimension_matches_global_rank(seed, complete, second_asset):
-    """Counting free directions node by node gives the null-space dimension
-    of the whole equality matrix, and the polytope's functionals use it."""
+    """The node-local free directions span the null space of the whole
+    equality matrix: as many as its nullity, each one in it, and linearly
+    independent.  The polytope's functionals are the interior member and
+    these directions."""
     from gen import complete_polytope, equality_system, random_market_tree
 
     rng = np.random.default_rng(seed)
@@ -216,17 +218,23 @@ def test_node_local_free_dimension_matches_global_rank(seed, complete, second_as
         space, asset, poly, _ = complete_polytope(rng)
     else:
         space, asset, poly = random_market_tree(rng, max_leaves=12)
-    if second_asset:
+    if second_asset != "none":
         # a martingale under the interior member: nodes with three or more
-        # children then carry rank-two moves
+        # children then carry rank-two moves; with mixed scales it is priced
+        # 1e8 below the first asset
         claim = rng.uniform(50.0, 150.0, size=space.outcome_count)
         rows = [conditional_expectation(space, poly.interior_measure, claim, t)
                 for t in range(space.horizon + 1)]
-        poly = MartingalePolytope(space, [asset, np.array(rows)])
+        price = 1e-8 if second_asset == "mixed scales" else 1.0
+        poly = MartingalePolytope(space, [asset, price * np.array(rows)])
     A_eq, _ = equality_system(poly)
     expected = space.outcome_count - int(np.linalg.matrix_rank(A_eq))
-    assert poly._free_dimension() == expected
-    assert len(poly.expectation_functionals()) == 1 + expected
+    functionals = poly.expectation_functionals()
+    assert len(functionals) == 1 + expected
+    if expected:
+        basis = np.array([w for w, _ in functionals[1:]]).T
+        assert np.abs(A_eq @ basis).max() <= 1e-12 * (1.0 + np.abs(A_eq).max())
+        assert np.linalg.matrix_rank(basis) == expected
 
 
 @settings(max_examples=80, deadline=None)
