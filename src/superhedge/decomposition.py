@@ -1,15 +1,17 @@
 """Optional decomposition of super-martingales relative to a measure family.
 
-Two routes are provided.  The feasibility witness solves, per step and per
-predecessor cell, for a nonnegative measurable increment g0_m with
+Two routes are provided.  The feasibility witness asks the family, per step
+m, for a nonnegative F_m-measurable increment g0_m with
 
     f_{m-1} - E^P(f_m | F_{m-1}) = E^P(g0_m | F_{m-1})   for every member P,
 
 which exists iff f = M - g with M a martingale for the whole family and g
-nondecreasing from zero.  The constructive route applies to complete measure
-families: each step's ratio f_n / f_{n-1} is normalized and dominated by a
-step claim 1 + alpha_n d_n built from a unit-claim increment, from which the
-martingale and compensator follow in closed form.
+nondecreasing from zero (MeasureSet.compensator_increments: one small LP
+per cell on a hull, one pass over the nodes on a martingale polytope).  The
+constructive route applies to complete measure families: each step's ratio
+f_n / f_{n-1} is normalized and dominated by a step claim 1 + alpha_n d_n
+built from a unit-claim increment, from which the martingale and
+compensator follow in closed form.
 
 Both routes start with the same super-martingale guard and end in
 validate_decomposition: a result that fails its reconstruction, its
@@ -23,10 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _lp
 from .errors import (
     IncompletenessDetected,
-    Infeasible,
     InvalidDecomposition,
     NotSupermartingale,
 )
@@ -105,46 +105,25 @@ def _validated(space: FilteredSpace, mset: MeasureSet, proc, dec: Decomposition)
 
 
 def local_regular_witness(space: FilteredSpace, mset: MeasureSet, f) -> Decomposition:
-    """Decompose a super-martingale by per-cell feasibility solves.
+    """Decompose a super-martingale step by step through the family.
 
-    Each step m and each time-(m-1) cell yields a small LP in the compensator
-    increment restricted to that cell (one unknown per child cell, all
-    nonnegative; one equality per expectation functional of the family).  The
-    returned compensator is the componentwise smallest total the solver finds;
-    infeasibility of any cell proves no decomposition exists.
+    Each step m takes the compensator increment the family gives for the
+    drop f_{m-1} - f_m (MeasureSet.compensator_increments): nonnegative,
+    F_m-measurable, with the drop's conditional expectation under every
+    member, and of least sum over each cell's children.  The compensator is
+    their running sum and the martingale f + g.  A step with no such
+    increment proves no decomposition exists and raises Infeasible.
     """
     proc = _as_process(space, f)
     _require_supermartingale(space, mset, proc)
-
-    functionals = mset.expectation_functionals()
-    gbar = np.zeros((space.horizon, space.outcome_count))
-    for m in range(1, space.horizon + 1):
-        drop = proc.values[m - 1] - proc.values[m]
-        for c, cell in enumerate(space.cells[m - 1]):
-            idx = list(cell)
-            if len(functionals) == 1:
-                # a single expectation functional pins only the conditional
-                # mean, so the classical predictable increment serves
-                w, _ = functionals[0]
-                value = max(float(drop[idx] @ w[idx]) / w[idx].sum(), 0.0)
-                gbar[m - 1, idx] = value
-                continue
-            kids = space.children[m - 1][c]
-            kid_cells = [space.cell_outcomes(m, k) for k in kids]
-            W = np.array([[w[kc].sum() for kc in kid_cells] for w, _ in functionals])
-            r = np.array([float(drop[idx] @ w[idx]) for w, _ in functionals])
-            gamma = _lp.feasible_point(W, r, len(kids))
-            if gamma is None:
-                raise Infeasible(
-                    f"no compensator increment on cell {c} at step {m}", time=m, cell=c
-                )
-            for k, kc in zip(gamma, kid_cells):
-                gbar[m - 1, kc] = k
-
-    g = np.vstack([np.zeros(space.outcome_count), np.cumsum(gbar, axis=0)])
-    martingale = AdaptedProcess(space, proc.values + g)
+    scale = 1.0 + float(np.abs(proc.values).max())
+    steps = [
+        mset.compensator_increments(proc.values[m - 1] - proc.values[m], m - 1, scale)
+        for m in range(1, space.horizon + 1)
+    ]
+    g = np.cumsum([np.zeros(space.outcome_count)] + steps, axis=0)
     dec = Decomposition(
-        martingale=martingale,
+        martingale=AdaptedProcess(space, proc.values + g),
         compensator=AdaptedProcess(space, g),
         step_claims=None,
         shift=0.0,

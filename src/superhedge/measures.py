@@ -1,10 +1,11 @@
 """Convex families of equivalent measures on a finite filtered space.
 
 Every family implements one contract, MeasureSet, and no other module tells
-the families apart.  The contract has six methods: reference,
-expectation_functionals, domination_rows, cond_exp_sup, step_gaps and
-contains_masses.  The largest expectation over the family is
-cond_exp_sup at time 0.  Two concrete families are supported:
+the families apart.  The contract has eight methods: reference,
+expectation_functionals, domination_rows, cond_exp_sup, ess_sup_rows,
+step_gaps, contains_masses and compensator_increments.  The largest
+expectation over the family is cond_exp_sup at time 0.  Two concrete
+families are supported:
 
 * GeneratorHull -- the convex hull of finitely many strictly positive
   measures.  Conditional expectations under any hull member are positively
@@ -17,12 +18,16 @@ cond_exp_sup at time 0.  Two concrete families are supported:
   member is one martingale kernel per node of the tree, so per-cell suprema
   of conditional expectations are a backward induction of one-step problems
   over a node's children (closed form for one asset, small linear solves
-  for more).  Members move only in node-local directions, so an identity
-  that holds under every member is a linear test against an interior
-  member and those directions.  One batched projection per group of nodes
-  gives the holdings that replicate a martingale's increments, and each
-  asset is measured in its own power-of-two unit, so that the verdicts do
-  not depend on the assets' relative scale.
+  for more).  For the same reason a super-martingale decomposes node by
+  node: its compensator step on a node's children is drop + h . moves for
+  holdings h that keep it nonnegative (an interval per node for one asset,
+  a small LP per node for more).  Members move only in node-local
+  directions, so an identity that holds under every member is a linear
+  test against an interior member and those directions.  One batched
+  projection per group of nodes gives the holdings that replicate a
+  martingale's increments, and each asset is measured in its own
+  power-of-two unit, so that the verdicts do not depend on the assets'
+  relative scale.
 
 Pricing asks each family for its domination rows, domination_rows(x) ->
 (P, b): a claim eta dominates the terminal claim x under every member
@@ -49,11 +54,13 @@ from scipy import sparse
 
 from . import _lp
 from .errors import (
+    Infeasible,
     InvalidMeasure,
     MeasureDependent,
     NoEquivalentMartingaleMeasure,
     NotUnitClaim,
     ShapeMismatch,
+    UnboundedObjective,
 )
 from .spaces import AdaptedProcess, FilteredSpace, cell_reps
 from .tolerances import EQ_TOL, FEAS_TOL, MASS_TOL
@@ -153,7 +160,7 @@ class EssSupRow:
 
 
 class MeasureSet:
-    """Common interface of the two measure-family flavours: the six methods
+    """Common interface of the two measure-family flavours: the eight methods
     below, each overridden by every family."""
 
     space: FilteredSpace
@@ -179,6 +186,10 @@ class MeasureSet:
         t = 0 its single value is the largest expectation of x."""
         raise NotImplementedError
 
+    def ess_sup_rows(self, x) -> np.ndarray:
+        """The rows cond_exp_sup(x, t).values for t = 0..N, shape (N+1, n)."""
+        raise NotImplementedError
+
     def step_gaps(self, x, base, t: int, equality: bool) -> list[tuple[str, np.ndarray]]:
         """Pairs (label, gaps), one gap per time-t cell, comparing E^P(x | F_t)
         with the F_t-measurable base over the family.
@@ -191,6 +202,18 @@ class MeasureSet:
     def contains_masses(self, masses, t: int) -> bool:
         """Whether some measure in the closure puts these masses on the
         time-t cells."""
+        raise NotImplementedError
+
+    def compensator_increments(self, drop, t: int, scale: float) -> np.ndarray:
+        """One step of an optional decomposition's compensator: a nonnegative
+        F_{t+1}-measurable gamma, as an outcome row, with
+        E^P(gamma | F_t) = E^P(drop | F_t) under every member P, where
+        drop = f_t - f_{t+1}.  Of these, the one with the least sum over
+        each time-t cell's children (a one-generator hull gives the constant
+        conditional mean instead).  scale is the process's 1 + max |f|;
+        where the family judges feasibility itself, entries down to
+        -EQ_TOL * scale count as nonnegative.  Raises Infeasible(time=t+1,
+        cell) for a time-t cell with no such gamma."""
         raise NotImplementedError
 
 
@@ -242,6 +265,12 @@ class GeneratorHull(MeasureSet):
         attained = tuple(int(np.argmax(rows[:, r])) for r in cell_reps(self.space, t))
         return EssSupRow(values=values, attained=attained)
 
+    def ess_sup_rows(self, x):
+        # a hull is not m-stable, so every time takes its own generator maxima
+        x = np.asarray(x, dtype=float)
+        return np.array([[_condexp_row(self.space, p, x, t) for p in self._matrix]
+                         for t in range(self.space.horizon + 1)]).max(axis=1)
+
     def step_gaps(self, x, base, t, equality):
         # every member's conditional expectation is a positively weighted
         # average of the generators', so the generators decide
@@ -264,6 +293,33 @@ class GeneratorHull(MeasureSet):
         A_eq = np.vstack([restr, np.ones((1, self.k))])
         b_eq = np.concatenate([masses, [1.0]])
         return _lp.feasible_point(A_eq, b_eq, self.k) is not None
+
+    def compensator_increments(self, drop, t, scale):
+        # one LP per time-t cell in the increment on each child, one equality
+        # per generator; the solver's tolerances decide feasibility
+        space = self.space
+        drop = np.asarray(drop, dtype=float)
+        gamma = np.empty(space.outcome_count)
+        for c, cell in enumerate(space.cells[t]):
+            idx = list(cell)
+            if self.k == 1:
+                # a single measure pins only the conditional mean, so the
+                # classical predictable increment serves
+                w = self._matrix[0]
+                gamma[idx] = max(float(drop[idx] @ w[idx]) / w[idx].sum(), 0.0)
+                continue
+            kids = space.children[t][c]
+            kid_cells = [space.cell_outcomes(t + 1, k) for k in kids]
+            W = np.array([[w[kc].sum() for kc in kid_cells] for w in self._matrix])
+            r = np.array([float(drop[idx] @ w[idx]) for w in self._matrix])
+            solution = _lp.feasible_point(W, r, len(kids))
+            if solution is None:
+                raise Infeasible(
+                    f"no compensator increment on cell {c} at step {t + 1}", time=t + 1, cell=c
+                )
+            for k, kc in zip(solution, kid_cells):
+                gamma[kc] = k
+        return gamma
 
 
 # A node with more candidate supports than this (only possible with two or
@@ -429,6 +485,55 @@ def _one_step_sups(groups, vals: np.ndarray, n_kids: int):
     return out, kernel
 
 
+def _one_asset_holdings(moves: np.ndarray, drops: np.ndarray) -> np.ndarray:
+    """Per node of a one-asset group, with moves and drops of shape (G, k):
+    the holdings h that keep every drop + h * move nonnegative with the
+    least sum.
+
+    The feasible h form the interval [max over up moves of -drop / move,
+    min over down moves of -drop / move], and the sum changes with h by the
+    sum of the moves, so the least sum sits at the lower end when the moves
+    sum to more than zero and at the upper end otherwise.  A flat node
+    trades nothing.  A node whose interval is empty, by rounding or by a
+    shortfall within the super-martingale tolerance, takes the h whose
+    least entry is largest: where the two entries of some straddling pair
+    meet, the pair whose meeting value is lowest.
+    """
+    ratio = np.divide(-drops, moves, out=np.zeros_like(drops), where=moves != 0.0)
+    lo = np.where(moves > 0.0, ratio, -np.inf).max(axis=1)
+    hi = np.where(moves < 0.0, ratio, np.inf).min(axis=1)
+    h = np.where(moves.sum(axis=1) > 0.0, lo, hi)
+    empty = lo > hi
+    if empty.any():
+        m, v = moves[empty], drops[empty]
+        i, j = np.array(list(combinations(range(moves.shape[1]), 2))).T
+        straddle = m[:, i] * m[:, j] < 0.0
+        span = np.where(straddle, m[:, j] - m[:, i], 1.0)
+        meet = np.where(straddle, (v[:, i] * m[:, j] - v[:, j] * m[:, i]) / span, np.inf)
+        h[empty] = ((v[:, i] - v[:, j]) / span)[np.arange(len(m)), meet.argmin(axis=1)]
+    return np.where(np.isfinite(h), h, 0.0)
+
+
+def _holdings_lp(moves: np.ndarray, drops: np.ndarray) -> np.ndarray:
+    """Per node of a multi-asset group, with moves (G, d, k) and drops
+    (G, k): one LP in the d holdings h over the k children, minimising the
+    sum of drop + moves.T @ h subject to its being nonnegative.  A node
+    that the solver finds infeasible gets the h whose least entry is
+    largest instead, for the caller to judge."""
+    G, d, k = moves.shape
+    h = np.empty((G, d))
+    for i, (a, b) in enumerate(zip(moves, drops)):
+        res = _lp.solve(a.sum(axis=1), A_ub=-a.T, b_ub=b, bounds=(None, None))
+        if res.status == 2:
+            # maximise the floor s subject to drop + moves.T @ h >= s
+            res = _lp.solve(np.r_[np.zeros(d), -1.0], A_ub=np.hstack([-a.T, np.ones((k, 1))]),
+                            b_ub=b, bounds=(None, None))
+        if res.status != 0:
+            raise UnboundedObjective(f"LP solver failure (status {res.status}): {res.message}")
+        h[i] = res.x[:d]
+    return h
+
+
 def _equality_matrix(space: FilteredSpace, assets) -> sparse.csr_array:
     """The closure's equalities as one sparse matrix: a homogeneous row per
     (asset, step t, time-(t-1) cell), in that order, holding the asset's
@@ -557,9 +662,7 @@ class MartingalePolytope(MeasureSet):
         """
         x = np.asarray(x, dtype=float)
         space = self.space
-        # per terminal cell, its first outcome with the largest x
-        _, starts = space._cell_groups[space.horizon]
-        tops = np.lexsort((-x, space.atom_index[space.horizon]))[starts]
+        tops = self._terminal_tops(x)
         vals = x[tops]
         weights = np.zeros(space.outcome_count)
         weights[tops] = 1.0
@@ -569,6 +672,24 @@ class MartingalePolytope(MeasureSet):
         order, starts = space._cell_groups[t]
         attained = tuple(np.split(weights[order], starts[1:]))
         return EssSupRow(values=vals[space.atom_index[t]], attained=attained)
+
+    def ess_sup_rows(self, x):
+        # one backward pass visits every level
+        x = np.asarray(x, dtype=float)
+        space = self.space
+        rows = np.empty((space.horizon + 1, space.outcome_count))
+        vals = x[self._terminal_tops(x)]
+        rows[-1] = vals[space.atom_index[-1]]
+        for s in range(space.horizon - 1, -1, -1):
+            vals, _ = _one_step_sups(self._nodes[s], vals, space.n_cells(s + 1))
+            rows[s] = vals[space.atom_index[s]]
+        return rows
+
+    def _terminal_tops(self, x: np.ndarray) -> np.ndarray:
+        """Per terminal cell, its first outcome with the largest x."""
+        space = self.space
+        _, starts = space._cell_groups[space.horizon]
+        return np.lexsort((-x, space.atom_index[space.horizon]))[starts]
 
     def step_gaps(self, x, base, t, equality):
         x = np.asarray(x, dtype=float)
@@ -612,6 +733,33 @@ class MartingalePolytope(MeasureSet):
             holdings[t] = h[space.atom_index[t]]
             residuals.append(miss)
         return holdings, residuals
+
+    def compensator_increments(self, drop, t, scale):
+        """Node by node: the closure is m-stable, so gamma - drop has zero
+        conditional mean under every member iff on each time-t node it is
+        h . moves for some holdings h.  gamma is drop + h . moves for the h
+        that keeps it nonnegative with the least sum over the node's
+        children: in closed form for one asset, by a small LP per node for
+        more.  Feasibility is judged in value units, gamma >= -EQ_TOL * scale,
+        the tolerance of the super-martingale test."""
+        space = self.space
+        tol = EQ_TOL * scale
+        kids_drop = np.asarray(drop, dtype=float)[cell_reps(space, t + 1)]
+        unit = _asset_units(self.assets)[:, None]
+        gamma = np.empty(space.n_cells(t + 1))
+        for g in self._nodes[t]:
+            drops = kids_drop[g.kids]
+            if len(self.assets) == 1:
+                h = _one_asset_holdings(g.moves[:, 0], drops)[:, None]
+            else:
+                h = _holdings_lp(g.moves / unit, drops) / unit[:, 0]
+            gamma[g.kids] = drops + np.einsum("gdk,gd->gk", g.moves, h)
+        short = np.flatnonzero(gamma < -tol)
+        if short.size:
+            c = int(space.atom_index[t][cell_reps(space, t + 1)[short]].min())
+            raise Infeasible(f"no compensator increment on cell {c} at step {t + 1}",
+                             time=t + 1, cell=c)
+        return gamma[space.atom_index[t + 1]]
 
     def contains_masses(self, masses, t):
         # a strictly positive member supplies the conditional extension
@@ -741,9 +889,14 @@ def ess_sup_conditional(space: FilteredSpace, mset: MeasureSet, X, t: int) -> Es
     martingale polytope the per-cell supremum across the closure, by
     backward induction over the nodes of the tree.
     """
-    x = np.asarray(X, dtype=float)
-    if x.min() < -EQ_TOL:
-        raise ValueError("ess-sup rows are defined here for nonnegative claims")
+    x = _nonnegative_claim(X)
     if not 0 <= t <= space.horizon:
         raise IndexError(f"time {t} out of range 0..{space.horizon}")
     return mset.cond_exp_sup(x, t)
+
+
+def _nonnegative_claim(X) -> np.ndarray:
+    x = np.asarray(X, dtype=float)
+    if x.min() < -EQ_TOL:
+        raise ValueError("ess-sup rows are defined here for nonnegative claims")
+    return x

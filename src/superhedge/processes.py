@@ -20,7 +20,7 @@ from .errors import (
     NotUnitClaim,
     ZeroInitialValue,
 )
-from .measures import MeasureSet, ess_sup_conditional, is_unit_claim, unit_claim_rows
+from .measures import MeasureSet, _nonnegative_claim, is_unit_claim, unit_claim_rows
 from .spaces import AdaptedProcess, FilteredSpace, check_adapted
 from .tolerances import EQ_TOL
 
@@ -69,11 +69,10 @@ def is_martingale(space: FilteredSpace, mset: MeasureSet, f) -> MartingaleReport
 
 
 def ess_sup_process(space: FilteredSpace, mset: MeasureSet, xi) -> AdaptedProcess:
-    """The process of per-cell suprema of E^P(xi | F_t) over the family."""
-    rows = np.array(
-        [ess_sup_conditional(space, mset, xi, t).values for t in range(space.horizon + 1)]
-    )
-    return AdaptedProcess(space, rows)
+    """The process of per-cell suprema of E^P(xi | F_t) over the family,
+    every row from one call to the family (one backward pass on a
+    polytope)."""
+    return AdaptedProcess(space, mset.ess_sup_rows(_nonnegative_claim(xi)))
 
 
 def unit_claim_martingale(space: FilteredSpace, mset: MeasureSet, xi0) -> AdaptedProcess:

@@ -13,9 +13,12 @@ closure_vertices is a brute-force oracle: it enumerates the vertices of a
 polytope's closure over all column subsets, so it is only for the small
 instances the tests build.  cond_exp_sup_lp is another polytope oracle:
 one LP over the whole closure per cell, against which the library's
-node-by-node backward induction is checked.  hedge_ratios_lstsq and
-martingale_representation_lstsq solve the representation one cell at a
-time by least squares, against which the batched projections are checked.
+node-by-node backward induction is checked.  local_regular_witness_lp
+decomposes a super-martingale by one LP per cell over the family's
+expectation functionals, against which the node-by-node compensator is
+checked.  hedge_ratios_lstsq and martingale_representation_lstsq solve the
+representation one cell at a time by least squares, against which the
+batched projections are checked.
 """
 
 from __future__ import annotations
@@ -29,7 +32,9 @@ from superhedge import (
     FEAS_TOL,
     MASS_TOL,
     AdaptedProcess,
+    Decomposition,
     GeneratorHull,
+    Infeasible,
     MartingalePolytope,
     NoRepresentation,
     NotMartingale,
@@ -261,6 +266,37 @@ def cond_exp_sup_lp(poly, x, t):
         assert res.status == 0, res.message
         values[idx] = -res.fun
     return values
+
+
+def local_regular_witness_lp(space, mset, f):
+    """local_regular_witness by one LP per (step, cell) over the family's
+    expectation functionals: the increment on each child is an unknown,
+    nonnegative, one equality per functional, least sum.  A family with a
+    single functional gets the constant conditional mean instead.  Returns
+    the unvalidated Decomposition."""
+    values = f.values
+    functionals = mset.expectation_functionals()
+    gbar = np.zeros((space.horizon, space.outcome_count))
+    for m in range(1, space.horizon + 1):
+        drop = values[m - 1] - values[m]
+        for c, cell in enumerate(space.cells[m - 1]):
+            idx = list(cell)
+            if len(functionals) == 1:
+                w, _ = functionals[0]
+                gbar[m - 1, idx] = max(float(drop[idx] @ w[idx]) / w[idx].sum(), 0.0)
+                continue
+            kid_cells = [space.cell_outcomes(m, k) for k in space.children[m - 1][c]]
+            W = np.array([[w[kc].sum() for kc in kid_cells] for w, _ in functionals])
+            r = np.array([float(drop[idx] @ w[idx]) for w, _ in functionals])
+            gamma = _lp.feasible_point(W, r, len(kid_cells))
+            if gamma is None:
+                raise Infeasible(f"no compensator increment on cell {c} at step {m}",
+                                 time=m, cell=c)
+            for k, kc in zip(gamma, kid_cells):
+                gbar[m - 1, kc] = k
+    g = np.vstack([np.zeros(space.outcome_count), np.cumsum(gbar, axis=0)])
+    return Decomposition(martingale=AdaptedProcess(space, values + g),
+                         compensator=AdaptedProcess(space, g))
 
 
 def hedge_ratios_lstsq(poly, values, raw=False):

@@ -18,11 +18,15 @@ from superhedge import (
     validate_decomposition,
 )
 
+from superhedge import _lp
+
 from gen import (
     cellwise_unit_claim,
     closure_vertices,
     compliant_hull,
     complete_polytope,
+    generic_claim,
+    random_market_tree,
     random_measure,
     random_space,
     random_supermartingale,
@@ -335,6 +339,27 @@ class TestCompleteDecomposition:
         q = poly.interior_measure
         for m in range(2):
             assert q @ g1[m] == pytest.approx(q @ g2[m], abs=1e-9)
+
+
+def test_one_asset_polytope_witness_solves_no_lp(monkeypatch):
+    """One-asset trees with flat children and complete polytopes decompose
+    their super-martingales and claim envelopes with the solver removed."""
+    rng = np.random.default_rng(307)
+    cases = []
+    for _ in range(10):
+        space, _, poly = random_market_tree(rng, max_leaves=14, branching=(2, 4), flat_prob=0.5)
+        cases.append((space, poly, random_supermartingale(rng, space, poly)))
+        space, _, poly, _ = complete_polytope(rng)
+        cases.append((space, poly, random_supermartingale(rng, space, poly)))
+
+    def no_lp(*args, **kwargs):
+        raise AssertionError("an LP was solved")
+
+    monkeypatch.setattr(_lp, "solve", no_lp)
+    for space, poly, f in cases:
+        assert_valid(space, poly, f, local_regular_witness(space, poly, f))
+        envelope = ess_sup_process(space, poly, generic_claim(rng, space))
+        assert_valid(space, poly, envelope, local_regular_witness(space, poly, envelope))
 
 
 class TestHullDecompositionIff:

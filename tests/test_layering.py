@@ -101,13 +101,16 @@ def test_no_module_enumerates_vertices():
 
 
 def _imports(source: str) -> set[str]:
-    """Every module, or module.name, that the source imports."""
+    """Every module, or module.name, that the source imports; a relative
+    "from . import x" gives x."""
     found = set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
             found |= {a.name for a in node.names}
         elif isinstance(node, ast.ImportFrom) and node.module:
             found |= {node.module} | {f"{node.module}.{a.name}" for a in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            found |= {a.name for a in node.names}
     return found
 
 
@@ -124,17 +127,27 @@ def test_no_module_takes_a_dense_null_space():
     assert offenders == {}
 
 
+def test_decomposition_asks_the_family():
+    """The witness decomposition takes each step from the family: its module
+    imports no LP solver and names neither family."""
+    source = (PACKAGE / "decomposition.py").read_text(encoding="utf-8")
+    assert {m for m in _imports(source) if "_lp" in m.split(".")} == set()
+    assert _identifiers(source) & {"GeneratorHull", "MartingalePolytope"} == set()
+
+
 CONTRACT = {
     "reference",
     "expectation_functionals",
     "domination_rows",
     "cond_exp_sup",
+    "ess_sup_rows",
     "step_gaps",
     "contains_masses",
+    "compensator_increments",
 }
 
 
-def test_measure_set_contract_is_six_methods():
+def test_measure_set_contract_is_pinned():
     public = {name for name, value in vars(MeasureSet).items()
               if callable(value) and not name.startswith("_")}
     assert public == CONTRACT

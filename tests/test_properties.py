@@ -12,15 +12,19 @@ from superhedge import (
     MartingalePolytope,
     NoRepresentation,
     NotMartingale,
+    NotSupermartingale,
     asset_ratio_family,
     build_space,
     cell_ranges,
     change_of_measure_conditional,
     conditional_expectation,
     ess_sup_conditional,
+    is_supermartingale,
     is_unit_claim,
+    local_regular_witness,
     martingale_representation,
     restriction_metric,
+    validate_decomposition,
 )
 from superhedge.spaces import cell_reps
 
@@ -297,7 +301,8 @@ def test_node_local_sup_matches_lp_oracle(seed, kind):
     """At every time the backward induction equals one LP per cell over the
     whole closure, and each attaining measure is a certificate: spliced into
     the reference member at its cell's mass it satisfies every asset
-    equality and gives the sup as its conditional expectation."""
+    equality and gives the sup as its conditional expectation.  The single
+    backward pass of ess_sup_rows gives the same rows bit for bit."""
     from gen import cond_exp_sup_lp
 
     rng = np.random.default_rng(seed)
@@ -306,8 +311,11 @@ def test_node_local_sup_matches_lp_oracle(seed, kind):
     x = rng.uniform(-5.0, 5.0, size=space.outcome_count)
     tol = EQ_TOL * (1.0 + float(np.abs(x).max()))
     ref = poly.reference()
+    rows = poly.ess_sup_rows(x)
+    assert rows.shape == (N + 1, space.outcome_count)
     for t in range(N + 1):
         row = poly.cond_exp_sup(x, t)
+        assert np.array_equal(rows[t], row.values)
         assert np.abs(row.values - cond_exp_sup_lp(poly, x, t)).max() <= tol
         assert len(row.attained) == space.n_cells(t)
         for cell, q in zip(space.cells[t], row.attained):
@@ -320,6 +328,66 @@ def test_node_local_sup_matches_lp_oracle(seed, kind):
             spliced[idx] = ref[idx].sum() * q
             masses = np.bincount(space.atom_index[N], weights=spliced, minlength=space.n_cells(N))
             assert poly.equality_residuals(masses, N) == []
+
+
+def _children_sums(space, increments):
+    """Per step, the sum of a compensator increment over each cell's children."""
+    return [np.bincount(space.atom_index[m - 1][cell_reps(space, m)],
+                        weights=increments[m - 1][cell_reps(space, m)])
+            for m in range(1, space.horizon + 1)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(["tree", "complete", "two assets", "wide node", "mixed scales"]),
+)
+def test_node_local_witness_matches_lp_oracle(seed, kind):
+    """The node-by-node compensator validates; wherever the polytope has a
+    free direction it equals one LP per cell over the family's expectation
+    functionals; and its sum over each cell's children is never above the
+    LP's, which on a polytope without free directions gives the constant
+    conditional mean instead."""
+    from gen import local_regular_witness_lp, random_supermartingale
+
+    rng = np.random.default_rng(seed)
+    space, poly = _sup_instance(rng, kind)
+    f = random_supermartingale(rng, space, poly)
+    dec = local_regular_witness(space, poly, f)
+    assert validate_decomposition(space, poly, f, dec).ok
+    oracle = local_regular_witness_lp(space, poly, f)
+    scale = 1.0 + float(np.abs(f.values).max())
+    got, want = (np.diff(d.compensator.values, axis=0) for d in (dec, oracle))
+    if len(poly.expectation_functionals()) > 1:
+        assert np.abs(got - want).max() <= 1e-9 * scale
+    for ours, lp in zip(_children_sums(space, got), _children_sums(space, want)):
+        assert (ours - lp).max() <= 1e-9 * scale
+
+
+@pytest.mark.parametrize("kind", ["tree", "two assets"])
+@pytest.mark.parametrize("shortfall", [0.5, 2.0])
+def test_witness_takes_what_the_supermartingale_test_passes(kind, shortfall):
+    """A node whose one-step sup exceeds its value by half the
+    super-martingale tolerance passes the test, and so must decompose; at
+    twice the tolerance the guard rejects it."""
+    from gen import random_supermartingale
+
+    rng = np.random.default_rng(4099)
+    for _ in range(10):
+        space, poly = _sup_instance(rng, kind)
+        f = random_supermartingale(rng, space, poly, mart_prob=1.0)
+        branching = [(t, c) for t in range(space.horizon)
+                     for c, kids in enumerate(space.children[t]) if len(kids) > 1]
+        t, c = branching[int(rng.integers(len(branching)))]
+        values = f.values.copy()
+        values[t, list(space.cells[t][c])] -= shortfall * EQ_TOL * (1.0 + np.abs(values).max())
+        f = AdaptedProcess(space, values)
+        if shortfall < 1.0:
+            assert is_supermartingale(space, poly, f).ok
+            assert validate_decomposition(space, poly, f, local_regular_witness(space, poly, f)).ok
+        else:
+            with pytest.raises(NotSupermartingale):
+                local_regular_witness(space, poly, f)
 
 
 def _polytope_martingale(rng, space, poly, noise):
