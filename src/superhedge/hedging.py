@@ -2,10 +2,12 @@
 
 A self-financed strategy holds cash and asset positions chosen one step
 ahead; rebalancing moves no money in or out.  The superhedge of a terminal
-claim prices it (full search or over the asset family), builds the capital
-martingale from the witness claim, represents its increments in the traded
-assets (one batched projection per group of tree nodes, through the
-polytope's hedge_ratios), and reads the cash leg off the capital identity.
+claim takes its capital martingale either from the polytope's least
+superhedge (full search: the claim's envelope plus its compensator, whose
+time-0 value is the price) or from a price over the asset family (exact
+stopped asset paths), represents its increments in the traded assets (one
+batched projection per group of tree nodes, through the polytope's
+hedge_ratios), and reads the cash leg off the capital identity.
 """
 
 from __future__ import annotations
@@ -16,8 +18,8 @@ import numpy as np
 
 from .decomposition import Decomposition
 from .errors import NoRepresentation, NotMartingale, NotPredictable, ShapeMismatch, ValidationError
-from .measures import MartingalePolytope, _condexp_row
-from .pricing import FairPriceResult, fair_price_full, fair_price_generated
+from .measures import MartingalePolytope
+from .pricing import FairPriceResult, _certified, _check_terminal_claim, fair_price_generated
 from .processes import is_martingale
 from .spaces import AdaptedProcess, FilteredSpace, PredictableProcess, cell_ranges, cell_reps
 from .tolerances import EQ_TOL
@@ -144,19 +146,6 @@ def verify_self_financing(strategy: TradingStrategy) -> SelfFinancingReport:
     return SelfFinancingReport(ok=not violations, violations=tuple(violations))
 
 
-def _capital_martingale_full(space, mset, result: FairPriceResult) -> AdaptedProcess:
-    """Backward conditional expectations of the witness mass under the
-    reference measure, pinned to the exact price at time zero."""
-    eta = result.price * result.witness_claim
-    ref = mset.reference()
-    rows = np.empty((space.horizon + 1, space.outcome_count))
-    rows[space.horizon] = _condexp_row(space, ref, eta, space.horizon)
-    for t in range(space.horizon - 1, -1, -1):
-        rows[t] = _condexp_row(space, ref, rows[t + 1], t)
-    rows[0] = result.price
-    return AdaptedProcess(space, rows)
-
-
 def _capital_martingale_generated(space, mset, family_index, result: FairPriceResult) -> AdaptedProcess:
     """Exact capital martingale for a witness spanned by asset-ratio claims.
 
@@ -194,7 +183,9 @@ def superhedge(
     """Price a terminal claim and build a self-financed dominating strategy.
 
     price_mode "full" searches all unit claims, and the capital is the
-    reference-measure martingale of the witness mass.  "generated" prices
+    least superhedge (MartingalePolytope.superhedge_capital): the claim's
+    envelope plus its compensator, whose time-0 value is the price and
+    whose terminal value is the witness mass.  "generated" prices
     over the asset-ratio family S^j_i / S^j_0, and the capital is the exact
     weighted sum of stopped asset paths.  The strategy starts at the fair
     price, its capital is the witness martingale, and its terminal value
@@ -206,8 +197,9 @@ def superhedge(
     f_N = np.asarray(f_N, dtype=float)
 
     if price_mode == "full":
-        result = fair_price_full(space, mset, f_N)
-        capital = _capital_martingale_full(space, mset, result)
+        x = _check_terminal_claim(space, f_N)
+        capital = AdaptedProcess(space, mset.superhedge_capital(x))
+        result = _certified(space, mset, x, float(capital.values[0, 0]), capital.values[-1])
     elif price_mode == "generated":
         family, index = asset_ratio_family(mset)
         result = fair_price_generated(space, mset, family, f_N)

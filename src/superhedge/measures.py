@@ -2,10 +2,9 @@
 
 Every family implements one contract, MeasureSet, and no other module tells
 the families apart.  The contract has eight methods: reference,
-expectation_functionals, domination_rows, cond_exp_sup, ess_sup_rows,
-step_gaps, contains_masses and compensator_increments.  The largest
-expectation over the family is cond_exp_sup at time 0.  Two concrete
-families are supported:
+dominating_claim, domination_rows, cond_exp_sup, ess_sup_rows, step_gaps,
+contains_masses and compensator_increments.  The largest expectation over
+the family is cond_exp_sup at time 0.  Two concrete families are supported:
 
 * GeneratorHull -- the convex hull of finitely many strictly positive
   measures.  Conditional expectations under any hull member are positively
@@ -21,21 +20,24 @@ families are supported:
   for more).  For the same reason a super-martingale decomposes node by
   node: its compensator step on a node's children is drop + h . moves for
   holdings h that keep it nonnegative (an interval per node for one asset,
-  a small LP per node for more).  Members move only in node-local
-  directions, so an identity that holds under every member is a linear
-  test against an interior member and those directions.  One batched
+  a small LP per node for more where a projection does not replicate the
+  drop), and a claim's least superhedge is its envelope plus the
+  envelope's compensator.  Members move only in node-local directions, so
+  an identity that holds under every member is a linear test against an
+  interior member and those directions.  One batched
   projection per group of nodes gives the holdings that replicate a
   martingale's increments, and each asset is measured in its own
   power-of-two unit, so that the verdicts do not depend on the assets'
   relative scale.
 
-Pricing asks each family for its domination rows, domination_rows(x) ->
-(P, b): a claim eta dominates the terminal claim x under every member
-measure iff P @ eta >= b.  A hull gives one row per (generator, terminal
-cell).  A polytope gives P = None, which stands for the identity: eta >= x
-outcome by outcome, which pricing imposes as variable bounds.  Its asset
-equalities only see cell masses, so a closure member may put a terminal
-cell's whole mass on any one of its outcomes.
+Pricing asks each family for a dominating claim (one LP on a hull, the
+least superhedge on a polytope) and checks it against the domination rows,
+domination_rows(x) -> (P, b): a claim eta dominates the terminal claim x
+under every member measure iff P @ eta >= b.  A hull gives one row per
+(generator, terminal cell).  A polytope gives P = None, which stands for
+the identity: eta >= x outcome by outcome.  Its asset equalities only see
+cell masses, so a closure member may put a terminal cell's whole mass on
+any one of its outcomes.
 
 Claims with expectation one under every member measure ("unit claims") play
 the role of normalized state-price densities.  Their conditional-expectation
@@ -55,6 +57,7 @@ from scipy import sparse
 from . import _lp
 from .errors import (
     Infeasible,
+    InfeasiblePricing,
     InvalidMeasure,
     MeasureDependent,
     NoEquivalentMartingaleMeasure,
@@ -169,9 +172,10 @@ class MeasureSet:
         """A canonical strictly positive member measure."""
         raise NotImplementedError
 
-    def expectation_functionals(self) -> list[tuple[np.ndarray, float]]:
-        """Pairs (w, kappa) such that "E^P[c] = r for every member P" holds
-        iff w @ c == kappa * r for every pair."""
+    def dominating_claim(self, x) -> tuple[float, np.ndarray]:
+        """(alpha, eta) for a terminal claim x: the least alpha such that some
+        eta >= 0 with E^P(eta) = alpha under every member dominates x
+        (domination_rows), and that eta.  alpha is the fair price."""
         raise NotImplementedError
 
     def domination_rows(self, x) -> tuple[np.ndarray | None, np.ndarray]:
@@ -194,9 +198,10 @@ class MeasureSet:
         """Pairs (label, gaps), one gap per time-t cell, comparing E^P(x | F_t)
         with the F_t-measurable base over the family.
 
-        Without equality a gap is the largest excess of E^P(x | F_t) over
-        base; with equality it is a nonnegative residual that vanishes iff
-        E^P(x | F_t) = base under every member measure."""
+        Without equality x is F_{t+1}-measurable, and a gap is the largest
+        excess of E^P(x | F_t) over base; with equality it is a nonnegative
+        residual that vanishes iff E^P(x | F_t) = base under every member
+        measure."""
         raise NotImplementedError
 
     def contains_masses(self, masses, t: int) -> bool:
@@ -240,8 +245,17 @@ class GeneratorHull(MeasureSet):
     def reference(self) -> np.ndarray:
         return self._matrix.mean(axis=0)
 
-    def expectation_functionals(self):
-        return [(row, 1.0) for row in self._matrix]
+    def dominating_claim(self, x):
+        # one LP in (alpha, eta): every generator's expectation of eta is
+        # alpha, and eta meets the domination rows
+        P, bounds = self.domination_rows(x)
+        res = _lp.solve(np.r_[1.0, np.zeros(self.space.outcome_count)],
+                        A_ub=np.hstack([np.zeros((len(P), 1)), -P]), b_ub=-bounds,
+                        A_eq=np.hstack([-np.ones((self.k, 1)), self._matrix]),
+                        b_eq=np.zeros(self.k))
+        if res.status != 0:
+            raise InfeasiblePricing(f"pricing LP failed (status {res.status}): {res.message}")
+        return float(res.fun), res.x[1:]
 
     def domination_rows(self, x):
         # one row per (generator, terminal cell): the cell's generator mass
@@ -397,7 +411,7 @@ def _node_table(space: FilteredSpace, assets) -> tuple[tuple[_NodeGroup, ...], .
             some = kernel.any(axis=1)
             system = np.concatenate([np.ones_like(scaled[some, :1]), scaled[some]], axis=1)
             directions = np.linalg.svd(system)[2][kernel[some]]
-            groups.append(_NodeGroup(nodes, kids, moves, pinv / unit, *_candidate_kernels(moves),
+            groups.append(_NodeGroup(nodes, kids, moves, pinv / unit, *_candidate_kernels(scaled),
                                      np.nonzero(kernel)[0], directions))
         table.append(tuple(groups))
     return tuple(table)
@@ -462,20 +476,20 @@ def _candidate_kernels(moves: np.ndarray):
     return support, weights, np.where(ok, 0.0, -np.inf)
 
 
-def _one_step_sups(groups, vals: np.ndarray, n_kids: int):
+def _one_step_sups(groups, vals: np.ndarray, n_kids: int, unit: np.ndarray):
     """One level of the backward induction: per time-t cell, the largest
     kernel expectation of its children's values vals; and per child cell,
-    its weight under its parent's maximising kernel."""
+    its weight under its parent's maximising kernel.  A group without
+    candidates takes one LP per node, in the asset units unit (d, 1)."""
     out = np.empty(sum(len(g.nodes) for g in groups))
     kernel = np.zeros(n_kids)
     for g in groups:
         v = vals[g.kids]                                              # (G, k)
         if g.support is None:
             for node, kids, moves, row in zip(g.nodes, g.kids, g.moves, v):
-                A_eq = np.vstack([np.ones(len(kids)), moves])
-                b_eq = np.zeros(len(A_eq))
-                b_eq[0] = 1.0
-                out[node], kernel[kids] = _lp.maximize(row, A_eq=A_eq, b_eq=b_eq)
+                out[node], kernel[kids] = _lp.maximize(
+                    row, A_eq=np.vstack([np.ones(len(kids)), moves / unit]),
+                    b_eq=np.r_[1.0, np.zeros(len(moves))])
             continue
         candidates = (g.weights * v[:, g.support]).sum(axis=2) + g.penalty
         best = candidates.argmax(axis=1)
@@ -604,6 +618,7 @@ class MartingalePolytope(MeasureSet):
             names if names is not None else (f"asset{i}" for i in range(len(procs)))
         )
 
+        self._unit = _asset_units(procs)[:, None]
         self._A_eq = _equality_matrix(space, procs)
         self._b_eq = np.zeros(self._A_eq.shape[0])
         self._b_eq[-1] = 1.0
@@ -640,13 +655,19 @@ class MartingalePolytope(MeasureSet):
     def reference(self) -> np.ndarray:
         return self._interior
 
-    def expectation_functionals(self):
+    def expectation_functionals(self) -> list[tuple[np.ndarray, float]]:
+        """Pairs (w, kappa), the interior member with 1 and each free direction
+        with 0: E^P[c] = r for every member P iff w @ c == kappa * r."""
         return [(self._interior, 1.0)] + [(v, 0.0) for v in self._null_basis.T]
+
+    def dominating_claim(self, x):
+        capital = self.superhedge_capital(x)
+        return float(capital[0, 0]), capital[-1]
 
     def domination_rows(self, x):
         # the closure's vertices put each terminal cell's mass on a single
         # outcome, and the interior member charges every cell, so eta
-        # dominates under every member iff it dominates pointwise: bounds
+        # dominates under every member iff it dominates pointwise
         return None, np.array(x, dtype=float)
 
     def cond_exp_sup(self, x, t):
@@ -667,7 +688,7 @@ class MartingalePolytope(MeasureSet):
         weights = np.zeros(space.outcome_count)
         weights[tops] = 1.0
         for s in range(space.horizon - 1, t - 1, -1):
-            vals, kernel = _one_step_sups(self._nodes[s], vals, space.n_cells(s + 1))
+            vals, kernel = _one_step_sups(self._nodes[s], vals, space.n_cells(s + 1), self._unit)
             weights *= kernel[space.atom_index[s + 1]]
         order, starts = space._cell_groups[t]
         attained = tuple(np.split(weights[order], starts[1:]))
@@ -681,7 +702,7 @@ class MartingalePolytope(MeasureSet):
         vals = x[self._terminal_tops(x)]
         rows[-1] = vals[space.atom_index[-1]]
         for s in range(space.horizon - 1, -1, -1):
-            vals, _ = _one_step_sups(self._nodes[s], vals, space.n_cells(s + 1))
+            vals, _ = _one_step_sups(self._nodes[s], vals, space.n_cells(s + 1), self._unit)
             rows[s] = vals[space.atom_index[s]]
         return rows
 
@@ -694,8 +715,10 @@ class MartingalePolytope(MeasureSet):
     def step_gaps(self, x, base, t, equality):
         x = np.asarray(x, dtype=float)
         if not equality:
-            reps = cell_reps(self.space, t)
-            return [("lp max", (self.cond_exp_sup(x, t).values - base)[reps])]
+            # x is F_{t+1}-measurable, so one level of the induction decides
+            sups, _ = _one_step_sups(self._nodes[t], x[cell_reps(self.space, t + 1)],
+                                     self.space.n_cells(t + 1), self._unit)
+            return [("lp max", sups - np.broadcast_to(base, x.shape)[cell_reps(self.space, t)])]
         # an identity across the whole polytope is a linear condition on its
         # affine hull: test against the interior point and the free
         # directions, one sum per time-t cell
@@ -734,25 +757,38 @@ class MartingalePolytope(MeasureSet):
             residuals.append(miss)
         return holdings, residuals
 
+    def superhedge_capital(self, x) -> np.ndarray:
+        """Capital M = V + g, shape (N+1, n), of the least superhedge of the
+        terminal claim x: V = ess_sup_rows(x) and g the running sum of its
+        compensator_increments, so M_0 = V_0 = sup E x and M_N >= x."""
+        V = self.ess_sup_rows(x)
+        scale = 1.0 + float(np.abs(V).max())
+        steps = [self.compensator_increments(V[t] - V[t + 1], t, scale)
+                 for t in range(self.space.horizon)]
+        return V + np.cumsum([np.zeros(self.space.outcome_count)] + steps, axis=0)
+
     def compensator_increments(self, drop, t, scale):
         """Node by node: the closure is m-stable, so gamma - drop has zero
         conditional mean under every member iff on each time-t node it is
         h . moves for some holdings h.  gamma is drop + h . moves for the h
         that keeps it nonnegative with the least sum over the node's
-        children: in closed form for one asset, by a small LP per node for
-        more.  Feasibility is judged in value units, gamma >= -EQ_TOL * scale,
-        the tolerance of the super-martingale test."""
+        children: in closed form for one asset; for more, the projection's
+        h where it replicates the drop (gamma about 0), else a small LP per
+        node.  Feasibility is judged in value units, gamma >= -EQ_TOL *
+        scale, the tolerance of the super-martingale test."""
         space = self.space
         tol = EQ_TOL * scale
         kids_drop = np.asarray(drop, dtype=float)[cell_reps(space, t + 1)]
-        unit = _asset_units(self.assets)[:, None]
         gamma = np.empty(space.n_cells(t + 1))
         for g in self._nodes[t]:
             drops = kids_drop[g.kids]
             if len(self.assets) == 1:
                 h = _one_asset_holdings(g.moves[:, 0], drops)[:, None]
             else:
-                h = _holdings_lp(g.moves / unit, drops) / unit[:, 0]
+                h = -np.einsum("gdk,gk->gd", g.projection, drops)
+                lp = np.abs(drops + np.einsum("gdk,gd->gk", g.moves, h)).max(axis=1) > tol
+                if lp.any():
+                    h[lp] = _holdings_lp(g.moves[lp] / self._unit, drops[lp]) / self._unit[:, 0]
             gamma[g.kids] = drops + np.einsum("gdk,gd->gk", g.moves, h)
         short = np.flatnonzero(gamma < -tol)
         if short.size:

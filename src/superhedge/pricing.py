@@ -2,19 +2,16 @@
 
 The fair price is the least alpha >= 0 admitting a unit claim zeta with
 f_N <= alpha * E^P(zeta | F_N) on every terminal cell under every member
-measure.  Writing eta = alpha * zeta turns the search into a single LP:
-minimize alpha subject to eta >= 0, E^P(eta) = alpha for every member, and
-the family's domination rows P @ eta >= b (MeasureSet.domination_rows).  A
-generator hull contributes one row per (generator, terminal cell); a
-martingale polytope contributes eta >= f_N outcome by outcome (P None),
-because its closure can concentrate each terminal cell's mass on any single
-outcome, and that domination becomes variable bounds, not rows.  A
-second program prices over the simplex spanned by a finite list of unit
-claims.  Both programs end in one shared tail: the LP status becomes
-InfeasiblePricing, the witness is normalized into a unit claim and checked
-against the domination rows, and the lower bound sup E^P f_N is the family's
-cond_exp_sup at time 0.  Closed forms for European calls and puts against a
-price-band model are provided for cross-checking.
+measure.  With eta = alpha * zeta the family answers the full search itself
+(MeasureSet.dominating_claim): a generator hull by one LP over its
+generators, a martingale polytope by the least superhedge, its envelope's
+time-0 value and terminal capital from one backward pass.  A second
+program, an LP, prices over the simplex spanned by a finite list of unit
+claims.  Both end in one shared certified tail: the witness is normalized
+into a unit claim and checked against the family's domination rows
+(MeasureSet.domination_rows), and the lower bound sup E^P f_N is the
+family's cond_exp_sup at time 0.  Closed forms for European calls and puts
+against a price-band model are provided for cross-checking.
 """
 
 from __future__ import annotations
@@ -85,31 +82,7 @@ def fair_price_full(space: FilteredSpace, mset: MeasureSet, f_N) -> FairPriceRes
     """Least alpha with f_N dominated by alpha times some unit claim's
     terminal conditional expectation, searched over all unit claims."""
     x = _check_terminal_claim(space, f_N)
-    n = space.outcome_count
-    functionals = mset.expectation_functionals()
-    P, bounds = mset.domination_rows(x)
-
-    # variables: [alpha, eta_0 .. eta_{n-1}]
-    cost = np.zeros(n + 1)
-    cost[0] = 1.0
-    A_eq = np.zeros((len(functionals), n + 1))
-    for i, (w, kappa) in enumerate(functionals):
-        A_eq[i, 0] = -kappa
-        A_eq[i, 1:] = w
-    if P is None:
-        # pointwise domination: eta >= max(x, 0) as variable bounds
-        box = np.zeros((n + 1, 2))
-        box[1:, 0] = np.maximum(bounds, 0.0)
-        box[:, 1] = np.inf
-        A_ub, b_ub = None, None
-    else:
-        box = (0, None)
-        A_ub, b_ub = np.hstack([np.zeros((len(P), 1)), -P]), -bounds
-    res = _lp.solve(cost, A_ub=A_ub, b_ub=b_ub,
-                    A_eq=A_eq, b_eq=np.zeros(len(functionals)), bounds=box)
-    return _priced(space, mset, x, res, "no dominating unit claim exists; "
-                   "this cannot happen for a bounded claim",
-                   lambda sol: (float(sol.fun), sol.x[1:], None))
+    return _certified(space, mset, x, *mset.dominating_claim(x))
 
 
 def fair_price_generated(space: FilteredSpace, mset: MeasureSet, family, f_N) -> FairPriceResult:
@@ -131,20 +104,18 @@ def fair_price_generated(space: FilteredSpace, mset: MeasureSet, family, f_N) ->
     P, bounds = mset.domination_rows(x)
     res = _lp.solve(np.ones(len(claims)), A_ub=-_dominated(P, C.T), b_ub=-bounds,
                     bounds=(0, None))
-    return _priced(space, mset, x, res, "claim family cannot dominate the payoff "
-                   "(it vanishes where the payoff is positive)",
-                   lambda sol: (float(sol.x.sum()),
-                                sum(b * xi for b, xi in zip(sol.x, claims)), sol.x))
-
-
-def _priced(space, mset, x, res, infeasible: str, read) -> FairPriceResult:
-    """Shared tail of both programs: the LP status becomes InfeasiblePricing,
-    and read(res) -> (price, eta, weights) becomes the certified result."""
     if res.status == 2:
-        raise InfeasiblePricing(infeasible)
+        raise InfeasiblePricing("claim family cannot dominate the payoff "
+                                "(it vanishes where the payoff is positive)")
     if res.status != 0:
         raise InfeasiblePricing(f"pricing LP failed (status {res.status}): {res.message}")
-    price, eta, weights = read(res)
+    return _certified(space, mset, x, float(res.x.sum()),
+                      sum(b * xi for b, xi in zip(res.x, claims)), res.x)
+
+
+def _certified(space, mset, x, price: float, eta, weights=None) -> FairPriceResult:
+    """Shared tail of both programs: the price and its dominating claim eta
+    become the certified result, for the checked terminal claim x."""
     zeta = eta / price if price > EQ_TOL else np.ones(space.outcome_count)
     return FairPriceResult(price, zeta, _witness_check(mset, x, eta, price),
                            sup_expectation(space, mset, x), weights)

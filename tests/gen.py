@@ -16,7 +16,9 @@ one LP over the whole closure per cell, against which the library's
 node-by-node backward induction is checked.  local_regular_witness_lp
 decomposes a super-martingale by one LP per cell over the family's
 expectation functionals, against which the node-by-node compensator is
-checked.  hedge_ratios_lstsq and martingale_representation_lstsq solve the
+checked.  fair_price_full_lp prices a claim on a polytope by one LP over
+those functionals, against which the least superhedge is checked.
+hedge_ratios_lstsq and martingale_representation_lstsq solve the
 representation one cell at a time by least squares, against which the
 batched projections are checked.
 """
@@ -214,19 +216,44 @@ def random_market_tree(rng, max_leaves=10, max_horizon=3, branching=(2, 3), flat
     return space, asset, poly
 
 
+def trinomial_two_asset(rng, steps):
+    """Non-recombining two-asset trinomial tree with 3**steps outcomes.  The
+    three moves of each node point about 120 degrees apart, so its one-step
+    martingale measure is unique and the market is complete.  Returns
+    (space, polytope)."""
+    n = 3 ** steps
+    space = build_space(n, [[tuple(range(c * 3 ** (steps - t), (c + 1) * 3 ** (steps - t)))
+                             for c in range(3 ** t)] for t in range(steps + 1)])
+    values = np.full((2, steps + 1, n), 100.0)
+    for t in range(steps):
+        theta = (rng.uniform(0.0, 2.0 * np.pi, size=(3 ** t, 1)) + 2.0 * np.pi * np.arange(3) / 3.0
+                 + rng.uniform(-0.4, 0.4, size=(3 ** t, 3)))
+        moves = np.stack([np.cos(theta), np.sin(theta)]) * rng.uniform(0.05, 0.15, size=theta.shape)
+        values[:, t + 1] = values[:, t] * np.repeat(1.0 + moves.reshape(2, -1),
+                                                    3 ** (steps - t - 1), axis=1)
+    return space, MartingalePolytope(space, list(values))
+
+
+def _asset_unit(asset):
+    """The power of two above the asset's largest absolute price, or 1."""
+    peak = float(np.abs(asset.values).max())
+    return 2.0 ** (np.floor(np.log2(peak)) + 1.0) if peak > 0.0 else 1.0
+
+
 def equality_system(poly):
     """(A_eq, b_eq) of a polytope's closure, rebuilt from its assets and
     space: one homogeneous row per (asset, step t, time-(t-1) cell) in that
-    order, then total mass one."""
+    order, in the asset's unit, then total mass one."""
     space = poly.space
     n = space.outcome_count
     rows = []
     for asset in poly.assets:
+        unit = _asset_unit(asset)
         for t in range(1, space.horizon + 1):
             for cell in space.cells[t - 1]:
                 row = np.zeros(n)
                 idx = list(cell)
-                row[idx] = asset.values[t, idx] - asset.values[t - 1, idx]
+                row[idx] = (asset.values[t, idx] - asset.values[t - 1, idx]) / unit
                 rows.append(row)
     A_eq = np.vstack(rows + [np.ones(n)])
     b_eq = np.zeros(len(A_eq))
@@ -299,6 +326,22 @@ def local_regular_witness_lp(space, mset, f):
                          compensator=AdaptedProcess(space, g))
 
 
+def fair_price_full_lp(poly, x):
+    """(price, eta) of the terminal claim x on a polytope by one LP in
+    (alpha, eta): minimize alpha subject to eta >= max(x, 0) outcome by
+    outcome and w @ eta = kappa * alpha for every expectation functional
+    (w, kappa)."""
+    n = poly.space.outcome_count
+    functionals = poly.expectation_functionals()
+    box = np.zeros((n + 1, 2))
+    box[1:, 0] = np.maximum(x, 0.0)
+    box[:, 1] = np.inf
+    res = _lp.solve(np.r_[1.0, np.zeros(n)], A_eq=np.array([np.r_[-k, w] for w, k in functionals]),
+                    b_eq=np.zeros(len(functionals)), bounds=box)
+    assert res.status == 0, res.message
+    return float(res.fun), res.x[1:]
+
+
 def hedge_ratios_lstsq(poly, values, raw=False):
     """MartingalePolytope.hedge_ratios, one least-squares solve per cell.
 
@@ -313,7 +356,7 @@ def hedge_ratios_lstsq(poly, values, raw=False):
     d = len(poly.assets)
     peak = np.array([np.abs(a.values).max() for a in poly.assets])
     flat = MASS_TOL * (1.0 + peak)
-    unit = np.array([2.0 ** (np.floor(np.log2(p)) + 1.0) if p > 0.0 else 1.0 for p in peak])
+    unit = np.array([_asset_unit(a) for a in poly.assets])
     holdings = np.zeros((space.horizon, space.outcome_count, d))
     residuals = []
     for m in range(1, space.horizon + 1):

@@ -11,11 +11,15 @@ from superhedge import (
     alpha_coefficient,
     build_space,
     ess_sup_process,
+    fair_price_full,
     is_martingale,
     local_regular_witness,
     optional_decomposition_complete,
+    strategy_capital,
     sup_expectation,
+    superhedge,
     validate_decomposition,
+    verify_self_financing,
 )
 
 from superhedge import _lp
@@ -30,6 +34,7 @@ from gen import (
     random_measure,
     random_space,
     random_supermartingale,
+    trinomial_two_asset,
 )
 
 
@@ -341,9 +346,19 @@ class TestCompleteDecomposition:
             assert q @ g1[m] == pytest.approx(q @ g2[m], abs=1e-9)
 
 
+def _assert_full_superhedge(space, poly, claim):
+    result = fair_price_full(space, poly, claim)
+    strategy, _, hedged = superhedge(space, poly, claim, price_mode="full")
+    capital = strategy_capital(strategy).values
+    assert result.witness_bound.ok and hedged.price == capital[0, 0] == result.price
+    assert verify_self_financing(strategy).ok
+    assert (capital[-1] - claim).min() >= -1e-9 * (1.0 + np.abs(claim).max())
+
+
 def test_one_asset_polytope_witness_solves_no_lp(monkeypatch):
     """One-asset trees with flat children and complete polytopes decompose
-    their super-martingales and claim envelopes with the solver removed."""
+    their super-martingales and claim envelopes, and price and superhedge
+    the claims, with the solver removed."""
     rng = np.random.default_rng(307)
     cases = []
     for _ in range(10):
@@ -358,8 +373,30 @@ def test_one_asset_polytope_witness_solves_no_lp(monkeypatch):
     monkeypatch.setattr(_lp, "solve", no_lp)
     for space, poly, f in cases:
         assert_valid(space, poly, f, local_regular_witness(space, poly, f))
-        envelope = ess_sup_process(space, poly, generic_claim(rng, space))
+        claim = generic_claim(rng, space)
+        envelope = ess_sup_process(space, poly, claim)
         assert_valid(space, poly, envelope, local_regular_witness(space, poly, envelope))
+        _assert_full_superhedge(space, poly, claim)
+
+
+@pytest.mark.parametrize("steps", [2, 3])
+def test_complete_two_asset_trinomial_solves_no_lp(monkeypatch, steps):
+    """On a complete two-asset trinomial the projection replicates every
+    drop of a claim's envelope, so its witness and its full superhedge run
+    with the solver removed."""
+    rng = np.random.default_rng(311 + steps)
+    space, poly = trinomial_two_asset(rng, steps)
+    basket = 0.5 * (poly.assets[0].values[-1] + poly.assets[1].values[-1])
+    claims = [np.maximum(basket - k, 0.0) for k in (95.0, 100.0, 105.0)]
+
+    def no_lp(*args, **kwargs):
+        raise AssertionError("an LP was solved")
+
+    monkeypatch.setattr(_lp, "solve", no_lp)
+    for claim in claims:
+        envelope = ess_sup_process(space, poly, claim)
+        assert_valid(space, poly, envelope, local_regular_witness(space, poly, envelope))
+        _assert_full_superhedge(space, poly, claim)
 
 
 class TestHullDecompositionIff:

@@ -1,7 +1,8 @@
 """Only the measure-family module may tell a hull from a polytope.
 
 Every other module goes through the MeasureSet contract: no isinstance test
-against GeneratorHull and no read of a family's private representation.
+against GeneratorHull and no read of a family's private representation,
+its expectation functionals included.
 The MartingalePolytope guards that reject hulls passed to polytope-only
 operations are allowed.
 """
@@ -24,6 +25,7 @@ FAMILY_PRIVATE = {
     "_nodes",
     "_vertices",
     "null_basis",
+    "expectation_functionals",
 }
 
 
@@ -137,7 +139,7 @@ def test_decomposition_asks_the_family():
 
 CONTRACT = {
     "reference",
-    "expectation_functionals",
+    "dominating_claim",
     "domination_rows",
     "cond_exp_sup",
     "ess_sup_rows",

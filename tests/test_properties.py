@@ -19,12 +19,17 @@ from superhedge import (
     change_of_measure_conditional,
     conditional_expectation,
     ess_sup_conditional,
+    fair_price_full,
     is_supermartingale,
     is_unit_claim,
     local_regular_witness,
     martingale_representation,
     restriction_metric,
+    strategy_capital,
+    sup_expectation,
+    superhedge,
     validate_decomposition,
+    verify_self_financing,
 )
 from superhedge.spaces import cell_reps
 
@@ -262,24 +267,28 @@ def test_cell_ranges_match_per_cell_ptp(seed, d):
             assert np.array_equal(got, expected)
 
 
+SUP_KINDS = ["tree", "complete", "two assets", "wide node", "mixed scales", "mixed wide node"]
+
+
 def _sup_instance(rng, kind):
     """A polytope of the given kind: a one-asset tree with flat children and
     up to four children per node, a complete polytope, the tree with a second
     asset (nodes with k = 3 = d + 1 and k = 4 > d + 1 children), one
     two-asset node with 3 to 6 children whose second asset is priced 1e8
-    times below the first, or one two-asset node too wide to enumerate."""
+    times below the first, or one two-asset node too wide to enumerate,
+    with both assets at one scale or 1e8 apart."""
     from gen import complete_polytope, random_market_tree
 
     if kind == "complete":
         space, _, poly, _ = complete_polytope(rng)
         return space, poly
-    if kind in ("wide node", "mixed scales"):
-        k = int(rng.integers(14, 18) if kind == "wide node" else rng.integers(3, 7))
+    if kind in ("wide node", "mixed scales", "mixed wide node"):
+        k = int(rng.integers(14, 18) if "wide" in kind else rng.integers(3, 7))
         space = build_space(k, [[tuple(range(k))], [(w,) for w in range(k)]])
         q = random_measure(rng, k)
         steps = rng.normal(size=(2, k))
         steps -= (steps @ q)[:, None]
-        price = np.array([100.0, 1e-6 if kind == "mixed scales" else 100.0])[:, None]
+        price = np.array([100.0, 1e-6 if "mixed" in kind else 100.0])[:, None]
         return space, MartingalePolytope(space, [[np.full(k, p), p + 0.1 * p * s]
                                                  for p, s in zip(price, steps)])
     space, asset, poly = random_market_tree(rng, max_leaves=14, branching=(2, 4), flat_prob=0.5)
@@ -292,17 +301,17 @@ def _sup_instance(rng, kind):
 
 
 @settings(max_examples=60, deadline=None)
-@given(
-    seed=st.integers(0, 2**32 - 1),
-    kind=st.sampled_from(["tree", "complete", "two assets", "wide node"]),
-)
+@given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(SUP_KINDS))
 @example(seed=139596, kind="two assets")  # the oracle's rank-deficient cell LP
+@example(seed=23, kind="mixed scales")  # a kernel that breaks the smaller asset's equality
+@example(seed=25, kind="mixed wide node")  # its LP fallback in raw units
 def test_node_local_sup_matches_lp_oracle(seed, kind):
     """At every time the backward induction equals one LP per cell over the
     whole closure, and each attaining measure is a certificate: spliced into
     the reference member at its cell's mass it satisfies every asset
     equality and gives the sup as its conditional expectation.  The single
-    backward pass of ess_sup_rows gives the same rows bit for bit."""
+    backward pass of ess_sup_rows gives the same rows bit for bit, and so
+    does the super-martingale gap of row t + 1 against zero at time t."""
     from gen import cond_exp_sup_lp
 
     rng = np.random.default_rng(seed)
@@ -316,6 +325,9 @@ def test_node_local_sup_matches_lp_oracle(seed, kind):
     for t in range(N + 1):
         row = poly.cond_exp_sup(x, t)
         assert np.array_equal(rows[t], row.values)
+        if t < N:
+            (label, gaps), = poly.step_gaps(rows[t + 1], 0.0, t, equality=False)
+            assert label == "lp max" and np.array_equal(gaps, rows[t][cell_reps(space, t)])
         assert np.abs(row.values - cond_exp_sup_lp(poly, x, t)).max() <= tol
         assert len(row.attained) == space.n_cells(t)
         for cell, q in zip(space.cells[t], row.attained):
@@ -362,6 +374,31 @@ def test_node_local_witness_matches_lp_oracle(seed, kind):
         assert np.abs(got - want).max() <= 1e-9 * scale
     for ours, lp in zip(_children_sums(space, got), _children_sums(space, want)):
         assert (ours - lp).max() <= 1e-9 * scale
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(SUP_KINDS))
+def test_least_superhedge_prices_like_the_lp(seed, kind):
+    """The full price is sup E f_N bit for bit and matches one LP over the
+    polytope's expectation functionals; its witness is a unit claim that
+    dominates the claim; and the full superhedge starts at that price, is
+    self-financing and dominates the claim."""
+    from gen import fair_price_full_lp, generic_claim
+
+    rng = np.random.default_rng(seed)
+    space, poly = _sup_instance(rng, kind)
+    claim = generic_claim(rng, space)
+    scale = 1.0 + float(np.abs(claim).max())
+    result = fair_price_full(space, poly, claim)
+    assert result.price == sup_expectation(space, poly, claim)
+    assert abs(result.price - fair_price_full_lp(poly, claim)[0]) <= 1e-12 * scale
+    assert is_unit_claim(space, poly, result.witness_claim)
+    assert result.witness_bound.ok
+    strategy, _, hedged = superhedge(space, poly, claim, price_mode="full")
+    capital = strategy_capital(strategy).values
+    assert hedged.price == capital[0, 0] == result.price
+    assert verify_self_financing(strategy).ok
+    assert (capital[-1] - claim).min() >= -EQ_TOL * scale
 
 
 @pytest.mark.parametrize("kind", ["tree", "two assets"])
