@@ -69,8 +69,9 @@ def feasible_point(A_eq, b_eq, n_vars, objective=None):
 
 def _row_space_system(A_eq, b_eq):
     """(V, y) with orthonormal rows V and {V x = y} = {A_eq x = b_eq}, or None
-    when b_eq leaves the column space of A_eq by more than FEAS_TOL."""
-    A = np.asarray(A_eq, dtype=float)
+    when b_eq leaves the column space of A_eq by more than FEAS_TOL.  A
+    sparse A_eq is made dense: only small infeasible systems get here."""
+    A = A_eq.toarray() if hasattr(A_eq, "toarray") else np.asarray(A_eq, dtype=float)
     b = np.asarray(b_eq, dtype=float)
     U, s, Vt = np.linalg.svd(A, full_matrices=False)
     keep = s > 1e-12 * s.max(initial=0.0)

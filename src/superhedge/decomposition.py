@@ -6,12 +6,13 @@ m, for a nonnegative F_m-measurable increment g0_m with
     f_{m-1} - E^P(f_m | F_{m-1}) = E^P(g0_m | F_{m-1})   for every member P,
 
 which exists iff f = M - g with M a martingale for the whole family and g
-nondecreasing from zero (MeasureSet.compensator_increments: one small LP
-per cell on a hull, one pass over the nodes on a martingale polytope).  The
-constructive route applies to complete measure families: each step's ratio
-f_n / f_{n-1} is normalized and dominated by a step claim 1 + alpha_n d_n
-built from a unit-claim increment, from which the martingale and
-compensator follow in closed form.
+nondecreasing from zero (MeasureSet.compensator_increments: on a hull the
+conditional mean on each cell with one child and one block-diagonal LP per
+step for the other cells, one pass over the nodes on a martingale
+polytope).  The constructive route applies to complete measure families:
+each step's ratio f_n / f_{n-1} is normalized and dominated by a step claim
+1 + alpha_n d_n built from a unit-claim increment, from which the
+martingale and compensator follow in closed form.
 
 Both routes start with the same super-martingale guard and end in
 validate_decomposition: a result that fails its reconstruction, its

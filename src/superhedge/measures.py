@@ -9,7 +9,9 @@ the family is cond_exp_sup at time 0.  Two concrete families are supported:
 * GeneratorHull -- the convex hull of finitely many strictly positive
   measures.  Conditional expectations under any hull member are positively
   weighted averages of the generator conditionals, so per-cell extrema over
-  the family reduce to extrema over the generators.
+  the family reduce to extrema over the generators, and a compensator step
+  is one equality per generator on each cell: the conditional mean on a
+  cell with one child, one block-diagonal LP per step for the rest.
 
 * MartingalePolytope -- all strictly positive measures making the listed
   asset processes martingales.  The family is an open face of the polyhedron
@@ -215,10 +217,14 @@ class MeasureSet:
         E^P(gamma | F_t) = E^P(drop | F_t) under every member P, where
         drop = f_t - f_{t+1}.  Of these, the one with the least sum over
         each time-t cell's children (a one-generator hull gives the constant
-        conditional mean instead).  scale is the process's 1 + max |f|;
-        where the family judges feasibility itself, entries down to
-        -EQ_TOL * scale count as nonnegative.  Raises Infeasible(time=t+1,
-        cell) for a time-t cell with no such gamma."""
+        conditional mean instead).  scale is the process's 1 + max |f|.  A
+        polytope judges every node in value units, and a hull every cell
+        with one child (each cell, with one generator): entries down to
+        -EQ_TOL * scale count as nonnegative, the tolerance of the
+        super-martingale test, and a hull's generators must agree on the
+        mean within EQ_TOL * scale.  The LP solver's tolerances judge a
+        hull's other cells.  Raises Infeasible(time=t+1, cell) for the
+        lowest time-t cell with no such gamma."""
         raise NotImplementedError
 
 
@@ -309,31 +315,61 @@ class GeneratorHull(MeasureSet):
         return _lp.feasible_point(A_eq, b_eq, self.k) is not None
 
     def compensator_increments(self, drop, t, scale):
-        # one LP per time-t cell in the increment on each child, one equality
-        # per generator; the solver's tolerances decide feasibility
+        # a time-t cell with one child (every cell, with one generator) takes
+        # the drop's conditional mean, on which the generators must agree.
+        # The other cells share one block-diagonal LP, a block per cell with
+        # one equality per generator; its least sum separates into each
+        # cell's least sum.  An infeasible block is solved cell by cell, to
+        # name the cell
         space = self.space
+        tol = EQ_TOL * scale
         drop = np.asarray(drop, dtype=float)
-        gamma = np.empty(space.outcome_count)
-        for c, cell in enumerate(space.cells[t]):
-            idx = list(cell)
-            if self.k == 1:
-                # a single measure pins only the conditional mean, so the
-                # classical predictable increment serves
-                w = self._matrix[0]
-                gamma[idx] = max(float(drop[idx] @ w[idx]) / w[idx].sum(), 0.0)
-                continue
-            kids = space.children[t][c]
-            kid_cells = [space.cell_outcomes(t + 1, k) for k in kids]
-            W = np.array([[w[kc].sum() for kc in kid_cells] for w in self._matrix])
-            r = np.array([float(drop[idx] @ w[idx]) for w in self._matrix])
-            solution = _lp.feasible_point(W, r, len(kids))
+        atoms, n_cells = space.atom_index[t], space.n_cells(t)
+        means = np.array([np.bincount(atoms, weights=drop * w, minlength=n_cells)
+                          / np.bincount(atoms, weights=w, minlength=n_cells)
+                          for w in self._matrix])
+        lo, hi = means.min(axis=0), means.max(axis=0)
+        forced = np.array([len(kids) == 1 for kids in space.children[t]]) | (self.k == 1)
+        bad = np.flatnonzero(forced & ((hi - lo > tol) | (lo < -tol)))[:1].tolist()
+        gamma = np.maximum(0.5 * (lo + hi), 0.0)[atoms[cell_reps(space, t + 1)]]
+        multi = np.flatnonzero(~forced)
+        if multi.size:
+            systems = [self._cell_system(drop, t, c) for c in multi]
+            # column j holds its cell's k generator rows, block after block
+            owner = np.repeat(np.arange(len(multi)), [W.shape[1] for W, _ in systems])
+            block = sparse.csc_array(
+                (np.concatenate([W.T for W, _ in systems]).ravel(),
+                 (owner[:, None] * self.k + np.arange(self.k)).ravel(),
+                 np.arange(0, len(owner) * self.k + 1, self.k)),
+                shape=(len(multi) * self.k, len(owner)))
+            solution = _lp.feasible_point(block, np.concatenate([r for _, r in systems]),
+                                          len(owner))
             if solution is None:
-                raise Infeasible(
-                    f"no compensator increment on cell {c} at step {t + 1}", time=t + 1, cell=c
-                )
-            for k, kc in zip(solution, kid_cells):
-                gamma[kc] = k
-        return gamma
+                parts = []
+                for c, (W, r) in zip(multi, systems):
+                    x = None if len(multi) == 1 else _lp.feasible_point(W, r, W.shape[1])
+                    if x is None:
+                        bad.append(int(c))
+                        break
+                    parts.append(x)
+                else:
+                    solution = np.concatenate(parts)
+            if solution is not None:
+                gamma[np.concatenate([space.children[t][c] for c in multi])] = solution
+        if bad:
+            c = min(bad)
+            raise Infeasible(f"no compensator increment on cell {c} at step {t + 1}",
+                             time=t + 1, cell=c)
+        return gamma[space.atom_index[t + 1]]
+
+    def _cell_system(self, drop: np.ndarray, t: int, c: int) -> tuple[np.ndarray, np.ndarray]:
+        """(W, r) of the time-t cell c: per generator, its masses of the
+        cell's children and its sum of drop over the cell."""
+        idx = list(self.space.cells[t][c])
+        kid_cells = [self.space.cell_outcomes(t + 1, k) for k in self.space.children[t][c]]
+        W = np.array([[w[kc].sum() for kc in kid_cells] for w in self._matrix])
+        r = np.array([float(drop[idx] @ w[idx]) for w in self._matrix])
+        return W, r
 
 
 # A node with more candidate supports than this (only possible with two or
@@ -476,26 +512,30 @@ def _candidate_kernels(moves: np.ndarray):
     return support, weights, np.where(ok, 0.0, -np.inf)
 
 
-def _one_step_sups(groups, vals: np.ndarray, n_kids: int, unit: np.ndarray):
+def _one_step_sups(groups, vals: np.ndarray, unit: np.ndarray, n_kids: int | None = None):
     """One level of the backward induction: per time-t cell, the largest
-    kernel expectation of its children's values vals; and per child cell,
-    its weight under its parent's maximising kernel.  A group without
-    candidates takes one LP per node, in the asset units unit (d, 1)."""
+    kernel expectation of its children's values vals; and, given the
+    child cell count n_kids, per child cell its weight under its parent's
+    maximising kernel (else None).  A group without candidates takes one LP
+    per node, in the asset units unit (d, 1)."""
     out = np.empty(sum(len(g.nodes) for g in groups))
-    kernel = np.zeros(n_kids)
+    kernel = None if n_kids is None else np.zeros(n_kids)
     for g in groups:
         v = vals[g.kids]                                              # (G, k)
         if g.support is None:
             for node, kids, moves, row in zip(g.nodes, g.kids, g.moves, v):
-                out[node], kernel[kids] = _lp.maximize(
+                out[node], q = _lp.maximize(
                     row, A_eq=np.vstack([np.ones(len(kids)), moves / unit]),
                     b_eq=np.r_[1.0, np.zeros(len(moves))])
+                if kernel is not None:
+                    kernel[kids] = q
             continue
         candidates = (g.weights * v[:, g.support]).sum(axis=2) + g.penalty
         best = candidates.argmax(axis=1)
         rows = np.arange(len(best))
         out[g.nodes] = candidates[rows, best]
-        np.add.at(kernel, g.kids[rows[:, None], g.support[best]], g.weights[rows, best])
+        if kernel is not None:
+            np.add.at(kernel, g.kids[rows[:, None], g.support[best]], g.weights[rows, best])
     return out, kernel
 
 
@@ -688,7 +728,7 @@ class MartingalePolytope(MeasureSet):
         weights = np.zeros(space.outcome_count)
         weights[tops] = 1.0
         for s in range(space.horizon - 1, t - 1, -1):
-            vals, kernel = _one_step_sups(self._nodes[s], vals, space.n_cells(s + 1), self._unit)
+            vals, kernel = _one_step_sups(self._nodes[s], vals, self._unit, space.n_cells(s + 1))
             weights *= kernel[space.atom_index[s + 1]]
         order, starts = space._cell_groups[t]
         attained = tuple(np.split(weights[order], starts[1:]))
@@ -702,7 +742,7 @@ class MartingalePolytope(MeasureSet):
         vals = x[self._terminal_tops(x)]
         rows[-1] = vals[space.atom_index[-1]]
         for s in range(space.horizon - 1, -1, -1):
-            vals, _ = _one_step_sups(self._nodes[s], vals, space.n_cells(s + 1), self._unit)
+            vals, _ = _one_step_sups(self._nodes[s], vals, self._unit)
             rows[s] = vals[space.atom_index[s]]
         return rows
 
@@ -716,8 +756,7 @@ class MartingalePolytope(MeasureSet):
         x = np.asarray(x, dtype=float)
         if not equality:
             # x is F_{t+1}-measurable, so one level of the induction decides
-            sups, _ = _one_step_sups(self._nodes[t], x[cell_reps(self.space, t + 1)],
-                                     self.space.n_cells(t + 1), self._unit)
+            sups, _ = _one_step_sups(self._nodes[t], x[cell_reps(self.space, t + 1)], self._unit)
             return [("lp max", sups - np.broadcast_to(base, x.shape)[cell_reps(self.space, t)])]
         # an identity across the whole polytope is a linear condition on its
         # affine hull: test against the interior point and the free

@@ -6,7 +6,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from superhedge import AdaptedProcess, GeneratorHull, MartingalePolytope, build_space
+from superhedge import AdaptedProcess, GeneratorHull, MartingalePolytope, _lp, build_space
 
 
 @pytest.fixture
@@ -57,3 +57,18 @@ def bound_tree():
 @pytest.fixture(name="bound_tree")
 def bound_tree_fixture():
     return bound_tree()
+
+
+@pytest.fixture
+def lp_calls(monkeypatch):
+    """A list that gets one entry per _lp.solve call, every LP of the
+    library included, for as long as the test runs."""
+    calls = []
+    solve = _lp.solve
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(_lp, "solve", counted)
+    return calls

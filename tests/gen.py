@@ -15,9 +15,10 @@ instances the tests build.  cond_exp_sup_lp is another polytope oracle:
 one LP over the whole closure per cell, against which the library's
 node-by-node backward induction is checked.  local_regular_witness_lp
 decomposes a super-martingale by one LP per cell over the family's
-expectation functionals, against which the node-by-node compensator is
-checked.  fair_price_full_lp prices a claim on a polytope by one LP over
-those functionals, against which the least superhedge is checked.
+expectation functionals (a hull's generators), against which the
+node-by-node compensator of a polytope and the per-step compensator of a
+hull are checked.  fair_price_full_lp prices a claim on a polytope by one
+LP over those functionals, against which the least superhedge is checked.
 hedge_ratios_lstsq and martingale_representation_lstsq solve the
 representation one cell at a time by least squares, against which the
 batched projections are checked.
@@ -295,32 +296,43 @@ def cond_exp_sup_lp(poly, x, t):
     return values
 
 
+def compensator_increments_lp(space, mset, drop, t):
+    """MeasureSet.compensator_increments by one LP per time-t cell over the
+    family's expectation functionals, a hull's generators with kappa = 1:
+    the increment on each child is an unknown, nonnegative, one equality
+    per functional, least sum.  A family with a single functional gets the
+    constant conditional mean, floored at zero, instead.  Raises
+    Infeasible(time=t+1, cell) for the first cell without a solution."""
+    if isinstance(mset, GeneratorHull):
+        functionals = [(g.probabilities, 1.0) for g in mset.generators]
+    else:
+        functionals = mset.expectation_functionals()
+    gamma = np.zeros(space.outcome_count)
+    for c, cell in enumerate(space.cells[t]):
+        idx = list(cell)
+        if len(functionals) == 1:
+            w, _ = functionals[0]
+            gamma[idx] = max(float(drop[idx] @ w[idx]) / w[idx].sum(), 0.0)
+            continue
+        kid_cells = [space.cell_outcomes(t + 1, k) for k in space.children[t][c]]
+        W = np.array([[w[kc].sum() for kc in kid_cells] for w, _ in functionals])
+        r = np.array([float(drop[idx] @ w[idx]) for w, _ in functionals])
+        x = _lp.feasible_point(W, r, len(kid_cells))
+        if x is None:
+            raise Infeasible(f"no compensator increment on cell {c} at step {t + 1}",
+                             time=t + 1, cell=c)
+        for k, kc in zip(x, kid_cells):
+            gamma[kc] = k
+    return gamma
+
+
 def local_regular_witness_lp(space, mset, f):
-    """local_regular_witness by one LP per (step, cell) over the family's
-    expectation functionals: the increment on each child is an unknown,
-    nonnegative, one equality per functional, least sum.  A family with a
-    single functional gets the constant conditional mean instead.  Returns
-    the unvalidated Decomposition."""
+    """local_regular_witness by compensator_increments_lp at every step.
+    Returns the unvalidated Decomposition."""
     values = f.values
-    functionals = mset.expectation_functionals()
     gbar = np.zeros((space.horizon, space.outcome_count))
     for m in range(1, space.horizon + 1):
-        drop = values[m - 1] - values[m]
-        for c, cell in enumerate(space.cells[m - 1]):
-            idx = list(cell)
-            if len(functionals) == 1:
-                w, _ = functionals[0]
-                gbar[m - 1, idx] = max(float(drop[idx] @ w[idx]) / w[idx].sum(), 0.0)
-                continue
-            kid_cells = [space.cell_outcomes(m, k) for k in space.children[m - 1][c]]
-            W = np.array([[w[kc].sum() for kc in kid_cells] for w, _ in functionals])
-            r = np.array([float(drop[idx] @ w[idx]) for w, _ in functionals])
-            gamma = _lp.feasible_point(W, r, len(kid_cells))
-            if gamma is None:
-                raise Infeasible(f"no compensator increment on cell {c} at step {m}",
-                                 time=m, cell=c)
-            for k, kc in zip(gamma, kid_cells):
-                gbar[m - 1, kc] = k
+        gbar[m - 1] = compensator_increments_lp(space, mset, values[m - 1] - values[m], m - 1)
     g = np.vstack([np.zeros(space.outcome_count), np.cumsum(gbar, axis=0)])
     return Decomposition(martingale=AdaptedProcess(space, values + g),
                          compensator=AdaptedProcess(space, g))

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from superhedge import (
+    EQ_TOL,
     AdaptedProcess,
     GeneratorHull,
     IncompletenessDetected,
@@ -21,15 +24,17 @@ from superhedge import (
     validate_decomposition,
     verify_self_financing,
 )
-
-from superhedge import _lp
+from superhedge.spaces import cell_reps
 
 from gen import (
     cellwise_unit_claim,
     closure_vertices,
+    compensator_increments_lp,
     compliant_hull,
     complete_polytope,
     generic_claim,
+    local_regular_witness_lp,
+    random_hull,
     random_market_tree,
     random_measure,
     random_space,
@@ -355,10 +360,10 @@ def _assert_full_superhedge(space, poly, claim):
     assert (capital[-1] - claim).min() >= -1e-9 * (1.0 + np.abs(claim).max())
 
 
-def test_one_asset_polytope_witness_solves_no_lp(monkeypatch):
+def test_one_asset_polytope_witness_solves_no_lp(lp_calls):
     """One-asset trees with flat children and complete polytopes decompose
     their super-martingales and claim envelopes, and price and superhedge
-    the claims, with the solver removed."""
+    the claims, without an LP."""
     rng = np.random.default_rng(307)
     cases = []
     for _ in range(10):
@@ -366,37 +371,153 @@ def test_one_asset_polytope_witness_solves_no_lp(monkeypatch):
         cases.append((space, poly, random_supermartingale(rng, space, poly)))
         space, _, poly, _ = complete_polytope(rng)
         cases.append((space, poly, random_supermartingale(rng, space, poly)))
-
-    def no_lp(*args, **kwargs):
-        raise AssertionError("an LP was solved")
-
-    monkeypatch.setattr(_lp, "solve", no_lp)
+    lp_calls.clear()
     for space, poly, f in cases:
         assert_valid(space, poly, f, local_regular_witness(space, poly, f))
         claim = generic_claim(rng, space)
         envelope = ess_sup_process(space, poly, claim)
         assert_valid(space, poly, envelope, local_regular_witness(space, poly, envelope))
         _assert_full_superhedge(space, poly, claim)
+    assert len(lp_calls) == 0
 
 
 @pytest.mark.parametrize("steps", [2, 3])
-def test_complete_two_asset_trinomial_solves_no_lp(monkeypatch, steps):
+def test_complete_two_asset_trinomial_solves_no_lp(lp_calls, steps):
     """On a complete two-asset trinomial the projection replicates every
     drop of a claim's envelope, so its witness and its full superhedge run
-    with the solver removed."""
+    without an LP."""
     rng = np.random.default_rng(311 + steps)
     space, poly = trinomial_two_asset(rng, steps)
     basket = 0.5 * (poly.assets[0].values[-1] + poly.assets[1].values[-1])
     claims = [np.maximum(basket - k, 0.0) for k in (95.0, 100.0, 105.0)]
-
-    def no_lp(*args, **kwargs):
-        raise AssertionError("an LP was solved")
-
-    monkeypatch.setattr(_lp, "solve", no_lp)
+    lp_calls.clear()
     for claim in claims:
         envelope = ess_sup_process(space, poly, claim)
         assert_valid(space, poly, envelope, local_regular_witness(space, poly, envelope))
         _assert_full_superhedge(space, poly, claim)
+    assert len(lp_calls) == 0
+
+
+HULL_KINDS = ["random", "compliant", "single generator"]
+
+
+def _hull_instance(rng, kind):
+    """A random space, a hull of the given kind on it and a super-martingale
+    for the hull.  A compliant hull gets the envelope of a claim that is a
+    multiple of a cellwise unit claim half of the time, and so decomposes;
+    the other hulls get a random super-martingale."""
+    space = random_space(rng, min_outcomes=3)
+    if kind == "single generator":
+        hull = GeneratorHull(space, [random_measure(rng, space.outcome_count)])
+    elif kind == "random":
+        hull = random_hull(rng, space, k=int(rng.integers(2, 5)))
+    else:
+        hull = compliant_hull(rng, space, k=int(rng.integers(2, 5)))
+        if rng.random() < 0.5:
+            xi = cellwise_unit_claim(rng, space, hull) * rng.uniform(0.5, 2.0)
+        else:
+            xi = rng.uniform(0.0, 3.0, size=space.outcome_count)
+        return space, hull, ess_sup_process(space, hull, xi)
+    return space, hull, random_supermartingale(rng, space, hull)
+
+
+def _witness_or_infeasible(witness, space, mset, f):
+    try:
+        return witness(space, mset, f)
+    except Infeasible as e:
+        return e
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(HULL_KINDS))
+def test_hull_witness_matches_per_cell_lp(seed, kind):
+    """Forced cells in closed form plus one block LP per step reach the
+    verdict of one LP per cell, raise for the same time and cell, and
+    otherwise give a valid decomposition whose sum over each cell's
+    children is the LP's."""
+    rng = np.random.default_rng(seed)
+    space, hull, f = _hull_instance(rng, kind)
+    got = _witness_or_infeasible(local_regular_witness, space, hull, f)
+    want = _witness_or_infeasible(local_regular_witness_lp, space, hull, f)
+    if isinstance(want, Infeasible):
+        assert isinstance(got, Infeasible)
+        assert (got.time, got.cell) == (want.time, want.cell)
+        return
+    assert not isinstance(got, Infeasible)
+    assert_valid(space, hull, f, got)
+    scale = 1.0 + float(np.abs(f.values).max())
+    ours, lp = (np.diff(d.compensator.values, axis=0) for d in (got, want))
+    for m in range(1, space.horizon + 1):
+        reps = cell_reps(space, m)
+        parent = space.atom_index[m - 1][reps]
+        sums = [np.bincount(parent, weights=steps[m - 1][reps]) for steps in (ours, lp)]
+        assert np.abs(sums[0] - sums[1]).max() <= 1e-9 * scale
+
+
+class TestForcedCells:
+    """A cell with one child takes the drop's conditional mean, no LP.  At
+    step 2 of this space cells 0 and 2 are forced and cell 1 branches."""
+
+    SPACE = build_space(6, [[tuple(range(6))], [(0, 1), (2, 3), (4, 5)],
+                            [(0, 1), (2,), (3,), (4, 5)]])
+    HULL = GeneratorHull(SPACE, [[0.1, 0.2, 0.1, 0.2, 0.2, 0.2],
+                                 [0.2, 0.1, 0.2, 0.1, 0.1, 0.3]])
+
+    @pytest.mark.parametrize("disagree, branch_short, cell",
+                             [((0, 2), False, 0), ((2,), False, 2), ((2,), True, 1), ((0,), True, 0)])
+    def test_the_lowest_failing_cell_raises(self, disagree, branch_short, cell):
+        """A drop that varies inside a forced cell has a different positive
+        conditional mean under each generator; the drop (1, -1) on the
+        branching cell needs a negative increment under these masses.  The
+        step raises for the lowest failing cell, as the per-cell LP does."""
+        drop = np.zeros(6)
+        for c in disagree:
+            drop[list(self.SPACE.cells[1][c])] = [0.6, 0.0]
+        if branch_short:
+            drop[[2, 3]] = [1.0, -1.0]
+        with pytest.raises(Infeasible) as ours:
+            self.HULL.compensator_increments(drop, 1, 1.0)
+        with pytest.raises(Infeasible) as lp:
+            compensator_increments_lp(self.SPACE, self.HULL, drop, 1)
+        assert (ours.value.time, ours.value.cell) == (lp.value.time, lp.value.cell) == (2, cell)
+
+    def test_mean_just_below_zero_gives_zero(self):
+        """A forced drop of minus half the tolerance passes the
+        super-martingale test, so it decomposes, with gamma 0 there; the
+        per-cell LP, which judges in mass units, rejected it."""
+        f = np.array([[2.0] * 6, [1.5, 1.5, 1.0, 1.0, 0.5, 0.5], [1.5, 1.5, 0.9, 0.8, 0.5, 0.5]])
+        f[2, :2] += 0.5 * EQ_TOL * (1.0 + np.abs(f).max())
+        f = AdaptedProcess(self.SPACE, f)
+        dec = local_regular_witness(self.SPACE, self.HULL, f)
+        assert_valid(self.SPACE, self.HULL, f, dec)
+        assert np.array_equal(np.diff(dec.compensator.values, axis=0)[1, :2], [0.0, 0.0])
+        with pytest.raises(Infeasible):
+            local_regular_witness_lp(self.SPACE, self.HULL, f)
+
+
+def test_hull_witness_solves_one_lp_per_branching_step(lp_calls):
+    """On hulls whose witness exists, a step with a multi-child cell solves
+    at most one LP and a step whose cells all have one child none; a single
+    generator solves none at all."""
+    rng = np.random.default_rng(331)
+    counts = {True: [], False: []}
+    for i in range(40):
+        space = random_space(rng, min_outcomes=3)
+        if i % 4:
+            hull = compliant_hull(rng, space, k=int(rng.integers(2, 5)))
+            xi = cellwise_unit_claim(rng, space, hull) * rng.uniform(0.5, 2.0)
+            f = ess_sup_process(space, hull, xi).values
+        else:
+            hull = GeneratorHull(space, [random_measure(rng, space.outcome_count)])
+            f = random_supermartingale(rng, space, hull).values
+        scale = 1.0 + float(np.abs(f).max())
+        for t in range(space.horizon):
+            before = len(lp_calls)
+            hull.compensator_increments(f[t] - f[t + 1], t, scale)
+            branching = hull.k > 1 and any(len(kids) > 1 for kids in space.children[t])
+            counts[branching].append(len(lp_calls) - before)
+    assert counts[True] and max(counts[True]) == 1
+    assert counts[False] and max(counts[False]) == 0
 
 
 class TestHullDecompositionIff:
