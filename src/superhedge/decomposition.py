@@ -212,10 +212,7 @@ def optional_decomposition_complete(
         sup_exp = mset.cond_exp_sup(ratio, 0).values[0]
         normalized = ratio / sup_exp
         alpha = _alpha(space, n, increments[n - 1], normalized)
-        d_row = np.empty(n_out)
-        for c, cell in enumerate(space.cells[n]):
-            d_row[list(cell)] = increments[n - 1][c]
-        claim = 1.0 + alpha * d_row
+        claim = 1.0 + alpha * increments[n - 1][space.atom_index[n]]
         claims.append(claim)
         step_g = -shifted[n] + shifted[n - 1] * claim
         if step_g.min() < -EQ_TOL * (1.0 + abs(shift) + float(np.abs(proc.values).max())):

@@ -2,12 +2,13 @@
 
 A self-financed strategy holds cash and asset positions chosen one step
 ahead; rebalancing moves no money in or out.  The superhedge of a terminal
-claim takes its capital martingale either from the polytope's least
-superhedge (full search: the claim's envelope plus its compensator, whose
-time-0 value is the price) or from a price over the asset family (exact
-stopped asset paths), represents its increments in the traded assets (one
-batched projection per group of tree nodes, through the polytope's
-hedge_ratios), and reads the cash leg off the capital identity.
+claim takes its holdings straight from its price: in full search the least
+superhedge's compensator holdings (MartingalePolytope.superhedge_capital),
+over the asset-ratio family the static position the pricing weights buy.
+Its capital is the price plus the gains of those holdings, and the cash leg
+is capital minus holdings times prices.  martingale_representation recovers
+holdings for a martingale brought from elsewhere (one batched projection per
+group of tree nodes, through the polytope's hedge_ratios).
 """
 
 from __future__ import annotations
@@ -80,10 +81,6 @@ class TradingStrategy:
             if varies.size:
                 raise NotPredictable(f"time-{m} holdings vary on time-{t} cell {varies[0]}")
 
-    @property
-    def n_assets(self) -> int:
-        return len(self.assets)
-
 
 def martingale_representation(
     space: FilteredSpace, mset: MartingalePolytope, mprocess: AdaptedProcess
@@ -146,22 +143,6 @@ def verify_self_financing(strategy: TradingStrategy) -> SelfFinancingReport:
     return SelfFinancingReport(ok=not violations, violations=tuple(violations))
 
 
-def _capital_martingale_generated(space, mset, family_index, result: FairPriceResult) -> AdaptedProcess:
-    """Exact capital martingale for a witness spanned by asset-ratio claims.
-
-    E(S_i / S_0 | F_m) = S_min(i, m) / S_0 for a traded asset, so the capital
-    is a weighted sum of stopped asset paths; no solver noise enters.
-    """
-    rows = np.zeros((space.horizon + 1, space.outcome_count))
-    for (j, i), beta in zip(family_index, result.weights):
-        asset = mset.assets[j].values
-        s0 = asset[0, 0]
-        for m in range(space.horizon + 1):
-            rows[m] += beta * asset[min(i, m)] / s0
-    rows[0] = result.price
-    return AdaptedProcess(space, rows)
-
-
 def asset_ratio_family(mset: MartingalePolytope):
     """Unit claims S^j_i / S^j_0 for every asset j and time i, with their index."""
     family = []
@@ -182,46 +163,48 @@ def superhedge(
 ) -> tuple[TradingStrategy, Decomposition, FairPriceResult]:
     """Price a terminal claim and build a self-financed dominating strategy.
 
-    price_mode "full" searches all unit claims, and the capital is the
-    least superhedge (MartingalePolytope.superhedge_capital): the claim's
-    envelope plus its compensator, whose time-0 value is the price and
-    whose terminal value is the witness mass.  "generated" prices
-    over the asset-ratio family S^j_i / S^j_0, and the capital is the exact
-    weighted sum of stopped asset paths.  The strategy starts at the fair
-    price, its capital is the witness martingale, and its terminal value
+    price_mode "full" searches all unit claims: the price and witness are
+    the least superhedge's (MartingalePolytope.superhedge_capital, the
+    claim's envelope plus its compensator), and the holdings are the
+    compensator's.  "generated" prices over the asset-ratio family
+    S^j_i / S^j_0, whose witness sum beta_{j,i} S^j_i / S^j_0 is a static
+    hedge: at step m it holds sum over i >= m of beta_{j,i} / S^j_0 units of
+    asset j.  Either way the strategy starts at the fair price, its capital
+    is the price plus the gains of the holdings, and its terminal value
     dominates the claim pointwise with surplus equal to the terminal
     compensator.
     """
     if not isinstance(mset, MartingalePolytope):
         raise ValidationError("superhedging requires a martingale polytope")
     f_N = np.asarray(f_N, dtype=float)
+    n, N, d = space.outcome_count, space.horizon, len(mset.assets)
 
     if price_mode == "full":
         x = _check_terminal_claim(space, f_N)
-        capital = AdaptedProcess(space, mset.superhedge_capital(x))
-        result = _certified(space, mset, x, float(capital.values[0, 0]), capital.values[-1])
+        M, holdings = mset.superhedge_capital(x)
+        result = _certified(space, mset, x, float(M[0, 0]), M[-1])
     elif price_mode == "generated":
         family, index = asset_ratio_family(mset)
         result = fair_price_generated(space, mset, family, f_N)
-        capital = _capital_martingale_generated(space, mset, index, result)
+        units = np.zeros((N, d))
+        for (j, i), beta in zip(index, result.weights):
+            units[:i, j] += beta / mset.assets[j].values[0, 0]
+        holdings = np.broadcast_to(units[:, None, :], (N, n, d))
     else:
         raise ValidationError(f"unknown price mode {price_mode!r}")
 
-    holdings = martingale_representation(space, mset, capital)
-
-    n, N, d = space.outcome_count, space.horizon, len(mset.assets)
     prices = np.stack([a.values for a in mset.assets], axis=2)
     risky = np.zeros((N + 1, n, d))
-    cash = np.zeros((N + 1, n))
-    cash[0] = result.price
-    risky[1:] = holdings.values
-    cash[1:] = capital.values[1:] - np.einsum("tnd,tnd->tn", risky[1:], prices[1:])
+    risky[1:] = holdings
+    gains = np.einsum("tnd,tnd->tn", risky, np.diff(prices, axis=0, prepend=prices[:1]))
+    capital = result.price + np.cumsum(gains, axis=0)
+    cash = capital - np.einsum("tnd,tnd->tn", risky, prices)
     strategy = TradingStrategy(space=space, cash=cash, risky=risky, assets=mset.assets)
 
     g = np.zeros((N + 1, n))
-    g[N] = capital.values[N] - f_N
+    g[N] = capital[N] - f_N
     dec = Decomposition(
-        martingale=capital,
+        martingale=AdaptedProcess(space, capital),
         compensator=AdaptedProcess(space, g),
         step_claims=None,
         shift=0.0,

@@ -192,11 +192,6 @@ def dumps_canonical(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
-def save_market(model: MarketModel, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_canonical(market_document(model)))
-
-
 def strategy_document(strategy, claim_name: str, mode: str, price: float, asset_names=()) -> dict:
     return {
         "claim": claim_name,

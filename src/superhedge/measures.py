@@ -80,8 +80,8 @@ class Measure:
     def __post_init__(self):
         p = np.asarray(self.probabilities, dtype=float)
         object.__setattr__(self, "probabilities", p)
-        if p.ndim != 1:
-            raise InvalidMeasure("probability vector must be one-dimensional")
+        if p.ndim != 1 or not p.size:
+            raise InvalidMeasure("probability vector must be one-dimensional and nonempty")
         if p.min() <= 0.0:
             raise InvalidMeasure(f"measure has a nonpositive entry (min={p.min():.12g})")
         if abs(p.sum() - 1.0) > MASS_TOL:
@@ -701,7 +701,7 @@ class MartingalePolytope(MeasureSet):
         return [(self._interior, 1.0)] + [(v, 0.0) for v in self._null_basis.T]
 
     def dominating_claim(self, x):
-        capital = self.superhedge_capital(x)
+        capital, _ = self.superhedge_capital(x)
         return float(capital[0, 0]), capital[-1]
 
     def domination_rows(self, x):
@@ -796,18 +796,26 @@ class MartingalePolytope(MeasureSet):
             residuals.append(miss)
         return holdings, residuals
 
-    def superhedge_capital(self, x) -> np.ndarray:
-        """Capital M = V + g, shape (N+1, n), of the least superhedge of the
-        terminal claim x: V = ess_sup_rows(x) and g the running sum of its
-        compensator_increments, so M_0 = V_0 = sup E x and M_N >= x."""
+    def superhedge_capital(self, x) -> tuple[np.ndarray, np.ndarray]:
+        """(M, H) of the least superhedge of the terminal claim x: capital
+        M = V + g, shape (N+1, n), with V = ess_sup_rows(x) and g the running
+        sum of its compensator steps, so M_0 = V_0 = sup E x and M_N >= x;
+        and the compensator's holdings H, shape (N, n, d), row m-1 chosen on
+        the time-(m-1) cells, with M_m - M_{m-1} = H_m . (S_m - S_{m-1})."""
         V = self.ess_sup_rows(x)
         scale = 1.0 + float(np.abs(V).max())
-        steps = [self.compensator_increments(V[t] - V[t + 1], t, scale)
-                 for t in range(self.space.horizon)]
-        return V + np.cumsum([np.zeros(self.space.outcome_count)] + steps, axis=0)
+        gammas, holdings = zip(*(self._compensator_step(V[t] - V[t + 1], t, scale)
+                                 for t in range(self.space.horizon)))
+        return V + np.cumsum([np.zeros(self.space.outcome_count), *gammas], axis=0), np.array(holdings)
 
     def compensator_increments(self, drop, t, scale):
-        """Node by node: the closure is m-stable, so gamma - drop has zero
+        return self._compensator_step(drop, t, scale)[0]
+
+    def _compensator_step(self, drop, t: int, scale: float) -> tuple[np.ndarray, np.ndarray]:
+        """(gamma, h): compensator_increments and its holdings, an (n, d)
+        row constant on the time-t cells.
+
+        Node by node: the closure is m-stable, so gamma - drop has zero
         conditional mean under every member iff on each time-t node it is
         h . moves for some holdings h.  gamma is drop + h . moves for the h
         that keeps it nonnegative with the least sum over the node's
@@ -819,6 +827,7 @@ class MartingalePolytope(MeasureSet):
         tol = EQ_TOL * scale
         kids_drop = np.asarray(drop, dtype=float)[cell_reps(space, t + 1)]
         gamma = np.empty(space.n_cells(t + 1))
+        holdings = np.empty((space.n_cells(t), len(self.assets)))
         for g in self._nodes[t]:
             drops = kids_drop[g.kids]
             if len(self.assets) == 1:
@@ -829,12 +838,13 @@ class MartingalePolytope(MeasureSet):
                 if lp.any():
                     h[lp] = _holdings_lp(g.moves[lp] / self._unit, drops[lp]) / self._unit[:, 0]
             gamma[g.kids] = drops + np.einsum("gdk,gd->gk", g.moves, h)
+            holdings[g.nodes] = h
         short = np.flatnonzero(gamma < -tol)
         if short.size:
             c = int(space.atom_index[t][cell_reps(space, t + 1)[short]].min())
             raise Infeasible(f"no compensator increment on cell {c} at step {t + 1}",
                              time=t + 1, cell=c)
-        return gamma[space.atom_index[t + 1]]
+        return gamma[space.atom_index[t + 1]], holdings[space.atom_index[t]]
 
     def contains_masses(self, masses, t):
         # a strictly positive member supplies the conditional extension

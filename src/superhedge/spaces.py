@@ -192,12 +192,6 @@ class AdaptedProcess:
         if not report.ok:
             raise NotAdapted(f"process not measurable at (time, cell) {report.violations[:4]}")
 
-    def cell_value(self, t: int, c: int) -> float:
-        return float(self.values[t, self.space.cell_rep(t, c)])
-
-    def terminal(self) -> np.ndarray:
-        return self.values[-1]
-
 
 @dataclass(frozen=True, eq=False)
 class PredictableProcess:
@@ -224,10 +218,6 @@ class PredictableProcess:
             varies = np.flatnonzero(ranges > EQ_TOL)
             if varies.size:
                 raise NotPredictable(f"time-{m} row varies on time-{m - 1} cell {varies[0]}")
-
-    @property
-    def n_assets(self) -> int:
-        return self.values.shape[2]
 
     def row(self, m: int) -> np.ndarray:
         """Time-m holdings (m in 1..N), one column per asset."""

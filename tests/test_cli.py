@@ -179,3 +179,61 @@ def test_malformed_files_are_validation_errors(tmp_path, capsys, path, value, st
     err = capsys.readouterr().err.splitlines()
     assert code == 2
     assert len(err) == 1 and err[0].startswith("error: ") and word in err[0]
+
+
+# per market file, the claim and the process its commands name
+FUZZ_FILES = {"binomial.json": ("call100", "S"), "hull.json": ("payout", "drifting")}
+
+
+def _paths(node, path=()):
+    """Every key path into a parsed JSON document, the root excluded."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield path + (key,)
+        yield from _paths(child, path + (key,))
+
+
+def _mutate(rng, doc):
+    """Delete one entry of the document, or replace it with None, a string,
+    an empty list or object, a bool, a list one entry too long or too
+    short, 0 or -1."""
+    paths = list(_paths(doc))
+    path = paths[rng.integers(len(paths))]
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    value = parent[path[-1]]
+    kind = rng.integers(9)
+    if kind == 0:
+        del parent[path[-1]]
+        return
+    if kind == 6:
+        if isinstance(value, list) and value and rng.random() < 0.5:
+            parent[path[-1]] = value[:-1]
+        else:
+            parent[path[-1]] = (value if isinstance(value, list) else [value]) + [value]
+        return
+    parent[path[-1]] = [None, "x", [], {}, bool(rng.integers(2)), None, 0, -1, None][kind]
+
+
+@pytest.mark.parametrize("name", sorted(FUZZ_FILES))
+def test_mutated_files_exit_cleanly(tmp_path, capsys, name):
+    """One to three mutations of a market file: check, price in both modes,
+    hedge and decompose each end in an exit code, never an exception."""
+    import numpy as np
+
+    claim, process = FUZZ_FILES[name]
+    commands = [["check"], ["price", claim, "--mode", "full"],
+                ["price", claim, "--mode", "generated"],
+                ["hedge", claim], ["decompose", process]]
+    rng = np.random.default_rng(1015)
+    market = tmp_path / name
+    for _ in range(150):
+        doc = json.loads((DATA / name).read_text())
+        for _ in range(rng.integers(1, 4)):
+            _mutate(rng, doc)
+        market.write_text(json.dumps(doc))
+        for command in commands:
+            args = [command[0], str(market), *command[1:]]
+            assert main(args) in (0, 2, 3, 4), (args, doc)
+        capsys.readouterr()

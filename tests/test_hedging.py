@@ -148,6 +148,39 @@ class TestSuperhedge:
             assert report.ok
 
 
+    def test_superhedge_builds_no_representation(self, monkeypatch):
+        """Both price modes take the holdings from the price itself (the
+        compensator's, or the pricing weights' static position), so neither
+        represents its capital in the assets nor tests it for a martingale:
+        one-asset trees with flat children, complete polytopes and a
+        two-asset trinomial tree."""
+        import superhedge.hedging as hedging
+        from gen import complete_polytope, trinomial_two_asset
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("superhedge represented its capital")
+
+        monkeypatch.setattr(MartingalePolytope, "hedge_ratios", forbidden)
+        monkeypatch.setattr(hedging, "martingale_representation", forbidden)
+        monkeypatch.setattr(hedging, "is_martingale", forbidden)
+        rng = np.random.default_rng(15)
+        markets = []
+        for _ in range(5):
+            space, _, poly = random_market_tree(rng, max_leaves=14, branching=(2, 4), flat_prob=0.5)
+            markets.append((space, poly))
+            space, _, poly, _ = complete_polytope(rng)
+            markets.append((space, poly))
+        markets.append(trinomial_two_asset(rng, 2))
+        for space, poly in markets:
+            claim = generic_claim(rng, space)
+            for mode in ("full", "generated"):
+                strategy, _, result = superhedge(space, poly, claim, price_mode=mode)
+                capital = strategy_capital(strategy).values
+                assert capital[0, 0] == result.price
+                assert verify_self_financing(strategy).ok
+                assert (capital[-1] - claim).min() >= -EQ_TOL * (1.0 + claim.max())
+
+
 class TestStrategyChecks:
     def test_zero_strategy(self, binomial):
         space, asset, poly = binomial

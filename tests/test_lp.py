@@ -101,6 +101,15 @@ def test_each_verdict_is_reached(c, lp, status):
     _assert_same(ours, theirs)
 
 
+
+def test_feasibility_tolerances_are_pinned():
+    """Two programs 1e-8 from a verdict: a cost of -1e-8 still pays to move
+    to the upper bound, and a row that needs x <= -1e-8 with x >= 0 is
+    infeasible.  HiGHS's default 1e-7 tolerances would read the first as
+    optimal at 0 and the second as feasible."""
+    assert np.array_equal(_lp.solve(np.array([-1e-8]), bounds=(0, 1)).x, [1.0])
+    assert _lp.solve(np.array([1.0]), A_ub=np.array([[1.0]]), b_ub=np.array([-1e-8])).status == 2
+
 @pytest.mark.parametrize(
     "lp",
     [

@@ -401,6 +401,56 @@ def test_least_superhedge_prices_like_the_lp(seed, kind):
     assert (capital[-1] - claim).min() >= -EQ_TOL * scale
 
 
+def _full_rank_nodes(space, poly):
+    """(N, n) mask: True on the outcomes of each time-(m-1) node whose asset
+    moves, each asset over its largest price, have rank d, so that the
+    holdings replicating a step there are unique.  Singular values below
+    1e-8 of the largest are rounding: two assets across two children."""
+    d = len(poly.assets)
+    mask = np.zeros((space.horizon, space.outcome_count), dtype=bool)
+    for t in range(space.horizon):
+        for c, kids in enumerate(space.children[t]):
+            moves = np.array([[a.values[t + 1, space.cell_rep(t + 1, k)]
+                               - a.values[t, space.cell_rep(t, c)] for k in kids]
+                              / np.abs(a.values).max() for a in poly.assets])
+            sv = np.linalg.svd(moves, compute_uv=False)
+            mask[t, list(space.cells[t][c])] = (sv > 1e-8 * sv.max(initial=0.0)).sum() == d
+    return mask
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       kind=st.sampled_from(["tree", "complete", "two assets", "mixed scales"]))
+def test_superhedge_holdings_represent_its_capital(seed, kind):
+    """In both price modes the superhedge starts at the price bit for bit, is
+    self-financing and dominates the claim, and wherever a node's moves have
+    rank d its holdings are the ones martingale_representation reads off its
+    capital, compared in value units (each asset's holding times its
+    largest price), since an asset priced 1e8 below another resolves its
+    holding only to rounding over its price.  The generated hedge is
+    static: one position per step."""
+    from gen import generic_claim
+
+    rng = np.random.default_rng(seed)
+    space, poly = _sup_instance(rng, kind)
+    claim = generic_claim(rng, space)
+    scale = 1.0 + float(np.abs(claim).max())
+    unique = _full_rank_nodes(space, poly)
+    peak = np.array([np.abs(a.values).max() for a in poly.assets])
+    for mode in ("full", "generated"):
+        strategy, _, result = superhedge(space, poly, claim, price_mode=mode)
+        capital = strategy_capital(strategy)
+        assert capital.values[0, 0] == result.price
+        assert verify_self_financing(strategy).ok
+        assert (capital.values[-1] - claim).min() >= -EQ_TOL * scale
+        held = strategy.risky[1:]
+        represented = martingale_representation(space, poly, capital).values
+        gap = (np.abs(held - represented) * peak)[unique].max(initial=0.0)
+        assert gap <= 1e-9 * (1.0 + np.abs(held * peak).max())
+        if mode == "generated":
+            assert (held == held[:, :1]).all()
+
+
 @pytest.mark.parametrize("kind", ["tree", "two assets"])
 @pytest.mark.parametrize("shortfall", [0.5, 2.0])
 def test_witness_takes_what_the_supermartingale_test_passes(kind, shortfall):
