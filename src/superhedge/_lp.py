@@ -77,9 +77,10 @@ def solve(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=(0, None)) -> LP
                          f"{[B.shape for B in blocks]}, right-hand sides "
                          f"{len(b_ub)} and {len(b_eq)}, {n} costs")
     # the stacked rows in canonical CSC: column by column, rows ascending,
-    # no zeros stored unless a sparse input stores them
+    # no zeros stored unless a sparse input stores them; a lone block is copied
+    blocks = [B for B in blocks if B.shape[0]] or [np.empty((0, n))]
     if any(sparse.issparse(B) for B in blocks):
-        A = sparse.csc_array(sparse.vstack(blocks), copy=True)
+        A = sparse.csc_array(blocks[0] if len(blocks) == 1 else sparse.vstack(blocks), copy=True)
         A.sum_duplicates()
         start, index, value = A.indptr, A.indices, A.data
     else:
@@ -141,15 +142,15 @@ def maximize(c, **kwargs):
     return -res.fun, res.x
 
 
-def feasible_point(A_eq, b_eq, n_vars, objective=None):
-    """Least-objective nonnegative solution of A_eq x = b_eq, or None.
+def feasible_point(A_eq, b_eq, n_vars):
+    """Nonnegative solution of A_eq x = b_eq with the least sum, or None.
 
     Redundant equality rows carry rounding noise that the pinned tolerances
     can reject, so a system declared infeasible is solved once more on an
     orthonormal basis of its row space, provided b_eq lies in the column
     space and some row is redundant.
     """
-    c = np.ones(n_vars) if objective is None else np.asarray(objective, dtype=float)
+    c = np.ones(n_vars)
     res = solve(c, A_eq=A_eq, b_eq=b_eq, bounds=(0, None))
     if res.status == 2:
         reduced = _row_space_system(A_eq, b_eq)

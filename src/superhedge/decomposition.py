@@ -66,9 +66,8 @@ class DecompositionReport:
         )
 
 
-def validate_decomposition(
-    space: FilteredSpace, mset: MeasureSet, f, dec: Decomposition, tol: float = EQ_TOL
-) -> DecompositionReport:
+def validate_decomposition(space: FilteredSpace, mset: MeasureSet, f,
+                           dec: Decomposition) -> DecompositionReport:
     proc = _as_process(space, f)
     scale = 1.0 + float(np.abs(proc.values).max())
     m_vals = dec.martingale.values
@@ -78,9 +77,9 @@ def validate_decomposition(
     min_step = float((g_vals[1:] - g_vals[:-1]).min()) if space.horizon else 0.0
     mart_ok = bool(is_martingale(space, mset, dec.martingale))
     ok = (
-        reconstruction <= tol * scale
-        and g0 <= tol
-        and min_step >= -tol * scale
+        reconstruction <= EQ_TOL * scale
+        and g0 <= EQ_TOL
+        and min_step >= -EQ_TOL * scale
         and mart_ok
     )
     return DecompositionReport(ok, reconstruction, g0, min_step, mart_ok)

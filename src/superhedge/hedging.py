@@ -7,8 +7,8 @@ superhedge's compensator holdings (MartingalePolytope.superhedge_capital),
 over the asset-ratio family the static position the pricing weights buy.
 Its capital is the price plus the gains of those holdings, and the cash leg
 is capital minus holdings times prices.  martingale_representation recovers
-holdings for a martingale brought from elsewhere (one batched projection per
-group of tree nodes, through the polytope's hedge_ratios).
+holdings for a martingale brought from elsewhere (one batched projection of
+every node's increments, through the polytope's hedge_ratios).
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decomposition import Decomposition
-from .errors import NoRepresentation, NotMartingale, NotPredictable, ShapeMismatch, ValidationError
+from .errors import NotMartingale, NotPredictable, ShapeMismatch, ValidationError
 from .measures import MartingalePolytope
 from .pricing import FairPriceResult, _certified, _check_terminal_claim, fair_price_generated
 from .processes import is_martingale
@@ -89,9 +89,10 @@ def martingale_representation(
 
     At each node the holdings are the least-squares projection of the
     increments towards its children onto the asset moves, taken for every
-    node of a group at once (MartingalePolytope.hedge_ratios); a residual
-    above tolerance means the increment lies outside the span of the asset
-    increments there.
+    node at once (MartingalePolytope.hedge_ratios).  What they miss is the
+    node's replication residual, the same one is_martingale judges, so a
+    martingale for the polytope is always represented, and anything else
+    raises NotMartingale.
     """
     if not isinstance(mset, MartingalePolytope):
         raise ValidationError("representation requires a martingale polytope")
@@ -102,22 +103,7 @@ def martingale_representation(
             f"process is not a martingale for the polytope at time {v.time}, cell {v.cell}",
             report=report,
         )
-
-    holdings, residuals = mset.hedge_ratios(mprocess.values)
-    scale = 1.0 + float(np.abs(mprocess.values).max())
-    for m, miss in enumerate(residuals, start=1):
-        bad = np.flatnonzero(miss > EQ_TOL * scale)
-        if bad.size:
-            c = int(bad[0])
-            residual = float(miss[c])
-            raise NoRepresentation(
-                f"martingale increment not spanned by asset increments at "
-                f"time {m}, cell {c} (residual {residual:.3e})",
-                time=m,
-                cell=c,
-                residual=residual,
-            )
-    return PredictableProcess(space, holdings)
+    return PredictableProcess(space, mset.hedge_ratios(mprocess.values)[0])
 
 
 def strategy_capital(strategy: TradingStrategy) -> AdaptedProcess:

@@ -16,19 +16,19 @@ the family is cond_exp_sup at time 0.  Two concrete families are supported:
 * MartingalePolytope -- all strictly positive measures making the listed
   asset processes martingales.  The family is an open face of the polyhedron
   {q >= 0, asset equalities, total mass 1}.  Its closure is m-stable: a
-  member is one martingale kernel per node of the tree, so per-cell suprema
-  of conditional expectations are a backward induction of one-step problems
-  over a node's children (closed form for one asset, small linear solves
-  for more).  For the same reason a super-martingale decomposes node by
-  node: its compensator step on a node's children is drop + h . moves for
-  holdings h that keep it nonnegative (an interval per node for one asset,
-  a small LP per node for more where a projection does not replicate the
-  drop), and a claim's least superhedge is its envelope plus the
-  envelope's compensator.  Members move only in node-local directions, so
-  an identity that holds under every member is a linear test against an
-  interior member and those directions.  One batched
-  projection per group of nodes gives the holdings that replicate a
-  martingale's increments, and each asset is measured in its own
+  member is one martingale kernel per node of the tree, so every question
+  about the family is a question about one node at a time.  Per-cell
+  suprema of conditional expectations are a backward induction of one-step
+  problems over a node's children (closed form for one asset, small linear
+  solves for more).  A super-martingale's compensator step on a node's
+  children is drop + h . moves for holdings h that keep it nonnegative (an
+  interval per node for one asset, a small LP per node for more where a
+  projection does not replicate the drop), and a claim's least superhedge
+  is its envelope plus the envelope's compensator.  An identity holds under
+  every member iff on every node the increments towards the children are
+  replicated by the asset moves: the node's replication residual, from one
+  flat table of all (node, child) pairs, gives the martingale test and the
+  holdings that represent a martingale.  Each asset is measured in its own
   power-of-two unit, so that the verdicts do not depend on the assets'
   relative scale.
 
@@ -49,7 +49,7 @@ test live here as well.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb
 
@@ -66,6 +66,7 @@ from .errors import (
     NotUnitClaim,
     ShapeMismatch,
     SolverFailure,
+    ValidationError,
 )
 from .spaces import AdaptedProcess, FilteredSpace, cell_reps
 from .tolerances import EQ_TOL, FEAS_TOL, MASS_TOL
@@ -376,13 +377,17 @@ class GeneratorHull(MeasureSet):
 # more assets) gets its one-step sup from a small LP over its children.
 _MAX_SUPPORTS = 256
 
-# Relative singular-value cutoff of every node rank, in per-asset units.
+# Relative singular-value cutoff of every node's projection, in per-asset units.
 _PROJECTION_RCOND = float(np.sqrt(np.finfo(float).eps))
 
 
 def _asset_units(assets) -> np.ndarray:
-    """Per asset, the power of two above its largest absolute price, or 1."""
-    return np.ldexp(1.0, np.frexp([np.abs(a.values).max() for a in assets])[1])
+    """Per asset, the power of two above its largest absolute price, or 1;
+    a price of 2**1023 or more has none (ValidationError)."""
+    exponents = np.frexp([np.abs(a.values).max() for a in assets])[1]
+    if exponents.max() > np.finfo(float).maxexp - 1:
+        raise ValidationError("asset prices must stay below 2**1023 in absolute value")
+    return np.ldexp(1.0, exponents)
 
 
 @dataclass(frozen=True, eq=False)
@@ -393,25 +398,59 @@ class _NodeGroup:
     Candidate c of node g puts weights[g, c] on the children at positions
     support[c] (padding entries carry weight zero); penalty[g, c] is 0 when
     that kernel is a martingale kernel of the node and -inf when it is not.
-    The candidates are None for a group solved by LP, node by node.
-    projection[g] is the pseudo-inverse of moves[g].T, taken with each
-    asset in its own units: it maps the increments of a process towards the
-    children to the least-squares asset holdings that replicate them.
+    The candidates are None for a group solved by LP, node by node.  The
+    nodes' projections, and so their replication residuals, live in the
+    flat pair table (_PairTable) instead.
     """
 
     nodes: np.ndarray                # (G,) time-t cell ids
     kids: np.ndarray                 # (G, k) time-(t+1) cell ids
     moves: np.ndarray                # (G, d, k) asset increments towards each child
-    projection: np.ndarray           # (G, d, k) pinv(moves^T), per asset unit
     support: np.ndarray | None       # (C, s) child positions of each candidate
     weights: np.ndarray | None       # (G, C, s)
     penalty: np.ndarray | None       # (G, C)
-    free: np.ndarray                 # (F,) node position of each kernel direction
-    directions: np.ndarray           # (F, k) orthonormal per node; sum 0, moves @ it 0
 
 
-def _node_table(space: FilteredSpace, assets) -> tuple[tuple[_NodeGroup, ...], ...]:
-    """Per time t < N, the time-t cells grouped by child count.
+@dataclass(frozen=True, eq=False)
+class _PairTable:
+    """Every (node, child) pair of the tree, node by node.  The nodes are
+    the cells of times 0..N, numbered time after time (offsets[t] + cell
+    id); a terminal cell's children are its outcomes.  Per pair, moves
+    holds the asset increments towards the child and projection the
+    child's column of pinv(moves^T) of its node, which maps increments
+    towards the children to the least-squares holdings that replicate them;
+    both are zero below a terminal cell."""
+
+    offsets: np.ndarray              # (N + 2,) first node id of each time, then the cell count
+    pair_offsets: np.ndarray         # (N + 2,) first pair of each time's nodes, then P
+    order: np.ndarray                # ((N + 1) n,) the outcomes of each cell, cell by cell
+    bounds: np.ndarray               # (offsets[-1],) where each cell starts in order
+    rep: np.ndarray                  # (offsets[-1],) first outcome of each cell
+    reps: np.ndarray                 # (N + 1, n) first outcome of each (time, outcome)'s cell
+    parent: np.ndarray               # (P,) node id of each pair
+    step_index: np.ndarray           # (P,) the node's time times n plus the child's first outcome
+    moves: np.ndarray                # (d, P)
+    projection: np.ndarray           # (d, P)
+    ranges: dict = field(default_factory=dict)
+
+    def levels(self, first: int, last: int):
+        """For the nodes at times first..last-1: their pairs, the node count,
+        each pair's node counted from the first of them (and again per asset,
+        offset by the node count), and each pair's index into a
+        (last - first, n) array of steps; cached."""
+        if (first, last) not in self.ranges:
+            span = slice(self.pair_offsets[first], self.pair_offsets[last])
+            size = int(self.offsets[last] - self.offsets[first])
+            cells = self.parent[span] - self.offsets[first]
+            self.ranges[first, last] = (span, size, cells,
+                                        (cells + size * np.arange(len(self.moves))[:, None]).ravel(),
+                                        self.step_index[span] - first * self.reps.shape[1])
+        return self.ranges[first, last]
+
+
+def _node_table(space: FilteredSpace, assets):
+    """Per time t < N, the time-t cells grouped by child count; and the
+    flat table of all (node, child) pairs.
 
     Increments within MASS_TOL of the asset's scale count as flat: they are
     the rounding residue of equal prices, and a flat child must carry a
@@ -419,16 +458,22 @@ def _node_table(space: FilteredSpace, assets) -> tuple[tuple[_NodeGroup, ...], .
     projection drops the singular directions of a node's moves below
     _PROJECTION_RCOND times the largest: two assets across two children
     span one direction, and the rounding residue of the second would
-    otherwise turn into holdings of order 1/eps.  The rank it keeps, plus
-    one for the total mass, is the node's rank, so the right singular
-    vectors of [1; moves] beyond it are the node's kernel directions.
+    otherwise turn into holdings of order 1/eps.  What the projection of a
+    process's increments misses is the node's replication residual.
     """
     values = np.array([a.values for a in assets])              # (d, N+1, n)
     flat = MASS_TOL * (1.0 + np.abs(values).max(axis=(1, 2)))
     unit = _asset_units(assets)[:, None]                       # (d, 1)
+    N, n = space.horizon, space.outcome_count
+    offsets = np.cumsum([0] + [space.n_cells(t) for t in range(N + 1)])
+    counts = np.r_[[len(kids) for level in space.children[:N] for kids in level],
+                   np.bincount(space.atom_index[N])].astype(int)
+    starts = np.r_[0, np.cumsum(counts)]
+    rep = np.concatenate([cell_reps(space, t) for t in range(N + 1)])
+    pair_moves = np.zeros((len(assets), starts[-1]))
+    projection = np.zeros_like(pair_moves)
     table = []
-    for t in range(space.horizon):
-        reps, reps_next = cell_reps(space, t), cell_reps(space, t + 1)
+    for t in range(N):
         by_count: dict[int, list[int]] = {}
         for c, kids in enumerate(space.children[t]):
             by_count.setdefault(len(kids), []).append(c)
@@ -436,21 +481,31 @@ def _node_table(space: FilteredSpace, assets) -> tuple[tuple[_NodeGroup, ...], .
         for nodes in by_count.values():
             nodes = np.array(nodes)
             kids = np.array([space.children[t][c] for c in nodes])
-            moves = values[:, t + 1, reps_next[kids]] - values[:, t, reps[nodes], None]
+            moves = (values[:, t + 1, rep[offsets[t + 1] + kids]]
+                     - values[:, t, rep[offsets[t] + nodes], None])
             moves = moves.transpose(1, 0, 2)
             moves[np.abs(moves) <= flat[:, None]] = 0.0
             scaled = moves / unit
+            pairs = starts[offsets[t] + nodes][:, None] + np.arange(kids.shape[1])
+            pair_moves[:, pairs] = moves.transpose(1, 0, 2)
             pinv = np.linalg.pinv(scaled.transpose(0, 2, 1), rcond=_PROJECTION_RCOND)
-            # the trace of pinv(A) @ A counts the singular directions the cutoff kept
-            rank = 1 + np.rint(np.einsum("gdk,gdk->g", pinv, scaled)).astype(int)
-            kernel = np.arange(kids.shape[1]) >= rank[:, None]        # (G, k)
-            some = kernel.any(axis=1)
-            system = np.concatenate([np.ones_like(scaled[some, :1]), scaled[some]], axis=1)
-            directions = np.linalg.svd(system)[2][kernel[some]]
-            groups.append(_NodeGroup(nodes, kids, moves, pinv / unit, *_candidate_kernels(scaled),
-                                     np.nonzero(kernel)[0], directions))
+            projection[:, pairs] = pinv.transpose(1, 0, 2) / unit[..., None]
+            groups.append(_NodeGroup(nodes, kids, moves, *_candidate_kernels(scaled)))
         table.append(tuple(groups))
-    return tuple(table)
+    order, bounds = zip(*space._cell_groups)
+    kid_reps = np.r_[np.concatenate([rep[np.concatenate(space.children[t]) + offsets[t + 1]]
+                                     for t in range(N)]), order[N]]
+    pairs = _PairTable(
+        offsets, starts[offsets], np.concatenate(order),
+        np.concatenate([b + t * n for t, b in enumerate(bounds)]), rep,
+        rep[space.atom_index + offsets[:-1, None]], np.repeat(np.arange(offsets[-1]), counts),
+        np.repeat(np.arange(N + 1) * n, np.diff(starts[offsets])) + kid_reps, pair_moves,
+        projection)
+    # the ranges every martingale test, claim test and representation reads,
+    # built with the polytope rather than on first use
+    for first, last in [(t, t + 1) for t in range(N + 1)] + [(0, s) for s in range(2, N + 2)]:
+        pairs.levels(first, last)
+    return tuple(table), pairs
 
 
 def _candidate_kernels(moves: np.ndarray):
@@ -610,32 +665,6 @@ def _equality_matrix(space: FilteredSpace, assets) -> sparse.csr_array:
                             shape=(offset + 1, n)).tocsr()
 
 
-def _free_directions(space: FilteredSpace, table, q: np.ndarray) -> np.ndarray:
-    """Columns spanning the null space of the closure's equalities.
-
-    A node's kernel direction delta is lifted through the strictly positive
-    member q's law below each child: v = q * delta_j / q(child j) on child
-    j.  Inside a terminal cell each outcome after the first trades mass with
-    the one before it.
-    """
-    n, N = space.outcome_count, space.horizon
-    order, starts = space._cell_groups[N]
-    later = np.setdiff1d(np.arange(n), starts)              # positions in order
-    basis = np.zeros((n, sum(len(g.free) for level in table for g in level) + len(later)))
-    col = 0
-    for t, level in enumerate(table):
-        atoms = space.atom_index[t + 1]
-        mass = np.bincount(atoms, weights=q, minlength=space.n_cells(t + 1))[:, None]
-        for g in (g for g in level if len(g.free)):
-            coef = np.zeros((len(mass), len(g.free)))
-            coef[g.kids[g.free], np.arange(len(g.free))[:, None]] = g.directions
-            np.multiply(q[:, None], (coef / mass)[atoms], out=basis[:, col:col + len(g.free)])
-            col += len(g.free)
-    basis[order[later], col + np.arange(len(later))] = 1.0
-    basis[order[later - 1], col + np.arange(len(later))] = -1.0
-    return basis
-
-
 class MartingalePolytope(MeasureSet):
     """All strictly positive measures making the listed assets martingales.
 
@@ -659,20 +688,16 @@ class MartingalePolytope(MeasureSet):
         )
 
         self._unit = _asset_units(procs)[:, None]
-        self._A_eq = _equality_matrix(space, procs)
-        self._b_eq = np.zeros(self._A_eq.shape[0])
-        self._b_eq[-1] = 1.0
-        self._interior = self._solve_interior()
-        self._nodes = _node_table(space, procs)
-        self._null_basis = _free_directions(space, self._nodes, self._interior)
+        self._interior = self._solve_interior(_equality_matrix(space, procs))
+        self._nodes, self._pairs = _node_table(space, procs)
+        self._mass = np.add.reduceat(self._interior[self._pairs.order], self._pairs.bounds)
 
-    def _solve_interior(self) -> np.ndarray:
+    def _solve_interior(self, A: sparse.csr_array) -> np.ndarray:
         n = self.space.outcome_count
-        # maximize the floor t subject to q >= t, equalities, sum q = 1;
+        # maximize the floor t subject to q >= t, the equalities A, sum q = 1;
         # the variables are (q, t), so the equalities get an empty last column
         c = np.zeros(n + 1)
         c[-1] = -1.0
-        A = self._A_eq
         A_eq = sparse.csr_array((A.data, A.indices, A.indptr), shape=(A.shape[0], n + 1))
         # row i of [-I | 1]: -q_i + t <= 0
         A_ub = sparse.csr_array(
@@ -680,7 +705,8 @@ class MartingalePolytope(MeasureSet):
              np.arange(0, 2 * n + 1, 2)),
             shape=(n, n + 1),
         )
-        res = _lp.solve(c, A_ub=A_ub, b_ub=np.zeros(n), A_eq=A_eq, b_eq=self._b_eq,
+        res = _lp.solve(c, A_ub=A_ub, b_ub=np.zeros(n), A_eq=A_eq,
+                        b_eq=np.r_[np.zeros(A.shape[0] - 1), 1.0],
                         bounds=(np.r_[np.zeros(n), -np.inf], np.ones(n + 1)))
         if res.status != 0 or res.x[-1] <= FEAS_TOL:
             raise NoEquivalentMartingaleMeasure(
@@ -694,11 +720,6 @@ class MartingalePolytope(MeasureSet):
 
     def reference(self) -> np.ndarray:
         return self._interior
-
-    def expectation_functionals(self) -> list[tuple[np.ndarray, float]]:
-        """Pairs (w, kappa), the interior member with 1 and each free direction
-        with 0: E^P[c] = r for every member P iff w @ c == kappa * r."""
-        return [(self._interior, 1.0)] + [(v, 0.0) for v in self._null_basis.T]
 
     def dominating_claim(self, x):
         capital, _ = self.superhedge_capital(x)
@@ -758,43 +779,53 @@ class MartingalePolytope(MeasureSet):
             # x is F_{t+1}-measurable, so one level of the induction decides
             sups, _ = _one_step_sups(self._nodes[t], x[cell_reps(self.space, t + 1)], self._unit)
             return [("lp max", sups - np.broadcast_to(base, x.shape)[cell_reps(self.space, t)])]
-        # an identity across the whole polytope is a linear condition on its
-        # affine hull: test against the interior point and the free
-        # directions, one sum per time-t cell
-        order, starts = self.space._cell_groups[t]
-        centred = (x - base)[order]
-        gaps = np.abs(np.add.reduceat(centred * self._interior[order], starts))
-        if self._null_basis.shape[1]:
-            res_null = np.add.reduceat(centred[:, None] * self._null_basis[order], starts)
-            gaps = np.maximum(gaps, np.abs(res_null).max(axis=1))
-        return [("affine hull", gaps)]
+        # m-stability: E^P(x - base | F_t) = 0 for every member iff on every
+        # node at time t or later the reference member's conditional means
+        # (0 at t) step to the children by asset moves, and x - base is flat
+        # on each terminal cell.  A cell's gap is the largest replication
+        # residual on or below it.  From the first time s > t at which
+        # x - base is F_s-measurable (N + 1 if none) the means are x - base
+        # itself and step by zero, so only times t..s-1 are tested.
+        pairs, N, n = self._pairs, self.space.horizon, len(x)
+        centred = x - base
+        s = next((s for s in range(t + 1, N + 1)
+                  if not np.count_nonzero(centred[pairs.reps[s]] != centred)), N + 1)
+        if s == t + 1:
+            return [("node residual", self._replicate(centred[None], t, s)[1])]
+        lo, hi = pairs.offsets[t + 1], pairs.offsets[s]
+        lift = (self._interior * centred)[pairs.order[(t + 1) * n:s * n]]
+        means = np.add.reduceat(lift, pairs.bounds[lo:hi] - (t + 1) * n) / self._mass[lo:hi]
+        means = means[self.space.atom_index[t + 1:s] + (pairs.offsets[t + 1:s] - lo)[:, None]]
+        _, miss = self._replicate(np.diff(np.vstack([np.zeros(n), means, centred]), axis=0), t, s)
+        gaps = np.zeros(lo - pairs.offsets[t])
+        np.maximum.at(gaps, self.space.atom_index[t][pairs.rep[pairs.offsets[t]:hi]], miss)
+        return [("node residual", gaps)]
+
+    def _replicate(self, steps: np.ndarray, first: int, last: int) -> tuple[np.ndarray, np.ndarray]:
+        """Per cell at times first..last-1, for the increments towards its
+        children read off steps (row s - first: from time s to s + 1, or to
+        the outcomes at s = N): the least-squares holdings that replicate
+        them, shape (cells, d), and the replication residual, the largest miss."""
+        pairs = self._pairs
+        span, size, cells, per_asset, index = pairs.levels(first, last)
+        b = steps.ravel()[index]
+        h = np.bincount(per_asset, (pairs.projection[:, span] * b).ravel(), size * len(pairs.moves))
+        h = h.reshape(-1, size)
+        miss = np.zeros(size)
+        np.maximum.at(miss, cells, np.abs((pairs.moves[:, span] * h[:, cells]).sum(axis=0) - b))
+        return h.T, miss
 
     def hedge_ratios(self, values) -> tuple[np.ndarray, list[np.ndarray]]:
         """Asset holdings that replicate the one-step increments of an adapted
         process, in the least-squares sense, and how far they miss.
 
-        values has shape (N+1, n).  Per node, the holdings are the projection
-        of the increments towards its children onto the asset moves, one
-        batched product per group of nodes.  Returns holdings of shape
-        (N, n, d), row m-1 chosen on the time-(m-1) cells, and per step m
-        the largest replication residual on each time-(m-1) cell.
+        values has shape (N+1, n).  Returns holdings of shape (N, n, d), row
+        m-1 chosen on the time-(m-1) cells, and per step m the replication
+        residual of each time-(m-1) cell, all nodes at once (_replicate).
         """
-        space = self.space
-        values = np.asarray(values, dtype=float)
-        holdings = np.empty((space.horizon, space.outcome_count, len(self.assets)))
-        residuals = []
-        for t, level in enumerate(self._nodes):
-            reps, reps_next = cell_reps(space, t), cell_reps(space, t + 1)
-            h = np.empty((space.n_cells(t), len(self.assets)))
-            miss = np.empty(space.n_cells(t))
-            for g in level:
-                b = values[t + 1, reps_next[g.kids]] - values[t, reps[g.nodes], None]
-                h_g = np.einsum("gdk,gk->gd", g.projection, b)
-                miss[g.nodes] = np.abs(np.einsum("gdk,gd->gk", g.moves, h_g) - b).max(axis=1)
-                h[g.nodes] = h_g
-            holdings[t] = h[space.atom_index[t]]
-            residuals.append(miss)
-        return holdings, residuals
+        offsets, N = self._pairs.offsets, self.space.horizon
+        h, miss = self._replicate(np.diff(np.asarray(values, dtype=float), axis=0), 0, N)
+        return h[self.space.atom_index[:N] + offsets[:N, None]], np.split(miss, offsets[1:N])
 
     def superhedge_capital(self, x) -> tuple[np.ndarray, np.ndarray]:
         """(M, H) of the least superhedge of the terminal claim x: capital
@@ -828,13 +859,15 @@ class MartingalePolytope(MeasureSet):
         kids_drop = np.asarray(drop, dtype=float)[cell_reps(space, t + 1)]
         gamma = np.empty(space.n_cells(t + 1))
         holdings = np.empty((space.n_cells(t), len(self.assets)))
+        if len(self.assets) > 1:
+            projected, miss = self._replicate(-np.asarray(drop, dtype=float)[None], t, t + 1)
         for g in self._nodes[t]:
             drops = kids_drop[g.kids]
             if len(self.assets) == 1:
                 h = _one_asset_holdings(g.moves[:, 0], drops)[:, None]
             else:
-                h = -np.einsum("gdk,gk->gd", g.projection, drops)
-                lp = np.abs(drops + np.einsum("gdk,gd->gk", g.moves, h)).max(axis=1) > tol
+                h = projected[g.nodes]
+                lp = miss[g.nodes] > tol
                 if lp.any():
                     h[lp] = _holdings_lp(g.moves[lp] / self._unit, drops[lp]) / self._unit[:, 0]
             gamma[g.kids] = drops + np.einsum("gdk,gd->gk", g.moves, h)
@@ -882,16 +915,18 @@ def unit_claim_rows(space: FilteredSpace, mset: MeasureSet, xi0) -> np.ndarray:
     """Conditional-expectation rows E{xi0 | F_t}, t = 0..N, of a unit claim.
 
     The rows are computed under the reference measure and verified to be the
-    same under every member measure; MeasureDependent is raised otherwise.
+    same under every member measure: the row at N matches xi0 and, time by
+    time from N down, each row is the conditional expectation of the next.
+    MeasureDependent is raised for the latest time at which they differ.
     """
     xi0 = np.asarray(xi0, dtype=float)
     if not is_unit_claim(space, mset, xi0):
         raise NotUnitClaim("claim is not nonnegative with unit expectation under every measure")
     ref = mset.reference()
-    rows = np.array([_condexp_row(space, ref, xi0, t) for t in range(space.horizon + 1)])
+    rows = np.array([_condexp_row(space, ref, xi0, t) for t in range(space.horizon + 1)] + [xi0])
     scale = 1.0 + float(np.abs(xi0).max())
-    for t in range(space.horizon + 1):
-        for label, gaps in mset.step_gaps(xi0, rows[t], t, equality=True):
+    for t in range(space.horizon, -1, -1):
+        for label, gaps in mset.step_gaps(rows[t + 1], rows[t], t, equality=True):
             if gaps.max() > EQ_TOL * scale:
                 c = int(np.argmax(gaps))
                 raise MeasureDependent(
@@ -900,7 +935,7 @@ def unit_claim_rows(space: FilteredSpace, mset: MeasureSet, xi0) -> np.ndarray:
                     time=t,
                     cell=c,
                 )
-    return rows
+    return rows[:-1]
 
 
 def increment_process(space: FilteredSpace, mset: MeasureSet, xi0) -> list[np.ndarray]:

@@ -17,8 +17,10 @@ node-by-node backward induction is checked.  local_regular_witness_lp
 decomposes a super-martingale by one LP per cell over the family's
 expectation functionals (a hull's generators), against which the
 node-by-node compensator of a polytope and the per-step compensator of a
-hull are checked.  fair_price_full_lp prices a claim on a polytope by one
-LP over those functionals, against which the least superhedge is checked.
+hull are checked; a polytope's functionals (expectation_functionals) are
+its reference member and a null basis of its global equality system.
+fair_price_full_lp prices a claim on a polytope by one LP over those
+functionals, against which the least superhedge is checked.
 hedge_ratios_lstsq and martingale_representation_lstsq solve the
 representation one cell at a time by least squares, against which the
 batched projections are checked.
@@ -29,6 +31,7 @@ from __future__ import annotations
 from itertools import combinations
 
 import numpy as np
+from scipy.linalg import null_space
 
 from superhedge import (
     EQ_TOL,
@@ -262,6 +265,18 @@ def equality_system(poly):
     return A_eq, b_eq
 
 
+def expectation_functionals(poly):
+    """Pairs (w, kappa) with E^P[c] = r for every member P of the polytope
+    iff w @ c == kappa * r: its reference member with 1, and each vector of
+    an orthonormal null basis of equality_system(poly) with 0.  The null
+    space of the closure's equalities is the set of directions in which
+    members move, so these functionals test an identity on the polytope's
+    whole affine hull at once; the global counterpart of the library's
+    node-local replication residual."""
+    A_eq, _ = equality_system(poly)
+    return [(poly.reference(), 1.0)] + [(v, 0.0) for v in null_space(A_eq).T]
+
+
 def cond_exp_sup_lp(poly, x, t):
     """Per-cell sup of E^Q(x | F_t) over a polytope's closure, one LP per
     time-t cell, as an outcome row.
@@ -306,7 +321,7 @@ def compensator_increments_lp(space, mset, drop, t):
     if isinstance(mset, GeneratorHull):
         functionals = [(g.probabilities, 1.0) for g in mset.generators]
     else:
-        functionals = mset.expectation_functionals()
+        functionals = expectation_functionals(mset)
     gamma = np.zeros(space.outcome_count)
     for c, cell in enumerate(space.cells[t]):
         idx = list(cell)
@@ -344,7 +359,7 @@ def fair_price_full_lp(poly, x):
     outcome and w @ eta = kappa * alpha for every expectation functional
     (w, kappa)."""
     n = poly.space.outcome_count
-    functionals = poly.expectation_functionals()
+    functionals = expectation_functionals(poly)
     res = _lp.solve(np.r_[1.0, np.zeros(n)], A_eq=np.array([np.r_[-k, w] for w, k in functionals]),
                     b_eq=np.zeros(len(functionals)), bounds=(np.r_[0.0, np.maximum(x, 0.0)], None))
     assert res.status == 0, res.message

@@ -181,6 +181,34 @@ def test_malformed_files_are_validation_errors(tmp_path, capsys, path, value, st
     assert len(err) == 1 and err[0].startswith("error: ") and word in err[0]
 
 
+def test_price_beyond_the_largest_unit_is_validation_error(tmp_path, capsys):
+    """An asset priced at 2**1023 or more has no power-of-two unit: check
+    exits 2 with one error line, and no overflow warning is raised."""
+    import warnings
+
+    doc = json.loads((DATA / "binomial.json").read_text())
+    doc["processes"]["S"][1][0] = 1.7e308
+    market = tmp_path / "market.json"
+    market.write_text(json.dumps(doc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(["check", str(market)])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 2
+    assert len(err) == 1 and err[0].startswith("error: ") and "2**1023" in err[0]
+
+
+def test_golden_files_match_their_benchmark_copies():
+    """The benchmark replays the CLI goldens from its own copies of the
+    market files and reports; each copy is byte for byte the test's file."""
+    bench = Path(__file__).parent.parent / "bench" / "data"
+    copies = sorted(p.relative_to(bench) for p in bench.rglob("*") if p.is_file())
+    assert copies == sorted([Path(m) for m in ("binomial.json", "bound_tree.json", "hull.json")]
+                            + [Path("golden") / g for g, _ in GOLDEN_CASES])
+    for name in copies:
+        assert (bench / name).read_bytes() == (DATA / name).read_bytes(), name
+
+
 # per market file, the claim and the process its commands name
 FUZZ_FILES = {"binomial.json": ("call100", "S"), "hull.json": ("payout", "drifting")}
 

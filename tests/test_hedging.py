@@ -13,6 +13,7 @@ from superhedge import (
     build_space,
     fair_price_full,
     is_martingale,
+    is_unit_claim,
     martingale_representation,
     strategy_capital,
     superhedge,
@@ -73,7 +74,7 @@ class TestRepresentation:
         m_vals = np.array([[10.0] * 3, [30.0, 0.0, 0.0]])
         # make it a polytope martingale is impossible generically; construct a
         # genuine martingale for a sub-polytope instead and expect failure
-        # against the full polytope's affine hull test
+        # against the full polytope's node residual test
         try:
             m = AdaptedProcess(space, m_vals)
             martingale_representation(space, poly, m)
@@ -358,9 +359,10 @@ def _incomplete_tree(rng, outcomes, ternary, horizon):
 
 
 def test_large_incomplete_tree_builds_in_linear_memory():
-    """A 1,024-outcome tree with 200 three-way splits has 200 free
-    directions: they are taken node by node, so the polytope's construction
-    traces a few megabytes, and the full-mode price is certified."""
+    """A 1,024-outcome tree with 200 three-way splits: the polytope's
+    construction traces a few megabytes, its node-local equality test
+    passes the asset and its ratio claim and rejects a call, and the
+    full-mode price is certified."""
     rng = np.random.default_rng(5)
     space, asset = _incomplete_tree(rng, 1024, 200, horizon=12)
     assert space.outcome_count == 1024
@@ -370,8 +372,10 @@ def test_large_incomplete_tree_builds_in_linear_memory():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(poly.expectation_functionals()) == 1 + 200
     assert peak < 16e6
 
     claim = np.maximum(asset.values[-1] - 100.0, 0.0)
+    assert is_martingale(space, poly, asset).ok
+    assert is_unit_claim(space, poly, asset.values[-1] / 100.0)
+    assert not is_unit_claim(space, poly, claim / claim.mean())
     assert fair_price_full(space, poly, claim).witness_bound.ok

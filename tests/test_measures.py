@@ -197,7 +197,7 @@ class TestFamilyContract:
         hull_gaps = two_generator_hull.step_gaps(x, 100.0, 0, equality=False)
         assert [label for label, _ in hull_gaps] == ["generator 0", "generator 1"]
         assert [label for label, _ in poly.step_gaps(x, 100.0, 0, equality=False)] == ["lp max"]
-        assert [label for label, _ in poly.step_gaps(x, 100.0, 0, equality=True)] == ["affine hull"]
+        assert [label for label, _ in poly.step_gaps(x, 100.0, 0, equality=True)] == ["node residual"]
         for _, gaps in hull_gaps:
             assert gaps.shape == (space.n_cells(0),)
 

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from superhedge import (
+    EQ_TOL,
     AdaptedProcess,
     GeneratorHull,
     KTerm,
+    MartingalePolytope,
     MeasureDependent,
     NotNonincreasing,
     NotUnitClaim,
@@ -68,6 +70,29 @@ class TestVerdicts:
         assert is_supermartingale(space, poly, f).ok
         g = AdaptedProcess(space, [[9.0, 9.0], [20.0, 0.0]])
         assert not is_supermartingale(space, poly, g).ok
+
+
+    def test_conditional_miss_on_a_light_node_fails(self):
+        """On a 1,024-outcome binomial tree every time-9 node carries mass
+        2**-9.  A last-step miss of 45 times EQ_TOL * scale in one node's
+        conditional mean is a mass-weighted miss of a tenth of the bound;
+        the node's own residual sees all of it."""
+        N = 10
+        n = 2 ** N
+        space = build_space(n, [[tuple(range(c * 2 ** (N - t), (c + 1) * 2 ** (N - t)))
+                                 for c in range(2 ** t)] for t in range(N + 1)])
+        ups = np.array([[(w >> (N - s)) & 1 for w in range(n)] for s in range(1, N + 1)])
+        steps = np.cumsum(2 * ups - 1, axis=0)
+        asset = AdaptedProcess(space, 100.0 + 5.0 * np.vstack([np.zeros(n), steps]))
+        poly = MartingalePolytope(space, [asset])
+        assert is_martingale(space, poly, asset).ok
+        values = asset.values.copy()
+        scale = 1.0 + np.abs(values).max()
+        values[N, 0] += 2 * 45 * EQ_TOL * scale   # one child of a node with moves +-5
+        report = is_martingale(space, poly, AdaptedProcess(space, values))
+        assert not report.ok
+        assert [(v.time, v.cell) for v in report.violations] == [(N, 0)]
+        assert report.violations[0].gap == pytest.approx(45 * EQ_TOL * scale, rel=1e-3)
 
 
 class TestEssSupProcess:

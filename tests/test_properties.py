@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from superhedge import (
     EQ_TOL,
+    MASS_TOL,
     AdaptedProcess,
     GeneratorHull,
     MartingalePolytope,
@@ -20,6 +21,7 @@ from superhedge import (
     conditional_expectation,
     ess_sup_conditional,
     fair_price_full,
+    is_martingale,
     is_supermartingale,
     is_unit_claim,
     local_regular_witness,
@@ -188,7 +190,7 @@ def test_closure_vertices_satisfy_asset_equalities():
     delta=st.sampled_from([0.0, 1e-5, 1e-3, 0.1]),
 )
 def test_polytope_unit_claim_matches_lp_oracle(seed, complete, delta):
-    """The linear affine-hull test agrees with the extremes of E over the
+    """The node-local equality test agrees with the extremes of E over the
     closure: a perturbed mix of asset-ratio claims is a unit claim iff its
     largest and smallest expectations are both one."""
     from gen import complete_polytope, random_market_tree
@@ -216,11 +218,14 @@ def test_polytope_unit_claim_matches_lp_oracle(seed, complete, delta):
     second_asset=st.sampled_from(["none", "same scale", "mixed scales"]),
 )
 def test_node_local_free_dimension_matches_global_rank(seed, complete, second_asset):
-    """The node-local free directions span the null space of the whole
-    equality matrix: as many as its nullity, each one in it, and linearly
-    independent.  The polytope's functionals are the interior member and
-    these directions."""
-    from gen import complete_polytope, equality_system, random_market_tree
+    """The null space of the whole equality system is node-local: its
+    dimension, the count of the global oracle's free directions, is the sum
+    over nodes of the child count less the node's rank (one for the total
+    mass plus the rank of its asset moves, by the library's rules), plus
+    each terminal cell's outcome count less one.  This is what lets the
+    node replication residual decide an identity under every member."""
+    from gen import (_asset_unit, complete_polytope, equality_system, expectation_functionals,
+                     random_market_tree)
 
     rng = np.random.default_rng(seed)
     if complete:
@@ -238,12 +243,21 @@ def test_node_local_free_dimension_matches_global_rank(seed, complete, second_as
         poly = MartingalePolytope(space, [asset, price * np.array(rows)])
     A_eq, _ = equality_system(poly)
     expected = space.outcome_count - int(np.linalg.matrix_rank(A_eq))
-    functionals = poly.expectation_functionals()
-    assert len(functionals) == 1 + expected
-    if expected:
-        basis = np.array([w for w, _ in functionals[1:]]).T
-        assert np.abs(A_eq @ basis).max() <= 1e-12 * (1.0 + np.abs(A_eq).max())
-        assert np.linalg.matrix_rank(basis) == expected
+    assert len(expectation_functionals(poly)) == 1 + expected
+
+    unit = np.array([_asset_unit(a) for a in poly.assets])
+    flat = MASS_TOL * (1.0 + np.array([np.abs(a.values).max() for a in poly.assets]))
+    node_local = sum(len(cell) - 1 for cell in space.cells[-1])
+    for t in range(space.horizon):
+        for c, kids in enumerate(space.children[t]):
+            moves = np.array([[a.values[t + 1, space.cell_rep(t + 1, k)]
+                               - a.values[t, space.cell_rep(t, c)] for a in poly.assets]
+                              for k in kids])
+            moves[np.abs(moves) <= flat] = 0.0
+            sv = np.linalg.svd(moves / unit, compute_uv=False)
+            rank = int((sv > np.sqrt(np.finfo(float).eps) * sv.max(initial=0.0)).sum())
+            node_local += len(kids) - 1 - rank
+    assert node_local == expected
 
 
 @settings(max_examples=80, deadline=None)
@@ -360,7 +374,7 @@ def test_node_local_witness_matches_lp_oracle(seed, kind):
     functionals; and its sum over each cell's children is never above the
     LP's, which on a polytope without free directions gives the constant
     conditional mean instead."""
-    from gen import local_regular_witness_lp, random_supermartingale
+    from gen import expectation_functionals, local_regular_witness_lp, random_supermartingale
 
     rng = np.random.default_rng(seed)
     space, poly = _sup_instance(rng, kind)
@@ -370,7 +384,7 @@ def test_node_local_witness_matches_lp_oracle(seed, kind):
     oracle = local_regular_witness_lp(space, poly, f)
     scale = 1.0 + float(np.abs(f.values).max())
     got, want = (np.diff(d.compensator.values, axis=0) for d in (dec, oracle))
-    if len(poly.expectation_functionals()) > 1:
+    if len(expectation_functionals(poly)) > 1:
         assert np.abs(got - want).max() <= 1e-9 * scale
     for ours, lp in zip(_children_sums(space, got), _children_sums(space, want)):
         assert (ours - lp).max() <= 1e-9 * scale
@@ -543,28 +557,87 @@ def test_batched_representation_matches_per_cell_lstsq(seed, kind, noise):
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
-    kind=st.sampled_from(["tree", "complete", "two assets", "wide node"]),
+    kind=st.sampled_from(["tree", "complete", "two assets", "mixed scales"]),
 )
-def test_affine_hull_gaps_match_per_cell_loop(seed, kind):
-    """The equality gaps summed per cell with reduceat equal the per-cell dot
-    products with the interior member and each null-basis vector."""
+def test_martingale_verdict_and_representation_agree(seed, kind):
+    """With 1e-8 terminal noise, a polytope martingale passes is_martingale
+    exactly when martingale_representation returns its holdings; both read
+    one replication residual, so neither can accept what the other
+    rejects."""
     rng = np.random.default_rng(seed)
     space, poly = _sup_instance(rng, kind)
-    functionals = [w for w, _ in poly.expectation_functionals()]
-    for t in range(space.horizon + 1):
-        x = rng.normal(scale=10.0, size=space.outcome_count)
-        base = rng.normal(scale=10.0, size=space.n_cells(t))[space.atom_index[t]]
-        if rng.random() < 0.5:
-            base = float(base[0])
-        (label, gaps), = poly.step_gaps(x, base, t, equality=True)
-        centred = x - base
-        expected = np.array([
-            max(abs(float(centred[list(cell)] @ w[list(cell)])) for w in functionals)
-            for cell in space.cells[t]
-        ])
-        assert label == "affine hull"
-        assert gaps.shape == expected.shape
-        assert np.abs(gaps - expected).max() <= 1e-12 * (1.0 + np.abs(centred).max())
+    proc = _polytope_martingale(rng, space, poly, 1e-8)
+    represented = not isinstance(_verdict(martingale_representation, space, poly, proc), tuple)
+    assert is_martingale(space, poly, proc).ok == represented
+
+
+def _oracle_gaps(space, functionals, x, base, t):
+    """Per time-t cell, the largest |w @ (x - base)| over the cell for the
+    global oracle's functionals (gen.expectation_functionals), the
+    reference member's divided by its mass on the cell."""
+    centred = np.asarray(x, dtype=float) - base
+    (q, _), *null = functionals
+    gaps = []
+    for cell in space.cells[t]:
+        idx = list(cell)
+        sums = [abs(float(centred[idx] @ q[idx])) / q[idx].sum()]
+        gaps.append(max(sums + [abs(float(centred[idx] @ v[idx])) for v, _ in null]))
+    return np.array(gaps)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(SUP_KINDS))
+def test_node_residual_matches_lstsq_and_global_oracle(seed, kind):
+    """The equality gap of an F_{t+1}-measurable step is the per-cell
+    least-squares replication residual (gen.hedge_ratios_lstsq).  For any
+    x it is the largest such residual on or below each time-t cell of the
+    reference member's conditional expectations, from base at time t,
+    together with each terminal cell's spread about its mean.  The verdicts
+    of is_martingale and is_unit_claim agree with the global oracle on
+    martingales and unit claims and on the same knocked off by 1e-3."""
+    from gen import expectation_functionals, hedge_ratios_lstsq
+
+    rng = np.random.default_rng(seed)
+    space, poly = _sup_instance(rng, kind)
+    N, n = space.horizon, space.outcome_count
+    values = np.array([rng.normal(scale=10.0, size=space.n_cells(t))[space.atom_index[t]]
+                       for t in range(N + 1)])
+    scale = 1.0 + float(np.abs(values).max())
+    _, residuals = hedge_ratios_lstsq(poly, values)
+    for t in range(N):
+        (label, gaps), = poly.step_gaps(values[t + 1], values[t], t, equality=True)
+        assert label == "node residual"
+        assert np.abs(gaps - residuals[t]).max() <= 1e-12 * scale
+
+    x = rng.normal(scale=10.0, size=n)
+    ref = poly.reference()
+    for t in range(N + 1):
+        base = values[t]
+        rows = np.array([conditional_expectation(space, ref, x, s) for s in range(N + 1)])
+        rows[t] = base
+        _, misses = hedge_ratios_lstsq(poly, rows)
+        expected = np.zeros(space.n_cells(t))
+        per_cell = [(s, misses[s]) for s in range(t, N)]
+        per_cell.append((N, np.maximum.reduceat(np.abs(x - rows[N])[space._cell_groups[N][0]],
+                                                space._cell_groups[N][1])))
+        for s, miss in per_cell:
+            ancestors = space.atom_index[t][cell_reps(space, s)]
+            np.maximum.at(expected, ancestors, miss)
+        (_, gaps), = poly.step_gaps(x, base, t, equality=True)
+        assert np.abs(gaps - expected).max() <= 1e-12 * (1.0 + np.abs(x).max() + np.abs(base).max())
+
+    functionals = expectation_functionals(poly)
+    family, _ = asset_ratio_family(poly)
+    claim = rng.dirichlet(np.ones(len(family))) @ np.array(family)
+    for knock in (0.0, 1e-3):
+        proc = _polytope_martingale(rng, space, poly, knock)
+        tol = EQ_TOL * (1.0 + float(np.abs(proc.values).max()))
+        oracle = all((_oracle_gaps(space, functionals, proc.values[m], proc.values[m - 1], m - 1)
+                      <= tol).all() for m in range(1, N + 1))
+        assert is_martingale(space, poly, proc).ok == oracle
+        xi = claim + knock * rng.uniform(-1.0, 1.0, size=n)
+        oracle = (_oracle_gaps(space, functionals, xi, 1.0, 0) <= EQ_TOL).all()
+        assert is_unit_claim(space, poly, xi) == oracle
 
 
 @settings(max_examples=40, deadline=None)
