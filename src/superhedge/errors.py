@@ -3,8 +3,10 @@
 Two broad families: ValidationError for malformed inputs (bad partitions,
 non-adapted matrices, invalid measures) and MathError for well-formed inputs
 on which the requested construction does not exist (infeasible decomposition,
-missing representation, incomplete measure family).  The CLI maps the first
-family to exit code 2 and the second to exit code 3.
+missing representation, incomplete measure family), or on which the library
+could not finish it (a solver without a verdict, a result that fails its own
+self-check).  The CLI maps the first family to exit code 2 and the second to
+exit code 3.
 """
 
 from __future__ import annotations
@@ -58,16 +60,19 @@ class NotNonincreasing(ValidationError):
     pass
 
 
-class InvalidDecomposition(ValidationError):
-    """A decomposition fails its reconstruction or monotonicity contract."""
-
-
 class ZeroInitialValue(ValidationError):
     pass
 
 
 class MathError(SuperhedgeError):
-    """The requested object provably does not exist for this input."""
+    """The requested object provably does not exist for this input, or the
+    library could not build it: a solver without a verdict, or a result
+    that fails its own self-check."""
+
+
+class InvalidDecomposition(MathError):
+    """A decomposition the library built fails its own reconstruction,
+    compensator or martingale check."""
 
 
 class NotSupermartingale(MathError):

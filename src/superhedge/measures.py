@@ -20,17 +20,18 @@ the family is cond_exp_sup at time 0.  Two concrete families are supported:
   about the family is a question about one node at a time.  Per-cell
   suprema of conditional expectations are a backward induction of one-step
   problems over a node's children (closed form for one asset, small linear
-  solves for more).  A super-martingale's compensator step on a node's
-  children is drop + h . moves for holdings h that keep it nonnegative (an
-  interval per node for one asset, a small LP per node for more where a
-  projection does not replicate the drop), and a claim's least superhedge
-  is its envelope plus the envelope's compensator.  An identity holds under
-  every member iff on every node the increments towards the children are
-  replicated by the asset moves: the node's replication residual, from one
-  flat table of all (node, child) pairs, gives the martingale test and the
-  holdings that represent a martingale.  Each asset is measured in its own
-  power-of-two unit, so that the verdicts do not depend on the assets'
-  relative scale.
+  solves for more).  A super-martingale's compensator on a node's children
+  is drop + h . moves for holdings h that keep it nonnegative (an interval
+  per node for one asset, a small LP per node for more where a projection
+  does not replicate the drop).  One flat table of all (node, child) pairs
+  gives it for every node of a range of times in one sweep, and a claim's
+  least superhedge is its envelope plus the envelope's compensator, one
+  sweep over the whole tree.  An identity holds under every member iff on
+  every node the increments towards the children are replicated by the
+  asset moves: the node's replication residual, from the same table, gives
+  the martingale test and the holdings that represent a martingale.  Each
+  asset is measured in its own power-of-two unit, so that the verdicts do
+  not depend on the assets' relative scale.
 
 Pricing asks each family for a dominating claim (one LP on a hull, the
 least superhedge on a polytope) and checks it against the domination rows,
@@ -225,7 +226,9 @@ class MeasureSet:
         super-martingale test, and a hull's generators must agree on the
         mean within EQ_TOL * scale.  The LP solver's tolerances judge a
         hull's other cells.  Raises Infeasible(time=t+1, cell) for the
-        lowest time-t cell with no such gamma."""
+        lowest time-t cell with no such gamma.  A polytope takes all of its
+        time-t nodes in one flat sweep over its (node, child) pairs, the
+        sweep its superhedge_capital makes once over the whole tree."""
         raise NotImplementedError
 
 
@@ -595,32 +598,19 @@ def _one_step_sups(groups, vals: np.ndarray, unit: np.ndarray, n_kids: int | Non
 
 
 def _one_asset_holdings(moves: np.ndarray, drops: np.ndarray) -> np.ndarray:
-    """Per node of a one-asset group, with moves and drops of shape (G, k):
-    the holdings h that keep every drop + h * move nonnegative with the
-    least sum.
-
-    The feasible h form the interval [max over up moves of -drop / move,
-    min over down moves of -drop / move], and the sum changes with h by the
-    sum of the moves, so the least sum sits at the lower end when the moves
-    sum to more than zero and at the upper end otherwise.  A flat node
-    trades nothing.  A node whose interval is empty, by rounding or by a
-    shortfall within the super-martingale tolerance, takes the h whose
-    least entry is largest: where the two entries of some straddling pair
-    meet, the pair whose meeting value is lowest.
-    """
-    ratio = np.divide(-drops, moves, out=np.zeros_like(drops), where=moves != 0.0)
-    lo = np.where(moves > 0.0, ratio, -np.inf).max(axis=1)
-    hi = np.where(moves < 0.0, ratio, np.inf).min(axis=1)
-    h = np.where(moves.sum(axis=1) > 0.0, lo, hi)
-    empty = lo > hi
-    if empty.any():
-        m, v = moves[empty], drops[empty]
-        i, j = np.array(list(combinations(range(moves.shape[1]), 2))).T
-        straddle = m[:, i] * m[:, j] < 0.0
-        span = np.where(straddle, m[:, j] - m[:, i], 1.0)
-        meet = np.where(straddle, (v[:, i] * m[:, j] - v[:, j] * m[:, i]) / span, np.inf)
-        h[empty] = ((v[:, i] - v[:, j]) / span)[np.arange(len(m)), meet.argmin(axis=1)]
-    return np.where(np.isfinite(h), h, 0.0)
+    """Per one-asset node whose interval of feasible holdings is empty, with
+    moves and drops of shape (G, k): the h whose least drop + h * move is
+    largest.  The interval can be empty by rounding (on a complete tree its
+    two ends are one value, rounded either way) or by a shortfall within
+    the super-martingale tolerance.  The largest least entry sits where the
+    two entries of some straddling pair meet: of those pairs, the one whose
+    meeting value is lowest."""
+    i, j = np.array(list(combinations(range(moves.shape[1]), 2))).T
+    straddle = moves[:, i] * moves[:, j] < 0.0
+    span = np.where(straddle, moves[:, j] - moves[:, i], 1.0)
+    meet = np.where(straddle, (drops[:, i] * moves[:, j] - drops[:, j] * moves[:, i]) / span,
+                    np.inf)
+    return ((drops[:, i] - drops[:, j]) / span)[np.arange(len(moves)), meet.argmin(axis=1)]
 
 
 def _holdings_lp(moves: np.ndarray, drops: np.ndarray) -> np.ndarray:
@@ -835,49 +825,78 @@ class MartingalePolytope(MeasureSet):
         the time-(m-1) cells, with M_m - M_{m-1} = H_m . (S_m - S_{m-1})."""
         V = self.ess_sup_rows(x)
         scale = 1.0 + float(np.abs(V).max())
-        gammas, holdings = zip(*(self._compensator_step(V[t] - V[t + 1], t, scale)
-                                 for t in range(self.space.horizon)))
-        return V + np.cumsum([np.zeros(self.space.outcome_count), *gammas], axis=0), np.array(holdings)
+        gamma, holdings = self._compensator(V[:-1] - V[1:], 0, scale)
+        return V + np.cumsum(np.r_[np.zeros((1, self.space.outcome_count)), gamma], axis=0), holdings
 
     def compensator_increments(self, drop, t, scale):
-        return self._compensator_step(drop, t, scale)[0]
+        return self._compensator(np.asarray(drop, dtype=float)[None], t, scale)[0][0]
 
-    def _compensator_step(self, drop, t: int, scale: float) -> tuple[np.ndarray, np.ndarray]:
-        """(gamma, h): compensator_increments and its holdings, an (n, d)
-        row constant on the time-t cells.
+    def _compensator(self, drops: np.ndarray, first: int,
+                     scale: float) -> tuple[np.ndarray, np.ndarray]:
+        """(gamma, H) for the drops of a process at times s = first..last-1,
+        last = first + len(drops), row s - first holding f_s - f_{s+1}: per
+        step the compensator increment (compensator_increments), shape
+        (last - first, n), and its holdings, shape (last - first, n, d), row
+        s - first constant on the time-s cells.
 
-        Node by node: the closure is m-stable, so gamma - drop has zero
-        conditional mean under every member iff on each time-t node it is
-        h . moves for some holdings h.  gamma is drop + h . moves for the h
-        that keeps it nonnegative with the least sum over the node's
-        children: in closed form for one asset; for more, the projection's
-        h where it replicates the drop (gamma about 0), else a small LP per
-        node.  Feasibility is judged in value units, gamma >= -EQ_TOL *
-        scale, the tolerance of the super-martingale test."""
-        space = self.space
-        tol = EQ_TOL * scale
-        kids_drop = np.asarray(drop, dtype=float)[cell_reps(space, t + 1)]
-        gamma = np.empty(space.n_cells(t + 1))
-        holdings = np.empty((space.n_cells(t), len(self.assets)))
-        if len(self.assets) > 1:
-            projected, miss = self._replicate(-np.asarray(drop, dtype=float)[None], t, t + 1)
-        for g in self._nodes[t]:
-            drops = kids_drop[g.kids]
-            if len(self.assets) == 1:
-                h = _one_asset_holdings(g.moves[:, 0], drops)[:, None]
-            else:
-                h = projected[g.nodes]
-                lp = miss[g.nodes] > tol
-                if lp.any():
-                    h[lp] = _holdings_lp(g.moves[lp] / self._unit, drops[lp]) / self._unit[:, 0]
-            gamma[g.kids] = drops + np.einsum("gdk,gd->gk", g.moves, h)
-            holdings[g.nodes] = h
-        short = np.flatnonzero(gamma < -tol)
+        Every node at once, from the flat pair table: the closure is
+        m-stable, so gamma - drop has zero conditional mean under every
+        member iff on each node it is h . moves for some holdings h.  gamma
+        is drop + h . moves for the h that keeps it nonnegative with the
+        least sum over the node's children.  With one asset the feasible h
+        form the interval [max over up moves of -drop / move, min over down
+        moves of -drop / move], and the sum changes with h by the sum of the
+        moves, so the least sum sits at the lower end when the moves sum to
+        more than zero and at the upper end otherwise; a flat node trades
+        nothing, and a node whose interval is empty takes
+        _one_asset_holdings.  With more assets h is the projection's where
+        it replicates the drop (gamma about 0), else a small LP per node
+        (_holdings_lp).  Both fallbacks take their nodes by child count.
+        Feasibility is judged in value units, gamma >= -EQ_TOL * scale, the
+        tolerance of the super-martingale test; Infeasible(time=t+1, cell)
+        names the lowest time t, then its lowest cell, with no such gamma."""
+        pairs, n = self._pairs, self.space.outcome_count
+        last, tol = first + len(drops), EQ_TOL * scale
+        span, size, cells, _, index = pairs.levels(first, last)
+        moves = pairs.moves[:, span]
+        b = drops.ravel()[index]
+        if len(moves) == 1:
+            m = moves[0]
+            ratio = np.divide(-b, m, out=np.zeros_like(b), where=m != 0.0)
+            lo, hi = np.full(size, -np.inf), np.full(size, np.inf)
+            np.maximum.at(lo, cells[m > 0.0], ratio[m > 0.0])
+            np.minimum.at(hi, cells[m < 0.0], ratio[m < 0.0])
+            h = np.where(np.bincount(cells, m, size) > 0.0, lo, hi)
+            h = np.where(np.isfinite(h), h, 0.0)[:, None]
+            fallback = np.flatnonzero(lo > hi)
+        else:
+            h, miss = self._replicate(-drops, first, last)
+            fallback = np.flatnonzero(miss > tol)
+        if fallback.size:
+            counts = np.bincount(cells, minlength=size)
+            starts = np.cumsum(counts) - counts
+            for k in np.unique(counts[fallback]):
+                nodes = fallback[counts[fallback] == k]
+                kids = starts[nodes, None] + np.arange(k)
+                if len(moves) == 1:
+                    h[nodes, 0] = _one_asset_holdings(moves[0, kids], b[kids])
+                else:
+                    h[nodes] = _holdings_lp(moves[:, kids].transpose(1, 0, 2) / self._unit,
+                                            b[kids]) / self._unit[:, 0]
+        gamma = b + np.einsum("dp,pd->p", moves, h[cells])
+        short = cells[gamma < -tol]
         if short.size:
-            c = int(space.atom_index[t][cell_reps(space, t + 1)[short]].min())
+            node = int(short.min()) + pairs.offsets[first]
+            t = int(np.searchsorted(pairs.offsets, node, side="right")) - 1
+            c = int(node - pairs.offsets[t])
             raise Infeasible(f"no compensator increment on cell {c} at step {t + 1}",
                              time=t + 1, cell=c)
-        return gamma[space.atom_index[t + 1]], holdings[space.atom_index[t]]
+        steps = np.empty((last - first) * n)
+        steps[index] = gamma
+        rows = np.arange(last - first)[:, None]
+        return (steps[pairs.reps[first + 1:last + 1] + rows * n],
+                h[self.space.atom_index[first:last] + pairs.offsets[first:last, None]
+                  - pairs.offsets[first]])
 
     def contains_masses(self, masses, t):
         # a strictly positive member supplies the conditional extension

@@ -7,11 +7,13 @@ measure.  With eta = alpha * zeta the family answers the full search itself
 generators, a martingale polytope by the least superhedge, its envelope's
 time-0 value and terminal capital from one backward pass.  A second
 program, an LP, prices over the simplex spanned by a finite list of unit
-claims.  Both end in one shared certified tail: the witness is normalized
-into a unit claim and checked against the family's domination rows
-(MeasureSet.domination_rows), and the lower bound sup E^P f_N is the
-family's cond_exp_sup at time 0.  Closed forms for European calls and puts
-against a price-band model are provided for cross-checking.
+claims; the solver gets only the domination rows that beta >= 0 does not
+already meet.  Both end in one shared certified tail: the witness is
+normalized into a unit claim and checked against all of the family's
+domination rows (MeasureSet.domination_rows), and the lower bound
+sup E^P f_N is the family's cond_exp_sup at time 0.  Closed forms for
+European calls and puts against a price-band model are provided for
+cross-checking.
 """
 
 from __future__ import annotations
@@ -91,6 +93,10 @@ def fair_price_generated(space: FilteredSpace, mset: MeasureSet, family, f_N) ->
     With beta_i >= 0 the program minimizes sum(beta) subject to
     sum_i beta_i E^P(xi_i | F_N) >= f_N per terminal cell and member measure;
     the witness claim is the normalized combination sum beta_i xi_i / price.
+    A domination row with no positive bound and no negative coefficient
+    holds for every beta >= 0, so the solver gets only the other rows: a
+    call or a put drops the rows where it pays nothing.  The witness is
+    still checked against every row.
     """
     x = _check_terminal_claim(space, f_N)
     claims = [np.asarray(xi, dtype=float) for xi in family]
@@ -102,7 +108,9 @@ def fair_price_generated(space: FilteredSpace, mset: MeasureSet, family, f_N) ->
 
     C = np.array(claims)  # claims x outcomes
     P, bounds = mset.domination_rows(x)
-    res = _lp.solve(np.ones(len(claims)), A_ub=-_dominated(P, C.T), b_ub=-bounds,
+    rows = _dominated(P, C.T)
+    binds = (bounds > 0.0) | (rows < 0.0).any(axis=1)
+    res = _lp.solve(np.ones(len(claims)), A_ub=-rows[binds], b_ub=-bounds[binds],
                     bounds=(0, None))
     if res.status == 2:
         raise InfeasiblePricing("claim family cannot dominate the payoff "

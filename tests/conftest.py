@@ -1,3 +1,4 @@
+import inspect
 import sys
 from pathlib import Path
 
@@ -62,12 +63,14 @@ def bound_tree_fixture():
 @pytest.fixture
 def lp_calls(monkeypatch):
     """A list that gets one entry per _lp.solve call, every LP of the
-    library included, for as long as the test runs."""
+    library included, for as long as the test runs: the call's arguments
+    by name, defaults left out."""
     calls = []
     solve = _lp.solve
+    signature = inspect.signature(solve)
 
     def counted(*args, **kwargs):
-        calls.append(args)
+        calls.append(signature.bind(*args, **kwargs).arguments)
         return solve(*args, **kwargs)
 
     monkeypatch.setattr(_lp, "solve", counted)

@@ -23,7 +23,9 @@ fair_price_full_lp prices a claim on a polytope by one LP over those
 functionals, against which the least superhedge is checked.
 hedge_ratios_lstsq and martingale_representation_lstsq solve the
 representation one cell at a time by least squares, against which the
-batched projections are checked.
+batched projections are checked, and compensator_per_node takes a
+polytope's compensator step one node at a time, against which its
+whole-tree pass is checked.
 """
 
 from __future__ import annotations
@@ -339,6 +341,79 @@ def compensator_increments_lp(space, mset, drop, t):
         for k, kc in zip(x, kid_cells):
             gamma[kc] = k
     return gamma
+
+
+def compensator_per_node(poly, drop, t, scale):
+    """MartingalePolytope.compensator_increments at time t, one node at a
+    time, with its holdings: (gamma, holdings) as an outcome row and an
+    (n, d) row constant on the time-t cells.
+
+    The library's rules: moves within MASS_TOL of an asset's scale count as
+    flat.  With one asset the holdings are the end of the interval
+    [max over up moves of -drop / move, min over down moves] with the
+    least sum (the lower end when the moves sum to more than zero), none
+    on a flat node, and on a node whose interval is empty the h where the
+    entries of a straddling pair meet, of the pairs the one whose meeting
+    value is lowest.  With more assets they are the least-squares
+    projection in per-asset units where it replicates the drop within
+    EQ_TOL * scale, else one LP per node with the least sum, or the
+    largest least entry when that LP is infeasible.  Raises
+    Infeasible(time=t+1, cell) for the first node with an entry below
+    -EQ_TOL * scale."""
+    space = poly.space
+    d = len(poly.assets)
+    flat = MASS_TOL * (1.0 + np.array([np.abs(a.values).max() for a in poly.assets]))
+    unit = np.array([_asset_unit(a) for a in poly.assets])
+    tol = EQ_TOL * scale
+    gamma = np.zeros(space.outcome_count)
+    holdings = np.zeros((space.outcome_count, d))
+    for c, kids in enumerate(space.children[t]):
+        parent = space.cell_rep(t, c)
+        reps = [space.cell_rep(t + 1, k) for k in kids]
+        A = np.array([[a.values[t + 1, r] - a.values[t, parent] for a in poly.assets]
+                      for r in reps])
+        A[np.abs(A) <= flat] = 0.0
+        b = np.array([float(drop[r]) for r in reps])
+        if d == 1:
+            h = np.array([_interval_holding(A[:, 0].tolist(), b.tolist())])
+        else:
+            h, *_ = np.linalg.lstsq(A / unit, -b, rcond=np.sqrt(np.finfo(float).eps))
+            h = h / unit
+            if np.abs(A @ h + b).max() > tol:
+                a = (A / unit).T
+                res = _lp.solve(a.sum(axis=1), A_ub=-a.T, b_ub=b, bounds=(None, None))
+                if res.status == 2:
+                    res = _lp.solve(np.r_[np.zeros(d), -1.0],
+                                    A_ub=np.hstack([-a.T, np.ones((len(b), 1))]), b_ub=b,
+                                    bounds=(None, None))
+                assert res.status == 0, res.message
+                h = res.x[:d] / unit
+        g = b + A @ h
+        if g.min() < -tol:
+            raise Infeasible(f"no compensator increment on cell {c} at step {t + 1}",
+                             time=t + 1, cell=c)
+        for k, value in zip(kids, g):
+            gamma[space.cell_outcomes(t + 1, k)] = value
+        holdings[list(space.cells[t][c])] = h
+    return gamma, holdings
+
+
+def _interval_holding(moves, drops):
+    """The one-asset holding of compensator_per_node on one node."""
+    ups = [-v / m for m, v in zip(moves, drops) if m > 0.0]
+    downs = [-v / m for m, v in zip(moves, drops) if m < 0.0]
+    lo, hi = max(ups, default=-np.inf), min(downs, default=np.inf)
+    if lo <= hi:
+        h = lo if sum(moves) > 0.0 else hi
+        return h if np.isfinite(h) else 0.0
+    best = None
+    for i, j in combinations(range(len(moves)), 2):
+        if moves[i] * moves[j] < 0.0:
+            span = moves[j] - moves[i]
+            meet = (drops[i] * moves[j] - drops[j] * moves[i]) / span
+            if best is None or meet < best[0]:
+                best = (meet, (drops[i] - drops[j]) / span)
+    return best[1]
 
 
 def local_regular_witness_lp(space, mset, f):

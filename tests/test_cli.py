@@ -59,6 +59,21 @@ def test_infeasible_decomposition_exit_code(capsys):
     assert code == 3
 
 
+def test_failed_self_check_is_math_error(monkeypatch, capsys):
+    """A decomposition that fails the library's own validation is a
+    MathError: decompose exits 3 with one error line."""
+    from superhedge import decomposition
+
+    failing = decomposition.DecompositionReport(False, 1.0, 0.0, 0.0, True)
+    monkeypatch.setattr(decomposition, "validate_decomposition", lambda *args: failing)
+    code = main(["decompose", str(DATA / "hull.json"), "drifting", "--method", "witness"])
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert code == 3
+    assert captured.out == ""
+    assert len(err) == 1 and err[0].startswith("error: decomposition invalid")
+
+
 def test_unknown_claim_is_validation_error(capsys):
     code, _ = run(["price", "binomial.json", "ghost", "--mode", "full"], capsys)
     assert code == 2

@@ -182,6 +182,40 @@ class TestSuperhedge:
                 assert (capital[-1] - claim).min() >= -EQ_TOL * (1.0 + claim.max())
 
 
+def test_hedging_chain_lp_budget(lp_calls):
+    """The benchmark's hedging chain, fair_price_full then superhedge in
+    full and generated mode, solves exactly one LP on a one-asset polytope,
+    generated pricing's over the asset-ratio family: one-asset trees with
+    flat children, complete polytopes and the bound tree.  On a complete
+    two-asset trinomial tree the full chain solves none."""
+    from conftest import bound_tree
+    from gen import complete_polytope, trinomial_two_asset
+
+    rng = np.random.default_rng(1713)
+    markets = [bound_tree()[::2]]
+    for _ in range(5):
+        markets.append(random_market_tree(rng, max_leaves=14, branching=(2, 4),
+                                          flat_prob=0.5)[::2])
+        markets.append(complete_polytope(rng)[::2])
+    for space, poly in markets:
+        for claim in (generic_claim(rng, space), np.zeros(space.outcome_count)):
+            lp_calls.clear()
+            fair_price_full(space, poly, claim)
+            superhedge(space, poly, claim, price_mode="full")
+            assert not lp_calls
+            superhedge(space, poly, claim, price_mode="generated")
+            (call,) = lp_calls
+            assert np.array_equal(call["c"], np.ones(space.horizon + 1))
+    for steps in (2, 3):
+        space, poly = trinomial_two_asset(rng, steps)
+        basket = 0.5 * (poly.assets[0].values[-1] + poly.assets[1].values[-1])
+        claim = np.maximum(basket - 100.0, 0.0)
+        lp_calls.clear()
+        fair_price_full(space, poly, claim)
+        superhedge(space, poly, claim, price_mode="full")
+        assert not lp_calls
+
+
 class TestStrategyChecks:
     def test_zero_strategy(self, binomial):
         space, asset, poly = binomial

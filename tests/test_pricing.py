@@ -327,6 +327,74 @@ def vertex_price_generated(family, P, bounds):
     return res.fun
 
 
+def _tangent_claim(poly):
+    """A unit claim 1 + h (S_N / S_0 - 1) of the first asset, with h such
+    that its least entry is about -1e-14: within the tolerance of a unit
+    claim, but a negative coefficient in every domination row it enters."""
+    ratio = poly.assets[0].values[-1] / poly.assets[0].values[0, 0] - 1.0
+    return 1.0 - (1.0 + 1e-14) / ratio.min() * ratio
+
+
+def _generated_cases(rng):
+    """(space, mset, family, underlying) cases for generated pricing: the
+    bound tree and incomplete one-asset trees with the asset-ratio family
+    and a tangent claim, and compliant hulls with cellwise unit claims.
+    Calls and puts on the underlying vanish on part of the space."""
+    from conftest import bound_tree
+
+    markets = [bound_tree()[::2]] + [random_market_tree(rng, max_leaves=16)[::2]
+                                     for _ in range(8)]
+    for space, poly in markets:
+        if space.n_cells(space.horizon) == 1:
+            continue  # no branching, so no asset move
+        family = asset_ratio_family(poly)[0] + [_tangent_claim(poly)]
+        yield space, poly, family, poly.assets[0].values[-1]
+    for _ in range(6):
+        space = random_space(rng, min_outcomes=4)
+        hull = compliant_hull(rng, space, k=3)
+        family = [np.ones(space.outcome_count)] + [cellwise_unit_claim(rng, space, hull)
+                                                   for _ in range(2)]
+        yield space, hull, family, generic_claim(rng, space, 50.0, 150.0)
+
+
+class TestGeneratedRows:
+    def test_solver_sees_only_rows_beta_does_not_meet(self, lp_calls):
+        """The pricing LP gets exactly the domination rows with a positive
+        bound or a negative coefficient.  Its price is the LP's on every row
+        (vertex_price_generated) within EQ_TOL * scale, and the witness
+        meets every row."""
+        rng = np.random.default_rng(1709)
+        dropped = negative = 0
+        for space, mset, family, S in _generated_cases(rng):
+            for K in np.quantile(S, [0.3, 0.5, 0.8]):
+                for f_N in (np.maximum(S - K, 0.0), np.maximum(K - S, 0.0)):
+                    P, bounds = mset.domination_rows(f_N)
+                    P = np.eye(space.outcome_count) if P is None else P
+                    rows = P @ np.array(family).T
+                    keep = (bounds > 0.0) | (rows < 0.0).any(axis=1)
+                    lp_calls.clear()
+                    result = fair_price_generated(space, mset, family, f_N)
+                    (call,) = lp_calls
+                    assert np.array_equal(call["A_ub"], -rows[keep])
+                    assert np.array_equal(call["b_ub"], -bounds[keep])
+                    dropped += int((~keep).sum())
+                    negative += int((keep & (bounds <= 0.0)).sum())
+                    scale = 1.0 + float(np.abs(f_N).max()) + abs(result.price)
+                    oracle = vertex_price_generated(family, P, bounds)
+                    assert abs(result.price - oracle) <= EQ_TOL * scale
+                    eta = result.price * result.witness_claim
+                    assert (bounds - P @ eta).max() <= EQ_TOL * scale
+                    assert result.witness_bound.ok
+        assert dropped and negative
+
+    def test_zero_claim_prices_zero(self):
+        rng = np.random.default_rng(1711)
+        for space, mset, family, _ in _generated_cases(rng):
+            result = fair_price_generated(space, mset, family, np.zeros(space.outcome_count))
+            assert result.price == 0.0
+            assert result.witness_bound.ok
+
+
 class TestPolytopeDominationOracle:
     def test_prices_and_witnesses_match_vertex_rows(self):
         """Pointwise domination prices a polytope exactly as the rows on

@@ -10,6 +10,7 @@ from superhedge import (
     MASS_TOL,
     AdaptedProcess,
     GeneratorHull,
+    Infeasible,
     MartingalePolytope,
     NoRepresentation,
     NotMartingale,
@@ -413,6 +414,88 @@ def test_least_superhedge_prices_like_the_lp(seed, kind):
     assert hedged.price == capital[0, 0] == result.price
     assert verify_self_financing(strategy).ok
     assert (capital[-1] - claim).min() >= -EQ_TOL * scale
+
+
+def test_whole_tree_compensator_matches_steps_and_node_oracle(lp_calls, monkeypatch):
+    """On polytopes of every kind, superhedge_capital's capital is the
+    claim's envelope plus the running sum of compensator_increments taken
+    step by step, and its holdings are each single step's, bit for bit;
+    both match the per-node oracle (gen.compensator_per_node) within 1e-9
+    of scale, the holdings in value units.  The instances include complete
+    trees, whose one-asset intervals are degenerate and round to empty,
+    and two-asset nodes solved by LP."""
+    from gen import compensator_per_node, generic_claim
+    from superhedge import measures
+
+    empty = []
+    maximin = measures._one_asset_holdings
+    monkeypatch.setattr(measures, "_one_asset_holdings",
+                        lambda moves, drops: empty.append(len(moves)) or maximin(moves, drops))
+    lp_nodes = 0
+    for i, kind in enumerate(SUP_KINDS):
+        rng = np.random.default_rng(8200 + i)
+        for _ in range(15):
+            space, poly = _sup_instance(rng, kind)
+            claim = generic_claim(rng, space)
+            N, n = space.horizon, space.outcome_count
+            V = poly.ess_sup_rows(claim)
+            scale = 1.0 + float(np.abs(V).max())
+            lp_calls.clear()
+            M, H = poly.superhedge_capital(claim)
+            lp_nodes += len(lp_calls)
+            drops = V[:-1] - V[1:]
+            steps = np.array([poly.compensator_increments(drops[t], t, scale) for t in range(N)])
+            assert np.array_equal(M, V + np.cumsum(np.r_[np.zeros((1, n)), steps], axis=0))
+            single = [poly._compensator(drops[t][None], t, scale)[1][0] for t in range(N)]
+            assert np.array_equal(H, np.array(single))
+            peak = np.array([np.abs(a.values).max() for a in poly.assets])
+            for t in range(N):
+                gamma, h = compensator_per_node(poly, drops[t], t, scale)
+                assert np.abs(steps[t] - gamma).max() <= 1e-9 * scale
+                assert np.abs((H[t] - h) * peak).max() <= 1e-9 * (1.0 + np.abs(h * peak).max())
+    assert lp_nodes and empty
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(SUP_KINDS))
+def test_whole_tree_compensator_names_the_first_infeasible_node(seed, kind):
+    """An envelope knocked below itself by 100 times the tolerance on a few
+    nodes, none below another, has no compensator there.  The whole-tree
+    pass raises Infeasible for the lowest knocked time, then cell, as the
+    step-by-step loop of compensator_increments and the per-node oracle
+    do."""
+    from gen import compensator_per_node, generic_claim
+
+    rng = np.random.default_rng(seed)
+    space, poly = _sup_instance(rng, kind)
+    V = poly.ess_sup_rows(generic_claim(rng, space))
+    N = space.horizon
+    knock = 100.0 * EQ_TOL * (1.0 + float(np.abs(V).max()))
+    drawn = sorted({(t, int(rng.integers(space.n_cells(t))))
+                    for t in rng.integers(N, size=int(rng.integers(1, 4)))})
+    # knocking a child raises its parent's drop towards it, which can make
+    # up for the parent's own knock
+    nodes = [(t, c) for t, c in drawn
+             if not any(space.atom_index[s][space.cell_rep(t, c)] == a for s, a in drawn if s < t)]
+    for t, c in nodes:
+        V[t, list(space.cells[t][c])] -= knock
+    scale = 1.0 + float(np.abs(V).max())
+    drops = V[:-1] - V[1:]
+
+    def first_infeasible(step):
+        try:
+            for t in range(N):
+                step(drops[t], t, scale)
+        except Infeasible as e:
+            return e.time, e.cell
+        return None
+
+    with pytest.raises(Infeasible) as whole:
+        poly._compensator(drops, 0, scale)
+    expected = (nodes[0][0] + 1, nodes[0][1])
+    assert (whole.value.time, whole.value.cell) == expected
+    assert first_infeasible(poly.compensator_increments) == expected
+    assert first_infeasible(lambda drop, t, s: compensator_per_node(poly, drop, t, s)) == expected
 
 
 def _full_rank_nodes(space, poly):
