@@ -23,9 +23,8 @@ from .hedging import (
     verify_self_financing,
 )
 from .measures import is_unit_claim
-from .pricing import euro_call_price, euro_put_price, fair_price_full, fair_price_generated, sup_expectation
+from .pricing import euro_call_price, euro_put_price, fair_price_full, fair_price_generated
 from .processes import is_martingale, is_supermartingale
-from .spaces import AdaptedProcess
 from .tolerances import EQ_TOL
 
 EXIT_OK = 0
@@ -45,13 +44,15 @@ def _cell_name(space, t: int, c: int) -> str:
     return "{" + ",".join(str(w) for w in space.cells[t][c]) + "}"
 
 
-def _print_rows(out, space, values, indent="  "):
+def _cells_text(space, t: int, row) -> str:
+    """The time-t cells of an outcome row, as {outcomes}=value pairs."""
+    return " ".join(f"{_cell_name(space, t, c)}={fmt(row[space.cell_rep(t, c)])}"
+                    for c in range(space.n_cells(t)))
+
+
+def _print_rows(out, space, values):
     for t in range(space.horizon + 1):
-        parts = [
-            f"{_cell_name(space, t, c)}={fmt(values[t, space.cell_rep(t, c)])}"
-            for c in range(space.n_cells(t))
-        ]
-        out.write(f"{indent}t={t}: " + " ".join(parts) + "\n")
+        out.write(f"  t={t}: {_cells_text(space, t, values[t])}\n")
 
 
 def cmd_check(args, out) -> int:
@@ -137,11 +138,7 @@ def cmd_decompose(args, out) -> int:
     if dec.step_claims is not None:
         out.write(f"shift: {fmt(dec.shift)}\n")
         for n, claim in enumerate(dec.step_claims, start=1):
-            parts = [
-                f"{_cell_name(space, n, c)}={fmt(claim[space.cell_rep(n, c)])}"
-                for c in range(space.n_cells(n))
-            ]
-            out.write(f"step claim {n}: " + " ".join(parts) + "\n")
+            out.write(f"step claim {n}: {_cells_text(space, n, claim)}\n")
     report = validate_decomposition(space, mset, proc, dec)
     out.write(
         f"re-verify: reconstruction={fmt(report.reconstruction_error)} "
@@ -308,18 +305,11 @@ def main(argv=None) -> int:
     out = sys.stdout
     try:
         return args.func(args, out)
-    except ValidationError as exc:
+    except (SuperhedgeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except MathError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MATH
-    except SuperhedgeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        if isinstance(exc, MathError):
+            return EXIT_MATH
+        return EXIT_IO if isinstance(exc, OSError) else EXIT_VALIDATION
 
 
 if __name__ == "__main__":

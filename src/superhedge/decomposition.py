@@ -122,12 +122,8 @@ def local_regular_witness(space: FilteredSpace, mset: MeasureSet, f) -> Decompos
         for m in range(1, space.horizon + 1)
     ]
     g = np.cumsum([np.zeros(space.outcome_count)] + steps, axis=0)
-    dec = Decomposition(
-        martingale=AdaptedProcess(space, proc.values + g),
-        compensator=AdaptedProcess(space, g),
-        step_claims=None,
-        shift=0.0,
-    )
+    dec = Decomposition(martingale=AdaptedProcess(space, proc.values + g),
+                        compensator=AdaptedProcess(space, g))
     return _validated(space, mset, proc, dec)
 
 
@@ -208,7 +204,7 @@ def optional_decomposition_complete(
     mart[0] = shifted[0]
     for n in range(1, space.horizon + 1):
         ratio = shifted[n] / shifted[n - 1]
-        sup_exp = mset.cond_exp_sup(ratio, 0).values[0]
+        sup_exp = mset.ess_sup_rows(ratio)[0, 0]
         normalized = ratio / sup_exp
         alpha = _alpha(space, n, increments[n - 1], normalized)
         claim = 1.0 + alpha * increments[n - 1][space.atom_index[n]]

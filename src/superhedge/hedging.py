@@ -167,8 +167,8 @@ def superhedge(
 
     if price_mode == "full":
         x = _check_terminal_claim(space, f_N)
-        M, holdings = mset.superhedge_capital(x)
-        result = _certified(space, mset, x, float(M[0, 0]), M[-1])
+        M, holdings, q_star = mset.superhedge_capital(x)
+        result = _certified(space, mset, x, float(M[0, 0]), M[-1], float(q_star @ x))
     elif price_mode == "generated":
         family, index = asset_ratio_family(mset)
         result = fair_price_generated(space, mset, family, f_N)
@@ -189,10 +189,6 @@ def superhedge(
 
     g = np.zeros((N + 1, n))
     g[N] = capital[N] - f_N
-    dec = Decomposition(
-        martingale=AdaptedProcess(space, capital),
-        compensator=AdaptedProcess(space, g),
-        step_claims=None,
-        shift=0.0,
-    )
+    dec = Decomposition(martingale=AdaptedProcess(space, capital),
+                        compensator=AdaptedProcess(space, g))
     return strategy, dec, result

@@ -153,7 +153,9 @@ def parse_market(doc: dict) -> MarketModel:
     )
 
 
-def load_market(path: str) -> MarketModel:
+def _load_object(path: str) -> dict:
+    """The JSON object in the file; malformed JSON or another top-level
+    value is a ValidationError."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
@@ -161,7 +163,11 @@ def load_market(path: str) -> MarketModel:
             raise ValidationError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}") from exc
     if not isinstance(doc, dict):
         raise ValidationError(f"{path}: top level must be an object")
-    return parse_market(doc)
+    return doc
+
+
+def load_market(path: str) -> MarketModel:
+    return parse_market(_load_object(path))
 
 
 def market_document(model: MarketModel) -> dict:
@@ -215,13 +221,7 @@ def load_strategy(path: str) -> dict:
     shape: cash and risky numeric arrays, assets a list of names and price
     a number.  Whether the assets exist is a question for the market it is
     checked against."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}") from exc
-    if not isinstance(doc, dict):
-        raise ValidationError(f"{path}: top level must be an object")
+    doc = _load_object(path)
     for key in ("cash", "risky"):
         if key not in doc:
             raise ValidationError(f"{path}: strategy lacks {key!r}")

@@ -3,8 +3,9 @@
 Every family implements one contract, MeasureSet, and no other module tells
 the families apart.  The contract has eight methods: reference,
 dominating_claim, domination_rows, cond_exp_sup, ess_sup_rows, step_gaps,
-contains_masses and compensator_increments.  The largest expectation over
-the family is cond_exp_sup at time 0.  Two concrete families are supported:
+contains_masses and compensator_increments.  Each family serves its sups
+from one private routine; the largest expectation over the family is
+row 0 of ess_sup_rows.  Two concrete families are supported:
 
 * GeneratorHull -- the convex hull of finitely many strictly positive
   measures.  Conditional expectations under any hull member are positively
@@ -18,12 +19,13 @@ the family is cond_exp_sup at time 0.  Two concrete families are supported:
   {q >= 0, asset equalities, total mass 1}.  Its closure is m-stable: a
   member is one martingale kernel per node of the tree, so every question
   about the family is a question about one node at a time.  Per-cell
-  suprema of conditional expectations are a backward induction of one-step
-  problems over a node's children (closed form for one asset, small linear
-  solves for more).  A super-martingale's compensator on a node's children
-  is drop + h . moves for holdings h that keep it nonnegative (an interval
-  per node for one asset, a small LP per node for more where a projection
-  does not replicate the drop).  One flat table of all (node, child) pairs
+  suprema of conditional expectations are one backward induction of
+  one-step problems over a node's children (closed form for one asset,
+  small linear solves for more) that records each node's maximiser.  A
+  super-martingale's compensator on a node's children is drop + h . moves
+  for holdings h that keep it nonnegative (an interval per node for one
+  asset, a small LP per node for more where a projection does not
+  replicate the drop).  One flat table of all (node, child) pairs
   gives it for every node of a range of times in one sweep, and a claim's
   least superhedge is its envelope plus the envelope's compensator, one
   sweep over the whole tree.  An identity holds under every member iff on
@@ -33,8 +35,10 @@ the family is cond_exp_sup at time 0.  Two concrete families are supported:
   asset is measured in its own power-of-two unit, so that the verdicts do
   not depend on the assets' relative scale.
 
-Pricing asks each family for a dominating claim (one LP on a hull, the
-least superhedge on a polytope) and checks it against the domination rows,
+Pricing asks each family for a dominating claim and a lower bound (one LP
+and the largest generator expectation on a hull; on a polytope the least
+superhedge and E^{Q*} x, Q* the checked closure member that the same
+induction's maximisers attain) and checks the claim against the rows
 domination_rows(x) -> (P, b): a claim eta dominates the terminal claim x
 under every member measure iff P @ eta >= b.  A hull gives one row per
 (generator, terminal cell).  A polytope gives P = None, which stands for
@@ -62,6 +66,7 @@ from .errors import (
     Infeasible,
     InfeasiblePricing,
     InvalidMeasure,
+    MathError,
     MeasureDependent,
     NoEquivalentMartingaleMeasure,
     NotUnitClaim,
@@ -176,10 +181,13 @@ class MeasureSet:
         """A canonical strictly positive member measure."""
         raise NotImplementedError
 
-    def dominating_claim(self, x) -> tuple[float, np.ndarray]:
-        """(alpha, eta) for a terminal claim x: the least alpha such that some
-        eta >= 0 with E^P(eta) = alpha under every member dominates x
-        (domination_rows), and that eta.  alpha is the fair price."""
+    def dominating_claim(self, x) -> tuple[float, np.ndarray, float]:
+        """(alpha, eta, lower bound) for a terminal claim x: the least alpha
+        such that some eta >= 0 with E^P(eta) = alpha under every member
+        dominates x (domination_rows), that eta, and sup E^P x computed on
+        its own: the largest generator expectation, or E^{Q*} x for the
+        checked closure member Q* (superhedge_capital).  alpha is the fair
+        price."""
         raise NotImplementedError
 
     def domination_rows(self, x) -> tuple[np.ndarray | None, np.ndarray]:
@@ -190,12 +198,13 @@ class MeasureSet:
         raise NotImplementedError
 
     def cond_exp_sup(self, x, t: int) -> EssSupRow:
-        """Per-cell sup of E^P(x | F_t) over the closure of the family; at
-        t = 0 its single value is the largest expectation of x."""
+        """Per-cell sup of E^P(x | F_t) over the closure of the family, and
+        per cell what attains it (EssSupRow)."""
         raise NotImplementedError
 
     def ess_sup_rows(self, x) -> np.ndarray:
-        """The rows cond_exp_sup(x, t).values for t = 0..N, shape (N+1, n)."""
+        """The rows cond_exp_sup(x, t).values for t = 0..N, shape (N+1, n),
+        with nothing attaining them built; row 0 is the largest expectation."""
         raise NotImplementedError
 
     def step_gaps(self, x, base, t: int, equality: bool) -> list[tuple[str, np.ndarray]]:
@@ -257,7 +266,8 @@ class GeneratorHull(MeasureSet):
 
     def dominating_claim(self, x):
         # one LP in (alpha, eta): every generator's expectation of eta is
-        # alpha, and eta meets the domination rows
+        # alpha, and eta meets the domination rows; the lower bound is the
+        # largest generator expectation of x
         P, bounds = self.domination_rows(x)
         res = _lp.solve(np.r_[1.0, np.zeros(self.space.outcome_count)],
                         A_ub=np.hstack([np.zeros((len(P), 1)), -P]), b_ub=-bounds,
@@ -265,7 +275,7 @@ class GeneratorHull(MeasureSet):
                         b_eq=np.zeros(self.k))
         if res.status != 0:
             raise InfeasiblePricing(f"pricing LP failed (status {res.status}): {res.message}")
-        return float(res.fun), res.x[1:]
+        return float(res.fun), res.x[1:], float(self._generator_rows(x, [0]).max())
 
     def domination_rows(self, x):
         # one row per (generator, terminal cell): the cell's generator mass
@@ -283,28 +293,26 @@ class GeneratorHull(MeasureSet):
         return P, bounds
 
     def cond_exp_sup(self, x, t):
-        x = np.asarray(x, dtype=float)
-        rows = np.array([_condexp_row(self.space, p, x, t) for p in self._matrix])
-        values = rows.max(axis=0)
+        rows = self._generator_rows(x, [t])[0]
         attained = tuple(int(np.argmax(rows[:, r])) for r in cell_reps(self.space, t))
-        return EssSupRow(values=values, attained=attained)
+        return EssSupRow(values=rows.max(axis=0), attained=attained)
 
     def ess_sup_rows(self, x):
         # a hull is not m-stable, so every time takes its own generator maxima
+        return self._generator_rows(x, range(self.space.horizon + 1)).max(axis=1)
+
+    def _generator_rows(self, x, times) -> np.ndarray:
+        """Every generator's E(x | F_t), t in times, shape (len(times), k, n).
+        A member's is a positively weighted average of these, so their
+        maximum is the per-cell sup, attained by the argmax generator."""
         x = np.asarray(x, dtype=float)
         return np.array([[_condexp_row(self.space, p, x, t) for p in self._matrix]
-                         for t in range(self.space.horizon + 1)]).max(axis=1)
+                         for t in times])
 
     def step_gaps(self, x, base, t, equality):
-        # every member's conditional expectation is a positively weighted
-        # average of the generators', so the generators decide
-        x = np.asarray(x, dtype=float)
-        reps = cell_reps(self.space, t)
-        out = []
-        for i, p in enumerate(self._matrix):
-            gaps = (_condexp_row(self.space, p, x, t) - base)[reps]
-            out.append((f"generator {i}", np.abs(gaps) if equality else gaps))
-        return out
+        # the generators decide (_generator_rows)
+        gaps = (self._generator_rows(x, [t])[0] - base)[:, cell_reps(self.space, t)]
+        return [(f"generator {i}", np.abs(g) if equality else g) for i, g in enumerate(gaps)]
 
     def contains_masses(self, masses, t):
         # the restriction of the hull to time t is the hull of the
@@ -328,10 +336,8 @@ class GeneratorHull(MeasureSet):
         space = self.space
         tol = EQ_TOL * scale
         drop = np.asarray(drop, dtype=float)
-        atoms, n_cells = space.atom_index[t], space.n_cells(t)
-        means = np.array([np.bincount(atoms, weights=drop * w, minlength=n_cells)
-                          / np.bincount(atoms, weights=w, minlength=n_cells)
-                          for w in self._matrix])
+        atoms = space.atom_index[t]
+        means = self._generator_rows(drop, [t])[0][:, cell_reps(space, t)]
         lo, hi = means.min(axis=0), means.max(axis=0)
         forced = np.array([len(kids) == 1 for kids in space.children[t]]) | (self.k == 1)
         bad = np.flatnonzero(forced & ((hi - lo > tol) | (lo < -tol)))[:1].tolist()
@@ -570,31 +576,29 @@ def _candidate_kernels(moves: np.ndarray):
     return support, weights, np.where(ok, 0.0, -np.inf)
 
 
-def _one_step_sups(groups, vals: np.ndarray, unit: np.ndarray, n_kids: int | None = None):
+def _one_step_sups(groups, vals: np.ndarray, unit: np.ndarray):
     """One level of the backward induction: per time-t cell, the largest
-    kernel expectation of its children's values vals; and, given the
-    child cell count n_kids, per child cell its weight under its parent's
-    maximising kernel (else None).  A group without candidates takes one LP
-    per node, in the asset units unit (d, 1)."""
+    kernel expectation of its children's values vals; and per group its
+    nodes' maximisers, each node's best candidate (G,) or, for a group
+    without candidates, its kernel (G, k) from one LP per node in the asset
+    units unit (d, 1)."""
     out = np.empty(sum(len(g.nodes) for g in groups))
-    kernel = None if n_kids is None else np.zeros(n_kids)
+    picks = []
     for g in groups:
         v = vals[g.kids]                                              # (G, k)
         if g.support is None:
-            for node, kids, moves, row in zip(g.nodes, g.kids, g.moves, v):
-                out[node], q = _lp.maximize(
-                    row, A_eq=np.vstack([np.ones(len(kids)), moves / unit]),
+            q = np.empty(v.shape)
+            for i, (node, moves, row) in enumerate(zip(g.nodes, g.moves, v)):
+                out[node], q[i] = _lp.maximize(
+                    row, A_eq=np.vstack([np.ones(len(row)), moves / unit]),
                     b_eq=np.r_[1.0, np.zeros(len(moves))])
-                if kernel is not None:
-                    kernel[kids] = q
+            picks.append(q)
             continue
         candidates = (g.weights * v[:, g.support]).sum(axis=2) + g.penalty
         best = candidates.argmax(axis=1)
-        rows = np.arange(len(best))
-        out[g.nodes] = candidates[rows, best]
-        if kernel is not None:
-            np.add.at(kernel, g.kids[rows[:, None], g.support[best]], g.weights[rows, best])
-    return out, kernel
+        out[g.nodes] = candidates[np.arange(len(best)), best]
+        picks.append(best)
+    return out, picks
 
 
 def _one_asset_holdings(moves: np.ndarray, drops: np.ndarray) -> np.ndarray:
@@ -712,8 +716,8 @@ class MartingalePolytope(MeasureSet):
         return self._interior
 
     def dominating_claim(self, x):
-        capital, _ = self.superhedge_capital(x)
-        return float(capital[0, 0]), capital[-1]
+        capital, _, q_star = self.superhedge_capital(x)
+        return float(capital[0, 0]), capital[-1], float(q_star @ x)
 
     def domination_rows(self, x):
         # the closure's vertices put each terminal cell's mass on a single
@@ -722,46 +726,50 @@ class MartingalePolytope(MeasureSet):
         return None, np.array(x, dtype=float)
 
     def cond_exp_sup(self, x, t):
-        """Per-cell sup of E^Q{x | F_t} over the closure, by backward induction.
-
-        The closure is m-stable: below a time-t cell a member is any choice
-        of one martingale kernel per node and any spread inside each
-        terminal cell.  So the sup starts from the max of x on each terminal
-        cell and, level by level up to t, takes each node's largest
-        expectation of its children's values over its martingale kernels.
-        The attaining measure of a cell is the product of the maximising
-        kernels, with each terminal cell's mass on its largest outcome.
-        """
-        x = np.asarray(x, dtype=float)
-        space = self.space
-        tops = self._terminal_tops(x)
-        vals = x[tops]
-        weights = np.zeros(space.outcome_count)
-        weights[tops] = 1.0
-        for s in range(space.horizon - 1, t - 1, -1):
-            vals, kernel = _one_step_sups(self._nodes[s], vals, self._unit, space.n_cells(s + 1))
-            weights *= kernel[space.atom_index[s + 1]]
-        order, starts = space._cell_groups[t]
-        attained = tuple(np.split(weights[order], starts[1:]))
-        return EssSupRow(values=vals[space.atom_index[t]], attained=attained)
+        rows, picks, tops = self._induction(x, t)
+        order, starts = self.space._cell_groups[t]
+        attained = tuple(np.split(self._attaining(picks, tops)[order], starts[1:]))
+        return EssSupRow(values=rows[0], attained=attained)
 
     def ess_sup_rows(self, x):
-        # one backward pass visits every level
-        x = np.asarray(x, dtype=float)
-        space = self.space
-        rows = np.empty((space.horizon + 1, space.outcome_count))
-        vals = x[self._terminal_tops(x)]
-        rows[-1] = vals[space.atom_index[-1]]
-        for s in range(space.horizon - 1, -1, -1):
-            vals, _ = _one_step_sups(self._nodes[s], vals, self._unit)
-            rows[s] = vals[space.atom_index[s]]
-        return rows
+        return self._induction(x, 0)[0]
 
-    def _terminal_tops(self, x: np.ndarray) -> np.ndarray:
-        """Per terminal cell, its first outcome with the largest x."""
+    def _induction(self, x, t: int):
+        """Rows s = t..N of the per-cell sups of E^Q{x | F_s} over the closure,
+        shape (N+1-t, n); the maximisers of each level s < N (_one_step_sups),
+        entry s - t; and each terminal cell's first outcome with the largest
+        x.  The closure is m-stable, so the sup starts from that outcome's x
+        and, level by level, takes each node's largest expectation of its
+        children's values over its martingale kernels."""
+        x = np.asarray(x, dtype=float)
+        space, N = self.space, self.space.horizon
+        tops = np.lexsort((-x, space.atom_index[N]))[space._cell_groups[N][1]]
+        vals = x[tops]
+        rows = np.empty((N + 1 - t, space.outcome_count))
+        rows[-1] = vals[space.atom_index[N]]
+        picks = [None] * (N - t)
+        for s in range(N - 1, t - 1, -1):
+            vals, picks[s - t] = _one_step_sups(self._nodes[s], vals, self._unit)
+            rows[s - t] = vals[space.atom_index[s]]
+        return rows, picks, tops
+
+    def _attaining(self, picks, tops) -> np.ndarray:
+        """Outcome masses of the measures attaining an induction's sups on
+        the cells of its first time (_induction): the product of the
+        maximising kernels, each terminal cell's mass on its top."""
         space = self.space
-        _, starts = space._cell_groups[space.horizon]
-        return np.lexsort((-x, space.atom_index[space.horizon]))[starts]
+        weights = np.zeros(space.outcome_count)
+        weights[tops] = 1.0
+        for s, level in zip(range(space.horizon - 1, -1, -1), reversed(picks)):
+            kernel = np.zeros(space.n_cells(s + 1))
+            for g, pick in zip(self._nodes[s], level):
+                if g.support is None:
+                    kernel[g.kids] = pick
+                else:
+                    rows = np.arange(len(pick))
+                    np.add.at(kernel, g.kids[rows[:, None], g.support[pick]], g.weights[rows, pick])
+            weights *= kernel[space.atom_index[s + 1]]
+        return weights
 
     def step_gaps(self, x, base, t, equality):
         x = np.asarray(x, dtype=float)
@@ -817,16 +825,26 @@ class MartingalePolytope(MeasureSet):
         h, miss = self._replicate(np.diff(np.asarray(values, dtype=float), axis=0), 0, N)
         return h[self.space.atom_index[:N] + offsets[:N, None]], np.split(miss, offsets[1:N])
 
-    def superhedge_capital(self, x) -> tuple[np.ndarray, np.ndarray]:
-        """(M, H) of the least superhedge of the terminal claim x: capital
-        M = V + g, shape (N+1, n), with V = ess_sup_rows(x) and g the running
-        sum of its compensator steps, so M_0 = V_0 = sup E x and M_N >= x;
-        and the compensator's holdings H, shape (N, n, d), row m-1 chosen on
-        the time-(m-1) cells, with M_m - M_{m-1} = H_m . (S_m - S_{m-1})."""
-        V = self.ess_sup_rows(x)
+    def superhedge_capital(self, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(M, H, Q*) of the least superhedge of the terminal claim x, from one
+        backward induction: capital M = V + g, shape (N+1, n), with V =
+        ess_sup_rows(x) and g the running sum of its compensator steps, so
+        M_0 = V_0 = sup E x and M_N >= x; the compensator's holdings H, shape
+        (N, n, d), row m-1 chosen on the time-(m-1) cells, with M_m - M_{m-1}
+        = H_m . (S_m - S_{m-1}); and the outcome masses of the closure member
+        Q* attaining V_0 (_attaining), so E^{Q*} x is a lower bound on the
+        price.  Q* must be nonnegative, of mass 1 within MASS_TOL, and meet
+        every asset equality, or a MathError is raised."""
+        V, picks, tops = self._induction(x, 0)
+        q_star = self._attaining(picks, tops)
+        missed = self.equality_residuals(q_star[tops], self.space.horizon)
+        if q_star.min() < 0.0 or abs(q_star.sum() - 1.0) > MASS_TOL or missed:
+            raise MathError(f"the measure attaining the price fails its own check: least mass "
+                            f"{q_star.min():.3e}, total {q_star.sum():.12g}, {len(missed)} missed")
         scale = 1.0 + float(np.abs(V).max())
         gamma, holdings = self._compensator(V[:-1] - V[1:], 0, scale)
-        return V + np.cumsum(np.r_[np.zeros((1, self.space.outcome_count)), gamma], axis=0), holdings
+        return (V + np.cumsum(np.r_[np.zeros((1, self.space.outcome_count)), gamma], axis=0),
+                holdings, q_star)
 
     def compensator_increments(self, drop, t, scale):
         return self._compensator(np.asarray(drop, dtype=float)[None], t, scale)[0][0]

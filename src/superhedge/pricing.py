@@ -3,17 +3,17 @@
 The fair price is the least alpha >= 0 admitting a unit claim zeta with
 f_N <= alpha * E^P(zeta | F_N) on every terminal cell under every member
 measure.  With eta = alpha * zeta the family answers the full search itself
-(MeasureSet.dominating_claim): a generator hull by one LP over its
-generators, a martingale polytope by the least superhedge, its envelope's
-time-0 value and terminal capital from one backward pass.  A second
-program, an LP, prices over the simplex spanned by a finite list of unit
-claims; the solver gets only the domination rows that beta >= 0 does not
-already meet.  Both end in one shared certified tail: the witness is
-normalized into a unit claim and checked against all of the family's
-domination rows (MeasureSet.domination_rows), and the lower bound
-sup E^P f_N is the family's cond_exp_sup at time 0.  Closed forms for
-European calls and puts against a price-band model are provided for
-cross-checking.
+(MeasureSet.dominating_claim) with a lower bound: a generator hull by one
+LP and its largest generator expectation, a martingale polytope by one
+backward induction, its least superhedge's time-0 value and terminal
+capital, and E^{Q*} f_N for the checked member Q* attaining that value.  A
+second program, an LP, prices over the simplex spanned by a finite list of
+unit claims, the solver given only the domination rows that beta >= 0 does
+not already meet, and takes sup E^P f_N (sup_expectation) as its bound.
+Both end in one shared certified tail: the witness is normalized into a
+unit claim and checked against all of the family's domination rows
+(MeasureSet.domination_rows).  Closed forms for European calls and puts
+against a price-band model are provided for cross-checking.
 """
 
 from __future__ import annotations
@@ -60,12 +60,12 @@ def _check_terminal_claim(space: FilteredSpace, f_N) -> np.ndarray:
 
 
 def sup_expectation(space: FilteredSpace, mset: MeasureSet, f_N) -> float:
-    """Largest expectation of the terminal payoff over the family: the
-    family's per-cell sup at time 0."""
+    """Largest expectation of the terminal payoff over the family: the time-0
+    entry of the family's per-cell sups, with no attaining measure built."""
     x = np.asarray(f_N, dtype=float)
     if x.shape != (space.outcome_count,):
         raise ShapeMismatch("claim length must equal the outcome count")
-    return float(mset.cond_exp_sup(x, 0).values[0])
+    return float(mset.ess_sup_rows(x)[0, 0])
 
 
 def _dominated(P, eta):
@@ -118,15 +118,16 @@ def fair_price_generated(space: FilteredSpace, mset: MeasureSet, family, f_N) ->
     if res.status != 0:
         raise InfeasiblePricing(f"pricing LP failed (status {res.status}): {res.message}")
     return _certified(space, mset, x, float(res.x.sum()),
-                      sum(b * xi for b, xi in zip(res.x, claims)), res.x)
+                      sum(b * xi for b, xi in zip(res.x, claims)),
+                      sup_expectation(space, mset, x), res.x)
 
 
-def _certified(space, mset, x, price: float, eta, weights=None) -> FairPriceResult:
-    """Shared tail of both programs: the price and its dominating claim eta
-    become the certified result, for the checked terminal claim x."""
+def _certified(space, mset, x, price: float, eta, lower_bound: float,
+               weights=None) -> FairPriceResult:
+    """Shared tail of both programs: the price, its dominating claim eta and
+    the lower bound become the certified result, for the checked claim x."""
     zeta = eta / price if price > EQ_TOL else np.ones(space.outcome_count)
-    return FairPriceResult(price, zeta, _witness_check(mset, x, eta, price),
-                           sup_expectation(space, mset, x), weights)
+    return FairPriceResult(price, zeta, _witness_check(mset, x, eta, price), lower_bound, weights)
 
 
 def euro_call_price(S0: float, D_N2: float, K: float) -> float:

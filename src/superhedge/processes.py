@@ -142,10 +142,5 @@ def k_representation(space: FilteredSpace, mset: MeasureSet, f, dec) -> list[KTe
     claim1 = (values[-1] + g[-1]) / f0
     if not is_unit_claim(space, mset, claim1):
         raise NotUnitClaim("terminal (f_N + g_N) / f_0 is not a unit claim for this family")
-    weights1 = np.full_like(values, f0)
-    weights2 = -g
-    ones = np.ones(space.outcome_count)
-    return [
-        KTerm(claim=claim1, weights=weights1, coefficient=1.0),
-        KTerm(claim=ones, weights=weights2, coefficient=1.0),
-    ]
+    return [KTerm(claim=claim1, weights=np.full_like(values, f0)),
+            KTerm(claim=np.ones(space.outcome_count), weights=-g)]

@@ -280,3 +280,27 @@ def test_mutated_files_exit_cleanly(tmp_path, capsys, name):
             args = [command[0], str(market), *command[1:]]
             assert main(args) in (0, 2, 3, 4), (args, doc)
         capsys.readouterr()
+
+
+def test_corrupt_maximiser_fails_the_price_certificate(monkeypatch, capsys):
+    """A backward induction that records a wrong maximiser (a point mass
+    that is no martingale kernel) gives a lower-bound measure Q* that
+    breaks the asset equality: the full price is a MathError, exit 3 with
+    one error line and no report."""
+    import numpy as np
+
+    from superhedge import measures
+
+    one_step_sups = measures._one_step_sups
+
+    def corrupt(groups, vals, unit):
+        sups, picks = one_step_sups(groups, vals, unit)
+        return sups, [np.zeros_like(pick) for pick in picks]
+
+    monkeypatch.setattr(measures, "_one_step_sups", corrupt)
+    code = main(["price", str(DATA / "binomial.json"), "call100", "--mode", "full"])
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert code == 3
+    assert captured.out == ""
+    assert len(err) == 1 and err[0].startswith("error: the measure attaining the price")

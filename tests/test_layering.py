@@ -172,3 +172,49 @@ def test_only_lp_module_reaches_the_solver():
         if named:
             offenders[path.name] = sorted(named)
     assert offenders == {}
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names a module imports and never reads, as "line N: name".  Imports
+    from __future__ and lines marked "# noqa" are left out."""
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    bound = {}
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if getattr(node, "module", None) == "__future__" or any(
+                "# noqa" in line for line in lines[node.lineno - 1:node.end_lineno]):
+            continue
+        for alias in node.names:
+            bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return [f"line {line}: {name}" for name, line in bound.items() if name not in read]
+
+
+def test_unused_import_checker():
+    source = (
+        "from __future__ import annotations\n"
+        "import numpy as np\n"
+        "import scipy.sparse\n"
+        "from . import _lp  # noqa: F401\n"
+        "from .spaces import (\n"
+        "    AdaptedProcess,\n"
+        "    cell_reps,\n"
+        ")\n"
+        "x = np.zeros(cell_reps)\n"
+    )
+    assert unused_imports(source) == ["line 3: scipy", "line 5: AdaptedProcess"]
+
+
+def test_no_module_imports_an_unused_name():
+    """Every module reads what it imports; __init__.py re-exports its
+    imports, so it is left out."""
+    offenders = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        found = unused_imports(path.read_text(encoding="utf-8"))
+        if found:
+            offenders[path.name] = found
+    assert offenders == {}

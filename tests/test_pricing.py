@@ -422,3 +422,36 @@ class TestPolytopeDominationOracle:
                 assert (bounds - P @ eta).max() <= EQ_TOL * scale
                 assert result.witness_bound.ok
         assert non_singleton >= 50
+
+
+def test_full_price_and_superhedge_take_one_backward_induction(monkeypatch, bound_tree):
+    """On a one-asset polytope, the full price and the full superhedge each
+    run the one-level sup N times, one induction, and build one attaining
+    measure, their lower bound's; the complete-family decomposition reads
+    values only and builds none."""
+    from gen import random_supermartingale
+    from superhedge import measures, optional_decomposition_complete, superhedge
+
+    levels, attaining = [], []
+    one_step_sups = measures._one_step_sups
+    build = measures.MartingalePolytope._attaining
+    monkeypatch.setattr(measures, "_one_step_sups",
+                        lambda *args: levels.append(1) or one_step_sups(*args))
+    monkeypatch.setattr(measures.MartingalePolytope, "_attaining",
+                        lambda *args: attaining.append(1) or build(*args))
+    space, asset, poly = bound_tree
+    payoff = np.maximum(asset.values[-1] - 90.0, 0.0)
+    for run in (lambda: fair_price_full(space, poly, payoff),
+                lambda: superhedge(space, poly, payoff, price_mode="full")):
+        levels.clear()
+        attaining.clear()
+        run()
+        assert len(levels) == space.horizon
+        assert len(attaining) == 1
+
+    rng = np.random.default_rng(31)
+    space, _, poly, xi0 = complete_polytope(rng)
+    f = random_supermartingale(rng, space, poly)
+    attaining.clear()
+    optional_decomposition_complete(space, poly, xi0, f)
+    assert attaining == []

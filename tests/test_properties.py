@@ -1,5 +1,8 @@
 """Property tests for the measure-family identities and metric axioms."""
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -22,6 +25,7 @@ from superhedge import (
     conditional_expectation,
     ess_sup_conditional,
     fair_price_full,
+    fair_price_generated,
     is_martingale,
     is_supermartingale,
     is_unit_claim,
@@ -416,6 +420,73 @@ def test_least_superhedge_prices_like_the_lp(seed, kind):
     assert (capital[-1] - claim).min() >= -EQ_TOL * scale
 
 
+def _desk_markets(seed, count):
+    """Seeded one-asset incomplete trees with an option on the terminal
+    price, as the benchmark's desk workload builds them."""
+    path = Path(__file__).parent.parent / "bench" / "markets.py"
+    spec = importlib.util.spec_from_file_location("bench_markets", path)
+    markets = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(markets)
+    rng = np.random.default_rng(seed)
+    out = []
+    for size in [(12, 3, 3), (13, 4, 5), (16, 5, 4)][:count]:
+        desk = markets.desk_market(rng, *size)
+        space = build_space(desk["outcomes"], desk["partitions"])
+        out.append((space, MartingalePolytope(space, [AdaptedProcess(space, v)
+                                                      for v in desk["assets"]]), desk["claim"]))
+    return out
+
+
+def test_lower_bound_is_a_checked_attaining_measure():
+    """On polytopes of every kind and on seeded desk markets, the full
+    price's lower bound is E^{Q*} f_N for the measure Q* of
+    superhedge_capital, a closure member: nonnegative, of mass one, and
+    meeting every asset equality.  It lies within 1e-12 of scale of
+    sup_expectation, which stays the price bit for bit."""
+    from gen import generic_claim
+
+    instances = _desk_markets(18, 3)
+    for i, kind in enumerate(SUP_KINDS):
+        rng = np.random.default_rng(8300 + i)
+        for _ in range(10):
+            space, poly = _sup_instance(rng, kind)
+            instances.append((space, poly, generic_claim(rng, space)))
+    for space, poly, claim in instances:
+        N = space.horizon
+        result = fair_price_full(space, poly, claim)
+        _, _, q_star = poly.superhedge_capital(claim)
+        assert q_star.min() >= 0.0 and abs(q_star.sum() - 1.0) <= MASS_TOL
+        masses = np.bincount(space.atom_index[N], weights=q_star, minlength=space.n_cells(N))
+        assert poly.equality_residuals(masses, N) == []
+        assert result.lower_bound == q_star @ claim
+        sup = sup_expectation(space, poly, claim)
+        assert result.price == sup
+        assert abs(result.lower_bound - sup) <= 1e-12 * (1.0 + float(np.abs(claim).max()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(SUP_KINDS),
+       shift=st.floats(0.0, 1e3), factor=st.floats(1e-3, 1e3))
+def test_full_price_shifts_and_scales_with_the_claim(seed, kind, shift, factor):
+    """The full price and its lower bound of f + c (c >= 0) are those of f
+    plus c, and those of lambda f are lambda times those of f, within 1e-12
+    of scale; the price over the asset-ratio family is never below the
+    full price."""
+    from gen import generic_claim
+
+    rng = np.random.default_rng(seed)
+    space, poly = _sup_instance(rng, kind)
+    f = generic_claim(rng, space)
+    base = fair_price_full(space, poly, f)
+    family, _ = asset_ratio_family(poly)
+    for g, moved in ((f + shift, lambda v: v + shift), (factor * f, lambda v: factor * v)):
+        scale = 1.0 + float(np.abs(g).max())
+        result = fair_price_full(space, poly, g)
+        assert abs(result.price - moved(base.price)) <= 1e-12 * scale
+        assert abs(result.lower_bound - moved(base.lower_bound)) <= 1e-12 * scale
+        assert fair_price_generated(space, poly, family, g).price >= result.price - EQ_TOL * scale
+
+
 def test_whole_tree_compensator_matches_steps_and_node_oracle(lp_calls, monkeypatch):
     """On polytopes of every kind, superhedge_capital's capital is the
     claim's envelope plus the running sum of compensator_increments taken
@@ -441,7 +512,7 @@ def test_whole_tree_compensator_matches_steps_and_node_oracle(lp_calls, monkeypa
             V = poly.ess_sup_rows(claim)
             scale = 1.0 + float(np.abs(V).max())
             lp_calls.clear()
-            M, H = poly.superhedge_capital(claim)
+            M, H, _ = poly.superhedge_capital(claim)
             lp_nodes += len(lp_calls)
             drops = V[:-1] - V[1:]
             steps = np.array([poly.compensator_increments(drops[t], t, scale) for t in range(N)])
