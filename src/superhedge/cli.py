@@ -40,6 +40,15 @@ def fmt(x: float) -> str:
     return format(x, ".12g")
 
 
+def _check_numbers(args) -> None:
+    """--strike must be finite, and the band bounds --d1 and --d2 finite and positive."""
+    for flag in ("strike", "d1", "d2"):
+        value = getattr(args, flag, None)
+        if value is not None and not (np.isfinite(value) and (flag == "strike" or value > 0.0)):
+            need = "finite" if flag == "strike" else "finite and positive"
+            raise ValidationError(f"--{flag} must be {need}, got {fmt(value)}")
+
+
 def _cell_name(space, t: int, c: int) -> str:
     return "{" + ",".join(str(w) for w in space.cells[t][c]) + "}"
 
@@ -304,6 +313,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     out = sys.stdout
     try:
+        _check_numbers(args)
         return args.func(args, out)
     except (SuperhedgeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -69,6 +69,8 @@ class TradingStrategy:
             raise ShapeMismatch(f"cash must have shape {(N + 1, n)}")
         if risky.shape[:2] != (N + 1, n) or risky.shape[2] != len(self.assets):
             raise ShapeMismatch(f"risky must have shape {(N + 1, n, len(self.assets))}")
+        if not (np.isfinite(cash).all() and np.isfinite(risky).all()):
+            raise NotPredictable("cash and holdings must be finite")
         # the cash leg is capital minus holdings times prices, so it carries
         # residuals that grow with its own size; holdings are compared as is
         cash_tol = EQ_TOL * (1.0 + float(np.abs(cash).max()))

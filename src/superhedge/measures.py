@@ -89,6 +89,8 @@ class Measure:
         object.__setattr__(self, "probabilities", p)
         if p.ndim != 1 or not p.size:
             raise InvalidMeasure("probability vector must be one-dimensional and nonempty")
+        if not np.isfinite(p).all():
+            raise InvalidMeasure("probability vector must be finite")
         if p.min() <= 0.0:
             raise InvalidMeasure(f"measure has a nonpositive entry (min={p.min():.12g})")
         if abs(p.sum() - 1.0) > MASS_TOL:
@@ -390,13 +392,14 @@ _MAX_SUPPORTS = 256
 _PROJECTION_RCOND = float(np.sqrt(np.finfo(float).eps))
 
 
-def _asset_units(assets) -> np.ndarray:
-    """Per asset, the power of two above its largest absolute price, or 1;
-    a price of 2**1023 or more has none (ValidationError)."""
-    exponents = np.frexp([np.abs(a.values).max() for a in assets])[1]
+def _asset_units(values: np.ndarray) -> np.ndarray:
+    """Per asset of the stacked prices values (d, N+1, n), the power of two
+    above its largest absolute price, or 1, shape (d, 1); a price of
+    2**1023 or more has none (ValidationError)."""
+    exponents = np.frexp(np.abs(values).max(axis=(1, 2)))[1]
     if exponents.max() > np.finfo(float).maxexp - 1:
         raise ValidationError("asset prices must stay below 2**1023 in absolute value")
-    return np.ldexp(1.0, exponents)
+    return np.ldexp(1.0, exponents)[:, None]
 
 
 @dataclass(frozen=True, eq=False)
@@ -457,9 +460,9 @@ class _PairTable:
         return self.ranges[first, last]
 
 
-def _node_table(space: FilteredSpace, assets):
+def _node_table(space: FilteredSpace, values: np.ndarray, unit: np.ndarray):
     """Per time t < N, the time-t cells grouped by child count; and the
-    flat table of all (node, child) pairs.
+    flat table of all (node, child) pairs, for asset prices values (d, N+1, n).
 
     Increments within MASS_TOL of the asset's scale count as flat: they are
     the rounding residue of equal prices, and a flat child must carry a
@@ -470,16 +473,14 @@ def _node_table(space: FilteredSpace, assets):
     otherwise turn into holdings of order 1/eps.  What the projection of a
     process's increments misses is the node's replication residual.
     """
-    values = np.array([a.values for a in assets])              # (d, N+1, n)
     flat = MASS_TOL * (1.0 + np.abs(values).max(axis=(1, 2)))
-    unit = _asset_units(assets)[:, None]                       # (d, 1)
     N, n = space.horizon, space.outcome_count
     offsets = np.cumsum([0] + [space.n_cells(t) for t in range(N + 1)])
     counts = np.r_[[len(kids) for level in space.children[:N] for kids in level],
                    np.bincount(space.atom_index[N])].astype(int)
     starts = np.r_[0, np.cumsum(counts)]
     rep = np.concatenate([cell_reps(space, t) for t in range(N + 1)])
-    pair_moves = np.zeros((len(assets), starts[-1]))
+    pair_moves = np.zeros((len(values), starts[-1]))
     projection = np.zeros_like(pair_moves)
     table = []
     for t in range(N):
@@ -637,26 +638,22 @@ def _holdings_lp(moves: np.ndarray, drops: np.ndarray) -> np.ndarray:
     return h
 
 
-def _equality_matrix(space: FilteredSpace, assets) -> sparse.csr_array:
+def _equality_matrix(space: FilteredSpace, values: np.ndarray, unit: np.ndarray) -> sparse.csr_array:
     """The closure's equalities as one sparse matrix: a homogeneous row per
-    (asset, step t, time-(t-1) cell), in that order, holding the asset's
-    increments over the cell's outcomes in the asset's unit (_asset_units),
+    (asset j, step t, time-(t-1) cell c), row j R + offsets[t-1] + c for the
+    R nodes of times 0..N-1 numbered as in the pair table, holding the
+    asset's increments over the cell's outcomes in its unit (_asset_units);
     then the total-mass row.  Exact zeros are not stored."""
-    n, N = space.outcome_count, space.horizon
-    rows, data = [], []
-    offset = 0
-    for proc, unit in zip(assets, _asset_units(assets)):
-        for t in range(1, N + 1):
-            rows.append(offset + space.atom_index[t - 1])
-            data.append((proc.values[t] - proc.values[t - 1]) / unit)
-            offset += space.n_cells(t - 1)
-    rows.append(np.full(n, offset))
-    data.append(np.ones(n))
-    rows, data = np.concatenate(rows), np.concatenate(data)
+    n, atoms = space.outcome_count, space.atom_index
+    nodes = atoms[:-1] + np.r_[0, np.cumsum(atoms[:-2].max(axis=1) + 1)][:, None]   # (N, n)
+    R = int(nodes[-1].max()) + 1
+    rows = np.r_[(nodes + R * np.arange(len(values))[:, None, None]).ravel(),
+                 np.full(n, R * len(values))]
+    data = np.r_[(np.diff(values, axis=1) / unit[..., None]).ravel(), np.ones(n)]
     cols = np.tile(np.arange(n), len(rows) // n)
     keep = data != 0.0
     return sparse.coo_array((data[keep], (rows[keep], cols[keep])),
-                            shape=(offset + 1, n)).tocsr()
+                            shape=(R * len(values) + 1, n)).tocsr()
 
 
 class MartingalePolytope(MeasureSet):
@@ -681,9 +678,12 @@ class MartingalePolytope(MeasureSet):
             names if names is not None else (f"asset{i}" for i in range(len(procs)))
         )
 
-        self._unit = _asset_units(procs)[:, None]
-        self._interior = self._solve_interior(_equality_matrix(space, procs))
-        self._nodes, self._pairs = _node_table(space, procs)
+        values = np.array([p.values for p in procs])               # (d, N+1, n)
+        self._unit = _asset_units(values)
+        self._equalities = _equality_matrix(space, values, self._unit)
+        self._equality_tol = EQ_TOL * (1.0 + np.abs(values).max(axis=(1, 2)))[:, None]
+        self._interior = self._solve_interior(self._equalities)
+        self._nodes, self._pairs = _node_table(space, values, self._unit)
         self._mass = np.add.reduceat(self._interior[self._pairs.order], self._pairs.bounds)
 
     def _solve_interior(self, A: sparse.csr_array) -> np.ndarray:
@@ -923,19 +923,18 @@ class MartingalePolytope(MeasureSet):
 
     def equality_residuals(self, mu: np.ndarray, up_to_time: int) -> list[tuple[int, int, int, float]]:
         """Evaluate the asset equalities with step <= up_to_time on a measure
-        given by per-cell masses at up_to_time.  Returns nonzero residuals."""
-        space = self.space
-        reps = cell_reps(space, up_to_time)
-        out = []
-        for j, proc in enumerate(self.assets):
-            scale = 1.0 + float(np.abs(proc.values).max())
-            for t in range(1, up_to_time + 1):
-                parents = space.atom_index[t - 1][reps]
-                diffs = proc.values[t][reps] - proc.values[t - 1][reps]
-                res = np.bincount(parents, weights=diffs * mu, minlength=space.n_cells(t - 1))
-                out.extend((j, t, int(c), float(res[c]))
-                           for c in np.flatnonzero(np.abs(res) > EQ_TOL * scale))
-        return out
+        given by per-cell masses at up_to_time: (asset, step, cell, residual)
+        in value units for each residual beyond EQ_TOL * (1 + max |S_j|), from
+        one product with the equality matrix (its units are powers of two)."""
+        spread = np.zeros(self.space.outcome_count)
+        spread[cell_reps(self.space, up_to_time)] = mu
+        offsets = self._pairs.offsets
+        res = (self._equalities @ spread)[:-1].reshape(len(self.assets), -1)
+        res = res[:, :offsets[up_to_time]] * self._unit
+        j, node = np.nonzero(np.abs(res) > self._equality_tol)
+        t = np.searchsorted(offsets, node, side="right")
+        return list(zip(j.tolist(), t.tolist(), (node - offsets[t - 1]).tolist(),
+                        res[j, node].tolist()))
 
 
 def is_unit_claim(space: FilteredSpace, mset: MeasureSet, xi) -> bool:

@@ -47,10 +47,17 @@ class FairPriceResult:
     weights: np.ndarray | None = None  # simplex weights when priced over a family
 
 
-def _check_terminal_claim(space: FilteredSpace, f_N) -> np.ndarray:
+def _claim_vector(space: FilteredSpace, f_N) -> np.ndarray:
     x = np.asarray(f_N, dtype=float)
     if x.shape != (space.outcome_count,):
         raise ShapeMismatch("claim length must equal the outcome count")
+    if not np.isfinite(x).all():
+        raise ValidationError("claim must be finite")
+    return x
+
+
+def _check_terminal_claim(space: FilteredSpace, f_N) -> np.ndarray:
+    x = _claim_vector(space, f_N)
     if x.min() < -EQ_TOL:
         raise ValidationError("claim must be nonnegative")
     varies = np.flatnonzero(cell_ranges(space, space.horizon, x) > EQ_TOL)
@@ -62,10 +69,7 @@ def _check_terminal_claim(space: FilteredSpace, f_N) -> np.ndarray:
 def sup_expectation(space: FilteredSpace, mset: MeasureSet, f_N) -> float:
     """Largest expectation of the terminal payoff over the family: the time-0
     entry of the family's per-cell sups, with no attaining measure built."""
-    x = np.asarray(f_N, dtype=float)
-    if x.shape != (space.outcome_count,):
-        raise ShapeMismatch("claim length must equal the outcome count")
-    return float(mset.ess_sup_rows(x)[0, 0])
+    return float(mset.ess_sup_rows(_claim_vector(space, f_N))[0, 0])
 
 
 def _dominated(P, eta):

@@ -188,6 +188,8 @@ class AdaptedProcess:
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "values", values)
+        if not np.isfinite(values).all():
+            raise NotAdapted("process values must be finite")
         report = check_adapted(self.space, values)
         if not report.ok:
             raise NotAdapted(f"process not measurable at (time, cell) {report.violations[:4]}")
@@ -213,6 +215,8 @@ class PredictableProcess:
             raise ShapeMismatch(
                 f"expected shape ({self.space.horizon}, {n}, {d}), got {values.shape}"
             )
+        if not np.isfinite(values).all():
+            raise NotPredictable("holdings must be finite")
         for m in range(1, self.space.horizon + 1):
             ranges = cell_ranges(self.space, m - 1, values[m - 1]).max(axis=1)
             varies = np.flatnonzero(ranges > EQ_TOL)

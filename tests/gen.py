@@ -20,7 +20,11 @@ node-by-node compensator of a polytope and the per-step compensator of a
 hull are checked; a polytope's functionals (expectation_functionals) are
 its reference member and a null basis of its global equality system.
 fair_price_full_lp prices a claim on a polytope by one LP over those
-functionals, against which the least superhedge is checked.
+functionals, and sup_expectation_exact by a backward induction in exact
+rational arithmetic; the least superhedge is checked against them.
+equality_residuals_loop evaluates a polytope's asset equalities one
+(asset, step) at a time, against which the product with its kept
+equality matrix is checked.
 hedge_ratios_lstsq and martingale_representation_lstsq solve the
 representation one cell at a time by least squares, against which the
 batched projections are checked, and compensator_per_node takes a
@@ -30,6 +34,7 @@ whole-tree pass is checked.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -51,6 +56,7 @@ from superhedge import (
     is_martingale,
 )
 from superhedge import _lp
+from superhedge.spaces import cell_reps
 
 
 def random_space(rng, max_outcomes=12, max_horizon=4, min_outcomes=2, min_horizon=1):
@@ -267,6 +273,25 @@ def equality_system(poly):
     return A_eq, b_eq
 
 
+def equality_residuals_loop(poly, mu, up_to_time):
+    """MartingalePolytope.equality_residuals one (asset, step) at a time:
+    per asset j and step t <= up_to_time, the sums of its raw increments
+    times the masses mu of the time-up_to_time cells over each time-(t-1)
+    cell, kept as (j, t, cell, sum) where beyond EQ_TOL * (1 + max |S_j|)."""
+    space = poly.space
+    reps = cell_reps(space, up_to_time)
+    out = []
+    for j, proc in enumerate(poly.assets):
+        scale = 1.0 + float(np.abs(proc.values).max())
+        for t in range(1, up_to_time + 1):
+            parents = space.atom_index[t - 1][reps]
+            diffs = proc.values[t][reps] - proc.values[t - 1][reps]
+            res = np.bincount(parents, weights=diffs * mu, minlength=space.n_cells(t - 1))
+            out.extend((j, t, int(c), float(res[c]))
+                       for c in np.flatnonzero(np.abs(res) > EQ_TOL * scale))
+    return out
+
+
 def expectation_functionals(poly):
     """Pairs (w, kappa) with E^P[c] = r for every member P of the polytope
     iff w @ c == kappa * r: its reference member with 1, and each vector of
@@ -439,6 +464,56 @@ def fair_price_full_lp(poly, x):
                     b_eq=np.zeros(len(functionals)), bounds=(np.r_[0.0, np.maximum(x, 0.0)], None))
     assert res.status == 0, res.message
     return float(res.fun), res.x[1:]
+
+
+def sup_expectation_exact(poly, x):
+    """sup E^Q x over a polytope's closure in exact rational arithmetic, a
+    Fraction.  The closure is m-stable, so the sup is a backward induction:
+    each terminal cell's largest x, then node by node the largest
+    expectation of the children's values over the vertices of the node's
+    kernel set {q >= 0, sum q = 1, moves q = 0}, with the moves taken
+    exactly from the asset prices (no flat threshold, no units).  A vertex
+    is the unique solution on a support whose columns are independent."""
+    space = poly.space
+    vals = [max(Fraction(float(x[w])) for w in cell) for cell in space.cells[space.horizon]]
+    for t in range(space.horizon - 1, -1, -1):
+        level = []
+        for c, kids in enumerate(space.children[t]):
+            reps = [space.cell_rep(t + 1, k) for k in kids]
+            rows = [[Fraction(1)] * len(kids)] + [
+                [Fraction(a.values[t + 1, r]) - Fraction(a.values[t, space.cell_rep(t, c)])
+                 for r in reps] for a in poly.assets]
+            best = None
+            for s in range(1, min(len(kids), len(rows)) + 1):
+                for support in combinations(range(len(kids)), s):
+                    q = _unique_solution([[row[i] for i in support] for row in rows],
+                                         [1] + [0] * (len(rows) - 1))
+                    if q is not None and min(q) >= 0:
+                        value = sum(qi * vals[kids[i]] for qi, i in zip(q, support))
+                        best = value if best is None else max(best, value)
+            assert best is not None, f"no martingale kernel on cell {c} at time {t}"
+            level.append(best)
+        vals = level
+    return vals[0]
+
+
+def _unique_solution(A, b):
+    """The solution of A q = b in exact arithmetic when A's columns are
+    independent and the system is consistent, else None."""
+    M = [list(row) + [Fraction(v)] for row, v in zip(A, b)]
+    s = len(A[0])
+    for c in range(s):
+        pivot = next((i for i in range(c, len(M)) if M[i][c] != 0), None)
+        if pivot is None:
+            return None
+        M[c], M[pivot] = M[pivot], M[c]
+        for i in range(len(M)):
+            if i != c and M[i][c] != 0:
+                f = M[i][c] / M[c][c]
+                M[i] = [u - f * v for u, v in zip(M[i], M[c])]
+    if any(row[s] != 0 for row in M[s:]):
+        return None
+    return [M[i][s] / M[i][i] for i in range(s)]
 
 
 def hedge_ratios_lstsq(poly, values, raw=False):

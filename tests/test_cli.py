@@ -74,6 +74,36 @@ def test_failed_self_check_is_math_error(monkeypatch, capsys):
     assert len(err) == 1 and err[0].startswith("error: decomposition invalid")
 
 
+@pytest.mark.parametrize("args", [
+    ["price", "bound_tree.json", "--mode", "call", "--strike", "nan"],
+    ["hedge", "binomial.json", "--mode", "call", "--strike", "nan"],
+    ["price", "bound_tree.json", "--mode", "put", "--strike", "inf"],
+    ["price", "bound_tree.json", "--mode", "call", "--strike", "90", "--d2", "-5"],
+    ["price", "bound_tree.json", "--mode", "call", "--strike", "90", "--d2", "inf"],
+    ["price", "bound_tree.json", "--mode", "put", "--strike", "90", "--d1", "0"],
+    ["price", "bound_tree.json", "--mode", "put", "--strike", "90", "--d1", "nan"],
+])
+def test_bad_numeric_flags_are_validation_errors(args, capsys):
+    """A non-finite strike or a band bound that is not finite and positive
+    exits 2 with one error line and no report."""
+    code = main([str(DATA / a) if a.endswith(".json") else a for a in args])
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert code == 2 and captured.out == ""
+    assert len(err) == 1 and err[0].startswith("error: --")
+
+
+@pytest.mark.parametrize("flag,value,line", [
+    ("--d2", "130", "closed-form (band worst case, D2=130): 30.7692307692\n"),
+    ("--d1", "85", "closed-form (band worst case, D1=85): 5\n"),
+])
+def test_band_flags_set_the_closed_form(flag, value, line, capsys):
+    mode = "call" if flag == "--d2" else "put"
+    code, out = run(["price", "bound_tree.json", "--mode", mode, "--strike", "90", flag, value],
+                    capsys)
+    assert code == 0 and out.startswith(line)
+
+
 def test_unknown_claim_is_validation_error(capsys):
     code, _ = run(["price", "binomial.json", "ghost", "--mode", "full"], capsys)
     assert code == 2

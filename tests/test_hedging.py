@@ -305,6 +305,12 @@ class TestScaledMarkets:
         assert np.allclose(h, martingale_representation_lstsq(space, poly, martingale, raw=True).values,
                            rtol=1e-9, atol=0.0)
 
+    def test_non_finite_cash_is_rejected(self, binomial):
+        space, asset, _ = binomial
+        cash = np.array([[np.nan, np.nan], [0.0, 0.0]])
+        with pytest.raises(NotPredictable, match="must be finite"):
+            TradingStrategy(space=space, cash=cash, risky=np.zeros((2, 2, 1)), assets=(asset,))
+
     @pytest.mark.parametrize("level", [40.0, 4e8])
     def test_cash_varying_inside_a_cell_is_not_predictable(self, binomial, level):
         space, asset, _ = binomial

@@ -19,6 +19,7 @@ FAMILY_PRIVATE = {
     "_matrix",
     "_null_basis",
     "_interior",
+    "_equalities",
     "_A_eq",
     "_b_eq",
     "_homogeneous",

@@ -8,6 +8,7 @@ from superhedge import (
     Measure,
     NoEquivalentMartingaleMeasure,
     NotUnitClaim,
+    ValidationError,
     change_of_measure_conditional,
     completion_measures,
     conditional_expectation,
@@ -50,6 +51,16 @@ def test_measure_validation():
         Measure(np.array([1.0, 0.0]))
     with pytest.raises(InvalidMeasure):
         Measure(np.array([0.6, 0.6]))
+
+
+def test_measure_rejects_non_finite_entries():
+    with pytest.raises(InvalidMeasure, match="must be finite"):
+        Measure(np.array([0.5, np.nan]))
+
+
+def test_polytope_over_a_non_finite_asset_is_a_validation_error(binary_space):
+    with pytest.raises(ValidationError, match="must be finite"):
+        MartingalePolytope(binary_space, [[[100.0, 100.0], [np.nan, 80.0]]])
 
 
 def test_measure_errors_print_plain_numbers():

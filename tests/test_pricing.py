@@ -8,6 +8,7 @@ from superhedge import (
     InfeasiblePricing,
     MartingalePolytope,
     NotUnitClaim,
+    ValidationError,
     asset_ratio_family,
     build_space,
     ess_sup_process,
@@ -17,6 +18,7 @@ from superhedge import (
     fair_price_generated,
     local_regular_witness,
     sup_expectation,
+    superhedge,
 )
 from superhedge.spaces import AdaptedProcess
 
@@ -424,13 +426,21 @@ class TestPolytopeDominationOracle:
         assert non_singleton >= 50
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("price", [fair_price_full, sup_expectation, superhedge])
+def test_claims_must_be_finite(binomial, price, bad):
+    space, _, poly = binomial
+    with pytest.raises(ValidationError, match="claim must be finite"):
+        price(space, poly, np.array([bad, 0.0]))
+
+
 def test_full_price_and_superhedge_take_one_backward_induction(monkeypatch, bound_tree):
     """On a one-asset polytope, the full price and the full superhedge each
     run the one-level sup N times, one induction, and build one attaining
     measure, their lower bound's; the complete-family decomposition reads
     values only and builds none."""
     from gen import random_supermartingale
-    from superhedge import measures, optional_decomposition_complete, superhedge
+    from superhedge import measures, optional_decomposition_complete
 
     levels, attaining = [], []
     one_step_sups = measures._one_step_sups

@@ -49,6 +49,13 @@ class TestVerdicts:
         with pytest.raises(NotAdapted):
             is_supermartingale(binary_space, two_generator_hull, [[1.0, 2.0], [1.0, 2.0]])
 
+    def test_non_finite_process_is_rejected(self, binomial):
+        from superhedge import NotAdapted
+
+        space, _, poly = binomial
+        with pytest.raises(NotAdapted, match="must be finite"):
+            is_supermartingale(space, poly, [[np.nan, np.nan], [1.0, 1.0]])
+
     def test_tower_process_is_martingale(self):
         rng = np.random.default_rng(2)
         for _ in range(10):

@@ -22,10 +22,12 @@ from superhedge import (
     build_space,
     cell_ranges,
     change_of_measure_conditional,
+    completion_measures,
     conditional_expectation,
     ess_sup_conditional,
     fair_price_full,
     fair_price_generated,
+    increment_process,
     is_martingale,
     is_supermartingale,
     is_unit_claim,
@@ -397,12 +399,16 @@ def test_node_local_witness_matches_lp_oracle(seed, kind):
 
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(SUP_KINDS))
+@example(seed=98376721, kind="complete")  # the LP oracle itself misses by 3.7e-12 of scale
 def test_least_superhedge_prices_like_the_lp(seed, kind):
-    """The full price is sup E f_N bit for bit and matches one LP over the
-    polytope's expectation functionals; its witness is a unit claim that
-    dominates the claim; and the full superhedge starts at that price, is
-    self-financing and dominates the claim."""
-    from gen import fair_price_full_lp, generic_claim
+    """The full price is sup E f_N bit for bit and matches an oracle within
+    1e-12 of scale: the exact rational induction, or on the two-asset tree,
+    where rounding leaves some nodes of the second asset without an exact
+    kernel, one LP over the polytope's expectation functionals.  Its
+    witness is a unit claim that dominates the claim; and the full
+    superhedge starts at that price, is self-financing and dominates the
+    claim."""
+    from gen import fair_price_full_lp, generic_claim, sup_expectation_exact
 
     rng = np.random.default_rng(seed)
     space, poly = _sup_instance(rng, kind)
@@ -410,7 +416,9 @@ def test_least_superhedge_prices_like_the_lp(seed, kind):
     scale = 1.0 + float(np.abs(claim).max())
     result = fair_price_full(space, poly, claim)
     assert result.price == sup_expectation(space, poly, claim)
-    assert abs(result.price - fair_price_full_lp(poly, claim)[0]) <= 1e-12 * scale
+    oracle = (fair_price_full_lp(poly, claim)[0] if kind == "two assets"
+              else sup_expectation_exact(poly, claim))
+    assert abs(result.price - oracle) <= 1e-12 * scale
     assert is_unit_claim(space, poly, result.witness_claim)
     assert result.witness_bound.ok
     strategy, _, hedged = superhedge(space, poly, claim, price_mode="full")
@@ -462,6 +470,52 @@ def test_lower_bound_is_a_checked_attaining_measure():
         sup = sup_expectation(space, poly, claim)
         assert result.price == sup
         assert abs(result.lower_bound - sup) <= 1e-12 * (1.0 + float(np.abs(claim).max()))
+
+
+def test_equality_residuals_match_the_loop():
+    """The polytope's kept equality matrix equals gen.equality_system
+    entrywise, and equality_residuals, one product with it, gives the
+    per-(asset, step) loop's list exactly, floats included: on Q*'s
+    terminal masses, the spliced attained measures, every completion
+    measure of the first asset's ratio claim, and perturbed reference and
+    Dirichlet masses at every time; over polytopes of every kind and
+    seeded desk markets."""
+    from gen import equality_residuals_loop, equality_system, generic_claim
+
+    instances = _desk_markets(19, 3)
+    for i, kind in enumerate(SUP_KINDS):
+        rng = np.random.default_rng(1900 + i)
+        instances += [(*_sup_instance(rng, kind), None) for _ in range(8)]
+    rng = np.random.default_rng(19)
+    violated = 0
+    for space, poly, claim in instances:
+        N = space.horizon
+        assert np.array_equal(poly._equalities.toarray(), equality_system(poly)[0])
+        claim = generic_claim(rng, space) if claim is None else claim
+
+        def masses(p, t):
+            return np.bincount(space.atom_index[t], weights=p, minlength=space.n_cells(t))
+
+        cases = [(masses(poly.superhedge_capital(claim)[2], N), N)]
+        ref = poly.reference()
+        for t in range(N + 1):
+            for cell, q in zip(space.cells[t], poly.cond_exp_sup(claim, t).attained):
+                spliced = ref.copy()
+                spliced[list(cell)] = ref[list(cell)].sum() * q
+                cases.append((masses(spliced, N), N))
+            noise = rng.normal(size=space.n_cells(t))
+            cases += [(masses(ref, t) * (1.0 + 1e-6 * noise), t),
+                      (rng.dirichlet(np.ones(space.n_cells(t))), t)]
+        xi0 = poly.assets[0].values[-1] / poly.assets[0].values[0, 0]
+        increments = increment_process(space, poly, xi0)
+        for n in range(1, N + 1):
+            cases += [(cm.atom_probabilities, n)
+                      for cm in completion_measures(space, poly, xi0, n, increments=increments)]
+        for mu, t in cases:
+            got = poly.equality_residuals(mu, t)
+            assert got == equality_residuals_loop(poly, mu, t)
+            violated += bool(got)
+    assert violated
 
 
 @settings(max_examples=60, deadline=None)

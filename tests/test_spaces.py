@@ -6,6 +6,7 @@ from superhedge import (
     NotAdapted,
     NotPartition,
     NotRefining,
+    NotPredictable,
     PredictableProcess,
     ShapeMismatch,
     atom_of,
@@ -69,6 +70,19 @@ def test_adapted_process_rejects_unmeasurable_rows():
     binary = build_space(2, [[(0, 1)], [(0,), (1,)]])
     with pytest.raises(NotAdapted):
         AdaptedProcess(binary, [[1.0, 2.0], [0.0, 0.0]])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_adapted_process_rejects_non_finite_values(bad):
+    binary = build_space(2, [[(0, 1)], [(0,), (1,)]])
+    with pytest.raises(NotAdapted, match="must be finite"):
+        AdaptedProcess(binary, [[bad, bad], [1.0, 1.0]])
+
+
+def test_predictable_process_rejects_non_finite_holdings():
+    binary = build_space(2, [[(0, 1)], [(0,), (1,)]])
+    with pytest.raises(NotPredictable, match="must be finite"):
+        PredictableProcess(binary, np.array([[[np.nan], [np.nan]]]))
 
 
 def test_refinement_transitivity_random():
