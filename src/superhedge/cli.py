@@ -197,13 +197,17 @@ def cmd_price(args, out) -> int:
         family = _generated_family(model, args)
         result = fair_price_generated(space, mset, family, payoff)
     else:
-        s0 = asset.values[0, 0]
+        s0 = float(asset.values[0, 0])
+        d2 = args.d2 if args.d2 is not None else float(asset.values[-1].max())
+        d1 = args.d1 if args.d1 is not None else float(asset.values[-1].min())
+        # the closed forms' own domains, checked before anything is printed
+        for name, value in ({"S0": s0, "D2": d2} if args.mode == "call" else {"D1": d1}).items():
+            if value <= 0.0:
+                raise ValidationError(f"the closed form needs {name} > 0, got {fmt(value)}")
         if args.mode == "call":
-            d2 = args.d2 if args.d2 is not None else float(asset.values[-1].max())
             closed = euro_call_price(s0, d2, args.strike)
             out.write(f"closed-form (band worst case, D2={fmt(d2)}): {fmt(closed)}\n")
         else:
-            d1 = args.d1 if args.d1 is not None else float(asset.values[-1].min())
             closed = euro_put_price(d1, args.strike)
             out.write(f"closed-form (band worst case, D1={fmt(d1)}): {fmt(closed)}\n")
         family, _ = asset_ratio_family(mset)

@@ -1,18 +1,19 @@
 """Optional decomposition of super-martingales relative to a measure family.
 
-Two routes are provided.  The feasibility witness asks the family, per step
-m, for a nonnegative F_m-measurable increment g0_m with
+Two routes are provided.  The feasibility witness asks the family for a
+nonnegative F_m-measurable increment g0_m at every step m with
 
     f_{m-1} - E^P(f_m | F_{m-1}) = E^P(g0_m | F_{m-1})   for every member P,
 
 which exists iff f = M - g with M a martingale for the whole family and g
-nondecreasing from zero (MeasureSet.compensator_increments: on a hull the
-conditional mean on each cell with one child and one block-diagonal LP per
-step for the other cells, one pass over the nodes on a martingale
-polytope).  The constructive route applies to complete measure families:
-each step's ratio f_n / f_{n-1} is normalized and dominated by a step claim
-1 + alpha_n d_n built from a unit-claim increment, from which the
-martingale and compensator follow in closed form.
+nondecreasing from zero.  The family answers for every step in one call
+(MeasureSet.compensator): on a hull the conditional mean on each cell with
+one child and one block-diagonal LP for the other cells of every step, one
+pass over the nodes on a martingale polytope.  The constructive route
+applies to complete measure families: each step's ratio f_n / f_{n-1} is
+normalized and dominated by a step claim 1 + alpha_n d_n built from a
+unit-claim increment, from which the martingale and compensator follow in
+closed form.
 
 Both routes start with the same super-martingale guard and end in
 validate_decomposition: a result that fails its reconstruction, its
@@ -105,11 +106,11 @@ def _validated(space: FilteredSpace, mset: MeasureSet, proc, dec: Decomposition)
 
 
 def local_regular_witness(space: FilteredSpace, mset: MeasureSet, f) -> Decomposition:
-    """Decompose a super-martingale step by step through the family.
+    """Decompose a super-martingale through the family in one call.
 
-    Each step m takes the compensator increment the family gives for the
-    drop f_{m-1} - f_m (MeasureSet.compensator_increments): nonnegative,
-    F_m-measurable, with the drop's conditional expectation under every
+    The family gives the compensator steps for the drops f_{m-1} - f_m of
+    every step at once (MeasureSet.compensator): each nonnegative,
+    F_m-measurable, with its drop's conditional expectation under every
     member, and of least sum over each cell's children.  The compensator is
     their running sum and the martingale f + g.  A step with no such
     increment proves no decomposition exists and raises Infeasible.
@@ -117,11 +118,8 @@ def local_regular_witness(space: FilteredSpace, mset: MeasureSet, f) -> Decompos
     proc = _as_process(space, f)
     _require_supermartingale(space, mset, proc)
     scale = 1.0 + float(np.abs(proc.values).max())
-    steps = [
-        mset.compensator_increments(proc.values[m - 1] - proc.values[m], m - 1, scale)
-        for m in range(1, space.horizon + 1)
-    ]
-    g = np.cumsum([np.zeros(space.outcome_count)] + steps, axis=0)
+    steps = mset.compensator(proc.values[:-1] - proc.values[1:], scale)
+    g = np.cumsum(np.r_[np.zeros((1, space.outcome_count)), steps], axis=0)
     dec = Decomposition(martingale=AdaptedProcess(space, proc.values + g),
                         compensator=AdaptedProcess(space, g))
     return _validated(space, mset, proc, dec)

@@ -137,6 +137,9 @@ def asset_ratio_family(mset: MartingalePolytope):
     index = []
     for j, asset in enumerate(mset.assets):
         s0 = asset.values[0, 0]
+        if s0 == 0.0:
+            raise ValidationError(f"asset {mset.asset_names[j]} starts at 0: it has no ratio "
+                                  "claims S_i / S_0")
         for i in range(asset.space.horizon + 1):
             family.append(asset.values[i] / s0)
             index.append((j, i))

@@ -3,16 +3,17 @@
 Every family implements one contract, MeasureSet, and no other module tells
 the families apart.  The contract has eight methods: reference,
 dominating_claim, domination_rows, cond_exp_sup, ess_sup_rows, step_gaps,
-contains_masses and compensator_increments.  Each family serves its sups
-from one private routine; the largest expectation over the family is
-row 0 of ess_sup_rows.  Two concrete families are supported:
+contains_masses and compensator.  Each family serves its sups from one
+private routine; the largest expectation over the family is row 0 of
+ess_sup_rows.  Two concrete families are supported:
 
 * GeneratorHull -- the convex hull of finitely many strictly positive
   measures.  Conditional expectations under any hull member are positively
   weighted averages of the generator conditionals, so per-cell extrema over
-  the family reduce to extrema over the generators, and a compensator step
-  is one equality per generator on each cell: the conditional mean on a
-  cell with one child, one block-diagonal LP per step for the rest.
+  the family reduce to extrema over the generators, read off one table of
+  every generator's cell masses.  A compensator step is one equality per
+  generator on each cell: the conditional mean on a cell with one child,
+  and for the other cells of every step one block-diagonal LP per process.
 
 * MartingalePolytope -- all strictly positive measures making the listed
   asset processes martingales.  The family is an open face of the polyhedron
@@ -114,19 +115,33 @@ class CompletionMeasure:
     atom_probabilities: np.ndarray  # one entry per cell of partitions[time]
 
 
-def _as_probabilities(P) -> np.ndarray:
-    if isinstance(P, Measure):
-        return P.probabilities
-    return Measure(np.asarray(P, dtype=float)).probabilities
+def _claim_vector(space: FilteredSpace, X) -> np.ndarray:
+    """X as an outcome vector: one finite entry per outcome (ShapeMismatch,
+    ValidationError)."""
+    x = np.asarray(X, dtype=float)
+    if x.shape != (space.outcome_count,):
+        raise ShapeMismatch("claim length must equal the outcome count")
+    if not np.isfinite(x).all():
+        raise ValidationError("claim must be finite")
+    return x
+
+
+def _check_time(space: FilteredSpace, t: int) -> None:
+    if not 0 <= t <= space.horizon:
+        raise IndexError(f"time {t} out of range 0..{space.horizon}")
+
+
+def _measure_vector(space: FilteredSpace, P) -> np.ndarray:
+    p = (P if isinstance(P, Measure) else Measure(np.asarray(P, dtype=float))).probabilities
+    if p.shape != (space.outcome_count,):
+        raise ShapeMismatch("measure length must equal the outcome count")
+    return p
 
 
 def conditional_expectation(space: FilteredSpace, P, X, t: int) -> np.ndarray:
     """E{X | F_t} under a single strictly positive measure, as an outcome row."""
-    p = _as_probabilities(P)
-    x = np.asarray(X, dtype=float)
-    if p.shape != (space.outcome_count,) or x.shape != (space.outcome_count,):
-        raise ShapeMismatch("measure/claim length must equal the outcome count")
-    return _condexp_row(space, p, x, t)
+    _check_time(space, t)
+    return _condexp_row(space, _measure_vector(space, P), _claim_vector(space, X), t)
 
 
 def _condexp_row(space: FilteredSpace, p: np.ndarray, x: np.ndarray, t: int) -> np.ndarray:
@@ -143,9 +158,8 @@ def change_of_measure_conditional(space: FilteredSpace, P1, P2, X, t: int) -> np
     Uses phi = (dP1/dP2) / E^{P2}{dP1/dP2 | F_t}; the result agrees with
     conditional_expectation(space, P1, X, t).
     """
-    p1 = _as_probabilities(P1)
-    p2 = _as_probabilities(P2)
-    x = np.asarray(X, dtype=float)
+    _check_time(space, t)
+    p1, p2, x = _measure_vector(space, P1), _measure_vector(space, P2), _claim_vector(space, X)
     density = p1 / p2
     phi = density / _condexp_row(space, p2, density, t)
     return _condexp_row(space, p2, x * phi, t)
@@ -153,10 +167,8 @@ def change_of_measure_conditional(space: FilteredSpace, P1, P2, X, t: int) -> np
 
 def restriction_metric(space: FilteredSpace, P1, P2, t: int) -> float:
     """Total variation between the two measures restricted to the time-t cells."""
-    if not 0 <= t <= space.horizon:
-        raise IndexError(f"time {t} out of range 0..{space.horizon}")
-    p1 = _as_probabilities(P1)
-    p2 = _as_probabilities(P2)
+    _check_time(space, t)
+    p1, p2 = _measure_vector(space, P1), _measure_vector(space, P2)
     atoms = space.atom_index[t]
     k = space.n_cells(t)
     m1 = np.bincount(atoms, weights=p1, minlength=k)
@@ -224,22 +236,23 @@ class MeasureSet:
         time-t cells."""
         raise NotImplementedError
 
-    def compensator_increments(self, drop, t: int, scale: float) -> np.ndarray:
-        """One step of an optional decomposition's compensator: a nonnegative
-        F_{t+1}-measurable gamma, as an outcome row, with
-        E^P(gamma | F_t) = E^P(drop | F_t) under every member P, where
-        drop = f_t - f_{t+1}.  Of these, the one with the least sum over
-        each time-t cell's children (a one-generator hull gives the constant
-        conditional mean instead).  scale is the process's 1 + max |f|.  A
-        polytope judges every node in value units, and a hull every cell
-        with one child (each cell, with one generator): entries down to
-        -EQ_TOL * scale count as nonnegative, the tolerance of the
-        super-martingale test, and a hull's generators must agree on the
-        mean within EQ_TOL * scale.  The LP solver's tolerances judge a
-        hull's other cells.  Raises Infeasible(time=t+1, cell) for the
-        lowest time-t cell with no such gamma.  A polytope takes all of its
-        time-t nodes in one flat sweep over its (node, child) pairs, the
-        sweep its superhedge_capital makes once over the whole tree."""
+    def compensator(self, drops, scale: float) -> np.ndarray:
+        """An optional decomposition's compensator steps, shape (N, n), from
+        a process's drops, shape (N, n) with row t holding f_t - f_{t+1}:
+        row t is a nonnegative F_{t+1}-measurable gamma with E^P(gamma | F_t)
+        = E^P(drop | F_t) under every member P.  Of these, the one with the
+        least sum over each time-t cell's children (a one-generator hull
+        gives the constant conditional mean instead).  scale is the
+        process's 1 + max |f|.  A polytope judges every node in value units,
+        and a hull every cell with one child (each cell, with one
+        generator): entries down to -EQ_TOL * scale count as nonnegative,
+        the tolerance of the super-martingale test, and a hull's generators
+        must agree on the mean within EQ_TOL * scale.  The LP solver's
+        tolerances judge a hull's other cells, every step's in one
+        block-diagonal LP.  Raises Infeasible(time=t+1, cell) for the lowest
+        time t, then its lowest cell, with no such gamma.  A polytope takes
+        every node in one flat sweep over its (node, child) pairs, the sweep
+        of its superhedge_capital."""
         raise NotImplementedError
 
 
@@ -258,10 +271,26 @@ class GeneratorHull(MeasureSet):
             gens.append(m)
         self.generators: tuple[Measure, ...] = tuple(gens)
         self._matrix = np.array([m.probabilities for m in self.generators])
+        # the cells of times 0..N numbered time after time, and each cell of
+        # times 1..N's parent; then every generator's mass of every cell
+        N, n, k = space.horizon, space.outcome_count, len(gens)
+        self._offsets = np.cumsum([0] + [space.n_cells(t) for t in range(N + 1)])
+        self._cells = space.atom_index + self._offsets[:-1, None]
+        self._parent = np.concatenate([self._offsets[t] + space.parent[t + 1] for t in range(N)])
+        self._masses = self._cell_sums(np.broadcast_to(self._matrix[:, None], (k, N + 1, n)), 0)
 
     @property
     def k(self) -> int:
         return len(self.generators)
+
+    def _cell_sums(self, x: np.ndarray, first: int) -> np.ndarray:
+        """Sums of x, shape (r, T, n) with row s at time first + s, over each
+        cell of times first..first+T-1: shape (r, cells), the cells numbered
+        time after time from offsets[first]."""
+        cells = self._cells[first:first + x.shape[1]] - self._offsets[first]
+        size = int(cells[-1].max()) + 1
+        index = cells + size * np.arange(len(x))[:, None, None]
+        return np.bincount(index.ravel(), x.ravel(), len(x) * size).reshape(len(x), size)
 
     def reference(self) -> np.ndarray:
         return self._matrix.mean(axis=0)
@@ -277,111 +306,97 @@ class GeneratorHull(MeasureSet):
                         b_eq=np.zeros(self.k))
         if res.status != 0:
             raise InfeasiblePricing(f"pricing LP failed (status {res.status}): {res.message}")
-        return float(res.fun), res.x[1:], float(self._generator_rows(x, [0]).max())
+        return float(res.fun), res.x[1:], float(self._generator_rows(x, 0, 1).max())
 
     def domination_rows(self, x):
         # one row per (generator, terminal cell): the cell's generator mass
         # against the claim's value there
         x = np.asarray(x, dtype=float)
-        space = self.space
-        t = space.horizon
-        cells = [space.cell_outcomes(t, c) for c in range(space.n_cells(t))]
-        P = np.zeros((self.k * len(cells), space.outcome_count))
-        bounds = np.empty(len(P))
-        for i, p in enumerate(self._matrix):
-            for j, idx in enumerate(cells):
-                P[i * len(cells) + j, idx] = p[idx]
-                bounds[i * len(cells) + j] = x[idx[0]] * p[idx].sum()
-        return P, bounds
+        space, N = self.space, self.space.horizon
+        P = np.zeros((self.k, space.n_cells(N), space.outcome_count))
+        P[:, space.atom_index[N], np.arange(space.outcome_count)] = self._matrix
+        bounds = self._masses[:, self._offsets[N]:] * x[cell_reps(space, N)]
+        return P.reshape(-1, space.outcome_count), bounds.ravel()
 
     def cond_exp_sup(self, x, t):
-        rows = self._generator_rows(x, [t])[0]
+        rows = self._generator_rows(x, t, t + 1)[:, 0]
         attained = tuple(int(np.argmax(rows[:, r])) for r in cell_reps(self.space, t))
         return EssSupRow(values=rows.max(axis=0), attained=attained)
 
     def ess_sup_rows(self, x):
         # a hull is not m-stable, so every time takes its own generator maxima
-        return self._generator_rows(x, range(self.space.horizon + 1)).max(axis=1)
+        return self._generator_rows(x, 0, self.space.horizon + 1).max(axis=0)
 
-    def _generator_rows(self, x, times) -> np.ndarray:
-        """Every generator's E(x | F_t), t in times, shape (len(times), k, n).
-        A member's is a positively weighted average of these, so their
-        maximum is the per-cell sup, attained by the argmax generator."""
-        x = np.asarray(x, dtype=float)
-        return np.array([[_condexp_row(self.space, p, x, t) for p in self._matrix]
-                         for t in times])
+    def _generator_rows(self, x, first: int, last: int) -> np.ndarray:
+        """Every generator's E(x | F_t), t = first..last-1, shape (k, last -
+        first, n).  A member's is a positively weighted average of these, so
+        their maximum is the per-cell sup, attained by the argmax generator."""
+        lift = self._matrix[:, None] * np.asarray(x, dtype=float)
+        lift = np.broadcast_to(lift, (self.k, last - first, self.space.outcome_count))
+        means = (self._cell_sums(lift, first)
+                 / self._masses[:, self._offsets[first]:self._offsets[last]])
+        return means[:, self._cells[first:last] - self._offsets[first]]
 
     def step_gaps(self, x, base, t, equality):
         # the generators decide (_generator_rows)
-        gaps = (self._generator_rows(x, [t])[0] - base)[:, cell_reps(self.space, t)]
+        gaps = (self._generator_rows(x, t, t + 1)[:, 0] - base)[:, cell_reps(self.space, t)]
         return [(f"generator {i}", np.abs(g) if equality else g) for i, g in enumerate(gaps)]
 
     def contains_masses(self, masses, t):
         # the restriction of the hull to time t is the hull of the
         # restricted generators: a convex-combination feasibility solve
-        atoms = self.space.atom_index[t]
-        k = self.space.n_cells(t)
-        restr = np.array(
-            [np.bincount(atoms, weights=p, minlength=k) for p in self._matrix]
-        ).T  # cells x generators
-        A_eq = np.vstack([restr, np.ones((1, self.k))])
+        restr = self._masses[:, self._offsets[t]:self._offsets[t + 1]]
+        A_eq = np.vstack([restr.T, np.ones((1, self.k))])
         b_eq = np.concatenate([masses, [1.0]])
         return _lp.feasible_point(A_eq, b_eq, self.k) is not None
 
-    def compensator_increments(self, drop, t, scale):
-        # a time-t cell with one child (every cell, with one generator) takes
-        # the drop's conditional mean, on which the generators must agree.
-        # The other cells share one block-diagonal LP, a block per cell with
-        # one equality per generator; its least sum separates into each
-        # cell's least sum.  An infeasible block is solved cell by cell, to
-        # name the cell
-        space = self.space
-        tol = EQ_TOL * scale
-        drop = np.asarray(drop, dtype=float)
-        atoms = space.atom_index[t]
-        means = self._generator_rows(drop, [t])[0][:, cell_reps(space, t)]
+    def compensator(self, drops, scale):
+        # per time-t cell each generator's sum of the drop and its mean.  A
+        # cell with one child (every cell, with one generator) takes the
+        # mean, on which the generators must agree.  The other cells of every
+        # step share one block-diagonal LP, a block per cell with one
+        # equality per generator over its children's masses; its least sum
+        # separates into each cell's least sum.  An infeasible LP is solved
+        # again cell by cell, to name the first failing cell
+        N, k, offsets, tol = self.space.horizon, self.k, self._offsets, EQ_TOL * scale
+        sums = self._cell_sums(self._matrix[:, None] * np.asarray(drops, dtype=float), 0)
+        means = sums / self._masses[:, :offsets[N]]
         lo, hi = means.min(axis=0), means.max(axis=0)
-        forced = np.array([len(kids) == 1 for kids in space.children[t]]) | (self.k == 1)
+        forced = (np.bincount(self._parent, minlength=offsets[N]) == 1) | (k == 1)
         bad = np.flatnonzero(forced & ((hi - lo > tol) | (lo < -tol)))[:1].tolist()
-        gamma = np.maximum(0.5 * (lo + hi), 0.0)[atoms[cell_reps(space, t + 1)]]
+        gamma = np.maximum(0.5 * (lo + hi), 0.0)[self._parent]
         multi = np.flatnonzero(~forced)
         if multi.size:
-            systems = [self._cell_system(drop, t, c) for c in multi]
-            # column j holds its cell's k generator rows, block after block
-            owner = np.repeat(np.arange(len(multi)), [W.shape[1] for W, _ in systems])
+            # the branching cells' children, cell after cell, as the columns
+            kids = np.flatnonzero(~forced[self._parent])
+            kids = kids[np.argsort(self._parent[kids], kind="stable")]
+            owner = np.searchsorted(multi, self._parent[kids])
+            W, r = self._masses[:, offsets[1] + kids], sums[:, multi]
             block = sparse.csc_array(
-                (np.concatenate([W.T for W, _ in systems]).ravel(),
-                 (owner[:, None] * self.k + np.arange(self.k)).ravel(),
-                 np.arange(0, len(owner) * self.k + 1, self.k)),
-                shape=(len(multi) * self.k, len(owner)))
-            solution = _lp.feasible_point(block, np.concatenate([r for _, r in systems]),
-                                          len(owner))
+                (W.T.ravel(), (owner[:, None] * k + np.arange(k)).ravel(),
+                 np.arange(0, W.size + 1, k)), shape=(r.size, len(kids)))
+            solution = _lp.feasible_point(block, r.T.ravel(), len(kids))
             if solution is None:
                 parts = []
-                for c, (W, r) in zip(multi, systems):
-                    x = None if len(multi) == 1 else _lp.feasible_point(W, r, W.shape[1])
+                for b, cell in enumerate(multi):
+                    if bad and cell > bad[0]:
+                        break
+                    x = _lp.feasible_point(W[:, owner == b], r[:, b], int((owner == b).sum()))
                     if x is None:
-                        bad.append(int(c))
+                        bad.append(int(cell))
                         break
                     parts.append(x)
                 else:
                     solution = np.concatenate(parts)
             if solution is not None:
-                gamma[np.concatenate([space.children[t][c] for c in multi])] = solution
+                gamma[kids] = solution
         if bad:
-            c = min(bad)
+            node = min(bad)
+            t = int(np.searchsorted(offsets, node, side="right")) - 1
+            c = int(node - offsets[t])
             raise Infeasible(f"no compensator increment on cell {c} at step {t + 1}",
                              time=t + 1, cell=c)
-        return gamma[space.atom_index[t + 1]]
-
-    def _cell_system(self, drop: np.ndarray, t: int, c: int) -> tuple[np.ndarray, np.ndarray]:
-        """(W, r) of the time-t cell c: per generator, its masses of the
-        cell's children and its sum of drop over the cell."""
-        idx = list(self.space.cells[t][c])
-        kid_cells = [self.space.cell_outcomes(t + 1, k) for k in self.space.children[t][c]]
-        W = np.array([[w[kc].sum() for kc in kid_cells] for w in self._matrix])
-        r = np.array([float(drop[idx] @ w[idx]) for w in self._matrix])
-        return W, r
+        return gamma[self._cells[1:] - offsets[1]]
 
 
 # A node with more candidate supports than this (only possible with two or
@@ -842,20 +857,17 @@ class MartingalePolytope(MeasureSet):
             raise MathError(f"the measure attaining the price fails its own check: least mass "
                             f"{q_star.min():.3e}, total {q_star.sum():.12g}, {len(missed)} missed")
         scale = 1.0 + float(np.abs(V).max())
-        gamma, holdings = self._compensator(V[:-1] - V[1:], 0, scale)
+        gamma, holdings = self._compensator(V[:-1] - V[1:], scale)
         return (V + np.cumsum(np.r_[np.zeros((1, self.space.outcome_count)), gamma], axis=0),
                 holdings, q_star)
 
-    def compensator_increments(self, drop, t, scale):
-        return self._compensator(np.asarray(drop, dtype=float)[None], t, scale)[0][0]
+    def compensator(self, drops, scale):
+        return self._compensator(np.asarray(drops, dtype=float), scale)[0]
 
-    def _compensator(self, drops: np.ndarray, first: int,
-                     scale: float) -> tuple[np.ndarray, np.ndarray]:
-        """(gamma, H) for the drops of a process at times s = first..last-1,
-        last = first + len(drops), row s - first holding f_s - f_{s+1}: per
-        step the compensator increment (compensator_increments), shape
-        (last - first, n), and its holdings, shape (last - first, n, d), row
-        s - first constant on the time-s cells.
+    def _compensator(self, drops: np.ndarray, scale: float) -> tuple[np.ndarray, np.ndarray]:
+        """(gamma, H) for the drops of a process, row t holding f_t - f_{t+1}:
+        the compensator steps (compensator), shape (N, n), and their
+        holdings, shape (N, n, d), row t constant on the time-t cells.
 
         Every node at once, from the flat pair table: the closure is
         m-stable, so gamma - drop has zero conditional mean under every
@@ -873,9 +885,9 @@ class MartingalePolytope(MeasureSet):
         Feasibility is judged in value units, gamma >= -EQ_TOL * scale, the
         tolerance of the super-martingale test; Infeasible(time=t+1, cell)
         names the lowest time t, then its lowest cell, with no such gamma."""
-        pairs, n = self._pairs, self.space.outcome_count
-        last, tol = first + len(drops), EQ_TOL * scale
-        span, size, cells, _, index = pairs.levels(first, last)
+        pairs, n, N = self._pairs, self.space.outcome_count, self.space.horizon
+        tol = EQ_TOL * scale
+        span, size, cells, _, index = pairs.levels(0, N)
         moves = pairs.moves[:, span]
         b = drops.ravel()[index]
         if len(moves) == 1:
@@ -888,7 +900,7 @@ class MartingalePolytope(MeasureSet):
             h = np.where(np.isfinite(h), h, 0.0)[:, None]
             fallback = np.flatnonzero(lo > hi)
         else:
-            h, miss = self._replicate(-drops, first, last)
+            h, miss = self._replicate(-drops, 0, N)
             fallback = np.flatnonzero(miss > tol)
         if fallback.size:
             counts = np.bincount(cells, minlength=size)
@@ -904,17 +916,15 @@ class MartingalePolytope(MeasureSet):
         gamma = b + np.einsum("dp,pd->p", moves, h[cells])
         short = cells[gamma < -tol]
         if short.size:
-            node = int(short.min()) + pairs.offsets[first]
+            node = int(short.min())
             t = int(np.searchsorted(pairs.offsets, node, side="right")) - 1
             c = int(node - pairs.offsets[t])
             raise Infeasible(f"no compensator increment on cell {c} at step {t + 1}",
                              time=t + 1, cell=c)
-        steps = np.empty((last - first) * n)
+        steps = np.empty(N * n)
         steps[index] = gamma
-        rows = np.arange(last - first)[:, None]
-        return (steps[pairs.reps[first + 1:last + 1] + rows * n],
-                h[self.space.atom_index[first:last] + pairs.offsets[first:last, None]
-                  - pairs.offsets[first]])
+        return (steps[pairs.reps[1:] + np.arange(N)[:, None] * n],
+                h[self.space.atom_index[:N] + pairs.offsets[:N, None]])
 
     def contains_masses(self, masses, t):
         # a strictly positive member supplies the conditional extension
@@ -939,9 +949,7 @@ class MartingalePolytope(MeasureSet):
 
 def is_unit_claim(space: FilteredSpace, mset: MeasureSet, xi) -> bool:
     """True iff xi >= 0 and E^P[xi] = 1 for every member measure."""
-    xi = np.asarray(xi, dtype=float)
-    if xi.shape != (space.outcome_count,):
-        raise ShapeMismatch("claim length must equal the outcome count")
+    xi = _claim_vector(space, xi)
     if xi.min() < -EQ_TOL:
         return False
     return all(gaps.max() <= EQ_TOL for _, gaps in mset.step_gaps(xi, 1.0, 0, equality=True))
@@ -1045,14 +1053,13 @@ def ess_sup_conditional(space: FilteredSpace, mset: MeasureSet, X, t: int) -> Es
     martingale polytope the per-cell supremum across the closure, by
     backward induction over the nodes of the tree.
     """
-    x = _nonnegative_claim(X)
-    if not 0 <= t <= space.horizon:
-        raise IndexError(f"time {t} out of range 0..{space.horizon}")
+    x = _nonnegative_claim(space, X)
+    _check_time(space, t)
     return mset.cond_exp_sup(x, t)
 
 
-def _nonnegative_claim(X) -> np.ndarray:
-    x = np.asarray(X, dtype=float)
+def _nonnegative_claim(space: FilteredSpace, X) -> np.ndarray:
+    x = _claim_vector(space, X)
     if x.min() < -EQ_TOL:
         raise ValueError("ess-sup rows are defined here for nonnegative claims")
     return x

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _lp
-from .errors import InfeasiblePricing, NotUnitClaim, ShapeMismatch, ValidationError
-from .measures import MeasureSet, is_unit_claim
+from .errors import InfeasiblePricing, NotUnitClaim, ValidationError
+from .measures import MeasureSet, _claim_vector, is_unit_claim
 from .spaces import FilteredSpace, cell_ranges
 from .tolerances import EQ_TOL
 
@@ -45,15 +45,6 @@ class FairPriceResult:
     witness_bound: BoundCheck        # f_N <= price * E(witness | F_N), per cell
     lower_bound: float               # sup of E^P f_N over the family
     weights: np.ndarray | None = None  # simplex weights when priced over a family
-
-
-def _claim_vector(space: FilteredSpace, f_N) -> np.ndarray:
-    x = np.asarray(f_N, dtype=float)
-    if x.shape != (space.outcome_count,):
-        raise ShapeMismatch("claim length must equal the outcome count")
-    if not np.isfinite(x).all():
-        raise ValidationError("claim must be finite")
-    return x
 
 
 def _check_terminal_claim(space: FilteredSpace, f_N) -> np.ndarray:

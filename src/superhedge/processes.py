@@ -72,7 +72,7 @@ def ess_sup_process(space: FilteredSpace, mset: MeasureSet, xi) -> AdaptedProces
     """The process of per-cell suprema of E^P(xi | F_t) over the family,
     every row from one call to the family (one backward pass on a
     polytope)."""
-    return AdaptedProcess(space, mset.ess_sup_rows(_nonnegative_claim(xi)))
+    return AdaptedProcess(space, mset.ess_sup_rows(_nonnegative_claim(space, xi)))
 
 
 def unit_claim_martingale(space: FilteredSpace, mset: MeasureSet, xi0) -> AdaptedProcess:

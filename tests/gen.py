@@ -339,10 +339,10 @@ def cond_exp_sup_lp(poly, x, t):
 
 
 def compensator_increments_lp(space, mset, drop, t):
-    """MeasureSet.compensator_increments by one LP per time-t cell over the
-    family's expectation functionals, a hull's generators with kappa = 1:
-    the increment on each child is an unknown, nonnegative, one equality
-    per functional, least sum.  A family with a single functional gets the
+    """Row t of MeasureSet.compensator, for the drop f_t - f_{t+1}, by one
+    LP per time-t cell over the family's expectation functionals, a hull's
+    generators with kappa = 1: the increment on each child is an unknown,
+    nonnegative, one equality per functional, least sum.  A family with a single functional gets the
     constant conditional mean, floored at zero, instead.  Raises
     Infeasible(time=t+1, cell) for the first cell without a solution."""
     if isinstance(mset, GeneratorHull):
@@ -369,8 +369,8 @@ def compensator_increments_lp(space, mset, drop, t):
 
 
 def compensator_per_node(poly, drop, t, scale):
-    """MartingalePolytope.compensator_increments at time t, one node at a
-    time, with its holdings: (gamma, holdings) as an outcome row and an
+    """Row t of MartingalePolytope.compensator, for the drop f_t - f_{t+1},
+    one node at a time, with its holdings: (gamma, holdings) as an outcome row and an
     (n, d) row constant on the time-t cells.
 
     The library's rules: moves within MASS_TOL of an asset's scale count as

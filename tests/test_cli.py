@@ -104,6 +104,29 @@ def test_band_flags_set_the_closed_form(flag, value, line, capsys):
     assert code == 0 and out.startswith(line)
 
 
+@pytest.mark.parametrize("prices, args", [
+    ([[0, 0], [1, -1]], ["c", "--mode", "generated"]),
+    ([[0, 0], [1, -1]], ["--mode", "call", "--strike", "0"]),
+    ([[0, 0], [1, -1]], ["--mode", "put", "--strike", "0"]),
+    ([[-1, -1], [0, -2]], ["--mode", "call", "--strike", "0"]),
+])
+def test_an_asset_starting_at_or_below_zero_is_a_validation_error(tmp_path, capsys, prices,
+                                                                  args):
+    """The asset-ratio family needs S_0 != 0 and the closed forms S0, D1
+    and D2 > 0: exit 2 with one error line and no report."""
+    market = tmp_path / "market.json"
+    market.write_text(json.dumps({
+        "outcomes": {"count": 2}, "filtration": [[[0, 1]], [[0], [1]]],
+        "measures": {"martingale_assets": ["S"]}, "processes": {"S": prices},
+        "claims": {"c": [1, 0]},
+    }))
+    code = main(["price", str(market), *args])
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert code == 2 and captured.out == ""
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
 def test_unknown_claim_is_validation_error(capsys):
     code, _ = run(["price", "binomial.json", "ghost", "--mode", "full"], capsys)
     assert code == 2

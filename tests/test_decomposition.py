@@ -471,15 +471,16 @@ class TestForcedCells:
     def test_the_lowest_failing_cell_raises(self, disagree, branch_short, cell):
         """A drop that varies inside a forced cell has a different positive
         conditional mean under each generator; the drop (1, -1) on the
-        branching cell needs a negative increment under these masses.  The
-        step raises for the lowest failing cell, as the per-cell LP does."""
+        branching cell needs a negative increment under these masses.  With
+        nothing to compensate at step 1, the compensator raises for the
+        lowest failing cell of step 2, as the per-cell LP does."""
         drop = np.zeros(6)
         for c in disagree:
             drop[list(self.SPACE.cells[1][c])] = [0.6, 0.0]
         if branch_short:
             drop[[2, 3]] = [1.0, -1.0]
         with pytest.raises(Infeasible) as ours:
-            self.HULL.compensator_increments(drop, 1, 1.0)
+            self.HULL.compensator(np.array([np.zeros(6), drop]), 1.0)
         with pytest.raises(Infeasible) as lp:
             compensator_increments_lp(self.SPACE, self.HULL, drop, 1)
         assert (ours.value.time, ours.value.cell) == (lp.value.time, lp.value.cell) == (2, cell)
@@ -498,29 +499,47 @@ class TestForcedCells:
             local_regular_witness_lp(self.SPACE, self.HULL, f)
 
 
-def test_hull_witness_solves_one_lp_per_branching_step(lp_calls):
-    """On hulls whose witness exists, a step with a multi-child cell solves
-    at most one LP and a step whose cells all have one child none; a single
-    generator solves none at all."""
+def test_hull_witness_solves_one_lp(lp_calls):
+    """A hull witness that exists solves exactly one LP, for every step at
+    once, when some cell branches and the hull has two generators or more;
+    with one generator, or on a space where no cell branches, it solves
+    none."""
     rng = np.random.default_rng(331)
+    chain = build_space(3, [[(0, 1, 2)]] * 3)
     counts = {True: [], False: []}
     for i in range(40):
-        space = random_space(rng, min_outcomes=3)
+        space = chain if i % 5 == 4 else random_space(rng, min_outcomes=3)
         if i % 4:
             hull = compliant_hull(rng, space, k=int(rng.integers(2, 5)))
             xi = cellwise_unit_claim(rng, space, hull) * rng.uniform(0.5, 2.0)
-            f = ess_sup_process(space, hull, xi).values
+            f = ess_sup_process(space, hull, xi)
         else:
             hull = GeneratorHull(space, [random_measure(rng, space.outcome_count)])
-            f = random_supermartingale(rng, space, hull).values
-        scale = 1.0 + float(np.abs(f).max())
-        for t in range(space.horizon):
-            before = len(lp_calls)
-            hull.compensator_increments(f[t] - f[t + 1], t, scale)
-            branching = hull.k > 1 and any(len(kids) > 1 for kids in space.children[t])
-            counts[branching].append(len(lp_calls) - before)
-    assert counts[True] and max(counts[True]) == 1
-    assert counts[False] and max(counts[False]) == 0
+            f = random_supermartingale(rng, space, hull)
+        lp_calls.clear()
+        assert_valid(space, hull, f, local_regular_witness(space, hull, f))
+        branching = hull.k > 1 and any(len(kids) > 1 for level in space.children
+                                       for kids in level)
+        counts[branching].append(len(lp_calls))
+    assert counts[True] and set(counts[True]) == {1}
+    assert counts[False] and set(counts[False]) == {0}
+
+
+def test_hull_witness_names_a_later_step_as_the_per_cell_lp():
+    """Where the first cell without a compensator increment lies past the
+    first step, the one block LP of the whole process names the same
+    (time, cell) as one LP per cell, step by step."""
+    rng = np.random.default_rng(337)
+    later = 0
+    for _ in range(120):
+        space, hull, f = _hull_instance(rng, "random")
+        want = _witness_or_infeasible(local_regular_witness_lp, space, hull, f)
+        if isinstance(want, Infeasible) and want.time > 1:
+            got = _witness_or_infeasible(local_regular_witness, space, hull, f)
+            assert isinstance(got, Infeasible)
+            assert (got.time, got.cell) == (want.time, want.cell)
+            later += 1
+    assert later >= 10
 
 
 class TestHullDecompositionIff:

@@ -20,6 +20,7 @@ FAMILY_PRIVATE = {
     "_null_basis",
     "_interior",
     "_equalities",
+    "_masses",
     "_A_eq",
     "_b_eq",
     "_homogeneous",
@@ -146,7 +147,7 @@ CONTRACT = {
     "ess_sup_rows",
     "step_gaps",
     "contains_masses",
-    "compensator_increments",
+    "compensator",
 }
 
 

@@ -63,6 +63,56 @@ def test_polytope_over_a_non_finite_asset_is_a_validation_error(binary_space):
         MartingalePolytope(binary_space, [[[100.0, 100.0], [np.nan, 80.0]]])
 
 
+NON_FINITE = [np.array([np.nan, 1.0]), np.array([1.0, np.inf])]
+
+
+@pytest.mark.parametrize("claim", NON_FINITE)
+@pytest.mark.parametrize("family", ["hull", "polytope"])
+def test_unit_claim_test_rejects_non_finite_claims(binomial, two_generator_hull, family, claim):
+    """A NaN or infinite claim is a validation error, not a verdict."""
+    space, _, poly = binomial
+    mset = two_generator_hull if family == "hull" else poly
+    with pytest.raises(ValidationError, match="claim must be finite"):
+        is_unit_claim(space, mset, claim)
+    with pytest.raises(ValidationError, match="claim must be finite"):
+        is_complete(space, mset, claim)
+
+
+@pytest.mark.parametrize("claim", NON_FINITE)
+def test_ess_sup_conditional_rejects_non_finite_claims(binomial, claim):
+    space, _, poly = binomial
+    with pytest.raises(ValidationError, match="claim must be finite"):
+        ess_sup_conditional(space, poly, claim, 0)
+
+
+@pytest.mark.parametrize("conditional", ["plain", "change of measure"])
+@pytest.mark.parametrize("claim, t, error, match", [
+    (NON_FINITE[0], 0, ValidationError, "claim must be finite"),
+    (NON_FINITE[1], 1, ValidationError, "claim must be finite"),
+    (np.ones(2), -1, IndexError, r"time -1 out of range 0\.\.1"),
+    (np.ones(2), 2, IndexError, r"time 2 out of range 0\.\.1"),
+])
+def test_conditional_expectations_check_claim_and_time(binary_space, conditional, claim, t,
+                                                       error, match):
+    """Both conditional expectations reject a non-finite or mis-shaped
+    claim and a time outside 0..N, as restriction_metric does."""
+    P, Q = [0.4, 0.6], [0.7, 0.3]
+    with pytest.raises(error, match=match):
+        if conditional == "plain":
+            conditional_expectation(binary_space, P, claim, t)
+        else:
+            change_of_measure_conditional(binary_space, P, Q, claim, t)
+
+
+@pytest.mark.parametrize("P, Q, claim, match", [
+    ([0.4, 0.6], [0.7, 0.3], np.ones(3), "claim length"),
+    ([0.4, 0.6], [0.2, 0.3, 0.5], np.ones(2), "measure length"),
+])
+def test_change_of_measure_checks_lengths(binary_space, P, Q, claim, match):
+    with pytest.raises(ValidationError, match=match):
+        change_of_measure_conditional(binary_space, P, Q, claim, 0)
+
+
 def test_measure_errors_print_plain_numbers():
     with pytest.raises(InvalidMeasure, match=r"\(min=-0\.25\)") as negative:
         Measure(np.array([0.5, -0.25, 0.75]))

@@ -10,6 +10,7 @@ from superhedge import (
     MeasureDependent,
     NotNonincreasing,
     NotUnitClaim,
+    ValidationError,
     build_space,
     class_k_supermartingale,
     conditional_expectation,
@@ -119,6 +120,16 @@ class TestEssSupProcess:
     def test_constant_claim(self, binary_space, two_generator_hull):
         proc = ess_sup_process(binary_space, two_generator_hull, np.full(2, 4.0))
         assert np.allclose(proc.values, 4.0)
+
+    @pytest.mark.parametrize("claim, match", [
+        ([np.inf, 0.0], "claim must be finite"),
+        ([np.nan, 0.0], "claim must be finite"),
+        ([1.0, 0.0, 2.0], "claim length"),
+    ])
+    def test_bad_claims_are_validation_errors(self, binomial, claim, match):
+        space, _, poly = binomial
+        with pytest.raises(ValidationError, match=match):
+            ess_sup_process(space, poly, claim)
 
     def test_supermartingale_on_compliant_hulls(self):
         rng = np.random.default_rng(13)

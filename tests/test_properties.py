@@ -543,9 +543,9 @@ def test_full_price_shifts_and_scales_with_the_claim(seed, kind, shift, factor):
 
 def test_whole_tree_compensator_matches_steps_and_node_oracle(lp_calls, monkeypatch):
     """On polytopes of every kind, superhedge_capital's capital is the
-    claim's envelope plus the running sum of compensator_increments taken
-    step by step, and its holdings are each single step's, bit for bit;
-    both match the per-node oracle (gen.compensator_per_node) within 1e-9
+    claim's envelope plus the running sum of the contract's compensator
+    steps, bit for bit; those steps and superhedge_capital's holdings match
+    the per-node oracle (gen.compensator_per_node) step by step within 1e-9
     of scale, the holdings in value units.  The instances include complete
     trees, whose one-asset intervals are degenerate and round to empty,
     and two-asset nodes solved by LP."""
@@ -569,10 +569,8 @@ def test_whole_tree_compensator_matches_steps_and_node_oracle(lp_calls, monkeypa
             M, H, _ = poly.superhedge_capital(claim)
             lp_nodes += len(lp_calls)
             drops = V[:-1] - V[1:]
-            steps = np.array([poly.compensator_increments(drops[t], t, scale) for t in range(N)])
+            steps = poly.compensator(drops, scale)
             assert np.array_equal(M, V + np.cumsum(np.r_[np.zeros((1, n)), steps], axis=0))
-            single = [poly._compensator(drops[t][None], t, scale)[1][0] for t in range(N)]
-            assert np.array_equal(H, np.array(single))
             peak = np.array([np.abs(a.values).max() for a in poly.assets])
             for t in range(N):
                 gamma, h = compensator_per_node(poly, drops[t], t, scale)
@@ -587,8 +585,7 @@ def test_whole_tree_compensator_names_the_first_infeasible_node(seed, kind):
     """An envelope knocked below itself by 100 times the tolerance on a few
     nodes, none below another, has no compensator there.  The whole-tree
     pass raises Infeasible for the lowest knocked time, then cell, as the
-    step-by-step loop of compensator_increments and the per-node oracle
-    do."""
+    per-node oracle does step by step."""
     from gen import compensator_per_node, generic_claim
 
     rng = np.random.default_rng(seed)
@@ -607,20 +604,14 @@ def test_whole_tree_compensator_names_the_first_infeasible_node(seed, kind):
     scale = 1.0 + float(np.abs(V).max())
     drops = V[:-1] - V[1:]
 
-    def first_infeasible(step):
-        try:
-            for t in range(N):
-                step(drops[t], t, scale)
-        except Infeasible as e:
-            return e.time, e.cell
-        return None
-
     with pytest.raises(Infeasible) as whole:
-        poly._compensator(drops, 0, scale)
+        poly.compensator(drops, scale)
+    with pytest.raises(Infeasible) as oracle:
+        for t in range(N):
+            compensator_per_node(poly, drops[t], t, scale)
     expected = (nodes[0][0] + 1, nodes[0][1])
     assert (whole.value.time, whole.value.cell) == expected
-    assert first_infeasible(poly.compensator_increments) == expected
-    assert first_infeasible(lambda drop, t, s: compensator_per_node(poly, drop, t, s)) == expected
+    assert (oracle.value.time, oracle.value.cell) == expected
 
 
 def _full_rank_nodes(space, poly):
