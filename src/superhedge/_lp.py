@@ -77,11 +77,14 @@ def solve(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=(0, None)) -> LP
                          f"{[B.shape for B in blocks]}, right-hand sides "
                          f"{len(b_ub)} and {len(b_eq)}, {n} costs")
     # the stacked rows in canonical CSC: column by column, rows ascending,
-    # no zeros stored unless a sparse input stores them; a lone block is copied
+    # no zeros stored unless a sparse input stores them; a lone block already
+    # in canonical CSC is read as it is, any other is copied
     blocks = [B for B in blocks if B.shape[0]] or [np.empty((0, n))]
     if any(sparse.issparse(B) for B in blocks):
-        A = sparse.csc_array(blocks[0] if len(blocks) == 1 else sparse.vstack(blocks), copy=True)
-        A.sum_duplicates()
+        A = blocks[0] if len(blocks) == 1 else sparse.vstack(blocks)
+        if A.format != "csc" or not A.has_canonical_format:
+            A = sparse.csc_array(A, copy=True)
+            A.sum_duplicates()
         start, index, value = A.indptr, A.indices, A.data
     else:
         D = np.vstack(blocks)

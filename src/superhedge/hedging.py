@@ -22,7 +22,8 @@ from .errors import NotMartingale, NotPredictable, ShapeMismatch, ValidationErro
 from .measures import MartingalePolytope
 from .pricing import FairPriceResult, _certified, _check_terminal_claim, fair_price_generated
 from .processes import is_martingale
-from .spaces import AdaptedProcess, FilteredSpace, PredictableProcess, cell_ranges, cell_reps
+from .spaces import (AdaptedProcess, FilteredSpace, PredictableProcess, cell_firsts, cell_offsets,
+                     cell_ranges)
 from .tolerances import EQ_TOL
 
 
@@ -118,17 +119,19 @@ def strategy_capital(strategy: TradingStrategy) -> AdaptedProcess:
 
 def verify_self_financing(strategy: TradingStrategy) -> SelfFinancingReport:
     """Check that rebalancing at every step moves no cash in or out."""
-    space = strategy.space
+    space, n = strategy.space, strategy.space.outcome_count
     prices = np.stack([a.values for a in strategy.assets], axis=2)
     tol = EQ_TOL * (1.0 + float(np.abs(prices).max()))
-    violations = []
-    for m in range(1, space.horizon + 1):
-        dcash = strategy.cash[m] - strategy.cash[m - 1]
-        dhold = strategy.risky[m] - strategy.risky[m - 1]
-        residual = (dcash + np.einsum("nd,nd->n", dhold, prices[m - 1]))[cell_reps(space, m - 1)]
-        violations.extend(SelfFinancingViolation(m, int(c), float(residual[c]))
-                          for c in np.flatnonzero(np.abs(residual) > tol))
-    return SelfFinancingReport(ok=not violations, violations=tuple(violations))
+    # row m-1: the cash and holdings moved at time m-1, every step at once
+    residual = (np.diff(strategy.cash, axis=0)
+                + np.einsum("mnd,mnd->mn", np.diff(strategy.risky, axis=0), prices[:-1]))
+    t, w = np.nonzero(np.abs(residual) > tol)
+    cells = space.atom_index[t, w]
+    # a time-t cell is read at its first outcome
+    first = cell_firsts(space)[cell_offsets(space)[t] + cells] == t * n + w
+    violations = tuple(map(SelfFinancingViolation, (t[first] + 1).tolist(), cells[first].tolist(),
+                           residual[t, w][first].tolist()))
+    return SelfFinancingReport(ok=not violations, violations=violations)
 
 
 def asset_ratio_family(mset: MartingalePolytope):

@@ -2,10 +2,11 @@
 
 Every family implements one contract, MeasureSet, and no other module tells
 the families apart.  The contract has eight methods: reference,
-dominating_claim, domination_rows, cond_exp_sup, ess_sup_rows, step_gaps,
+dominating_claim, domination_rows, cond_exp_sup, ess_sup_rows, gaps,
 contains_masses and compensator.  Each family serves its sups from one
 private routine; the largest expectation over the family is row 0 of
-ess_sup_rows.  Two concrete families are supported:
+ess_sup_rows.  Every super-martingale, martingale and unit-claim verdict is
+one gaps call over a whole process.  Two concrete families are supported:
 
 * GeneratorHull -- the convex hull of finitely many strictly positive
   measures.  Conditional expectations under any hull member are positively
@@ -75,7 +76,7 @@ from .errors import (
     SolverFailure,
     ValidationError,
 )
-from .spaces import AdaptedProcess, FilteredSpace, cell_reps
+from .spaces import AdaptedProcess, FilteredSpace, cell_firsts, cell_offsets, cell_reps
 from .tolerances import EQ_TOL, FEAS_TOL, MASS_TOL
 
 
@@ -141,15 +142,16 @@ def _measure_vector(space: FilteredSpace, P) -> np.ndarray:
 def conditional_expectation(space: FilteredSpace, P, X, t: int) -> np.ndarray:
     """E{X | F_t} under a single strictly positive measure, as an outcome row."""
     _check_time(space, t)
-    return _condexp_row(space, _measure_vector(space, P), _claim_vector(space, X), t)
+    return _condexp_rows(space, _measure_vector(space, P), _claim_vector(space, X), t, t + 1)[0]
 
 
-def _condexp_row(space: FilteredSpace, p: np.ndarray, x: np.ndarray, t: int) -> np.ndarray:
-    atoms = space.atom_index[t]
-    k = space.n_cells(t)
-    mass = np.bincount(atoms, weights=p, minlength=k)
-    lift = np.bincount(atoms, weights=p * x, minlength=k)
-    return (lift / mass)[atoms]
+def _condexp_rows(space: FilteredSpace, p: np.ndarray, x: np.ndarray, first: int, last: int):
+    """E{x | F_t} under p, t = first..last-1, shape (last - first, n), from
+    one bincount each of p and p * x over the cells of those times."""
+    offsets = cell_offsets(space)
+    cells = space.atom_index[first:last] + (offsets[first:last] - offsets[first])[:, None]
+    sums = np.bincount(cells.ravel(), np.concatenate([p * x] * len(cells)))
+    return (sums / np.bincount(cells.ravel(), np.concatenate([p] * len(cells))))[cells]
 
 
 def change_of_measure_conditional(space: FilteredSpace, P1, P2, X, t: int) -> np.ndarray:
@@ -161,8 +163,8 @@ def change_of_measure_conditional(space: FilteredSpace, P1, P2, X, t: int) -> np
     _check_time(space, t)
     p1, p2, x = _measure_vector(space, P1), _measure_vector(space, P2), _claim_vector(space, X)
     density = p1 / p2
-    phi = density / _condexp_row(space, p2, density, t)
-    return _condexp_row(space, p2, x * phi, t)
+    phi = density / _condexp_rows(space, p2, density, t, t + 1)[0]
+    return _condexp_rows(space, p2, x * phi, t, t + 1)[0]
 
 
 def restriction_metric(space: FilteredSpace, P1, P2, t: int) -> float:
@@ -221,14 +223,14 @@ class MeasureSet:
         with nothing attaining them built; row 0 is the largest expectation."""
         raise NotImplementedError
 
-    def step_gaps(self, x, base, t: int, equality: bool) -> list[tuple[str, np.ndarray]]:
-        """Pairs (label, gaps), one gap per time-t cell, comparing E^P(x | F_t)
-        with the F_t-measurable base over the family.
-
-        Without equality x is F_{t+1}-measurable, and a gap is the largest
-        excess of E^P(x | F_t) over base; with equality it is a nonnegative
-        residual that vanishes iff E^P(x | F_t) = base under every member
-        measure."""
+    def gaps(self, rows, equality: bool) -> tuple[tuple[str, ...], np.ndarray]:
+        """Labels, and per label and cell of times s = 0..T-1 (numbered as in
+        cell_offsets) the gap comparing E^P(rows[s+1] | F_s) with rows[s],
+        for rows (T+1, n), T <= N+1: row s is F_s-measurable for s < T, the
+        last row any claim.  Without equality the last row is F_T-measurable
+        too, and a gap is the largest excess of E^P(rows[s+1] | F_s) over
+        rows[s]; with equality a nonnegative residual that vanishes iff
+        E^P(rows[s+1] | F_s) = rows[s] under every member measure."""
         raise NotImplementedError
 
     def contains_masses(self, masses, t: int) -> bool:
@@ -271,10 +273,11 @@ class GeneratorHull(MeasureSet):
             gens.append(m)
         self.generators: tuple[Measure, ...] = tuple(gens)
         self._matrix = np.array([m.probabilities for m in self.generators])
-        # the cells of times 0..N numbered time after time, and each cell of
+        # the cells of times 0..N numbered time after time, each one's first
+        # outcome as an index into a flat (N+1, n) array, and each cell of
         # times 1..N's parent; then every generator's mass of every cell
         N, n, k = space.horizon, space.outcome_count, len(gens)
-        self._offsets = np.cumsum([0] + [space.n_cells(t) for t in range(N + 1)])
+        self._offsets, self._firsts = cell_offsets(space), cell_firsts(space)
         self._cells = space.atom_index + self._offsets[:-1, None]
         self._parent = np.concatenate([self._offsets[t] + space.parent[t + 1] for t in range(N)])
         self._masses = self._cell_sums(np.broadcast_to(self._matrix[:, None], (k, N + 1, n)), 0)
@@ -306,7 +309,7 @@ class GeneratorHull(MeasureSet):
                         b_eq=np.zeros(self.k))
         if res.status != 0:
             raise InfeasiblePricing(f"pricing LP failed (status {res.status}): {res.message}")
-        return float(res.fun), res.x[1:], float(self._generator_rows(x, 0, 1).max())
+        return float(res.fun), res.x[1:], float(self._generator_means(x, 0, 1).max())
 
     def domination_rows(self, x):
         # one row per (generator, terminal cell): the cell's generator mass
@@ -319,28 +322,31 @@ class GeneratorHull(MeasureSet):
         return P.reshape(-1, space.outcome_count), bounds.ravel()
 
     def cond_exp_sup(self, x, t):
-        rows = self._generator_rows(x, t, t + 1)[:, 0]
-        attained = tuple(int(np.argmax(rows[:, r])) for r in cell_reps(self.space, t))
-        return EssSupRow(values=rows.max(axis=0), attained=attained)
+        means = self._generator_means(x, t, t + 1)
+        return EssSupRow(values=means.max(axis=0)[self.space.atom_index[t]],
+                         attained=tuple(means.argmax(axis=0).tolist()))
 
     def ess_sup_rows(self, x):
         # a hull is not m-stable, so every time takes its own generator maxima
-        return self._generator_rows(x, 0, self.space.horizon + 1).max(axis=0)
+        return self._generator_means(x, 0, self.space.horizon + 1).max(axis=0)[self._cells]
 
-    def _generator_rows(self, x, first: int, last: int) -> np.ndarray:
-        """Every generator's E(x | F_t), t = first..last-1, shape (k, last -
-        first, n).  A member's is a positively weighted average of these, so
-        their maximum is the per-cell sup, attained by the argmax generator."""
+    def _generator_means(self, x, first: int, last: int) -> np.ndarray:
+        """Every generator's E(x_t | F_t) on each cell of times t =
+        first..last-1, shape (k, cells), for x one outcome row, or one per
+        time (last - first, n).  A member's is a positively weighted average
+        of these, so their maximum is the per-cell sup, attained by the
+        argmax generator."""
         lift = self._matrix[:, None] * np.asarray(x, dtype=float)
         lift = np.broadcast_to(lift, (self.k, last - first, self.space.outcome_count))
-        means = (self._cell_sums(lift, first)
-                 / self._masses[:, self._offsets[first]:self._offsets[last]])
-        return means[:, self._cells[first:last] - self._offsets[first]]
+        offsets = self._offsets
+        return self._cell_sums(lift, first) / self._masses[:, offsets[first]:offsets[last]]
 
-    def step_gaps(self, x, base, t, equality):
-        # the generators decide (_generator_rows)
-        gaps = (self._generator_rows(x, t, t + 1)[:, 0] - base)[:, cell_reps(self.space, t)]
-        return [(f"generator {i}", np.abs(g) if equality else g) for i, g in enumerate(gaps)]
+    def gaps(self, rows, equality):
+        # every generator's means of all rows but the first decide at once
+        rows = np.asarray(rows, dtype=float)
+        bases = rows[:-1].ravel()[self._firsts[:self._offsets[len(rows) - 1]]]
+        gaps = self._generator_means(rows[1:], 0, len(rows) - 1) - bases
+        return tuple(f"generator {i}" for i in range(self.k)), np.abs(gaps) if equality else gaps
 
     def contains_masses(self, masses, t):
         # the restriction of the hull to time t is the hull of the
@@ -391,12 +397,15 @@ class GeneratorHull(MeasureSet):
             if solution is not None:
                 gamma[kids] = solution
         if bad:
-            node = min(bad)
-            t = int(np.searchsorted(offsets, node, side="right")) - 1
-            c = int(node - offsets[t])
-            raise Infeasible(f"no compensator increment on cell {c} at step {t + 1}",
-                             time=t + 1, cell=c)
+            raise _no_compensator(offsets, min(bad))
         return gamma[self._cells[1:] - offsets[1]]
+
+
+def _no_compensator(offsets: np.ndarray, node) -> Infeasible:
+    """Infeasible at step t + 1 for the time-t cell numbered node (cell_offsets)."""
+    t = int(np.searchsorted(offsets, node, side="right"))
+    c = int(node - offsets[t - 1])
+    return Infeasible(f"no compensator increment on cell {c} at step {t}", time=t, cell=c)
 
 
 # A node with more candidate supports than this (only possible with two or
@@ -450,8 +459,6 @@ class _PairTable:
 
     offsets: np.ndarray              # (N + 2,) first node id of each time, then the cell count
     pair_offsets: np.ndarray         # (N + 2,) first pair of each time's nodes, then P
-    order: np.ndarray                # ((N + 1) n,) the outcomes of each cell, cell by cell
-    bounds: np.ndarray               # (offsets[-1],) where each cell starts in order
     rep: np.ndarray                  # (offsets[-1],) first outcome of each cell
     reps: np.ndarray                 # (N + 1, n) first outcome of each (time, outcome)'s cell
     parent: np.ndarray               # (P,) node id of each pair
@@ -490,11 +497,11 @@ def _node_table(space: FilteredSpace, values: np.ndarray, unit: np.ndarray):
     """
     flat = MASS_TOL * (1.0 + np.abs(values).max(axis=(1, 2)))
     N, n = space.horizon, space.outcome_count
-    offsets = np.cumsum([0] + [space.n_cells(t) for t in range(N + 1)])
+    offsets = cell_offsets(space)
     counts = np.r_[[len(kids) for level in space.children[:N] for kids in level],
                    np.bincount(space.atom_index[N])].astype(int)
     starts = np.r_[0, np.cumsum(counts)]
-    rep = np.concatenate([cell_reps(space, t) for t in range(N + 1)])
+    rep = cell_firsts(space) % n
     pair_moves = np.zeros((len(values), starts[-1]))
     projection = np.zeros_like(pair_moves)
     table = []
@@ -517,13 +524,11 @@ def _node_table(space: FilteredSpace, values: np.ndarray, unit: np.ndarray):
             projection[:, pairs] = pinv.transpose(1, 0, 2) / unit[..., None]
             groups.append(_NodeGroup(nodes, kids, moves, *_candidate_kernels(scaled)))
         table.append(tuple(groups))
-    order, bounds = zip(*space._cell_groups)
     kid_reps = np.r_[np.concatenate([rep[np.concatenate(space.children[t]) + offsets[t + 1]]
-                                     for t in range(N)]), order[N]]
+                                     for t in range(N)]), space._cell_groups[N][0]]
     pairs = _PairTable(
-        offsets, starts[offsets], np.concatenate(order),
-        np.concatenate([b + t * n for t, b in enumerate(bounds)]), rep,
-        rep[space.atom_index + offsets[:-1, None]], np.repeat(np.arange(offsets[-1]), counts),
+        offsets, starts[offsets], rep, rep[space.atom_index + offsets[:-1, None]],
+        np.repeat(np.arange(offsets[-1]), counts),
         np.repeat(np.arange(N + 1) * n, np.diff(starts[offsets])) + kid_reps, pair_moves,
         projection)
     # the ranges every martingale test, claim test and representation reads,
@@ -699,7 +704,6 @@ class MartingalePolytope(MeasureSet):
         self._equality_tol = EQ_TOL * (1.0 + np.abs(values).max(axis=(1, 2)))[:, None]
         self._interior = self._solve_interior(self._equalities)
         self._nodes, self._pairs = _node_table(space, values, self._unit)
-        self._mass = np.add.reduceat(self._interior[self._pairs.order], self._pairs.bounds)
 
     def _solve_interior(self, A: sparse.csr_array) -> np.ndarray:
         n = self.space.outcome_count
@@ -786,33 +790,33 @@ class MartingalePolytope(MeasureSet):
             weights *= kernel[space.atom_index[s + 1]]
         return weights
 
-    def step_gaps(self, x, base, t, equality):
-        x = np.asarray(x, dtype=float)
+    def gaps(self, rows, equality):
+        rows = np.asarray(rows, dtype=float)
+        pairs, T = self._pairs, len(rows) - 1
         if not equality:
-            # x is F_{t+1}-measurable, so one level of the induction decides
-            sups, _ = _one_step_sups(self._nodes[t], x[cell_reps(self.space, t + 1)], self._unit)
-            return [("lp max", sups - np.broadcast_to(base, x.shape)[cell_reps(self.space, t)])]
-        # m-stability: E^P(x - base | F_t) = 0 for every member iff on every
-        # node at time t or later the reference member's conditional means
-        # (0 at t) step to the children by asset moves, and x - base is flat
-        # on each terminal cell.  A cell's gap is the largest replication
-        # residual on or below it.  From the first time s > t at which
-        # x - base is F_s-measurable (N + 1 if none) the means are x - base
-        # itself and step by zero, so only times t..s-1 are tested.
-        pairs, N, n = self._pairs, self.space.horizon, len(x)
-        centred = x - base
-        s = next((s for s in range(t + 1, N + 1)
-                  if not np.count_nonzero(centred[pairs.reps[s]] != centred)), N + 1)
-        if s == t + 1:
-            return [("node residual", self._replicate(centred[None], t, s)[1])]
-        lo, hi = pairs.offsets[t + 1], pairs.offsets[s]
-        lift = (self._interior * centred)[pairs.order[(t + 1) * n:s * n]]
-        means = np.add.reduceat(lift, pairs.bounds[lo:hi] - (t + 1) * n) / self._mass[lo:hi]
-        means = means[self.space.atom_index[t + 1:s] + (pairs.offsets[t + 1:s] - lo)[:, None]]
-        _, miss = self._replicate(np.diff(np.vstack([np.zeros(n), means, centred]), axis=0), t, s)
-        gaps = np.zeros(lo - pairs.offsets[t])
-        np.maximum.at(gaps, self.space.atom_index[t][pairs.rep[pairs.offsets[t]:hi]], miss)
-        return [("node residual", gaps)]
+            # row s + 1 is F_{s+1}-measurable, so level s of the induction decides
+            sups = [_one_step_sups(self._nodes[s], rows[s + 1][cell_reps(self.space, s + 1)],
+                                   self._unit)[0] - rows[s][cell_reps(self.space, s)]
+                    for s in range(T)]
+            return ("lp max",), np.concatenate(sups)[None]
+        # m-stability: E^P(rows[s+1] | F_s) = rows[s] for every member iff
+        # every node's increments are replicated by its asset moves.  A last
+        # step that is F_s-measurable only from some s > T (N + 1 if never)
+        # is spread over the reference member's conditional means up to s,
+        # and each time-(T-1) cell takes the largest residual on or below it.
+        steps = rows[1:] - rows[:-1]
+        last = steps[-1]
+        if T > self.space.horizon or (last[pairs.reps[T]] == last).all():
+            return ("node residual",), self._replicate(steps, 0, T)[1][None]
+        measurable = (last[pairs.reps[T + 1:]] == last).all(axis=1)
+        s = T + 1 + int(measurable.argmax()) if measurable.any() else self.space.horizon + 1
+        path = np.concatenate([np.zeros((1, len(last))),
+                               _condexp_rows(self.space, self._interior, last, T, s), last[None]])
+        steps = np.concatenate([steps[:-1], path[1:] - path[:-1]])
+        miss = self._replicate(steps, 0, s)[1]
+        lo, hi = pairs.offsets[T - 1], pairs.offsets[s]
+        np.maximum.at(miss, lo + self.space.atom_index[T - 1][pairs.rep[lo:hi]], miss[lo:hi].copy())
+        return ("node residual",), miss[None, :pairs.offsets[T]]
 
     def _replicate(self, steps: np.ndarray, first: int, last: int) -> tuple[np.ndarray, np.ndarray]:
         """Per cell at times first..last-1, for the increments towards its
@@ -916,11 +920,7 @@ class MartingalePolytope(MeasureSet):
         gamma = b + np.einsum("dp,pd->p", moves, h[cells])
         short = cells[gamma < -tol]
         if short.size:
-            node = int(short.min())
-            t = int(np.searchsorted(pairs.offsets, node, side="right")) - 1
-            c = int(node - pairs.offsets[t])
-            raise Infeasible(f"no compensator increment on cell {c} at step {t + 1}",
-                             time=t + 1, cell=c)
+            raise _no_compensator(pairs.offsets, short.min())
         steps = np.empty(N * n)
         steps[index] = gamma
         return (steps[pairs.reps[1:] + np.arange(N)[:, None] * n],
@@ -952,33 +952,33 @@ def is_unit_claim(space: FilteredSpace, mset: MeasureSet, xi) -> bool:
     xi = _claim_vector(space, xi)
     if xi.min() < -EQ_TOL:
         return False
-    return all(gaps.max() <= EQ_TOL for _, gaps in mset.step_gaps(xi, 1.0, 0, equality=True))
+    rows = np.concatenate((np.ones((1, len(xi))), xi[None]))
+    return bool(mset.gaps(rows, equality=True)[1].max() <= EQ_TOL)
 
 
 def unit_claim_rows(space: FilteredSpace, mset: MeasureSet, xi0) -> np.ndarray:
     """Conditional-expectation rows E{xi0 | F_t}, t = 0..N, of a unit claim.
 
     The rows are computed under the reference measure and verified to be the
-    same under every member measure: the row at N matches xi0 and, time by
-    time from N down, each row is the conditional expectation of the next.
-    MeasureDependent is raised for the latest time at which they differ.
+    same under every member measure, all in one gaps call with xi0 as row
+    N+1: each row is the conditional expectation of the next.
+    MeasureDependent is raised for the latest time at which they differ,
+    naming its first label with a gap there and that label's largest gap.
     """
     xi0 = np.asarray(xi0, dtype=float)
     if not is_unit_claim(space, mset, xi0):
         raise NotUnitClaim("claim is not nonnegative with unit expectation under every measure")
-    ref = mset.reference()
-    rows = np.array([_condexp_row(space, ref, xi0, t) for t in range(space.horizon + 1)] + [xi0])
-    scale = 1.0 + float(np.abs(xi0).max())
-    for t in range(space.horizon, -1, -1):
-        for label, gaps in mset.step_gaps(rows[t + 1], rows[t], t, equality=True):
-            if gaps.max() > EQ_TOL * scale:
-                c = int(np.argmax(gaps))
-                raise MeasureDependent(
-                    f"E(claim | F_{t}) differs across measures on cell {c} "
-                    f"({label}, gap {gaps.max():.3e})",
-                    time=t,
-                    cell=c,
-                )
+    rows = np.vstack([_condexp_rows(space, mset.reference(), xi0, 0, space.horizon + 1), xi0])
+    labels, gaps = mset.gaps(rows, equality=True)
+    label, node = np.nonzero(gaps > EQ_TOL * (1.0 + float(np.abs(xi0).max())))
+    if node.size:
+        offsets = cell_offsets(space)
+        t = int(np.searchsorted(offsets, node.max(), side="right")) - 1
+        first = int(label[node >= offsets[t]].min())
+        row = gaps[first, offsets[t]:offsets[t + 1]]
+        c = int(np.argmax(row))
+        raise MeasureDependent(f"E(claim | F_{t}) differs across measures on cell {c} "
+                               f"({labels[first]}, gap {row[c]:.3e})", time=t, cell=c)
     return rows[:-1]
 
 
@@ -988,12 +988,10 @@ def increment_process(space: FilteredSpace, mset: MeasureSet, xi0) -> list[np.nd
     Entry n-1 of the result holds, for each cell of partitions[n], the value
     of E{xi0 | F_n} - E{xi0 | F_{n-1}} on that cell.
     """
-    rows = unit_claim_rows(space, mset, xi0)
-    out = []
-    for n in range(1, space.horizon + 1):
-        reps = cell_reps(space, n)
-        out.append(rows[n][reps] - rows[n - 1][reps])
-    return out
+    offsets = cell_offsets(space)
+    steps = np.diff(unit_claim_rows(space, mset, xi0), axis=0)
+    return np.split(steps.ravel()[cell_firsts(space)[offsets[1]:] - space.outcome_count],
+                    offsets[2:-1] - offsets[1])
 
 
 def completion_measures(

@@ -4,8 +4,8 @@ plus the constructive processes built from unit claims.
 A process f is a super-martingale for the family when
 E^P(f_m | F_{m-1}) <= f_{m-1} holds on every cell for every member measure P,
 and a martingale when equality holds.  Both verdicts read the per-cell gaps
-the family reports through MeasureSet.step_gaps, so nothing here depends on
-which kind of family it is.
+the family reports for the whole process in one MeasureSet.gaps call, so
+nothing here depends on which kind of family it is.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from .errors import (
     ZeroInitialValue,
 )
 from .measures import MeasureSet, _nonnegative_claim, is_unit_claim, unit_claim_rows
-from .spaces import AdaptedProcess, FilteredSpace, check_adapted
+from .spaces import AdaptedProcess, FilteredSpace, cell_offsets, check_adapted
 from .tolerances import EQ_TOL
 
 
@@ -49,13 +49,15 @@ def _as_process(space: FilteredSpace, f) -> AdaptedProcess:
 
 def _step_report(space: FilteredSpace, mset: MeasureSet, f, equality: bool) -> MartingaleReport:
     proc = _as_process(space, f)
-    scale = 1.0 + float(np.abs(proc.values).max())
-    violations = []
-    for m in range(1, space.horizon + 1):
-        for label, gaps in mset.step_gaps(proc.values[m], proc.values[m - 1], m - 1, equality):
-            for c in np.flatnonzero(gaps > EQ_TOL * scale):
-                violations.append(StepViolation(m, int(c), label, float(gaps[c])))
-    return MartingaleReport(ok=not violations, equality=equality, violations=tuple(violations))
+    labels, gaps = mset.gaps(proc.values, equality)
+    label, node = np.nonzero(gaps > EQ_TOL * (1.0 + float(np.abs(proc.values).max())))
+    offsets = cell_offsets(space)
+    step = np.searchsorted(offsets, node, side="right")   # a time-(m-1) cell's gap is step m's
+    order = np.lexsort((node, label, step))               # step, then label, then cell
+    step, label, node = step[order], label[order], node[order]
+    violations = tuple(map(StepViolation, step.tolist(), (node - offsets[step - 1]).tolist(),
+                           [labels[i] for i in label.tolist()], gaps[label, node].tolist()))
+    return MartingaleReport(ok=not violations, equality=equality, violations=violations)
 
 
 def is_supermartingale(space: FilteredSpace, mset: MeasureSet, f) -> MartingaleReport:

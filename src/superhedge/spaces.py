@@ -63,6 +63,15 @@ class FilteredSpace:
             groups.append((order, starts))
         return tuple(groups)
 
+    @cached_property
+    def _numbering(self) -> tuple[np.ndarray, np.ndarray]:
+        """cell_offsets and cell_firsts, read off _cell_groups."""
+        offsets = np.zeros(len(self.cells) + 1, dtype=int)
+        np.cumsum([len(level) for level in self.cells], out=offsets[1:])
+        firsts = [t * self.outcome_count + order[starts]
+                  for t, (order, starts) in enumerate(self._cell_groups)]
+        return offsets, np.concatenate(firsts)
+
 
 def build_space(outcome_count: int, partitions) -> FilteredSpace:
     """Validate a partition sequence and assemble a FilteredSpace.
@@ -149,6 +158,19 @@ def cell_reps(space: FilteredSpace, t: int) -> np.ndarray:
     """The first outcome of every time-t cell (space.cell_rep), in cell order."""
     order, starts = space._cell_groups[t]
     return order[starts]
+
+
+def cell_offsets(space: FilteredSpace) -> np.ndarray:
+    """Where each time's cells start when the cells of times 0..N are
+    numbered time after time (offsets[t] + cell id), then the number of
+    them all: shape (N+2,)."""
+    return space._numbering[0]
+
+
+def cell_firsts(space: FilteredSpace) -> np.ndarray:
+    """Per cell of times 0..N, numbered as in cell_offsets, the index
+    t * n + w of its first outcome w in a flat (N+1, n) array."""
+    return space._numbering[1]
 
 
 def cell_ranges(space: FilteredSpace, t: int, row) -> np.ndarray:

@@ -29,7 +29,10 @@ hedge_ratios_lstsq and martingale_representation_lstsq solve the
 representation one cell at a time by least squares, against which the
 batched projections are checked, and compensator_per_node takes a
 polytope's compensator step one node at a time, against which its
-whole-tree pass is checked.
+whole-tree pass is checked.  step_report_loop and unit_claim_rows_loop
+judge a process or a unit claim one step at a time, per generator on a
+hull and per node on a polytope, against which the one gaps call per
+process is checked.
 """
 
 from __future__ import annotations
@@ -49,13 +52,16 @@ from superhedge import (
     GeneratorHull,
     Infeasible,
     MartingalePolytope,
+    MeasureDependent,
     NoRepresentation,
     NotMartingale,
     PredictableProcess,
     build_space,
+    conditional_expectation,
     is_martingale,
 )
 from superhedge import _lp
+from superhedge.processes import MartingaleReport, StepViolation
 from superhedge.spaces import cell_reps
 
 
@@ -551,6 +557,80 @@ def hedge_ratios_lstsq(poly, values, raw=False):
             holdings[m - 1, list(cell), :] = h
         residuals.append(miss)
     return holdings, residuals
+
+
+def one_step_sups_lp(poly, values, m):
+    """Per time-(m-1) cell, the largest E^Q(values[m] | F_{m-1}) over the
+    node's martingale kernels: one LP per node in the children's weights,
+    with the library's flat moves and per-asset units."""
+    space = poly.space
+    flat = MASS_TOL * (1.0 + np.array([np.abs(a.values).max() for a in poly.assets]))
+    unit = np.array([_asset_unit(a) for a in poly.assets])
+    sups = np.empty(space.n_cells(m - 1))
+    for c, kids in enumerate(space.children[m - 1]):
+        reps = [space.cell_rep(m, k) for k in kids]
+        moves = np.array([[a.values[m, r] - a.values[m - 1, r] for r in reps] for a in poly.assets])
+        moves[np.abs(moves) <= flat[:, None]] = 0.0
+        res = _lp.solve(-values[m, reps], b_eq=np.r_[1.0, np.zeros(len(moves))],
+                        A_eq=np.vstack([np.ones(len(reps)), moves / unit[:, None]]))
+        assert res.status == 0, res.message
+        sups[c] = -res.fun
+    return sups
+
+
+def _step_gaps_loop(space, mset, rows, t, equality=True):
+    """(label, gaps) pairs comparing E^P(rows[t + 1] | F_t) with rows[t] on
+    the time-t cells: every generator's difference on a hull (absolute with
+    equality); on a polytope the one-step LP's excess (one_step_sups_lp),
+    or with equality the least-squares replication residual
+    (hedge_ratios_lstsq), and below a terminal cell the largest miss of
+    its outcomes."""
+    reps = cell_reps(space, t)
+    if isinstance(mset, GeneratorHull):
+        gaps = [(conditional_expectation(space, g, rows[t + 1], t) - rows[t])[reps]
+                for g in mset.generators]
+        return [(f"generator {i}", np.abs(g) if equality else g) for i, g in enumerate(gaps)]
+    if not equality:
+        return [("lp max", one_step_sups_lp(mset, rows, t + 1) - rows[t][reps])]
+    if t == space.horizon:
+        order, starts = space._cell_groups[t]
+        return [("node residual",
+                 np.maximum.reduceat(np.abs(rows[t + 1] - rows[t])[order], starts))]
+    return [("node residual", hedge_ratios_lstsq(mset, rows[:space.horizon + 1])[1][t])]
+
+
+def step_report_loop(space, mset, f, equality):
+    """is_supermartingale (equality False) or is_martingale of the process
+    f, one step and one label at a time (_step_gaps_loop): per generator its
+    conditional expectation on a hull; per node on a polytope."""
+    values = np.asarray(getattr(f, "values", f), dtype=float)
+    scale = 1.0 + float(np.abs(values).max())
+    violations = []
+    for m in range(1, space.horizon + 1):
+        for label, gaps in _step_gaps_loop(space, mset, values, m - 1, equality):
+            violations += [StepViolation(m, int(c), label, float(gaps[c]))
+                           for c in np.flatnonzero(gaps > EQ_TOL * scale)]
+    return MartingaleReport(ok=not violations, equality=equality, violations=tuple(violations))
+
+
+def unit_claim_rows_loop(space, mset, xi):
+    """unit_claim_rows without its unit-claim test, one step and one label
+    at a time from N down (_step_gaps_loop): the reference member's
+    conditional expectations of xi, t = 0..N, or MeasureDependent for the
+    latest time, its first label with a gap, and that label's largest
+    gap."""
+    xi = np.asarray(xi, dtype=float)
+    ref = mset.reference()
+    rows = np.array([conditional_expectation(space, ref, xi, t)
+                     for t in range(space.horizon + 1)] + [xi])
+    tol = EQ_TOL * (1.0 + float(np.abs(xi).max()))
+    for t in range(space.horizon, -1, -1):
+        for label, gaps in _step_gaps_loop(space, mset, rows, t):
+            if gaps.max() > tol:
+                c = int(np.argmax(gaps))
+                raise MeasureDependent(f"E(claim | F_{t}) differs across measures on cell {c} "
+                                       f"({label}, gap {gaps.max():.3e})", time=t, cell=c)
+    return rows[:-1]
 
 
 def martingale_representation_lstsq(space, poly, mprocess, raw=False):

@@ -235,6 +235,19 @@ class TestStrategyChecks:
         assert not report.ok
         assert report.violations[0].time == 1
 
+    def test_leaks_are_reported_in_time_then_cell_order(self, bound_tree):
+        """Each leak is reported once, at its step m and time-(m-1) cell,
+        with its amount, in (time, cell) order."""
+        space, asset, _ = bound_tree
+        leaks = {(3, 2): 1.0, (1, 0): -2.0, (3, 0): 0.5, (2, 1): 3.0}
+        cash = np.zeros((4, 8))
+        for (m, c), leak in leaks.items():
+            cash[m:, space.atom_index[m - 1] == c] += leak
+        leaky = TradingStrategy(space=space, cash=cash, risky=np.zeros((4, 8, 1)), assets=(asset,))
+        report = verify_self_financing(leaky)
+        assert ([(v.time, v.cell, v.residual) for v in report.violations]
+                == [(m, c, leaks[m, c]) for m, c in sorted(leaks)])
+
 
 class TestScaledMarkets:
     """Representation residuals reach the cash leg and grow with the prices,

@@ -145,7 +145,7 @@ CONTRACT = {
     "domination_rows",
     "cond_exp_sup",
     "ess_sup_rows",
-    "step_gaps",
+    "gaps",
     "contains_masses",
     "compensator",
 }

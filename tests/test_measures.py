@@ -250,31 +250,30 @@ class TestNodeLocalSup:
 
 
 class TestFamilyContract:
-    """step_gaps and contains_masses, the family-specific half of MeasureSet."""
+    """gaps and contains_masses, the family-specific half of MeasureSet."""
 
     def test_step_gap_labels_and_shape(self, binomial, two_generator_hull):
         space, asset, poly = binomial
-        x = asset.values[1]
-        hull_gaps = two_generator_hull.step_gaps(x, 100.0, 0, equality=False)
-        assert [label for label, _ in hull_gaps] == ["generator 0", "generator 1"]
-        assert [label for label, _ in poly.step_gaps(x, 100.0, 0, equality=False)] == ["lp max"]
-        assert [label for label, _ in poly.step_gaps(x, 100.0, 0, equality=True)] == ["node residual"]
-        for _, gaps in hull_gaps:
-            assert gaps.shape == (space.n_cells(0),)
+        rows = np.vstack([np.full(2, 100.0), asset.values[1]])
+        hull_labels, hull_gaps = two_generator_hull.gaps(rows, equality=False)
+        assert hull_labels == ("generator 0", "generator 1")
+        assert poly.gaps(rows, equality=False)[0] == ("lp max",)
+        assert poly.gaps(rows, equality=True)[0] == ("node residual",)
+        assert hull_gaps.shape == (2, space.n_cells(0))
 
     def test_hull_gaps_are_generator_excesses(self, binary_space, two_generator_hull):
-        x = np.array([2.0, 0.0])
-        signed = two_generator_hull.step_gaps(x, 1.2, 0, equality=False)
-        assert [float(g[0]) for _, g in signed] == pytest.approx([-0.2, 0.4])
-        absolute = two_generator_hull.step_gaps(x, 1.2, 0, equality=True)
-        assert [float(g[0]) for _, g in absolute] == pytest.approx([0.2, 0.4])
+        rows = np.array([[1.2, 1.2], [2.0, 0.0]])
+        _, signed = two_generator_hull.gaps(rows, equality=False)
+        assert signed[:, 0] == pytest.approx([-0.2, 0.4])
+        _, absolute = two_generator_hull.gaps(rows, equality=True)
+        assert absolute[:, 0] == pytest.approx([0.2, 0.4])
 
     def test_polytope_gaps_vanish_on_martingale(self, binomial):
         space, asset, poly = binomial
         for equality in (False, True):
-            (_, gaps), = poly.step_gaps(asset.values[1], asset.values[0], 0, equality)
+            _, (gaps,) = poly.gaps(asset.values, equality)
             assert np.abs(gaps).max() <= 1e-9
-        (_, gaps), = poly.step_gaps(asset.values[1], asset.values[0] - 1.0, 0, True)
+        _, (gaps,) = poly.gaps(asset.values - [[1.0], [0.0]], True)
         assert gaps.min() > 0.5
 
     def test_contains_masses(self, binomial, two_generator_hull):

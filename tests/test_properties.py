@@ -1,6 +1,7 @@
 """Property tests for the measure-family identities and metric axioms."""
 
 import importlib.util
+import re
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,7 @@ from superhedge import (
     GeneratorHull,
     Infeasible,
     MartingalePolytope,
+    MeasureDependent,
     NoRepresentation,
     NotMartingale,
     NotSupermartingale,
@@ -40,6 +42,8 @@ from superhedge import (
     validate_decomposition,
     verify_self_financing,
 )
+from scipy.linalg import null_space
+from superhedge.measures import unit_claim_rows
 from superhedge.spaces import cell_reps
 
 from gen import compliant_hull, random_hull, random_measure, random_space
@@ -332,7 +336,8 @@ def test_node_local_sup_matches_lp_oracle(seed, kind):
     the reference member at its cell's mass it satisfies every asset
     equality and gives the sup as its conditional expectation.  The single
     backward pass of ess_sup_rows gives the same rows bit for bit, and so
-    does the super-martingale gap of row t + 1 against zero at time t."""
+    does the super-martingale gap of each row t + 1 against row t, which
+    is zero."""
     from gen import cond_exp_sup_lp
 
     rng = np.random.default_rng(seed)
@@ -343,12 +348,11 @@ def test_node_local_sup_matches_lp_oracle(seed, kind):
     ref = poly.reference()
     rows = poly.ess_sup_rows(x)
     assert rows.shape == (N + 1, space.outcome_count)
+    labels, (gaps,) = poly.gaps(rows, equality=False)
+    assert labels == ("lp max",) and np.array_equal(gaps, np.zeros(len(gaps)))
     for t in range(N + 1):
         row = poly.cond_exp_sup(x, t)
         assert np.array_equal(rows[t], row.values)
-        if t < N:
-            (label, gaps), = poly.step_gaps(rows[t + 1], 0.0, t, equality=False)
-            assert label == "lp max" and np.array_equal(gaps, rows[t][cell_reps(space, t)])
         assert np.abs(row.values - cond_exp_sup_lp(poly, x, t)).max() <= tol
         assert len(row.attained) == space.n_cells(t)
         for cell, q in zip(space.cells[t], row.attained):
@@ -803,10 +807,9 @@ def test_node_residual_matches_lstsq_and_global_oracle(seed, kind):
                        for t in range(N + 1)])
     scale = 1.0 + float(np.abs(values).max())
     _, residuals = hedge_ratios_lstsq(poly, values)
-    for t in range(N):
-        (label, gaps), = poly.step_gaps(values[t + 1], values[t], t, equality=True)
-        assert label == "node residual"
-        assert np.abs(gaps - residuals[t]).max() <= 1e-12 * scale
+    labels, (gaps,) = poly.gaps(values, equality=True)
+    assert labels == ("node residual",)
+    assert np.abs(gaps - np.concatenate(residuals)).max() <= 1e-12 * scale
 
     x = rng.normal(scale=10.0, size=n)
     ref = poly.reference()
@@ -822,7 +825,8 @@ def test_node_residual_matches_lstsq_and_global_oracle(seed, kind):
         for s, miss in per_cell:
             ancestors = space.atom_index[t][cell_reps(space, s)]
             np.maximum.at(expected, ancestors, miss)
-        (_, gaps), = poly.step_gaps(x, base, t, equality=True)
+        _, (gaps,) = poly.gaps(np.vstack([values[:t], base, x]), equality=True)
+        gaps = gaps[-len(expected):]   # the time-t cells
         assert np.abs(gaps - expected).max() <= 1e-12 * (1.0 + np.abs(x).max() + np.abs(base).max())
 
     functionals = expectation_functionals(poly)
@@ -847,3 +851,97 @@ def test_cell_reps_are_first_outcomes(seed):
     for t in range(space.horizon + 1):
         expected = [space.cell_rep(t, c) for c in range(space.n_cells(t))]
         assert cell_reps(space, t).tolist() == expected
+
+
+def _bench_markets(workload, seed):
+    """One round of a benchmark workload's markets, each as (space, family,
+    process or None), loaded from bench/markets.py as _desk_markets does."""
+    path = Path(__file__).parent.parent / "bench" / "markets.py"
+    spec = importlib.util.spec_from_file_location("bench_markets", path)
+    markets = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(markets)
+    out = []
+    for inputs in markets.market_round(workload, np.random.default_rng(seed)):
+        space = build_space(inputs["outcomes"], inputs["partitions"])
+        mset = (GeneratorHull(space, inputs["generators"]) if "generators" in inputs else
+                MartingalePolytope(space, [AdaptedProcess(space, v) for v in inputs["assets"]]))
+        out.append((space, mset, inputs.get("process")))
+    return out
+
+
+def _verdict_instances(kind, rng):
+    """(space, family, process) triples of one kind: seeded hulls with a
+    super-martingale, tests/gen.py polytopes with an envelope and a
+    martingale, and the decompose_verdicts and desk_incomplete benchmark
+    markets with their own process, envelope or asset."""
+    from gen import generic_claim, random_supermartingale
+
+    out = []
+    if kind == "hull":
+        for i in range(8):
+            space = random_space(rng)
+            k = int(rng.integers(2, 5))
+            hull = compliant_hull(rng, space, k) if i % 2 else random_hull(rng, space, k)
+            out.append((space, hull, random_supermartingale(rng, space, hull).values))
+    elif kind == "polytope":
+        for sup_kind in SUP_KINDS:
+            space, poly = _sup_instance(rng, sup_kind)
+            claim = generic_claim(rng, space)
+            out.append((space, poly, poly.ess_sup_rows(claim)))
+            out.append((space, poly, _polytope_martingale(rng, space, poly, 0.0).values))
+    else:
+        for space, mset, process in (_bench_markets("decompose_verdicts", 0)
+                                     + _bench_markets("desk_incomplete", 0)):
+            values = (process if process is not None else
+                      mset.ess_sup_rows(generic_claim(rng, space)))
+            out.append((space, mset, values))
+            if not isinstance(mset, GeneratorHull):
+                out.append((space, mset, mset.assets[0].values))
+    return out
+
+
+@pytest.mark.parametrize("kind", ["hull", "polytope", "bench"])
+def test_verdicts_match_the_step_loop(kind):
+    """is_supermartingale and is_martingale, one gaps call per process,
+    report what the step-by-step loop (gen.step_report_loop) reports,
+    violation by violation in (time, label, cell) order, on processes
+    moved on a whole cell of one time by 0 and by 1e-12 up to 1; and
+    unit_claim_rows raises MeasureDependent where gen.unit_claim_rows_loop
+    does, at the same time and cell and with the same label."""
+    from gen import step_report_loop, unit_claim_rows_loop
+
+    rng = np.random.default_rng({"hull": 2101, "polytope": 2102, "bench": 2103}[kind])
+    for space, mset, values in _verdict_instances(kind, rng):
+        for delta in (0.0, 1e-12, 1e-10, 1e-8, 1e-6, 1e-4, 1e-2, 1.0):
+            moved = np.array(values, dtype=float)
+            t = int(rng.integers(space.horizon + 1))
+            moved[t, space.atom_index[t] == rng.integers(space.n_cells(t))] += delta
+            scale = 1.0 + float(np.abs(moved).max())
+            for check, equality in ((is_supermartingale, False), (is_martingale, True)):
+                got = check(space, mset, moved)
+                want = step_report_loop(space, mset, moved, equality)
+                assert (got.ok, got.equality) == (want.ok, want.equality)
+                assert ([(v.time, v.cell, v.label) for v in got.violations]
+                        == [(v.time, v.cell, v.label) for v in want.violations])
+                assert np.allclose([v.gap for v in got.violations],
+                                   [v.gap for v in want.violations], rtol=0.0, atol=1e-12 * scale)
+        # a unit claim moved along the generators' common null space keeps
+        # its unit expectations but not its conditional ones
+        claims = ([np.ones(space.outcome_count)] if isinstance(mset, GeneratorHull)
+                  else asset_ratio_family(mset)[0])
+        null = np.zeros(space.outcome_count)
+        if isinstance(mset, GeneratorHull) and mset.k < space.outcome_count:
+            null = null_space(np.array([g.probabilities for g in mset.generators]))[:, 0]
+        for xi in claims:
+            for delta in (0.0, 1e-12, 1e-8, 1e-4, 1e-1):
+                moved = xi + delta * null / max(np.abs(null).max(), 1.0)
+                if not is_unit_claim(space, mset, moved):
+                    continue
+                outcomes = []
+                for rows in (unit_claim_rows, unit_claim_rows_loop):
+                    try:
+                        rows(space, mset, moved)
+                        outcomes.append(None)
+                    except MeasureDependent as e:
+                        outcomes.append((e.time, e.cell, re.search(r"\((.*), gap", str(e))[1]))
+                assert outcomes[0] == outcomes[1]
