@@ -22,8 +22,7 @@ from .errors import NotMartingale, NotPredictable, ShapeMismatch, ValidationErro
 from .measures import MartingalePolytope
 from .pricing import FairPriceResult, _certified, _check_terminal_claim, fair_price_generated
 from .processes import is_martingale
-from .spaces import (AdaptedProcess, FilteredSpace, PredictableProcess, cell_firsts, cell_offsets,
-                     cell_ranges)
+from .spaces import AdaptedProcess, FilteredSpace, PredictableProcess, level_ranges
 from .tolerances import EQ_TOL
 
 
@@ -75,14 +74,14 @@ class TradingStrategy:
         # the cash leg is capital minus holdings times prices, so it carries
         # residuals that grow with its own size; holdings are compared as is
         cash_tol = EQ_TOL * (1.0 + float(np.abs(cash).max()))
-        for m in range(N + 1):
-            t = max(m - 1, 0)
-            varies = np.flatnonzero(
-                (cell_ranges(self.space, t, cash[m]) > cash_tol)
-                | (cell_ranges(self.space, t, risky[m]).max(axis=1) > EQ_TOL)
-            )
-            if varies.size:
-                raise NotPredictable(f"time-{m} holdings vary on time-{t} cell {varies[0]}")
+        # entry 0 judges the endowment row on the time-0 cell, entry 1 + id
+        # the row chosen on the cell id (space.numbering)
+        ranges = [np.r_[level_ranges(self.space, x[:1], 0), level_ranges(self.space, x[1:], 0)]
+                  for x in (cash, risky)]
+        varies = np.flatnonzero((ranges[0] > cash_tol) | (ranges[1].max(axis=1) > EQ_TOL))
+        if varies.size:
+            t, c = self.space.numbering.locate(max(varies[0] - 1, 0))
+            raise NotPredictable(f"time-{t + min(varies[0], 1)} holdings vary on time-{t} cell {c}")
 
 
 def martingale_representation(
@@ -128,7 +127,7 @@ def verify_self_financing(strategy: TradingStrategy) -> SelfFinancingReport:
     t, w = np.nonzero(np.abs(residual) > tol)
     cells = space.atom_index[t, w]
     # a time-t cell is read at its first outcome
-    first = cell_firsts(space)[cell_offsets(space)[t] + cells] == t * n + w
+    first = space.numbering.firsts[space.numbering.ids[t, w]] == t * n + w
     violations = tuple(map(SelfFinancingViolation, (t[first] + 1).tolist(), cells[first].tolist(),
                            residual[t, w][first].tolist()))
     return SelfFinancingReport(ok=not violations, violations=violations)

@@ -56,7 +56,7 @@ test live here as well.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
@@ -76,7 +76,7 @@ from .errors import (
     SolverFailure,
     ValidationError,
 )
-from .spaces import AdaptedProcess, FilteredSpace, cell_firsts, cell_offsets, cell_reps
+from .spaces import AdaptedProcess, FilteredSpace, _check_time, cell_order, cell_reps, cell_sums
 from .tolerances import EQ_TOL, FEAS_TOL, MASS_TOL
 
 
@@ -127,11 +127,6 @@ def _claim_vector(space: FilteredSpace, X) -> np.ndarray:
     return x
 
 
-def _check_time(space: FilteredSpace, t: int) -> None:
-    if not 0 <= t <= space.horizon:
-        raise IndexError(f"time {t} out of range 0..{space.horizon}")
-
-
 def _measure_vector(space: FilteredSpace, P) -> np.ndarray:
     p = (P if isinstance(P, Measure) else Measure(np.asarray(P, dtype=float))).probabilities
     if p.shape != (space.outcome_count,):
@@ -148,8 +143,7 @@ def conditional_expectation(space: FilteredSpace, P, X, t: int) -> np.ndarray:
 def _condexp_rows(space: FilteredSpace, p: np.ndarray, x: np.ndarray, first: int, last: int):
     """E{x | F_t} under p, t = first..last-1, shape (last - first, n), from
     one bincount each of p and p * x over the cells of those times."""
-    offsets = cell_offsets(space)
-    cells = space.atom_index[first:last] + (offsets[first:last] - offsets[first])[:, None]
+    cells = space.numbering.ids[first:last] - space.numbering.offsets[first]
     sums = np.bincount(cells.ravel(), np.concatenate([p * x] * len(cells)))
     return (sums / np.bincount(cells.ravel(), np.concatenate([p] * len(cells))))[cells]
 
@@ -171,10 +165,7 @@ def restriction_metric(space: FilteredSpace, P1, P2, t: int) -> float:
     """Total variation between the two measures restricted to the time-t cells."""
     _check_time(space, t)
     p1, p2 = _measure_vector(space, P1), _measure_vector(space, P2)
-    atoms = space.atom_index[t]
-    k = space.n_cells(t)
-    m1 = np.bincount(atoms, weights=p1, minlength=k)
-    m2 = np.bincount(atoms, weights=p2, minlength=k)
+    m1, m2 = cell_sums(space, np.stack([p1, p2])[:, None], t)
     return float(np.abs(m1 - m2).sum())
 
 
@@ -225,7 +216,7 @@ class MeasureSet:
 
     def gaps(self, rows, equality: bool) -> tuple[tuple[str, ...], np.ndarray]:
         """Labels, and per label and cell of times s = 0..T-1 (numbered as in
-        cell_offsets) the gap comparing E^P(rows[s+1] | F_s) with rows[s],
+        space.numbering) the gap comparing E^P(rows[s+1] | F_s) with rows[s],
         for rows (T+1, n), T <= N+1: row s is F_s-measurable for s < T, the
         last row any claim.  Without equality the last row is F_T-measurable
         too, and a gap is the largest excess of E^P(rows[s+1] | F_s) over
@@ -273,27 +264,13 @@ class GeneratorHull(MeasureSet):
             gens.append(m)
         self.generators: tuple[Measure, ...] = tuple(gens)
         self._matrix = np.array([m.probabilities for m in self.generators])
-        # the cells of times 0..N numbered time after time, each one's first
-        # outcome as an index into a flat (N+1, n) array, and each cell of
-        # times 1..N's parent; then every generator's mass of every cell
-        N, n, k = space.horizon, space.outcome_count, len(gens)
-        self._offsets, self._firsts = cell_offsets(space), cell_firsts(space)
-        self._cells = space.atom_index + self._offsets[:-1, None]
-        self._parent = np.concatenate([self._offsets[t] + space.parent[t + 1] for t in range(N)])
-        self._masses = self._cell_sums(np.broadcast_to(self._matrix[:, None], (k, N + 1, n)), 0)
+        # every generator's mass of every cell of times 0..N (space.numbering)
+        shape = (len(gens), space.horizon + 1, space.outcome_count)
+        self._masses = cell_sums(space, np.broadcast_to(self._matrix[:, None], shape), 0)
 
     @property
     def k(self) -> int:
         return len(self.generators)
-
-    def _cell_sums(self, x: np.ndarray, first: int) -> np.ndarray:
-        """Sums of x, shape (r, T, n) with row s at time first + s, over each
-        cell of times first..first+T-1: shape (r, cells), the cells numbered
-        time after time from offsets[first]."""
-        cells = self._cells[first:first + x.shape[1]] - self._offsets[first]
-        size = int(cells[-1].max()) + 1
-        index = cells + size * np.arange(len(x))[:, None, None]
-        return np.bincount(index.ravel(), x.ravel(), len(x) * size).reshape(len(x), size)
 
     def reference(self) -> np.ndarray:
         return self._matrix.mean(axis=0)
@@ -318,7 +295,7 @@ class GeneratorHull(MeasureSet):
         space, N = self.space, self.space.horizon
         P = np.zeros((self.k, space.n_cells(N), space.outcome_count))
         P[:, space.atom_index[N], np.arange(space.outcome_count)] = self._matrix
-        bounds = self._masses[:, self._offsets[N]:] * x[cell_reps(space, N)]
+        bounds = self._masses[:, space.numbering.offsets[N]:] * x[cell_reps(space, N)]
         return P.reshape(-1, space.outcome_count), bounds.ravel()
 
     def cond_exp_sup(self, x, t):
@@ -328,7 +305,7 @@ class GeneratorHull(MeasureSet):
 
     def ess_sup_rows(self, x):
         # a hull is not m-stable, so every time takes its own generator maxima
-        return self._generator_means(x, 0, self.space.horizon + 1).max(axis=0)[self._cells]
+        return self._generator_means(x, 0, self.space.horizon + 1).max(axis=0)[self.space.numbering.ids]
 
     def _generator_means(self, x, first: int, last: int) -> np.ndarray:
         """Every generator's E(x_t | F_t) on each cell of times t =
@@ -338,20 +315,22 @@ class GeneratorHull(MeasureSet):
         argmax generator."""
         lift = self._matrix[:, None] * np.asarray(x, dtype=float)
         lift = np.broadcast_to(lift, (self.k, last - first, self.space.outcome_count))
-        offsets = self._offsets
-        return self._cell_sums(lift, first) / self._masses[:, offsets[first]:offsets[last]]
+        offsets = self.space.numbering.offsets
+        return cell_sums(self.space, lift, first) / self._masses[:, offsets[first]:offsets[last]]
 
     def gaps(self, rows, equality):
         # every generator's means of all rows but the first decide at once
         rows = np.asarray(rows, dtype=float)
-        bases = rows[:-1].ravel()[self._firsts[:self._offsets[len(rows) - 1]]]
+        num = self.space.numbering
+        bases = rows[:-1].ravel()[num.firsts[:num.offsets[len(rows) - 1]]]
         gaps = self._generator_means(rows[1:], 0, len(rows) - 1) - bases
         return tuple(f"generator {i}" for i in range(self.k)), np.abs(gaps) if equality else gaps
 
     def contains_masses(self, masses, t):
         # the restriction of the hull to time t is the hull of the
         # restricted generators: a convex-combination feasibility solve
-        restr = self._masses[:, self._offsets[t]:self._offsets[t + 1]]
+        offsets = self.space.numbering.offsets
+        restr = self._masses[:, offsets[t]:offsets[t + 1]]
         A_eq = np.vstack([restr.T, np.ones((1, self.k))])
         b_eq = np.concatenate([masses, [1.0]])
         return _lp.feasible_point(A_eq, b_eq, self.k) is not None
@@ -364,19 +343,20 @@ class GeneratorHull(MeasureSet):
         # equality per generator over its children's masses; its least sum
         # separates into each cell's least sum.  An infeasible LP is solved
         # again cell by cell, to name the first failing cell
-        N, k, offsets, tol = self.space.horizon, self.k, self._offsets, EQ_TOL * scale
-        sums = self._cell_sums(self._matrix[:, None] * np.asarray(drops, dtype=float), 0)
+        N, k, tol, num = self.space.horizon, self.k, EQ_TOL * scale, self.space.numbering
+        offsets = num.offsets
+        sums = cell_sums(self.space, self._matrix[:, None] * np.asarray(drops, dtype=float), 0)
         means = sums / self._masses[:, :offsets[N]]
         lo, hi = means.min(axis=0), means.max(axis=0)
-        forced = (np.bincount(self._parent, minlength=offsets[N]) == 1) | (k == 1)
+        forced = (np.bincount(num.parents, minlength=offsets[N]) == 1) | (k == 1)
         bad = np.flatnonzero(forced & ((hi - lo > tol) | (lo < -tol)))[:1].tolist()
-        gamma = np.maximum(0.5 * (lo + hi), 0.0)[self._parent]
+        gamma = np.maximum(0.5 * (lo + hi), 0.0)[num.parents]
         multi = np.flatnonzero(~forced)
         if multi.size:
             # the branching cells' children, cell after cell, as the columns
-            kids = np.flatnonzero(~forced[self._parent])
-            kids = kids[np.argsort(self._parent[kids], kind="stable")]
-            owner = np.searchsorted(multi, self._parent[kids])
+            kids = num.kids - offsets[1]
+            kids = kids[~forced[num.parents[kids]]]
+            owner = np.searchsorted(multi, num.parents[kids])
             W, r = self._masses[:, offsets[1] + kids], sums[:, multi]
             block = sparse.csc_array(
                 (W.T.ravel(), (owner[:, None] * k + np.arange(k)).ravel(),
@@ -397,15 +377,14 @@ class GeneratorHull(MeasureSet):
             if solution is not None:
                 gamma[kids] = solution
         if bad:
-            raise _no_compensator(offsets, min(bad))
-        return gamma[self._cells[1:] - offsets[1]]
+            raise _no_compensator(self.space, min(bad))
+        return gamma[num.ids[1:] - offsets[1]]
 
 
-def _no_compensator(offsets: np.ndarray, node) -> Infeasible:
-    """Infeasible at step t + 1 for the time-t cell numbered node (cell_offsets)."""
-    t = int(np.searchsorted(offsets, node, side="right"))
-    c = int(node - offsets[t - 1])
-    return Infeasible(f"no compensator increment on cell {c} at step {t}", time=t, cell=c)
+def _no_compensator(space: FilteredSpace, node) -> Infeasible:
+    """Infeasible at step t + 1 for the time-t cell numbered node (space.numbering)."""
+    t, c = (int(v) for v in space.numbering.locate(node))
+    return Infeasible(f"no compensator increment on cell {c} at step {t + 1}", time=t + 1, cell=c)
 
 
 # A node with more candidate supports than this (only possible with two or
@@ -450,36 +429,17 @@ class _NodeGroup:
 @dataclass(frozen=True, eq=False)
 class _PairTable:
     """Every (node, child) pair of the tree, node by node.  The nodes are
-    the cells of times 0..N, numbered time after time (offsets[t] + cell
-    id); a terminal cell's children are its outcomes.  Per pair, moves
-    holds the asset increments towards the child and projection the
-    child's column of pinv(moves^T) of its node, which maps increments
-    towards the children to the least-squares holdings that replicate them;
-    both are zero below a terminal cell."""
+    the cells of times 0..N (space.numbering); a terminal cell's children
+    are its outcomes.  Per pair, moves holds the asset increments towards
+    the child and projection the child's column of pinv(moves^T) of its
+    node, which maps increments towards the children to the least-squares
+    holdings that replicate them; both are zero below a terminal cell."""
 
-    offsets: np.ndarray              # (N + 2,) first node id of each time, then the cell count
     pair_offsets: np.ndarray         # (N + 2,) first pair of each time's nodes, then P
-    rep: np.ndarray                  # (offsets[-1],) first outcome of each cell
-    reps: np.ndarray                 # (N + 1, n) first outcome of each (time, outcome)'s cell
     parent: np.ndarray               # (P,) node id of each pair
     step_index: np.ndarray           # (P,) the node's time times n plus the child's first outcome
     moves: np.ndarray                # (d, P)
     projection: np.ndarray           # (d, P)
-    ranges: dict = field(default_factory=dict)
-
-    def levels(self, first: int, last: int):
-        """For the nodes at times first..last-1: their pairs, the node count,
-        each pair's node counted from the first of them (and again per asset,
-        offset by the node count), and each pair's index into a
-        (last - first, n) array of steps; cached."""
-        if (first, last) not in self.ranges:
-            span = slice(self.pair_offsets[first], self.pair_offsets[last])
-            size = int(self.offsets[last] - self.offsets[first])
-            cells = self.parent[span] - self.offsets[first]
-            self.ranges[first, last] = (span, size, cells,
-                                        (cells + size * np.arange(len(self.moves))[:, None]).ravel(),
-                                        self.step_index[span] - first * self.reps.shape[1])
-        return self.ranges[first, last]
 
 
 def _node_table(space: FilteredSpace, values: np.ndarray, unit: np.ndarray):
@@ -496,45 +456,32 @@ def _node_table(space: FilteredSpace, values: np.ndarray, unit: np.ndarray):
     process's increments misses is the node's replication residual.
     """
     flat = MASS_TOL * (1.0 + np.abs(values).max(axis=(1, 2)))
-    N, n = space.horizon, space.outcome_count
-    offsets = cell_offsets(space)
-    counts = np.r_[[len(kids) for level in space.children[:N] for kids in level],
-                   np.bincount(space.atom_index[N])].astype(int)
+    num, N, n = space.numbering, space.horizon, space.outcome_count
+    offsets, rep = num.offsets, num.firsts % n
+    # a node's pairs start where its children start in num.kids
+    counts = np.r_[np.bincount(num.parents), np.bincount(space.atom_index[N])]
     starts = np.r_[0, np.cumsum(counts)]
-    rep = cell_firsts(space) % n
     pair_moves = np.zeros((len(values), starts[-1]))
     projection = np.zeros_like(pair_moves)
     table = []
     for t in range(N):
-        by_count: dict[int, list[int]] = {}
-        for c, kids in enumerate(space.children[t]):
-            by_count.setdefault(len(kids), []).append(c)
-        groups = []
-        for nodes in by_count.values():
-            nodes = np.array(nodes)
-            kids = np.array([space.children[t][c] for c in nodes])
-            moves = (values[:, t + 1, rep[offsets[t + 1] + kids]]
-                     - values[:, t, rep[offsets[t] + nodes], None])
+        level, groups = np.arange(offsets[t], offsets[t + 1]), []
+        for k in np.unique(counts[level]):
+            nodes = level[counts[level] == k]
+            pairs = starts[nodes][:, None] + np.arange(k)
+            kids = num.kids[pairs]
+            moves = values[:, t + 1, rep[kids]] - values[:, t, rep[nodes], None]
             moves = moves.transpose(1, 0, 2)
             moves[np.abs(moves) <= flat[:, None]] = 0.0
             scaled = moves / unit
-            pairs = starts[offsets[t] + nodes][:, None] + np.arange(kids.shape[1])
             pair_moves[:, pairs] = moves.transpose(1, 0, 2)
             pinv = np.linalg.pinv(scaled.transpose(0, 2, 1), rcond=_PROJECTION_RCOND)
             projection[:, pairs] = pinv.transpose(1, 0, 2) / unit[..., None]
-            groups.append(_NodeGroup(nodes, kids, moves, *_candidate_kernels(scaled)))
+            groups.append(_NodeGroup(nodes - offsets[t], kids - offsets[t + 1], moves,
+                                     *_candidate_kernels(scaled)))
         table.append(tuple(groups))
-    kid_reps = np.r_[np.concatenate([rep[np.concatenate(space.children[t]) + offsets[t + 1]]
-                                     for t in range(N)]), space._cell_groups[N][0]]
-    pairs = _PairTable(
-        offsets, starts[offsets], rep, rep[space.atom_index + offsets[:-1, None]],
-        np.repeat(np.arange(offsets[-1]), counts),
-        np.repeat(np.arange(N + 1) * n, np.diff(starts[offsets])) + kid_reps, pair_moves,
-        projection)
-    # the ranges every martingale test, claim test and representation reads,
-    # built with the polytope rather than on first use
-    for first, last in [(t, t + 1) for t in range(N + 1)] + [(0, s) for s in range(2, N + 2)]:
-        pairs.levels(first, last)
+    pairs = _PairTable(starts[offsets], np.repeat(np.arange(offsets[-1]), counts),
+                       np.r_[num.firsts[num.kids] - n, num.order[N * n:]], pair_moves, projection)
     return tuple(table), pairs
 
 
@@ -661,13 +608,12 @@ def _holdings_lp(moves: np.ndarray, drops: np.ndarray) -> np.ndarray:
 def _equality_matrix(space: FilteredSpace, values: np.ndarray, unit: np.ndarray) -> sparse.csr_array:
     """The closure's equalities as one sparse matrix: a homogeneous row per
     (asset j, step t, time-(t-1) cell c), row j R + offsets[t-1] + c for the
-    R nodes of times 0..N-1 numbered as in the pair table, holding the
+    R nodes of times 0..N-1 (space.numbering), holding the
     asset's increments over the cell's outcomes in its unit (_asset_units);
     then the total-mass row.  Exact zeros are not stored."""
-    n, atoms = space.outcome_count, space.atom_index
-    nodes = atoms[:-1] + np.r_[0, np.cumsum(atoms[:-2].max(axis=1) + 1)][:, None]   # (N, n)
-    R = int(nodes[-1].max()) + 1
-    rows = np.r_[(nodes + R * np.arange(len(values))[:, None, None]).ravel(),
+    n, num = space.outcome_count, space.numbering
+    R = int(num.offsets[-2])
+    rows = np.r_[(num.ids[:-1] + R * np.arange(len(values))[:, None, None]).ravel(),
                  np.full(n, R * len(values))]
     data = np.r_[(np.diff(values, axis=1) / unit[..., None]).ravel(), np.ones(n)]
     cols = np.tile(np.arange(n), len(rows) // n)
@@ -690,7 +636,7 @@ class MartingalePolytope(MeasureSet):
         procs = []
         for a in assets:
             proc = a if isinstance(a, AdaptedProcess) else AdaptedProcess(space, a)
-            if proc.space is not space and proc.space.cells != space.cells:
+            if proc.space is not space and not np.array_equal(proc.space.atom_index, space.atom_index):
                 raise ShapeMismatch("asset lives on a different filtered space")
             procs.append(proc)
         self.assets: tuple[AdaptedProcess, ...] = tuple(procs)
@@ -746,7 +692,7 @@ class MartingalePolytope(MeasureSet):
 
     def cond_exp_sup(self, x, t):
         rows, picks, tops = self._induction(x, t)
-        order, starts = self.space._cell_groups[t]
+        order, starts = cell_order(self.space, t, t + 1)
         attained = tuple(np.split(self._attaining(picks, tops)[order], starts[1:]))
         return EssSupRow(values=rows[0], attained=attained)
 
@@ -762,7 +708,7 @@ class MartingalePolytope(MeasureSet):
         children's values over its martingale kernels."""
         x = np.asarray(x, dtype=float)
         space, N = self.space, self.space.horizon
-        tops = np.lexsort((-x, space.atom_index[N]))[space._cell_groups[N][1]]
+        tops = np.lexsort((-x, space.atom_index[N]))[cell_order(space, N, N + 1)[1]]
         vals = x[tops]
         rows = np.empty((N + 1 - t, space.outcome_count))
         rows[-1] = vals[space.atom_index[N]]
@@ -792,12 +738,13 @@ class MartingalePolytope(MeasureSet):
 
     def gaps(self, rows, equality):
         rows = np.asarray(rows, dtype=float)
-        pairs, T = self._pairs, len(rows) - 1
+        T, N, n, num = len(rows) - 1, self.space.horizon, self.space.outcome_count, self.space.numbering
         if not equality:
-            # row s + 1 is F_{s+1}-measurable, so level s of the induction decides
-            sups = [_one_step_sups(self._nodes[s], rows[s + 1][cell_reps(self.space, s + 1)],
-                                   self._unit)[0] - rows[s][cell_reps(self.space, s)]
-                    for s in range(T)]
+            # row s + 1 is F_{s+1}-measurable, so level s of the induction
+            # decides; every row read at its cells' first outcomes at once
+            vals, offsets = rows.ravel()[num.firsts[:num.offsets[T + 1]]], num.offsets
+            sups = [_one_step_sups(self._nodes[s], vals[offsets[s + 1]:offsets[s + 2]], self._unit)[0]
+                    - vals[offsets[s]:offsets[s + 1]] for s in range(T)]
             return ("lp max",), np.concatenate(sups)[None]
         # m-stability: E^P(rows[s+1] | F_s) = rows[s] for every member iff
         # every node's increments are replicated by its asset moves.  A last
@@ -806,28 +753,28 @@ class MartingalePolytope(MeasureSet):
         # and each time-(T-1) cell takes the largest residual on or below it.
         steps = rows[1:] - rows[:-1]
         last = steps[-1]
-        if T > self.space.horizon or (last[pairs.reps[T]] == last).all():
-            return ("node residual",), self._replicate(steps, 0, T)[1][None]
-        measurable = (last[pairs.reps[T + 1:]] == last).all(axis=1)
-        s = T + 1 + int(measurable.argmax()) if measurable.any() else self.space.horizon + 1
+        # per time s = T..N, whether last reads the same at each cell's first outcome
+        measurable = (last[num.firsts[num.ids[T:]] % n] == last).all(axis=1)
+        if T > N or measurable[0]:
+            return ("node residual",), self._replicate(steps, T)[1][None]
+        s = T + int(measurable.argmax()) if measurable.any() else N + 1
         path = np.concatenate([np.zeros((1, len(last))),
                                _condexp_rows(self.space, self._interior, last, T, s), last[None]])
         steps = np.concatenate([steps[:-1], path[1:] - path[:-1]])
-        miss = self._replicate(steps, 0, s)[1]
-        lo, hi = pairs.offsets[T - 1], pairs.offsets[s]
-        np.maximum.at(miss, lo + self.space.atom_index[T - 1][pairs.rep[lo:hi]], miss[lo:hi].copy())
-        return ("node residual",), miss[None, :pairs.offsets[T]]
+        miss = self._replicate(steps, s)[1]
+        lo, hi = num.offsets[T - 1], num.offsets[s]
+        np.maximum.at(miss, num.ids[T - 1][num.firsts[lo:hi] % n], miss[lo:hi].copy())
+        return ("node residual",), miss[None, :num.offsets[T]]
 
-    def _replicate(self, steps: np.ndarray, first: int, last: int) -> tuple[np.ndarray, np.ndarray]:
-        """Per cell at times first..last-1, for the increments towards its
-        children read off steps (row s - first: from time s to s + 1, or to
-        the outcomes at s = N): the least-squares holdings that replicate
-        them, shape (cells, d), and the replication residual, the largest miss."""
-        pairs = self._pairs
-        span, size, cells, per_asset, index = pairs.levels(first, last)
-        b = steps.ravel()[index]
-        h = np.bincount(per_asset, (pairs.projection[:, span] * b).ravel(), size * len(pairs.moves))
-        h = h.reshape(-1, size)
+    def _replicate(self, steps: np.ndarray, last: int) -> tuple[np.ndarray, np.ndarray]:
+        """Per cell at times 0..last-1, for the increments towards its
+        children read off steps (row s: from time s to s + 1, or to the
+        outcomes at s = N): the least-squares holdings that replicate them,
+        shape (cells, d), and the replication residual, the largest miss."""
+        pairs, size = self._pairs, int(self.space.numbering.offsets[last])
+        span = slice(0, pairs.pair_offsets[last])      # the pairs of those cells
+        cells, b = pairs.parent[span], steps.ravel()[pairs.step_index[span]]
+        h = np.array([np.bincount(cells, p * b, size) for p in pairs.projection[:, span]])
         miss = np.zeros(size)
         np.maximum.at(miss, cells, np.abs((pairs.moves[:, span] * h[:, cells]).sum(axis=0) - b))
         return h.T, miss
@@ -840,9 +787,9 @@ class MartingalePolytope(MeasureSet):
         m-1 chosen on the time-(m-1) cells, and per step m the replication
         residual of each time-(m-1) cell, all nodes at once (_replicate).
         """
-        offsets, N = self._pairs.offsets, self.space.horizon
-        h, miss = self._replicate(np.diff(np.asarray(values, dtype=float), axis=0), 0, N)
-        return h[self.space.atom_index[:N] + offsets[:N, None]], np.split(miss, offsets[1:N])
+        num, N = self.space.numbering, self.space.horizon
+        h, miss = self._replicate(np.diff(np.asarray(values, dtype=float), axis=0), N)
+        return h[num.ids[:N]], np.split(miss, num.offsets[1:N])
 
     def superhedge_capital(self, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(M, H, Q*) of the least superhedge of the terminal claim x, from one
@@ -890,9 +837,9 @@ class MartingalePolytope(MeasureSet):
         tolerance of the super-martingale test; Infeasible(time=t+1, cell)
         names the lowest time t, then its lowest cell, with no such gamma."""
         pairs, n, N = self._pairs, self.space.outcome_count, self.space.horizon
-        tol = EQ_TOL * scale
-        span, size, cells, _, index = pairs.levels(0, N)
-        moves = pairs.moves[:, span]
+        tol, size = EQ_TOL * scale, int(self.space.numbering.offsets[N])
+        span = slice(0, pairs.pair_offsets[N])         # the pairs of the cells of times 0..N-1
+        cells, index, moves = pairs.parent[span], pairs.step_index[span], pairs.moves[:, span]
         b = drops.ravel()[index]
         if len(moves) == 1:
             m = moves[0]
@@ -904,7 +851,7 @@ class MartingalePolytope(MeasureSet):
             h = np.where(np.isfinite(h), h, 0.0)[:, None]
             fallback = np.flatnonzero(lo > hi)
         else:
-            h, miss = self._replicate(-drops, 0, N)
+            h, miss = self._replicate(-drops, N)
             fallback = np.flatnonzero(miss > tol)
         if fallback.size:
             counts = np.bincount(cells, minlength=size)
@@ -920,11 +867,11 @@ class MartingalePolytope(MeasureSet):
         gamma = b + np.einsum("dp,pd->p", moves, h[cells])
         short = cells[gamma < -tol]
         if short.size:
-            raise _no_compensator(pairs.offsets, short.min())
+            raise _no_compensator(self.space, short.min())
         steps = np.empty(N * n)
         steps[index] = gamma
-        return (steps[pairs.reps[1:] + np.arange(N)[:, None] * n],
-                h[self.space.atom_index[:N] + pairs.offsets[:N, None]])
+        num = self.space.numbering
+        return steps[num.firsts[num.ids[1:]] - n], h[num.ids[:N]]
 
     def contains_masses(self, masses, t):
         # a strictly positive member supplies the conditional extension
@@ -938,13 +885,12 @@ class MartingalePolytope(MeasureSet):
         one product with the equality matrix (its units are powers of two)."""
         spread = np.zeros(self.space.outcome_count)
         spread[cell_reps(self.space, up_to_time)] = mu
-        offsets = self._pairs.offsets
+        num = self.space.numbering
         res = (self._equalities @ spread)[:-1].reshape(len(self.assets), -1)
-        res = res[:, :offsets[up_to_time]] * self._unit
+        res = res[:, :num.offsets[up_to_time]] * self._unit
         j, node = np.nonzero(np.abs(res) > self._equality_tol)
-        t = np.searchsorted(offsets, node, side="right")
-        return list(zip(j.tolist(), t.tolist(), (node - offsets[t - 1]).tolist(),
-                        res[j, node].tolist()))
+        t, c = num.locate(node)
+        return list(zip(j.tolist(), (t + 1).tolist(), c.tolist(), res[j, node].tolist()))
 
 
 def is_unit_claim(space: FilteredSpace, mset: MeasureSet, xi) -> bool:
@@ -972,8 +918,8 @@ def unit_claim_rows(space: FilteredSpace, mset: MeasureSet, xi0) -> np.ndarray:
     labels, gaps = mset.gaps(rows, equality=True)
     label, node = np.nonzero(gaps > EQ_TOL * (1.0 + float(np.abs(xi0).max())))
     if node.size:
-        offsets = cell_offsets(space)
-        t = int(np.searchsorted(offsets, node.max(), side="right")) - 1
+        offsets = space.numbering.offsets
+        t = int(space.numbering.locate(node.max())[0])
         first = int(label[node >= offsets[t]].min())
         row = gaps[first, offsets[t]:offsets[t + 1]]
         c = int(np.argmax(row))
@@ -988,10 +934,10 @@ def increment_process(space: FilteredSpace, mset: MeasureSet, xi0) -> list[np.nd
     Entry n-1 of the result holds, for each cell of partitions[n], the value
     of E{xi0 | F_n} - E{xi0 | F_{n-1}} on that cell.
     """
-    offsets = cell_offsets(space)
+    num = space.numbering
     steps = np.diff(unit_claim_rows(space, mset, xi0), axis=0)
-    return np.split(steps.ravel()[cell_firsts(space)[offsets[1]:] - space.outcome_count],
-                    offsets[2:-1] - offsets[1])
+    return np.split(steps.ravel()[num.firsts[num.offsets[1]:] - space.outcome_count],
+                    num.offsets[2:-1] - num.offsets[1])
 
 
 def completion_measures(

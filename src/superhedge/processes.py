@@ -21,7 +21,7 @@ from .errors import (
     ZeroInitialValue,
 )
 from .measures import MeasureSet, _nonnegative_claim, is_unit_claim, unit_claim_rows
-from .spaces import AdaptedProcess, FilteredSpace, cell_offsets, check_adapted
+from .spaces import AdaptedProcess, FilteredSpace, check_adapted
 from .tolerances import EQ_TOL
 
 
@@ -51,11 +51,10 @@ def _step_report(space: FilteredSpace, mset: MeasureSet, f, equality: bool) -> M
     proc = _as_process(space, f)
     labels, gaps = mset.gaps(proc.values, equality)
     label, node = np.nonzero(gaps > EQ_TOL * (1.0 + float(np.abs(proc.values).max())))
-    offsets = cell_offsets(space)
-    step = np.searchsorted(offsets, node, side="right")   # a time-(m-1) cell's gap is step m's
-    order = np.lexsort((node, label, step))               # step, then label, then cell
-    step, label, node = step[order], label[order], node[order]
-    violations = tuple(map(StepViolation, step.tolist(), (node - offsets[step - 1]).tolist(),
+    t, c = space.numbering.locate(node)              # a time-t cell's gap is step t + 1's
+    order = np.lexsort((node, label, t))             # step, then label, then cell
+    t, c, label, node = t[order], c[order], label[order], node[order]
+    violations = tuple(map(StepViolation, (t + 1).tolist(), c.tolist(),
                            [labels[i] for i in label.tolist()], gaps[label, node].tolist()))
     return MartingaleReport(ok=not violations, equality=equality, violations=violations)
 

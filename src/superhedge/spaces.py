@@ -4,12 +4,20 @@ The filtration is a refining sequence of partitions of the outcome set
 {0, ..., n-1}.  Time 0 is always the trivial partition.  A process is adapted
 when its time-t row is constant on every time-t cell, predictable when the
 time-t row is constant on the time-(t-1) cells.
+
+A FilteredSpace stores the outcome count and atom_index[t, w], the time-t
+cell of outcome w, each time's cells numbered by their first outcome.  All
+else about the tree comes from one numbering derived from it once
+(CellNumbering), which the families, the verdicts and every measurability
+check read; the tuples cells and children are views of it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,149 +36,183 @@ class AdaptednessReport:
         return self.ok
 
 
+class CellNumbering(NamedTuple):
+    """The cells of times 0..N numbered time after time: the time-t cell c
+    is offsets[t] + c.  Positions t * n + w index a flat (N+1, n) array."""
+
+    offsets: np.ndarray   # (N+2,) first id of each time's cells, then the cell count
+    ids: np.ndarray       # (N+1, n) id of each (time, outcome)'s cell
+    firsts: np.ndarray    # (cells,) position t * n + w of each cell's first outcome w
+    parents: np.ndarray   # (cells - 1,) id of the parent of each cell of times 1..N
+    kids: np.ndarray      # (cells - 1,) ids of the cells of times 1..N grouped by parent
+    order: np.ndarray     # ((N+1) n,) positions grouped by cell, ascending within each
+    starts: np.ndarray    # (cells,) where each cell starts in order
+
+    def locate(self, ids):
+        """(time, cell) of cell ids."""
+        t = np.searchsorted(self.offsets, ids, side="right") - 1
+        return t, ids - self.offsets[t]
+
+
 @dataclass(frozen=True, eq=False)
 class FilteredSpace:
     """Immutable outcome set plus a refining partition per time step."""
 
     outcome_count: int
-    cells: tuple[tuple[Cell, ...], ...]                 # cells[t][c] = sorted outcome tuple
     atom_index: np.ndarray = field(repr=False)          # (N+1, n) cell id per (t, outcome)
-    children: tuple[tuple[tuple[int, ...], ...], ...] = field(repr=False)  # [t][c] -> ids at t+1
-    parent: tuple[tuple[int, ...], ...] = field(repr=False)                # [t][c] -> id at t-1
 
     @property
     def horizon(self) -> int:
-        return len(self.cells) - 1
+        return len(self.atom_index) - 1
 
     def n_cells(self, t: int) -> int:
-        return len(self.cells[t])
+        return int(np.diff(self.numbering.offsets)[t])
 
     def cell_outcomes(self, t: int, c: int) -> np.ndarray:
-        return np.asarray(self.cells[t][c], dtype=int)
+        return np.flatnonzero(self.atom_index[t] == c)
 
     def cell_rep(self, t: int, c: int) -> int:
         """First outcome of a cell; enough to read any time-t measurable value."""
-        return self.cells[t][c][0]
+        return int(cell_reps(self, t)[c])
 
     @cached_property
-    def _cell_groups(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-        """Per time, the outcomes in a stable sort by cell and the position
-        where each cell starts in that order."""
-        groups = []
-        for atoms in self.atom_index:
-            order = np.argsort(atoms, kind="stable")
-            starts = np.concatenate(([0], np.cumsum(np.bincount(atoms))[:-1]))
-            groups.append((order, starts))
-        return tuple(groups)
+    def numbering(self) -> CellNumbering:
+        n = self.outcome_count
+        offsets = np.r_[0, np.cumsum(self.atom_index.max(axis=1) + 1)]
+        ids = self.atom_index + offsets[:-1, None]
+        order = np.argsort(ids, axis=None, kind="stable")
+        sizes = np.bincount(ids.ravel())
+        starts = np.cumsum(sizes) - sizes
+        firsts = order[starts]
+        parents = ids.ravel()[firsts[offsets[1]:] - n]
+        kids = np.argsort(parents, kind="stable") + offsets[1]
+        return CellNumbering(offsets, ids, firsts, parents, kids, order, starts)
 
     @cached_property
-    def _numbering(self) -> tuple[np.ndarray, np.ndarray]:
-        """cell_offsets and cell_firsts, read off _cell_groups."""
-        offsets = np.zeros(len(self.cells) + 1, dtype=int)
-        np.cumsum([len(level) for level in self.cells], out=offsets[1:])
-        firsts = [t * self.outcome_count + order[starts]
-                  for t, (order, starts) in enumerate(self._cell_groups)]
-        return offsets, np.concatenate(firsts)
+    def cells(self) -> tuple[tuple[Cell, ...], ...]:
+        """cells[t][c]: the outcomes of the time-t cell c, ascending."""
+        num, order = self.numbering, (self.numbering.order % self.outcome_count).tolist()
+        bounds = np.r_[num.starts, len(order)].tolist()
+        cells = [tuple(order[a:b]) for a, b in zip(bounds, bounds[1:])]
+        return tuple(tuple(cells[a:b]) for a, b in zip(num.offsets[:-1], num.offsets[1:]))
+
+    @cached_property
+    def children(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """children[t][c]: the time-(t+1) cells inside the time-t cell c; none at N."""
+        num, kids = self.numbering, self.numbering.locate(self.numbering.kids)[1].tolist()
+        bounds = np.r_[0, np.cumsum(np.bincount(num.parents))].tolist()
+        kids = [tuple(kids[a:b]) for a, b in zip(bounds, bounds[1:])]
+        return tuple(tuple(kids[a:b]) for a, b in zip(num.offsets[:-1], num.offsets[1:]))
 
 
 def build_space(outcome_count: int, partitions) -> FilteredSpace:
     """Validate a partition sequence and assemble a FilteredSpace.
 
-    partitions[t] is an iterable of outcome-index collections.  Requirements:
-    time 0 is the single full cell, every time is a partition of all outcomes,
-    and each cell at t+1 lies inside exactly one cell at t.
+    partitions[t] is a collection of cells, each a sized collection of
+    integer outcome indices (Python or numpy integers, not bools).
+    Requirements: time 0 is the single full cell, every time is a partition
+    of all outcomes, and each cell at t+1 lies inside exactly one cell at t.
+    The first offence is reported time by time, cell by cell, each cell's
+    outcomes ascending; then time 0, then refinement in (time, cell) order.
     """
-    if outcome_count < 1:
+    if not _is_index_type(type(outcome_count)) or outcome_count < 1:
         raise NotPartition("outcome_count must be a positive integer")
     partitions = list(partitions)
     if len(partitions) < 2:
         raise NotPartition("a positive horizon needs partitions for times 0 and 1 at least")
-
-    cells: list[tuple[Cell, ...]] = []
-    for t, raw_cells in enumerate(partitions):
-        level: list[Cell] = []
-        seen: set[int] = set()
-        for raw in raw_cells:
-            cell = tuple(sorted(int(w) for w in raw))
-            if not cell:
-                raise EmptyCell(f"empty cell at time {t}")
-            for w in cell:
-                if not 0 <= w < outcome_count:
-                    raise NotPartition(f"outcome {w} out of range at time {t}")
-                if w in seen:
-                    raise NotPartition(f"outcome {w} appears in two cells at time {t}")
-                seen.add(w)
-            level.append(cell)
-        if len(seen) != outcome_count:
-            missing = sorted(set(range(outcome_count)) - seen)
-            raise NotPartition(f"outcomes {missing} uncovered at time {t}")
-        level.sort(key=lambda c: c[0])
-        cells.append(tuple(level))
-
-    if len(cells[0]) != 1:
+    atom_index = np.array([_level_atoms(int(outcome_count), t, level)
+                           for t, level in enumerate(partitions)])
+    if atom_index[0].any():
         raise NotPartition("time-0 partition must be the single full cell")
 
-    n_times = len(cells)
-    atom_index = np.empty((n_times, outcome_count), dtype=int)
-    for t, level in enumerate(cells):
-        for c, cell in enumerate(level):
-            atom_index[t, list(cell)] = c
+    space = FilteredSpace(outcome_count=int(outcome_count), atom_index=atom_index)
+    num = space.numbering
+    straddles = num.ids[:-1] != num.parents[num.ids[1:] - num.offsets[1]]
+    if straddles.any():
+        t, c = (int(v) for v in num.locate(num.ids[1:][straddles].min()))
+        owners = np.unique(atom_index[t - 1, space.cell_outcomes(t, c)])
+        raise NotRefining(f"cell {space.cells[t][c]} at time {t} straddles cells "
+                          f"{[space.cells[t - 1][o] for o in owners]} at time {t - 1}")
+    return space
 
-    children: list[tuple[tuple[int, ...], ...]] = []
-    parent: list[tuple[int, ...]] = [tuple()]
-    for t in range(1, n_times):
-        par = []
-        for c, cell in enumerate(cells[t]):
-            owners = {int(atom_index[t - 1, w]) for w in cell}
-            if len(owners) != 1:
-                raise NotRefining(
-                    f"cell {cells[t][c]} at time {t} straddles cells "
-                    f"{sorted(cells[t - 1][o] for o in owners)} at time {t - 1}"
-                )
-            par.append(owners.pop())
-        parent.append(tuple(par))
-    for t in range(n_times - 1):
-        kids: list[list[int]] = [[] for _ in cells[t]]
-        for c, p in enumerate(parent[t + 1]):
-            kids[p].append(c)
-        children.append(tuple(tuple(k) for k in kids))
-    children.append(tuple())
 
-    return FilteredSpace(
-        outcome_count=outcome_count,
-        cells=tuple(cells),
-        atom_index=atom_index,
-        children=tuple(children),
-        parent=tuple(parent),
-    )
+def _is_index_type(kind: type) -> bool:
+    return issubclass(kind, (int, np.integer)) and not issubclass(kind, bool)
+
+
+def _level_atoms(n: int, t: int, level) -> np.ndarray:
+    """The time-t row of atom_index for one level of build_space's
+    partitions, or the level's first offence."""
+    try:
+        level = list(level)
+        sizes = np.fromiter(map(len, level), int, len(level))
+        flat = list(chain.from_iterable(level))
+    except TypeError:
+        raise NotPartition(f"time {t} must be a collection of cells of outcome indices") from None
+    if not all(map(_is_index_type, set(map(type, flat)))):
+        w = next(w for w in flat if not _is_index_type(type(w)))
+        raise NotPartition(f"outcome {w!r} at time {t} is not an integer index")
+    try:
+        w = np.fromiter(flat, int, len(flat))
+    except OverflowError:   # beyond int64, so out of range: compared as Python ints
+        w = np.array(flat, dtype=object)
+
+    # an outcome offends when out of range or seen before, in this cell or
+    # an earlier one; the loop order reports the first offending cell's
+    # least offending outcome, unless an empty cell comes first
+    ends = np.cumsum(sizes)
+    order = np.argsort(w, kind="stable")
+    bad = (w < 0) | (w >= n)
+    bad[order[1:][w[order[1:]] == w[order[:-1]]]] = True
+    first = int(np.searchsorted(ends, bad.argmax(), side="right")) if bad.any() else len(level)
+    if (sizes[:first] == 0).any():
+        raise EmptyCell(f"empty cell at time {t}")
+    if first < len(level):
+        cell = slice(ends[first] - sizes[first], ends[first])
+        v = w[cell][bad[cell]].min()
+        if not 0 <= v < n:
+            raise NotPartition(f"outcome {v} out of range at time {t}")
+        raise NotPartition(f"outcome {v} appears in two cells at time {t}")
+    if len(w) != n:
+        missing = np.flatnonzero(np.bincount(w, minlength=n) == 0).tolist()
+        raise NotPartition(f"outcomes {missing} uncovered at time {t}")
+
+    # number the cells by their first outcome
+    rank = np.empty(len(level), dtype=int)
+    rank[np.argsort(np.minimum.reduceat(w, ends - sizes))] = np.arange(len(level))
+    atoms = np.empty(n, dtype=int)
+    atoms[w] = np.repeat(rank, sizes)
+    return atoms
+
+
+def _check_time(space: FilteredSpace, t: int) -> None:
+    if not 0 <= t <= space.horizon:
+        raise IndexError(f"time {t} out of range 0..{space.horizon}")
 
 
 def atom_of(space: FilteredSpace, t: int, omega: int) -> Cell:
     """The unique time-t cell containing the outcome."""
-    if not 0 <= t <= space.horizon:
-        raise IndexError(f"time {t} out of range 0..{space.horizon}")
+    _check_time(space, t)
     if not 0 <= omega < space.outcome_count:
         raise IndexError(f"outcome {omega} out of range")
     return space.cells[t][space.atom_index[t, omega]]
 
 
+def cell_order(space: FilteredSpace, first: int, last: int) -> tuple[np.ndarray, np.ndarray]:
+    """The entries (s - first) * n + w of times s = first..last-1 grouped by
+    cell (space.numbering), ascending within each, and where each cell starts."""
+    _check_time(space, first)
+    _check_time(space, last - 1)
+    num, n = space.numbering, space.outcome_count
+    return (num.order[first * n:last * n] - first * n,
+            num.starts[num.offsets[first]:num.offsets[last]] - first * n)
+
+
 def cell_reps(space: FilteredSpace, t: int) -> np.ndarray:
     """The first outcome of every time-t cell (space.cell_rep), in cell order."""
-    order, starts = space._cell_groups[t]
-    return order[starts]
-
-
-def cell_offsets(space: FilteredSpace) -> np.ndarray:
-    """Where each time's cells start when the cells of times 0..N are
-    numbered time after time (offsets[t] + cell id), then the number of
-    them all: shape (N+2,)."""
-    return space._numbering[0]
-
-
-def cell_firsts(space: FilteredSpace) -> np.ndarray:
-    """Per cell of times 0..N, numbered as in cell_offsets, the index
-    t * n + w of its first outcome w in a flat (N+1, n) array."""
-    return space._numbering[1]
+    _check_time(space, t)
+    num = space.numbering
+    return num.firsts[num.offsets[t]:num.offsets[t + 1]] - t * space.outcome_count
 
 
 def cell_ranges(space: FilteredSpace, t: int, row) -> np.ndarray:
@@ -179,10 +221,26 @@ def cell_ranges(space: FilteredSpace, t: int, row) -> np.ndarray:
     row has shape (n, ...); the result has shape (n_cells(t), ...), one
     entry per cell in cell order, reduced along the outcome axis only.
     """
-    order, starts = space._cell_groups[t]
-    grouped = np.asarray(row, dtype=float)[order]
-    high = np.maximum.reduceat(grouped, starts, axis=0)
-    return high - np.minimum.reduceat(grouped, starts, axis=0)
+    return level_ranges(space, np.asarray(row, dtype=float)[None], t)
+
+
+def level_ranges(space: FilteredSpace, rows: np.ndarray, first: int) -> np.ndarray:
+    """max - min of rows, shape (T, n, ...), row s over each cell of time
+    first + s: one entry per cell of times first..first+T-1, numbered as in
+    space.numbering from offsets[first], from one reduction over them all."""
+    order, starts = cell_order(space, first, first + len(rows))
+    grouped = rows.reshape(-1, *rows.shape[2:])[order]
+    return np.maximum.reduceat(grouped, starts, axis=0) - np.minimum.reduceat(grouped, starts, axis=0)
+
+
+def cell_sums(space: FilteredSpace, x: np.ndarray, first: int) -> np.ndarray:
+    """Sums of x, shape (r, T, n) with row s at time first + s, over each
+    cell of times first..first+T-1: shape (r, cells), the cells numbered as
+    in space.numbering from offsets[first]."""
+    num, (r, T) = space.numbering, x.shape[:2]
+    size = num.offsets[first + T] - num.offsets[first]
+    index = num.ids[first:first + T] - num.offsets[first] + size * np.arange(r)[:, None, None]
+    return np.bincount(index.ravel(), x.ravel(), r * size).reshape(r, size)
 
 
 def check_adapted(space: FilteredSpace, values, tol: float = EQ_TOL) -> AdaptednessReport:
@@ -192,12 +250,9 @@ def check_adapted(space: FilteredSpace, values, tol: float = EQ_TOL) -> Adaptedn
         raise ShapeMismatch(
             f"expected shape {(space.horizon + 1, space.outcome_count)}, got {values.shape}"
         )
-    bad = [
-        (t, int(c))
-        for t in range(space.horizon + 1)
-        for c in np.flatnonzero(cell_ranges(space, t, values[t]) > tol)
-    ]
-    return AdaptednessReport(ok=not bad, violations=tuple(bad))
+    t, c = space.numbering.locate(np.flatnonzero(level_ranges(space, values, 0) > tol))
+    bad = tuple(zip(t.tolist(), c.tolist()))
+    return AdaptednessReport(ok=not bad, violations=bad)
 
 
 @dataclass(frozen=True, eq=False)
@@ -239,11 +294,10 @@ class PredictableProcess:
             )
         if not np.isfinite(values).all():
             raise NotPredictable("holdings must be finite")
-        for m in range(1, self.space.horizon + 1):
-            ranges = cell_ranges(self.space, m - 1, values[m - 1]).max(axis=1)
-            varies = np.flatnonzero(ranges > EQ_TOL)
-            if varies.size:
-                raise NotPredictable(f"time-{m} row varies on time-{m - 1} cell {varies[0]}")
+        varies = np.flatnonzero(level_ranges(self.space, values, 0).max(axis=1) > EQ_TOL)
+        if varies.size:
+            t, c = self.space.numbering.locate(varies[0])
+            raise NotPredictable(f"time-{t + 1} row varies on time-{t} cell {c}")
 
     def row(self, m: int) -> np.ndarray:
         """Time-m holdings (m in 1..N), one column per asset."""

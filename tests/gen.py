@@ -1,5 +1,8 @@
 """Random instance factories shared by the test modules.
 
+build_space_loop validates a partition sequence one cell and one outcome at
+a time, against which build_space's array validation is checked.
+
 Hull randomization comes in two flavours: unconstrained, and "compliant"
 hulls whose generator density ratios are constant on the first-period cells.
 Several results about ess-sup processes only hold on compliant hulls, and
@@ -49,12 +52,15 @@ from superhedge import (
     MASS_TOL,
     AdaptedProcess,
     Decomposition,
+    EmptyCell,
     GeneratorHull,
     Infeasible,
     MartingalePolytope,
     MeasureDependent,
     NoRepresentation,
     NotMartingale,
+    NotPartition,
+    NotRefining,
     PredictableProcess,
     build_space,
     conditional_expectation,
@@ -62,10 +68,17 @@ from superhedge import (
 )
 from superhedge import _lp
 from superhedge.processes import MartingaleReport, StepViolation
-from superhedge.spaces import cell_reps
+from superhedge.spaces import cell_order, cell_reps
 
 
 def random_space(rng, max_outcomes=12, max_horizon=4, min_outcomes=2, min_horizon=1):
+    return build_space(*random_partitions(rng, max_outcomes, max_horizon, min_outcomes,
+                                          min_horizon))
+
+
+def random_partitions(rng, max_outcomes=12, max_horizon=4, min_outcomes=2, min_horizon=1):
+    """(outcome count, partitions) of a random refining filtration, each
+    cell a list of outcomes in shuffled order: random_space's input."""
     n = int(rng.integers(min_outcomes, max_outcomes + 1))
     horizon = int(rng.integers(min_horizon, max_horizon + 1))
     outcomes = list(rng.permutation(n))
@@ -81,7 +94,69 @@ def random_space(rng, max_outcomes=12, max_horizon=4, min_outcomes=2, min_horizo
             else:
                 level.append(list(cell))
         levels.append(level)
-    return build_space(n, levels)
+    return n, levels
+
+
+def build_space_loop(outcome_count, partitions):
+    """build_space one cell and one outcome at a time, as Python tuples:
+    (atom_index, cells, children), or the same error for the same first
+    offence."""
+    if outcome_count < 1:
+        raise NotPartition("outcome_count must be a positive integer")
+    partitions = list(partitions)
+    if len(partitions) < 2:
+        raise NotPartition("a positive horizon needs partitions for times 0 and 1 at least")
+
+    cells = []
+    for t, raw_cells in enumerate(partitions):
+        level = []
+        seen = set()
+        for raw in raw_cells:
+            cell = tuple(sorted(int(w) for w in raw))
+            if not cell:
+                raise EmptyCell(f"empty cell at time {t}")
+            for w in cell:
+                if not 0 <= w < outcome_count:
+                    raise NotPartition(f"outcome {w} out of range at time {t}")
+                if w in seen:
+                    raise NotPartition(f"outcome {w} appears in two cells at time {t}")
+                seen.add(w)
+            level.append(cell)
+        if len(seen) != outcome_count:
+            missing = sorted(set(range(outcome_count)) - seen)
+            raise NotPartition(f"outcomes {missing} uncovered at time {t}")
+        level.sort(key=lambda c: c[0])
+        cells.append(tuple(level))
+
+    if len(cells[0]) != 1:
+        raise NotPartition("time-0 partition must be the single full cell")
+
+    n_times = len(cells)
+    atom_index = np.empty((n_times, outcome_count), dtype=int)
+    for t, level in enumerate(cells):
+        for c, cell in enumerate(level):
+            atom_index[t, list(cell)] = c
+
+    children = []
+    parent = [tuple()]
+    for t in range(1, n_times):
+        par = []
+        for c, cell in enumerate(cells[t]):
+            owners = {int(atom_index[t - 1, w]) for w in cell}
+            if len(owners) != 1:
+                raise NotRefining(
+                    f"cell {cells[t][c]} at time {t} straddles cells "
+                    f"{sorted(cells[t - 1][o] for o in owners)} at time {t - 1}"
+                )
+            par.append(owners.pop())
+        parent.append(tuple(par))
+    for t in range(n_times - 1):
+        kids = [[] for _ in cells[t]]
+        for c, p in enumerate(parent[t + 1]):
+            kids[p].append(c)
+        children.append(tuple(tuple(k) for k in kids))
+    children.append(tuple())
+    return atom_index, tuple(cells), tuple(children)
 
 
 def random_measure(rng, n):
@@ -593,7 +668,7 @@ def _step_gaps_loop(space, mset, rows, t, equality=True):
     if not equality:
         return [("lp max", one_step_sups_lp(mset, rows, t + 1) - rows[t][reps])]
     if t == space.horizon:
-        order, starts = space._cell_groups[t]
+        order, starts = cell_order(space, t, t + 1)
         return [("node residual",
                  np.maximum.reduceat(np.abs(rows[t + 1] - rows[t])[order], starts))]
     return [("node residual", hedge_ratios_lstsq(mset, rows[:space.horizon + 1])[1][t])]

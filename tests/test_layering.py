@@ -12,6 +12,7 @@ from pathlib import Path
 
 import superhedge
 from superhedge.measures import GeneratorHull, MartingalePolytope, MeasureSet
+from superhedge.spaces import FilteredSpace
 
 PACKAGE = Path(superhedge.__file__).parent
 
@@ -73,6 +74,29 @@ def test_only_measures_knows_the_family():
         if path.name == "measures.py":
             continue
         found = layering_violations(path.read_text(encoding="utf-8"))
+        if found:
+            offenders[path.name] = found
+    assert offenders == {}
+
+
+# the private tree numberings a FilteredSpace has kept, and whatever it keeps now
+SPACE_PRIVATE = {"_cell_groups", "_numbering"} | {
+    name for name in vars(FilteredSpace) if name.startswith("_") and not name.startswith("__")}
+
+
+def space_private_reads(source: str) -> list[str]:
+    return [f"line {node.lineno}: reads .{node.attr}" for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and node.attr in SPACE_PRIVATE]
+
+
+def test_only_spaces_reads_the_tree_numbering_privately():
+    """The space owns the tree: every other module of the package, and
+    every test, reads the numbering through public accessors."""
+    assert space_private_reads("order, starts = space._cell_groups[t]\n") == [
+        "line 1: reads ._cell_groups"]
+    offenders = {}
+    for path in sorted(PACKAGE.glob("*.py")) + sorted(Path(__file__).parent.glob("*.py")):
+        found = [] if path.name == "spaces.py" else space_private_reads(path.read_text("utf-8"))
         if found:
             offenders[path.name] = found
     assert offenders == {}

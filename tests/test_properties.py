@@ -44,7 +44,7 @@ from superhedge import (
 )
 from scipy.linalg import null_space
 from superhedge.measures import unit_claim_rows
-from superhedge.spaces import cell_reps
+from superhedge.spaces import cell_order, cell_reps
 
 from gen import compliant_hull, random_hull, random_measure, random_space
 
@@ -820,8 +820,8 @@ def test_node_residual_matches_lstsq_and_global_oracle(seed, kind):
         _, misses = hedge_ratios_lstsq(poly, rows)
         expected = np.zeros(space.n_cells(t))
         per_cell = [(s, misses[s]) for s in range(t, N)]
-        per_cell.append((N, np.maximum.reduceat(np.abs(x - rows[N])[space._cell_groups[N][0]],
-                                                space._cell_groups[N][1])))
+        order, starts = cell_order(space, N, N + 1)
+        per_cell.append((N, np.maximum.reduceat(np.abs(x - rows[N])[order], starts)))
         for s, miss in per_cell:
             ancestors = space.atom_index[t][cell_reps(space, s)]
             np.maximum.at(expected, ancestors, miss)
