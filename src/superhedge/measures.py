@@ -3,7 +3,7 @@
 Every family implements one contract, MeasureSet, and no other module tells
 the families apart.  The contract has eight methods: reference,
 dominating_claim, domination_rows, cond_exp_sup, ess_sup_rows, gaps,
-contains_masses and compensator.  Each family serves its sups from one
+contains_two_point and compensator.  Each family serves its sups from one
 private routine; the largest expectation over the family is row 0 of
 ess_sup_rows.  Every super-martingale, martingale and unit-claim verdict is
 one gaps call over a whole process.  Two concrete families are supported:
@@ -51,13 +51,13 @@ any one of its outcomes.
 Claims with expectation one under every member measure ("unit claims") play
 the role of normalized state-price densities.  Their conditional-expectation
 martingales, increments, two-point completion measures and the completeness
-test live here as well.
+test, one contains_two_point call per time, live here as well.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, repeat
 from math import comb
 
 import numpy as np
@@ -104,11 +104,8 @@ class Measure:
 
 @dataclass(frozen=True, eq=False)
 class CompletionMeasure:
-    """Two-point measure on the time-n cells built from a unit-claim increment.
-
-    Puts mass d_j / (-d_i + d_j) on the nonpositive-increment cell i and
-    -d_i / (-d_i + d_j) on the positive-increment cell j.
-    """
+    """Two-point measure on the time-n cells from a unit claim's increments
+    d: d_j / (d_j - d_i) on cell i, d_i <= 0, and the rest on cell j, d_j > 0."""
 
     time: int
     neg_atom: int
@@ -224,9 +221,9 @@ class MeasureSet:
         E^P(rows[s+1] | F_s) = rows[s] under every member measure."""
         raise NotImplementedError
 
-    def contains_masses(self, masses, t: int) -> bool:
-        """Whether some measure in the closure puts these masses on the
-        time-t cells."""
+    def contains_two_point(self, t: int, i, j, mass_i) -> np.ndarray:
+        """Per pair of distinct time-t cells i[p] and j[p], whether some
+        closure member puts mass_i[p] on i[p] and the rest on j[p]."""
         raise NotImplementedError
 
     def compensator(self, drops, scale: float) -> np.ndarray:
@@ -326,14 +323,13 @@ class GeneratorHull(MeasureSet):
         gaps = self._generator_means(rows[1:], 0, len(rows) - 1) - bases
         return tuple(f"generator {i}" for i in range(self.k)), np.abs(gaps) if equality else gaps
 
-    def contains_masses(self, masses, t):
-        # the restriction of the hull to time t is the hull of the
-        # restricted generators: a convex-combination feasibility solve
-        offsets = self.space.numbering.offsets
-        restr = self._masses[:, offsets[t]:offsets[t + 1]]
-        A_eq = np.vstack([restr.T, np.ones((1, self.k))])
-        b_eq = np.concatenate([masses, [1.0]])
-        return _lp.feasible_point(A_eq, b_eq, self.k) is not None
+    def contains_two_point(self, t, i, j, mass_i):
+        # every generator charges every cell, so a two-point member needs a
+        # time with two cells, its mass on cell 0 between the generators'
+        ends = self._masses[:, self.space.numbering.offsets[t]]
+        mass_0 = np.where(np.asarray(i) == 0, mass_i, 1.0 - np.asarray(mass_i, dtype=float))
+        inside = (ends.min() - FEAS_TOL <= mass_0) & (mass_0 <= ends.max() + FEAS_TOL)
+        return inside & (self.space.n_cells(t) == 2)
 
     def compensator(self, drops, scale):
         # per time-t cell each generator's sum of the drop and its mean.  A
@@ -644,7 +640,7 @@ class MartingalePolytope(MeasureSet):
             names if names is not None else (f"asset{i}" for i in range(len(procs)))
         )
 
-        values = np.array([p.values for p in procs])               # (d, N+1, n)
+        self._values = values = np.array([p.values for p in procs])     # (d, N+1, n)
         self._unit = _asset_units(values)
         self._equalities = _equality_matrix(space, values, self._unit)
         self._equality_tol = EQ_TOL * (1.0 + np.abs(values).max(axis=(1, 2)))[:, None]
@@ -873,10 +869,19 @@ class MartingalePolytope(MeasureSet):
         num = self.space.numbering
         return steps[num.firsts[num.ids[1:]] - n], h[num.ids[:N]]
 
-    def contains_masses(self, masses, t):
-        # a strictly positive member supplies the conditional extension
-        # beyond time t, so only the equalities up to step t constrain
-        return not self.equality_residuals(masses, t)
+    def contains_two_point(self, t, i, j, mass_i):
+        # steps 1..t constrain, an interior member extending beyond t: at s
+        # a shared time-(s-1) ancestor sums the terms, as equality_residuals
+        # does, and distinct ones see one each.  A pair leaves at a failure
+        rep, ids = cell_reps(self.space, t)[np.array([i, j], dtype=int)], self.space.numbering.ids
+        mass, live = np.array([mass_i, 1.0 - np.asarray(mass_i, dtype=float)]), np.arange(len(mass_i))
+        for s in range(1, t + 1):
+            terms = mass * (self._values[:, s] - self._values[:, s - 1])[:, rep]     # (d, 2, pairs)
+            shared = ids[s - 1, rep[0]] == ids[s - 1, rep[1]]
+            miss = np.where(shared, np.abs(terms.sum(axis=1)), np.abs(terms).max(axis=1))
+            keep = (miss <= self._equality_tol).all(axis=0)
+            live, rep, mass = live[keep], rep[:, keep], mass[:, keep]
+        return np.bincount(live, minlength=len(mass_i)) > 0
 
     def equality_residuals(self, mu: np.ndarray, up_to_time: int) -> list[tuple[int, int, int, float]]:
         """Evaluate the asset equalities with step <= up_to_time on a measure
@@ -940,31 +945,27 @@ def increment_process(space: FilteredSpace, mset: MeasureSet, xi0) -> list[np.nd
                     num.offsets[2:-1] - num.offsets[1])
 
 
+def _completion_pairs(d: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(i, j, mass_i) of one time's CompletionMeasures from its increments
+    d: each cell i with d_i <= EQ_TOL in turn with each j with d_j > EQ_TOL."""
+    neg, pos = np.flatnonzero(d <= EQ_TOL), np.flatnonzero(d > EQ_TOL)
+    i, j = np.repeat(neg, len(pos)), np.tile(pos, len(neg))
+    return i, j, d[j] / (d[j] - d[i])
+
+
 def completion_measures(
     space: FilteredSpace, mset: MeasureSet, xi0, n: int, increments=None
 ) -> list[CompletionMeasure]:
-    """Two-point completion measures at time n for the unit claim xi0.
-
-    One measure per pair (i, j) of time-n cells with d_i <= 0 < d_j.  When no
-    cell has a positive increment the increments vanish identically and the
-    list is empty.
-    """
+    """The completion measures at time n of the unit claim xi0, one per pair
+    of _completion_pairs; none when its increments vanish there."""
     if not 1 <= n <= space.horizon:
         raise IndexError(f"time {n} out of range 1..{space.horizon}")
     if increments is None:
         increments = increment_process(space, mset, xi0)
-    d = increments[n - 1]
-    neg = [i for i in range(len(d)) if d[i] <= EQ_TOL]
-    pos = [j for j in range(len(d)) if d[j] > EQ_TOL]
-    out = []
-    for i in neg:
-        for j in pos:
-            denom = -d[i] + d[j]
-            masses = np.zeros(space.n_cells(n))
-            masses[i] = d[j] / denom
-            masses[j] = -d[i] / denom
-            out.append(CompletionMeasure(time=n, neg_atom=i, pos_atom=j, atom_probabilities=masses))
-    return out
+    i, j, mass_i = _completion_pairs(increments[n - 1])
+    masses = np.zeros((len(i), space.n_cells(n)))
+    masses[np.arange(len(i)), i], masses[np.arange(len(i)), j] = mass_i, 1.0 - mass_i
+    return [CompletionMeasure(n, a, b, m) for a, b, m in zip(i.tolist(), j.tolist(), masses)]
 
 
 @dataclass(frozen=True)
@@ -978,15 +979,14 @@ class CompletenessReport:
 
 
 def is_complete(space: FilteredSpace, mset: MeasureSet, xi0) -> CompletenessReport:
-    """Decide whether every completion measure lies in the closure of the family."""
-    increments = increment_process(space, mset, xi0)
-    failures = []
-    tested = 0
-    for n in range(1, space.horizon + 1):
-        for cm in completion_measures(space, mset, xi0, n, increments=increments):
-            tested += 1
-            if not mset.contains_masses(cm.atom_probabilities, n):
-                failures.append((n, cm.neg_atom, cm.pos_atom))
+    """Decide whether every completion measure lies in the closure of the
+    family: one contains_two_point call per time over all its pairs."""
+    failures, tested = [], 0
+    for n, d in enumerate(increment_process(space, mset, xi0), start=1):
+        i, j, mass_i = _completion_pairs(d)
+        out = ~mset.contains_two_point(n, i, j, mass_i)
+        failures += zip(repeat(n), i[out].tolist(), j[out].tolist())
+        tested += len(i)
     return CompletenessReport(complete=not failures, failures=tuple(failures), tested=tested)
 
 

@@ -161,9 +161,11 @@ def _level_atoms(n: int, t: int, level) -> np.ndarray:
     # an earlier one; the loop order reports the first offending cell's
     # least offending outcome, unless an empty cell comes first
     ends = np.cumsum(sizes)
-    order = np.argsort(w, kind="stable")
     bad = (w < 0) | (w >= n)
-    bad[order[1:][w[order[1:]] == w[order[:-1]]]] = True
+    key, pos = np.where(bad, n, w).astype(int, copy=False), np.arange(len(w))
+    seen = np.full(n + 1, len(w))
+    np.minimum.at(seen, key, pos)       # each outcome's first position, or len(w)
+    bad |= seen[key] != pos
     first = int(np.searchsorted(ends, bad.argmax(), side="right")) if bad.any() else len(level)
     if (sizes[:first] == 0).any():
         raise EmptyCell(f"empty cell at time {t}")
@@ -174,14 +176,12 @@ def _level_atoms(n: int, t: int, level) -> np.ndarray:
             raise NotPartition(f"outcome {v} out of range at time {t}")
         raise NotPartition(f"outcome {v} appears in two cells at time {t}")
     if len(w) != n:
-        missing = np.flatnonzero(np.bincount(w, minlength=n) == 0).tolist()
-        raise NotPartition(f"outcomes {missing} uncovered at time {t}")
+        raise NotPartition(f"outcomes {np.flatnonzero(seen[:n] == len(w)).tolist()} uncovered at time {t}")
 
-    # number the cells by their first outcome
-    rank = np.empty(len(level), dtype=int)
-    rank[np.argsort(np.minimum.reduceat(w, ends - sizes))] = np.arange(len(level))
+    # number each cell by how many cells start below its first outcome
+    lows = np.minimum.reduceat(w, ends - sizes)
     atoms = np.empty(n, dtype=int)
-    atoms[w] = np.repeat(rank, sizes)
+    atoms[w] = np.repeat(np.cumsum(np.bincount(lows, minlength=n))[lows] - 1, sizes)
     return atoms
 
 

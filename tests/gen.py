@@ -35,7 +35,10 @@ polytope's compensator step one node at a time, against which its
 whole-tree pass is checked.  step_report_loop and unit_claim_rows_loop
 judge a process or a unit claim one step at a time, per generator on a
 hull and per node on a polytope, against which the one gaps call per
-process is checked.
+process is checked.  is_complete_loop tests each completion measure on its
+own, by a feasibility LP on a hull and by the equality residuals on a
+polytope, against which the one contains_two_point call per time is
+checked.
 """
 
 from __future__ import annotations
@@ -51,6 +54,7 @@ from superhedge import (
     FEAS_TOL,
     MASS_TOL,
     AdaptedProcess,
+    CompletenessReport,
     Decomposition,
     EmptyCell,
     GeneratorHull,
@@ -64,6 +68,7 @@ from superhedge import (
     PredictableProcess,
     build_space,
     conditional_expectation,
+    increment_process,
     is_martingale,
 )
 from superhedge import _lp
@@ -706,6 +711,32 @@ def unit_claim_rows_loop(space, mset, xi):
                 raise MeasureDependent(f"E(claim | F_{t}) differs across measures on cell {c} "
                                        f"({label}, gap {gaps.max():.3e})", time=t, cell=c)
     return rows[:-1]
+
+
+def is_complete_loop(space, mset, xi0):
+    """is_complete one completion measure at a time: for each time n, each
+    cell i with d_i <= EQ_TOL and each cell j with d_j > EQ_TOL, the measure
+    d_j / (d_j - d_i) on i and -d_i / (d_j - d_i) on j is tested on its own.
+    A hull holds it when some convex combination of the generators' time-n
+    cell masses equals it (_lp.feasible_point); a polytope when it meets
+    every asset equality up to step n (equality_residuals)."""
+    failures, tested = [], 0
+    for n, d in enumerate(increment_process(space, mset, xi0), start=1):
+        for i in np.flatnonzero(d <= EQ_TOL).tolist():
+            for j in np.flatnonzero(d > EQ_TOL).tolist():
+                masses = np.zeros(space.n_cells(n))
+                masses[i], masses[j] = d[j] / (-d[i] + d[j]), -d[i] / (-d[i] + d[j])
+                if isinstance(mset, GeneratorHull):
+                    gens = np.array([np.bincount(space.atom_index[n], g.probabilities, len(d))
+                                     for g in mset.generators])
+                    A_eq = np.vstack([gens.T, np.ones((1, mset.k))])
+                    held = _lp.feasible_point(A_eq, np.r_[masses, 1.0], mset.k) is not None
+                else:
+                    held = not mset.equality_residuals(masses, n)
+                tested += 1
+                if not held:
+                    failures.append((n, i, j))
+    return CompletenessReport(complete=not failures, failures=tuple(failures), tested=tested)
 
 
 def martingale_representation_lstsq(space, poly, mprocess, raw=False):

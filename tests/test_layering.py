@@ -170,7 +170,7 @@ CONTRACT = {
     "cond_exp_sup",
     "ess_sup_rows",
     "gaps",
-    "contains_masses",
+    "contains_two_point",
     "compensator",
 }
 

@@ -250,7 +250,7 @@ class TestNodeLocalSup:
 
 
 class TestFamilyContract:
-    """gaps and contains_masses, the family-specific half of MeasureSet."""
+    """gaps and contains_two_point, the family-specific half of MeasureSet."""
 
     def test_step_gap_labels_and_shape(self, binomial, two_generator_hull):
         space, asset, poly = binomial
@@ -276,12 +276,32 @@ class TestFamilyContract:
         _, (gaps,) = poly.gaps(asset.values - [[1.0], [0.0]], True)
         assert gaps.min() > 0.5
 
-    def test_contains_masses(self, binomial, two_generator_hull):
+    def test_contains_two_point(self, binomial, two_generator_hull):
         _, _, poly = binomial
-        assert poly.contains_masses(np.array([0.5, 0.5]), 1)
-        assert not poly.contains_masses(np.array([0.9, 0.1]), 1)
-        assert two_generator_hull.contains_masses(np.array([0.6, 0.4]), 1)
-        assert not two_generator_hull.contains_masses(np.array([0.4, 0.6]), 1)
+        ones, zeros = np.ones(2, dtype=int), np.zeros(2, dtype=int)
+        assert poly.contains_two_point(1, zeros, ones, [0.5, 0.9]).tolist() == [True, False]
+        # the generators' masses on cell 0 are 0.5 and 0.8: the interval
+        # holds (0.6, 0.4) and rejects (0.4, 0.6), either way round
+        held = two_generator_hull.contains_two_point(1, zeros, ones, [0.6, 0.4])
+        assert held.tolist() == [True, False]
+        held = two_generator_hull.contains_two_point(1, ones, zeros, [0.4, 0.6])
+        assert held.tolist() == [True, False]
+
+    def test_hull_holds_a_pair_at_the_end_of_its_interval(self, binary_space):
+        hull = GeneratorHull(binary_space, [[0.3, 0.7]])
+        held = hull.contains_two_point(1, np.array([0, 1, 0]), np.array([1, 0, 1]),
+                                       [0.3, 0.7, 0.3 + 1e-6])
+        assert held.tolist() == [True, True, False]
+        # the unit claim's one completion measure is the generator itself
+        report = is_complete(binary_space, hull, [2.0, 4.0 / 7.0])
+        assert report.complete and report.tested == 1
+
+    def test_hull_holds_no_pair_on_more_than_two_cells(self):
+        space = build_space(3, [[(0, 1, 2)], [(0,), (1,), (2,)]])
+        hull = GeneratorHull(space, [[0.2, 0.3, 0.5], [0.5, 0.3, 0.2]])
+        i, j = np.array([0, 0, 1]), np.array([1, 2, 2])
+        assert not hull.contains_two_point(1, i, j, [0.2, 0.5, 0.5]).any()
+        assert hull.contains_two_point(1, i[:0], j[:0], []).shape == (0,)
 
 
 class TestRestrictionMetric:
@@ -399,6 +419,20 @@ class TestIsComplete:
         for _ in range(10):
             space, asset, poly, xi0 = complete_polytope(rng)
             assert is_complete(space, poly, xi0).complete
+
+    def test_solves_no_lp(self, lp_calls):
+        rng = np.random.default_rng(47)
+        from gen import cellwise_unit_claim, compliant_hull
+
+        space = build_space(4, [[(0, 1, 2, 3)], [(0, 1, 2, 3)], [(0, 1), (2, 3)],
+                                [(0,), (1,), (2,), (3,)]])
+        hull = compliant_hull(rng, space, k=3)
+        hull_claim = cellwise_unit_claim(rng, space, hull)
+        _, _, poly, poly_claim = complete_polytope(rng)
+        lp_calls.clear()
+        for mset, claim in ((hull, hull_claim), (poly, poly_claim)):
+            assert is_complete(mset.space, mset, claim).tested
+        assert len(lp_calls) == 0
 
     def test_two_period_binomial_incomplete(self):
         space = build_space(

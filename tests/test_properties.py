@@ -30,6 +30,7 @@ from superhedge import (
     fair_price_full,
     fair_price_generated,
     increment_process,
+    is_complete,
     is_martingale,
     is_supermartingale,
     is_unit_claim,
@@ -945,3 +946,54 @@ def test_verdicts_match_the_step_loop(kind):
                     except MeasureDependent as e:
                         outcomes.append((e.time, e.cell, re.search(r"\((.*), gap", str(e))[1]))
                 assert outcomes[0] == outcomes[1]
+
+
+def _completeness_instances(rng):
+    """(space, family, unit claim) triples: tests/gen.py hulls, one to three
+    generators, random or compliant; complete polytopes; market trees with
+    flat children, whose completion measures are sometimes held; two-asset
+    trinomial trees; and desk markets.  A compliant or one-generator hull
+    takes gen.cellwise_unit_claim, another hull an F_1-measurable claim off
+    1 along a direction its generators' time-1 masses do not see, and a
+    polytope its first asset's terminal ratio."""
+    from gen import cellwise_unit_claim, complete_polytope, random_market_tree, trinomial_two_asset
+
+    out = []
+    for i in range(80):
+        space = random_space(rng, min_outcomes=3)
+        k = 1 + i % 3
+        hull = compliant_hull(rng, space, k) if i % 2 else random_hull(rng, space, k)
+        if i % 2 or k == 1:
+            out.append((space, hull, cellwise_unit_claim(rng, space, hull)))
+            continue
+        basis = null_space(np.array([np.bincount(space.atom_index[1], g.probabilities,
+                                                 space.n_cells(1)) for g in hull.generators]))
+        null = basis @ rng.normal(size=basis.shape[1])
+        claim = 1.0 + 0.5 * null / max(np.abs(null).max(initial=0.0), 1e-3)
+        out.append((space, hull, claim[space.atom_index[1]]))
+    polytopes = [complete_polytope(rng)[::2] for _ in range(20)]
+    polytopes += [random_market_tree(rng, flat_prob=0.3)[::2] for _ in range(40)]
+    polytopes += [trinomial_two_asset(rng, steps) for steps in (1, 2)]
+    polytopes += [(space, poly) for space, poly, _ in _desk_markets(23, 3)]
+    for space, poly in polytopes:
+        values = poly.assets[0].values
+        out.append((space, poly, values[-1] / values[0, 0]))
+    return out
+
+
+def test_completeness_matches_the_pair_loop():
+    """is_complete, one contains_two_point call per time, reports what
+    gen.is_complete_loop reports, one completion measure at a time (a
+    feasibility LP on a hull, the equality residuals on a polytope): the
+    verdict, the failures in order and the count tested.  The scan holds
+    pairs that each family contains and pairs that it rejects."""
+    from gen import is_complete_loop
+
+    rng = np.random.default_rng(2301)
+    seen = {GeneratorHull: [0, 0], MartingalePolytope: [0, 0]}
+    for space, mset, claim in _completeness_instances(rng):
+        got, want = is_complete(space, mset, claim), is_complete_loop(space, mset, claim)
+        assert got == want
+        seen[type(mset)][0] += got.tested - len(got.failures)
+        seen[type(mset)][1] += len(got.failures)
+    assert all(held and failed for held, failed in seen.values()), seen
