@@ -11,9 +11,10 @@ nondecreasing from zero.  The family answers for every step in one call
 one child and one block-diagonal LP for the other cells of every step, one
 pass over the nodes on a martingale polytope.  The constructive route
 applies to complete measure families: each step's ratio f_n / f_{n-1} is
-normalized and dominated by a step claim 1 + alpha_n d_n built from a
-unit-claim increment, from which the martingale and compensator follow in
-closed form.
+normalized by its largest expectation over the family, every step's from
+one ess_sup_rows call on the stack of ratios, and dominated by a step claim
+1 + alpha_n d_n built from a unit-claim increment, from which the
+martingale and compensator follow in closed form.
 
 Both routes start with the same super-martingale guard and end in
 validate_decomposition: a result that fails its reconstruction, its
@@ -183,7 +184,8 @@ def optional_decomposition_complete(
     """Constructive decomposition for a complete measure family.
 
     The process is shifted to be >= 1, each step ratio is normalized by its
-    largest expectation over the family and dominated by the step claim
+    largest expectation over the family, every step's from one ess_sup_rows
+    call on the stack of ratios, and dominated by the step claim
     1 + alpha_n d_n, and the martingale accumulates f_{n-1} (claim_n - 1)
     increments.  Incompleteness surfaces as IncompletenessDetected from the
     per-step domination scan.
@@ -194,6 +196,8 @@ def optional_decomposition_complete(
     increments = increment_process(space, mset, xi0)
     shift = max(0.0, -float(proc.values.min())) + 1.0
     shifted = proc.values + shift
+    ratios = shifted[1:] / shifted[:-1]
+    sup_exps = mset.ess_sup_rows(ratios)[:, 0, 0]
 
     n_out = space.outcome_count
     claims: list[np.ndarray] = []
@@ -201,10 +205,7 @@ def optional_decomposition_complete(
     mart = np.zeros((space.horizon + 1, n_out))
     mart[0] = shifted[0]
     for n in range(1, space.horizon + 1):
-        ratio = shifted[n] / shifted[n - 1]
-        sup_exp = mset.ess_sup_rows(ratio)[0, 0]
-        normalized = ratio / sup_exp
-        alpha = _alpha(space, n, increments[n - 1], normalized)
+        alpha = _alpha(space, n, increments[n - 1], ratios[n - 1] / sup_exps[n - 1])
         claim = 1.0 + alpha * increments[n - 1][space.atom_index[n]]
         claims.append(claim)
         step_g = -shifted[n] + shifted[n - 1] * claim

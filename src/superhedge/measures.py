@@ -5,8 +5,9 @@ the families apart.  The contract has eight methods: reference,
 dominating_claim, domination_rows, cond_exp_sup, ess_sup_rows, gaps,
 contains_two_point and compensator.  Each family serves its sups from one
 private routine; the largest expectation over the family is row 0 of
-ess_sup_rows.  Every super-martingale, martingale and unit-claim verdict is
-one gaps call over a whole process.  Two concrete families are supported:
+ess_sup_rows, which takes a stack of claims in one call.  Every
+super-martingale, martingale and unit-claim verdict is one gaps call over a
+whole process.  Two concrete families are supported:
 
 * GeneratorHull -- the convex hull of finitely many strictly positive
   measures.  Conditional expectations under any hull member are positively
@@ -23,7 +24,8 @@ one gaps call over a whole process.  Two concrete families are supported:
   about the family is a question about one node at a time.  Per-cell
   suprema of conditional expectations are one backward induction of
   one-step problems over a node's children (closed form for one asset,
-  small linear solves for more) that records each node's maximiser.  A
+  small linear solves for more) that records each node's maximiser; a
+  stack of claims goes through it together, one claim per row.  A
   super-martingale's compensator on a node's children is drop + h . moves
   for holdings h that keep it nonnegative (an interval per node for one
   asset, a small LP per node for more where a projection does not
@@ -137,12 +139,20 @@ def conditional_expectation(space: FilteredSpace, P, X, t: int) -> np.ndarray:
     return _condexp_rows(space, _measure_vector(space, P), _claim_vector(space, X), t, t + 1)[0]
 
 
-def _condexp_rows(space: FilteredSpace, p: np.ndarray, x: np.ndarray, first: int, last: int):
+def _condexp_rows(space: FilteredSpace, p: np.ndarray, x: np.ndarray, first: int, last: int,
+                  mass: np.ndarray | None = None):
     """E{x | F_t} under p, t = first..last-1, shape (last - first, n), from
-    one bincount each of p and p * x over the cells of those times."""
-    cells = space.numbering.ids[first:last] - space.numbering.offsets[first]
+    one bincount of p * x over the cells of those times, divided by p's
+    mass on each: mass, p's mass on every cell of times 0..N numbered as in
+    space.numbering, where the caller keeps it, else one more bincount."""
+    num = space.numbering
+    cells = num.ids[first:last] - num.offsets[first]
     sums = np.bincount(cells.ravel(), np.concatenate([p * x] * len(cells)))
-    return (sums / np.bincount(cells.ravel(), np.concatenate([p] * len(cells))))[cells]
+    if mass is None:
+        mass = np.bincount(cells.ravel(), np.concatenate([p] * len(cells)))
+    else:
+        mass = mass[num.offsets[first]:num.offsets[last]]
+    return (sums / mass)[cells]
 
 
 def change_of_measure_conditional(space: FilteredSpace, P1, P2, X, t: int) -> np.ndarray:
@@ -208,7 +218,9 @@ class MeasureSet:
 
     def ess_sup_rows(self, x) -> np.ndarray:
         """The rows cond_exp_sup(x, t).values for t = 0..N, shape (N+1, n),
-        with nothing attaining them built; row 0 is the largest expectation."""
+        with nothing attaining them built; row 0 is the largest expectation.
+        A stack of claims x, shape (k, n), gives every claim's rows in one
+        call, shape (k, N+1, n), row i equal to ess_sup_rows(x[i])."""
         raise NotImplementedError
 
     def gaps(self, rows, equality: bool) -> tuple[tuple[str, ...], np.ndarray]:
@@ -302,18 +314,25 @@ class GeneratorHull(MeasureSet):
 
     def ess_sup_rows(self, x):
         # a hull is not m-stable, so every time takes its own generator maxima
-        return self._generator_means(x, 0, self.space.horizon + 1).max(axis=0)[self.space.numbering.ids]
+        x = np.asarray(x, dtype=float)
+        means = self._generator_means(x[..., None, :], 0, self.space.horizon + 1)
+        return means.max(axis=0)[..., self.space.numbering.ids]
 
     def _generator_means(self, x, first: int, last: int) -> np.ndarray:
         """Every generator's E(x_t | F_t) on each cell of times t =
         first..last-1, shape (k, cells), for x one outcome row, or one per
-        time (last - first, n).  A member's is a positively weighted average
-        of these, so their maximum is the per-cell sup, attained by the
-        argmax generator."""
-        lift = self._matrix[:, None] * np.asarray(x, dtype=float)
-        lift = np.broadcast_to(lift, (self.k, last - first, self.space.outcome_count))
+        time (last - first, n); a stack of such x, shape (..., 1 or last -
+        first, n), gives shape (k, ..., cells).  A member's is a positively
+        weighted average of these, so their maximum is the per-cell sup,
+        attained by the argmax generator."""
+        x, n = np.asarray(x, dtype=float), self.space.outcome_count
+        stack = x.shape[:-2]
+        lift = self._matrix.reshape(self.k, *[1] * (x.ndim - 2), 1, n) * x
+        lift = np.broadcast_to(lift, (self.k, *stack, last - first, n))
         offsets = self.space.numbering.offsets
-        return cell_sums(self.space, lift, first) / self._masses[:, offsets[first]:offsets[last]]
+        sums = cell_sums(self.space, lift.reshape(-1, last - first, n), first)
+        masses = self._masses[:, offsets[first]:offsets[last]]
+        return sums.reshape(self.k, *stack, -1) / masses.reshape(self.k, *[1] * len(stack), -1)
 
     def gaps(self, rows, equality):
         # every generator's means of all rows but the first decide at once
@@ -406,9 +425,10 @@ class _NodeGroup:
     """The time-t cells with the same child count k, and their candidate
     one-step martingale kernels.
 
-    Candidate c of node g puts weights[g, c] on the children at positions
-    support[c] (padding entries carry weight zero); penalty[g, c] is 0 when
-    that kernel is a martingale kernel of the node and -inf when it is not.
+    Candidate c of node g puts weights[g, c] on the children slots[g, c]
+    (padding entries carry weight zero); penalty[g, c] is 0 when that
+    kernel is a martingale kernel of the node and -inf when it is not.  Both
+    end in an axis of length one, for the stack of claims (_one_step_sups).
     The candidates are None for a group solved by LP, node by node.  The
     nodes' projections, and so their replication residuals, live in the
     flat pair table (_PairTable) instead.
@@ -417,9 +437,9 @@ class _NodeGroup:
     nodes: np.ndarray                # (G,) time-t cell ids
     kids: np.ndarray                 # (G, k) time-(t+1) cell ids
     moves: np.ndarray                # (G, d, k) asset increments towards each child
-    support: np.ndarray | None       # (C, s) child positions of each candidate
-    weights: np.ndarray | None       # (G, C, s)
-    penalty: np.ndarray | None       # (G, C)
+    slots: np.ndarray | None         # (G, C, s) time-(t+1) cell ids of each candidate
+    weights: np.ndarray | None       # (G, C, s, 1)
+    penalty: np.ndarray | None       # (G, C, 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -473,8 +493,10 @@ def _node_table(space: FilteredSpace, values: np.ndarray, unit: np.ndarray):
             pair_moves[:, pairs] = moves.transpose(1, 0, 2)
             pinv = np.linalg.pinv(scaled.transpose(0, 2, 1), rcond=_PROJECTION_RCOND)
             projection[:, pairs] = pinv.transpose(1, 0, 2) / unit[..., None]
-            groups.append(_NodeGroup(nodes - offsets[t], kids - offsets[t + 1], moves,
-                                     *_candidate_kernels(scaled)))
+            kids = kids - offsets[t + 1]
+            support, weights, penalty = _candidate_kernels(scaled)
+            slots = None if support is None else kids[:, support]
+            groups.append(_NodeGroup(nodes - offsets[t], kids, moves, slots, weights, penalty))
         table.append(tuple(groups))
     pairs = _PairTable(starts[offsets], np.repeat(np.arange(offsets[-1]), counts),
                        np.r_[num.firsts[num.kids] - n, num.order[N * n:]], pair_moves, projection)
@@ -482,10 +504,11 @@ def _node_table(space: FilteredSpace, values: np.ndarray, unit: np.ndarray):
 
 
 def _candidate_kernels(moves: np.ndarray):
-    """(support, weights, penalty) covering every vertex of each node's
-    kernel set {q >= 0, sum q = 1, moves @ q = 0}, or Nones for the LP:
-    when a multi-asset node has too many supports, or when some node is left
-    without a candidate by rounding.
+    """(support, weights, penalty), the last two shaped as in _NodeGroup,
+    covering every vertex of each node's kernel set {q >= 0, sum q = 1,
+    moves @ q = 0}, or Nones for the LP: when a multi-asset node has too
+    many supports, or when some node is left without a candidate by
+    rounding.
 
     A vertex is supported on at most d + 1 children.  A flat child carries
     a point mass.  With one asset the other vertices are the straddling
@@ -537,31 +560,32 @@ def _candidate_kernels(moves: np.ndarray):
     ok = np.concatenate([o for _, _, o in parts], axis=1)
     if not ok.any(axis=1).all():
         return None, None, None
-    return support, weights, np.where(ok, 0.0, -np.inf)
+    return support, weights[..., None], np.where(ok, 0.0, -np.inf)[..., None]
 
 
 def _one_step_sups(groups, vals: np.ndarray, unit: np.ndarray):
-    """One level of the backward induction: per time-t cell, the largest
-    kernel expectation of its children's values vals; and per group its
-    nodes' maximisers, each node's best candidate (G,) or, for a group
-    without candidates, its kernel (G, k) from one LP per node in the asset
-    units unit (d, 1)."""
-    out = np.empty(sum(len(g.nodes) for g in groups))
+    """One level of the backward induction for a stack of k claims, one per
+    column: per time-t cell and claim, the largest kernel expectation of the
+    values vals (time-(t+1) cells, k) of its children; and per group its
+    nodes' maximisers, each node's best candidate per claim (G, k) or, for a
+    group without candidates, its kernel per claim (G, children, k) from one
+    LP per node and claim in the asset units unit (d, 1)."""
+    out = np.empty((sum(len(g.nodes) for g in groups), vals.shape[1]))
     picks = []
     for g in groups:
-        v = vals[g.kids]                                              # (G, k)
-        if g.support is None:
+        if g.slots is None:
+            v = vals.take(g.kids, axis=0)                             # (G, children, k)
             q = np.empty(v.shape)
-            for i, (node, moves, row) in enumerate(zip(g.nodes, g.moves, v)):
-                out[node], q[i] = _lp.maximize(
-                    row, A_eq=np.vstack([np.ones(len(row)), moves / unit]),
-                    b_eq=np.r_[1.0, np.zeros(len(moves))])
+            for i, j in np.ndindex(len(v), v.shape[2]):
+                out[g.nodes[i], j], q[i, :, j] = _lp.maximize(
+                    v[i, :, j], A_eq=np.vstack([np.ones(v.shape[1]), g.moves[i] / unit]),
+                    b_eq=np.r_[1.0, np.zeros(len(unit))])
             picks.append(q)
             continue
-        candidates = (g.weights * v[:, g.support]).sum(axis=2) + g.penalty
-        best = candidates.argmax(axis=1)
-        out[g.nodes] = candidates[np.arange(len(best)), best]
-        picks.append(best)
+        candidates = np.add.reduce(g.weights * vals.take(g.slots, axis=0), axis=2)
+        candidates += g.penalty
+        out[g.nodes] = np.maximum.reduce(candidates, axis=1)
+        picks.append(candidates.argmax(axis=1))
     return out, picks
 
 
@@ -645,6 +669,9 @@ class MartingalePolytope(MeasureSet):
         self._equalities = _equality_matrix(space, values, self._unit)
         self._equality_tol = EQ_TOL * (1.0 + np.abs(values).max(axis=(1, 2)))[:, None]
         self._interior = self._solve_interior(self._equalities)
+        # the interior member's mass on every cell of times 0..N (space.numbering)
+        shape = (1, space.horizon + 1, space.outcome_count)
+        self._interior_mass = cell_sums(space, np.broadcast_to(self._interior, shape), 0)[0]
         self._nodes, self._pairs = _node_table(space, values, self._unit)
 
     def _solve_interior(self, A: sparse.csr_array) -> np.ndarray:
@@ -687,50 +714,56 @@ class MartingalePolytope(MeasureSet):
         return None, np.array(x, dtype=float)
 
     def cond_exp_sup(self, x, t):
-        rows, picks, tops = self._induction(x, t)
+        x = np.asarray(x, dtype=float)
+        rows, picks = self._induction(x[None], t)
         order, starts = cell_order(self.space, t, t + 1)
-        attained = tuple(np.split(self._attaining(picks, tops)[order], starts[1:]))
-        return EssSupRow(values=rows[0], attained=attained)
+        attained = tuple(np.split(self._attaining(x, picks)[0][order], starts[1:]))
+        return EssSupRow(values=rows[0, 0], attained=attained)
 
     def ess_sup_rows(self, x):
-        return self._induction(x, 0)[0]
-
-    def _induction(self, x, t: int):
-        """Rows s = t..N of the per-cell sups of E^Q{x | F_s} over the closure,
-        shape (N+1-t, n); the maximisers of each level s < N (_one_step_sups),
-        entry s - t; and each terminal cell's first outcome with the largest
-        x.  The closure is m-stable, so the sup starts from that outcome's x
-        and, level by level, takes each node's largest expectation of its
-        children's values over its martingale kernels."""
         x = np.asarray(x, dtype=float)
+        rows = self._induction(x.reshape(-1, x.shape[-1]), 0)[0]
+        return rows.reshape(x.shape[:-1] + rows.shape[1:])
+
+    def _induction(self, x: np.ndarray, t: int):
+        """For a stack of claims x (k, n): rows s = t..N of the per-cell sups
+        of E^Q{x[i] | F_s} over the closure, shape (k, N+1-t, n); and the
+        maximisers of each level s < N (_one_step_sups), entry s - t.  The
+        closure is m-stable, so the sup starts from each terminal cell's
+        largest value and, level by level, takes each node's largest
+        expectation of its children's values over its martingale kernels."""
         space, N = self.space, self.space.horizon
-        tops = np.lexsort((-x, space.atom_index[N]))[cell_order(space, N, N + 1)[1]]
-        vals = x[tops]
-        rows = np.empty((N + 1 - t, space.outcome_count))
-        rows[-1] = vals[space.atom_index[N]]
+        order, starts = cell_order(space, N, N + 1)
+        vals = np.maximum.reduceat(x.take(order, axis=1), starts, axis=1).T     # (cells, k)
+        rows = np.empty((N + 1 - t, space.outcome_count, len(x)))
+        rows[-1] = vals.take(space.atom_index[N], axis=0)
         picks = [None] * (N - t)
         for s in range(N - 1, t - 1, -1):
             vals, picks[s - t] = _one_step_sups(self._nodes[s], vals, self._unit)
-            rows[s - t] = vals[space.atom_index[s]]
-        return rows, picks, tops
+            rows[s - t] = vals.take(space.atom_index[s], axis=0)
+        return rows.transpose(2, 0, 1), picks
 
-    def _attaining(self, picks, tops) -> np.ndarray:
-        """Outcome masses of the measures attaining an induction's sups on
-        the cells of its first time (_induction): the product of the
-        maximising kernels, each terminal cell's mass on its top."""
-        space = self.space
+    def _attaining(self, x: np.ndarray, picks) -> tuple[np.ndarray, np.ndarray]:
+        """For one claim x and the maximisers of its induction (_induction,
+        a stack of one), the outcome masses of the measure attaining its
+        sups on the cells of the induction's first time: the product of the
+        maximising kernels, each terminal cell's mass on its top, the cell's
+        first outcome with the largest x; and those tops."""
+        space, N = self.space, self.space.horizon
+        tops = np.lexsort((-x, space.atom_index[N]))[cell_order(space, N, N + 1)[1]]
         weights = np.zeros(space.outcome_count)
         weights[tops] = 1.0
-        for s, level in zip(range(space.horizon - 1, -1, -1), reversed(picks)):
+        for s, level in zip(range(N - 1, -1, -1), reversed(picks)):
             kernel = np.zeros(space.n_cells(s + 1))
             for g, pick in zip(self._nodes[s], level):
-                if g.support is None:
+                pick = pick[..., 0]
+                if g.slots is None:
                     kernel[g.kids] = pick
                 else:
                     rows = np.arange(len(pick))
-                    np.add.at(kernel, g.kids[rows[:, None], g.support[pick]], g.weights[rows, pick])
+                    np.add.at(kernel, g.slots[rows, pick], g.weights[rows, pick, :, 0])
             weights *= kernel[space.atom_index[s + 1]]
-        return weights
+        return weights, tops
 
     def gaps(self, rows, equality):
         rows = np.asarray(rows, dtype=float)
@@ -739,8 +772,9 @@ class MartingalePolytope(MeasureSet):
             # row s + 1 is F_{s+1}-measurable, so level s of the induction
             # decides; every row read at its cells' first outcomes at once
             vals, offsets = rows.ravel()[num.firsts[:num.offsets[T + 1]]], num.offsets
-            sups = [_one_step_sups(self._nodes[s], vals[offsets[s + 1]:offsets[s + 2]], self._unit)[0]
-                    - vals[offsets[s]:offsets[s + 1]] for s in range(T)]
+            sups = [_one_step_sups(self._nodes[s], vals[offsets[s + 1]:offsets[s + 2], None],
+                                   self._unit)[0][:, 0] - vals[offsets[s]:offsets[s + 1]]
+                    for s in range(T)]
             return ("lp max",), np.concatenate(sups)[None]
         # m-stability: E^P(rows[s+1] | F_s) = rows[s] for every member iff
         # every node's increments are replicated by its asset moves.  A last
@@ -754,8 +788,8 @@ class MartingalePolytope(MeasureSet):
         if T > N or measurable[0]:
             return ("node residual",), self._replicate(steps, T)[1][None]
         s = T + int(measurable.argmax()) if measurable.any() else N + 1
-        path = np.concatenate([np.zeros((1, len(last))),
-                               _condexp_rows(self.space, self._interior, last, T, s), last[None]])
+        means = _condexp_rows(self.space, self._interior, last, T, s, self._interior_mass)
+        path = np.concatenate([np.zeros((1, len(last))), means, last[None]])
         steps = np.concatenate([steps[:-1], path[1:] - path[:-1]])
         miss = self._replicate(steps, s)[1]
         lo, hi = num.offsets[T - 1], num.offsets[s]
@@ -797,8 +831,9 @@ class MartingalePolytope(MeasureSet):
         Q* attaining V_0 (_attaining), so E^{Q*} x is a lower bound on the
         price.  Q* must be nonnegative, of mass 1 within MASS_TOL, and meet
         every asset equality, or a MathError is raised."""
-        V, picks, tops = self._induction(x, 0)
-        q_star = self._attaining(picks, tops)
+        x = np.asarray(x, dtype=float)
+        V, picks = self._induction(x[None], 0)
+        V, (q_star, tops) = V[0], self._attaining(x, picks)
         missed = self.equality_residuals(q_star[tops], self.space.horizon)
         if q_star.min() < 0.0 or abs(q_star.sum() - 1.0) > MASS_TOL or missed:
             raise MathError(f"the measure attaining the price fails its own check: least mass "

@@ -50,13 +50,16 @@ def _as_process(space: FilteredSpace, f) -> AdaptedProcess:
 def _step_report(space: FilteredSpace, mset: MeasureSet, f, equality: bool) -> MartingaleReport:
     proc = _as_process(space, f)
     labels, gaps = mset.gaps(proc.values, equality)
-    label, node = np.nonzero(gaps > EQ_TOL * (1.0 + float(np.abs(proc.values).max())))
+    over = gaps > EQ_TOL * (1.0 + float(np.abs(proc.values).max()))
+    if not over.any():
+        return MartingaleReport(ok=True, equality=equality, violations=())
+    label, node = np.nonzero(over)
     t, c = space.numbering.locate(node)              # a time-t cell's gap is step t + 1's
     order = np.lexsort((node, label, t))             # step, then label, then cell
     t, c, label, node = t[order], c[order], label[order], node[order]
     violations = tuple(map(StepViolation, (t + 1).tolist(), c.tolist(),
                            [labels[i] for i in label.tolist()], gaps[label, node].tolist()))
-    return MartingaleReport(ok=not violations, equality=equality, violations=violations)
+    return MartingaleReport(ok=False, equality=equality, violations=violations)
 
 
 def is_supermartingale(space: FilteredSpace, mset: MeasureSet, f) -> MartingaleReport:

@@ -24,6 +24,7 @@ from superhedge import (
     validate_decomposition,
     verify_self_financing,
 )
+from superhedge import measures
 from superhedge.spaces import cell_reps
 
 from gen import (
@@ -352,6 +353,29 @@ class TestCompleteDecomposition:
         q = poly.interior_measure
         for m in range(2):
             assert q @ g1[m] == pytest.approx(q @ g2[m], abs=1e-9)
+
+    def test_normalizers_come_from_one_induction(self, monkeypatch):
+        """The super-martingale guard takes one level of the induction per
+        step, and every step's normalizer comes from one more induction over
+        the stack of step ratios: 2N one-step sups in all."""
+        calls = []
+        one_step_sups = measures._one_step_sups
+
+        def counted(*args):
+            calls.append(args)
+            return one_step_sups(*args)
+
+        monkeypatch.setattr(measures, "_one_step_sups", counted)
+        rng = np.random.default_rng(241)
+        horizons = []
+        for _ in range(10):
+            space, _, poly, xi0 = complete_polytope(rng)
+            f = random_supermartingale(rng, space, poly)
+            calls.clear()
+            optional_decomposition_complete(space, poly, xi0, f)
+            assert len(calls) == 2 * space.horizon
+            horizons.append(space.horizon)
+        assert max(horizons) > 1
 
 
 def _assert_full_superhedge(space, poly, claim):

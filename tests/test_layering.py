@@ -8,9 +8,11 @@ operations are allowed.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import superhedge
+from superhedge import measures
 from superhedge.measures import GeneratorHull, MartingalePolytope, MeasureSet
 from superhedge.spaces import FilteredSpace
 
@@ -184,6 +186,16 @@ def test_measure_set_contract_is_pinned():
 def test_every_family_overrides_the_whole_contract():
     for family in (GeneratorHull, MartingalePolytope):
         assert CONTRACT - set(vars(family)) == set(), family.__name__
+
+
+def test_the_docs_name_the_contract():
+    """The measures.py module docstring and the README's bullets name
+    exactly the pinned contract."""
+    sentence = re.search(r"eight methods:(.*?)\.", " ".join(measures.__doc__.split())).group(1)
+    assert sorted(re.split(r",\s*|\s+and\s+", sentence.strip())) == sorted(CONTRACT)
+    readme = (PACKAGE.parents[1] / "README.md").read_text(encoding="utf-8")
+    bullets = re.search(r"eight methods,.*?\n\n(\* .*?)\n\n(?!\* )", readme, re.S).group(1)
+    assert sorted(re.findall(r"^\* `(\w+)\(", bullets, re.M)) == sorted(CONTRACT)
 
 
 def test_only_lp_module_reaches_the_solver():

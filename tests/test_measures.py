@@ -1,6 +1,9 @@
+from math import comb
+
 import numpy as np
 import pytest
 
+from superhedge import measures
 from superhedge import (
     GeneratorHull,
     InvalidMeasure,
@@ -30,6 +33,8 @@ from superhedge.spaces import AdaptedProcess, build_space
 from gen import (
     complete_polytope,
     generic_claim,
+    random_hull,
+    random_market_tree,
     random_measure,
     random_space,
     random_supermartingale,
@@ -247,6 +252,33 @@ class TestNodeLocalSup:
         row = poly.cond_exp_sup([1.0, 3.0, 2.0], 1)
         assert np.array_equal(row.values, [3.0, 3.0, 2.0])
         assert [list(a) for a in row.attained] == [[0.0, 1.0], [1.0]]
+
+    def test_a_stack_of_claims_takes_each_claims_own_rows(self):
+        """ess_sup_rows(X)[i] is ess_sup_rows(X[i]) bit for bit, on hulls,
+        one-asset polytopes and a two-asset node with more candidate
+        supports than _MAX_SUPPORTS, whose sups come from one LP each."""
+        rng = np.random.default_rng(2401)
+        families = []
+        for _ in range(15):
+            space = random_space(rng, 10, 4)
+            families.append((space, random_hull(rng, space)))
+            space, _, poly = random_market_tree(rng, max_horizon=4)
+            families.append((space, poly))
+        kids = 12
+        assert sum(comb(kids, s) for s in (1, 2, 3)) > measures._MAX_SUPPORTS
+        space = build_space(kids, [[tuple(range(kids))], [(w,) for w in range(kids)]])
+        angle = np.linspace(0.0, 2.0 * np.pi, kids, endpoint=False) + rng.uniform(0.0, 0.2, kids)
+        radius = rng.uniform(0.5, 1.5, kids)
+        assets = [[np.full(kids, s0), s0 + step * radius * f(angle)]
+                  for s0, step, f in ((100.0, 20.0, np.cos), (50.0, 10.0, np.sin))]
+        families.append((space, MartingalePolytope(space, assets)))
+        for space, mset in families:
+            claims = rng.uniform(0.0, 3.0, size=(4, space.outcome_count))
+            claims[1] = claims[0]
+            stacked = mset.ess_sup_rows(claims)
+            assert stacked.shape == (4, space.horizon + 1, space.outcome_count)
+            for claim, rows in zip(claims, stacked):
+                assert rows.tobytes() == mset.ess_sup_rows(claim).tobytes()
 
 
 class TestFamilyContract:
