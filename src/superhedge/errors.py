@@ -87,17 +87,8 @@ class NotMartingale(MathError):
         self.report = report
 
 
-class MeasureDependent(MathError):
-    """Conditional expectations of the claim differ across member measures."""
-
-    def __init__(self, message: str, time: int | None = None, cell: int | None = None):
-        super().__init__(message)
-        self.time = time
-        self.cell = cell
-
-
-class Infeasible(MathError):
-    """No compensator increment satisfies the step identities on a cell."""
+class _CellError(MathError):
+    """A MathError located at a (time, cell) of the tree."""
 
     def __init__(self, message: str, time: int, cell: int):
         super().__init__(message)
@@ -105,22 +96,23 @@ class Infeasible(MathError):
         self.cell = cell
 
 
-class IncompletenessDetected(MathError):
+class MeasureDependent(_CellError):
+    """Conditional expectations of the claim differ across member measures."""
+
+
+class Infeasible(_CellError):
+    """No compensator increment satisfies the step identities on a cell."""
+
+
+class IncompletenessDetected(_CellError):
     """A bound that only holds for complete measure families failed."""
 
-    def __init__(self, message: str, time: int | None = None, cell: int | None = None):
-        super().__init__(message)
-        self.time = time
-        self.cell = cell
 
-
-class NoRepresentation(MathError):
+class NoRepresentation(_CellError):
     """Martingale increments are not spanned by asset increments on a cell."""
 
     def __init__(self, message: str, time: int, cell: int, residual: float = float("nan")):
-        super().__init__(message)
-        self.time = time
-        self.cell = cell
+        super().__init__(message, time, cell)
         self.residual = residual
 
 

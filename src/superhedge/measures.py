@@ -104,15 +104,22 @@ class Measure:
         return len(self.probabilities)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class CompletionMeasure:
     """Two-point measure on the time-n cells from a unit claim's increments
-    d: d_j / (d_j - d_i) on cell i, d_i <= 0, and the rest on cell j, d_j > 0."""
+    d: neg_mass = d_j / (d_j - d_i) on cell i, d_i <= 0, and the rest on cell
+    j, d_j > 0; its row over the cell_count cells is built when read."""
 
     time: int
     neg_atom: int
     pos_atom: int
-    atom_probabilities: np.ndarray  # one entry per cell of partitions[time]
+    neg_mass: float
+    cell_count: int
+
+    @property
+    def atom_probabilities(self) -> np.ndarray:
+        return np.bincount([self.neg_atom, self.pos_atom],
+                           [self.neg_mass, 1.0 - self.neg_mass], self.cell_count)
 
 
 def _claim_vector(space: FilteredSpace, X) -> np.ndarray:
@@ -933,39 +940,49 @@ class MartingalePolytope(MeasureSet):
         return list(zip(j.tolist(), (t + 1).tolist(), c.tolist(), res[j, node].tolist()))
 
 
+def _unit_tol(xi: np.ndarray) -> float:
+    """The tolerance of every unit-claim identity, relative to xi's scale."""
+    return EQ_TOL * (1.0 + float(np.abs(xi).max()))
+
+
 def is_unit_claim(space: FilteredSpace, mset: MeasureSet, xi) -> bool:
-    """True iff xi >= 0 and E^P[xi] = 1 for every member measure."""
+    """True iff xi >= -EQ_TOL and E^P[xi] = 1 for every member measure: the
+    gaps of the rows [1, xi] stay within _unit_tol(xi)."""
     xi = _claim_vector(space, xi)
-    if xi.min() < -EQ_TOL:
-        return False
     rows = np.concatenate((np.ones((1, len(xi))), xi[None]))
-    return bool(mset.gaps(rows, equality=True)[1].max() <= EQ_TOL)
+    return bool(xi.min() >= -EQ_TOL and mset.gaps(rows, equality=True)[1].max() <= _unit_tol(xi))
 
 
 def unit_claim_rows(space: FilteredSpace, mset: MeasureSet, xi0) -> np.ndarray:
     """Conditional-expectation rows E{xi0 | F_t}, t = 0..N, of a unit claim.
 
-    The rows are computed under the reference measure and verified to be the
-    same under every member measure, all in one gaps call with xi0 as row
-    N+1: each row is the conditional expectation of the next.
-    MeasureDependent is raised for the latest time at which they differ,
-    naming its first label with a gap there and that label's largest gap.
+    The rows are computed under the reference measure.  One gaps call at
+    _unit_tol(xi0) on [1, E(xi0 | F_1), ..., E(xi0 | F_N), xi0] checks that
+    each row is the conditional expectation of the next under every member,
+    which also makes xi0 a unit claim (on a polytope its residuals are
+    is_unit_claim's).  Only if it fails is is_unit_claim asked (NotUnitClaim)
+    and the rows from E(xi0) checked: MeasureDependent names the latest time
+    at which they differ, its first label with a gap there and that label's
+    largest gap.
     """
-    xi0 = np.asarray(xi0, dtype=float)
+    xi0 = _claim_vector(space, xi0)
+    rows = np.vstack([_condexp_rows(space, mset.reference(), xi0, 0, space.horizon + 1), xi0])
+    tol, started = _unit_tol(xi0), np.concatenate((np.ones((1, len(xi0))), rows[1:]))
+    if xi0.min() >= -EQ_TOL and mset.gaps(started, equality=True)[1].max() <= tol:
+        return rows[:-1]
     if not is_unit_claim(space, mset, xi0):
         raise NotUnitClaim("claim is not nonnegative with unit expectation under every measure")
-    rows = np.vstack([_condexp_rows(space, mset.reference(), xi0, 0, space.horizon + 1), xi0])
     labels, gaps = mset.gaps(rows, equality=True)
-    label, node = np.nonzero(gaps > EQ_TOL * (1.0 + float(np.abs(xi0).max())))
-    if node.size:
-        offsets = space.numbering.offsets
-        t = int(space.numbering.locate(node.max())[0])
-        first = int(label[node >= offsets[t]].min())
-        row = gaps[first, offsets[t]:offsets[t + 1]]
-        c = int(np.argmax(row))
-        raise MeasureDependent(f"E(claim | F_{t}) differs across measures on cell {c} "
-                               f"({labels[first]}, gap {row[c]:.3e})", time=t, cell=c)
-    return rows[:-1]
+    label, node = np.nonzero(gaps > tol)
+    if not node.size:
+        return rows[:-1]
+    offsets = space.numbering.offsets
+    t = int(space.numbering.locate(node.max())[0])
+    first = int(label[node >= offsets[t]].min())
+    row = gaps[first, offsets[t]:offsets[t + 1]]
+    c = int(np.argmax(row))
+    raise MeasureDependent(f"E(claim | F_{t}) differs across measures on cell {c} "
+                           f"({labels[first]}, gap {row[c]:.3e})", time=t, cell=c)
 
 
 def increment_process(space: FilteredSpace, mset: MeasureSet, xi0) -> list[np.ndarray]:
@@ -988,19 +1005,14 @@ def _completion_pairs(d: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return i, j, d[j] / (d[j] - d[i])
 
 
-def completion_measures(
-    space: FilteredSpace, mset: MeasureSet, xi0, n: int, increments=None
-) -> list[CompletionMeasure]:
+def completion_measures(space: FilteredSpace, mset: MeasureSet, xi0, n: int) -> list[CompletionMeasure]:
     """The completion measures at time n of the unit claim xi0, one per pair
     of _completion_pairs; none when its increments vanish there."""
     if not 1 <= n <= space.horizon:
         raise IndexError(f"time {n} out of range 1..{space.horizon}")
-    if increments is None:
-        increments = increment_process(space, mset, xi0)
-    i, j, mass_i = _completion_pairs(increments[n - 1])
-    masses = np.zeros((len(i), space.n_cells(n)))
-    masses[np.arange(len(i)), i], masses[np.arange(len(i)), j] = mass_i, 1.0 - mass_i
-    return [CompletionMeasure(n, a, b, m) for a, b, m in zip(i.tolist(), j.tolist(), masses)]
+    i, j, mass_i = _completion_pairs(increment_process(space, mset, xi0)[n - 1])
+    return [CompletionMeasure(n, a, b, m, cells) for a, b, m, cells
+            in zip(i.tolist(), j.tolist(), mass_i.tolist(), repeat(space.n_cells(n)))]
 
 
 @dataclass(frozen=True)
@@ -1040,5 +1052,5 @@ def ess_sup_conditional(space: FilteredSpace, mset: MeasureSet, X, t: int) -> Es
 def _nonnegative_claim(space: FilteredSpace, X) -> np.ndarray:
     x = _claim_vector(space, X)
     if x.min() < -EQ_TOL:
-        raise ValueError("ess-sup rows are defined here for nonnegative claims")
+        raise ValidationError("claim must be nonnegative")
     return x

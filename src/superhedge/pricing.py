@@ -24,7 +24,7 @@ import numpy as np
 
 from . import _lp
 from .errors import InfeasiblePricing, NotUnitClaim, ValidationError
-from .measures import MeasureSet, _claim_vector, is_unit_claim
+from .measures import MeasureSet, _claim_vector, _nonnegative_claim, is_unit_claim
 from .spaces import FilteredSpace, cell_ranges
 from .tolerances import EQ_TOL
 
@@ -48,9 +48,7 @@ class FairPriceResult:
 
 
 def _check_terminal_claim(space: FilteredSpace, f_N) -> np.ndarray:
-    x = _claim_vector(space, f_N)
-    if x.min() < -EQ_TOL:
-        raise ValidationError("claim must be nonnegative")
+    x = _nonnegative_claim(space, f_N)
     varies = np.flatnonzero(cell_ranges(space, space.horizon, x) > EQ_TOL)
     if varies.size:
         raise ValidationError(f"claim varies on terminal cell {varies[0]}")

@@ -136,11 +136,8 @@ def k_representation(space: FilteredSpace, mset: MeasureSet, f, dec) -> list[KTe
     if f0 <= EQ_TOL:
         raise ZeroInitialValue("initial value must be strictly positive")
 
-    from .decomposition import validate_decomposition  # local import, no cycle at module load
-
-    report = validate_decomposition(space, mset, proc, dec)
-    if not report.ok:
-        raise report.error()
+    from .decomposition import _validated  # local import, no cycle at module load
+    _validated(space, mset, proc, dec)
 
     g = dec.compensator.values
     claim1 = (values[-1] + g[-1]) / f0

@@ -243,14 +243,14 @@ def cell_sums(space: FilteredSpace, x: np.ndarray, first: int) -> np.ndarray:
     return np.bincount(index.ravel(), x.ravel(), r * size).reshape(r, size)
 
 
-def check_adapted(space: FilteredSpace, values, tol: float = EQ_TOL) -> AdaptednessReport:
+def check_adapted(space: FilteredSpace, values) -> AdaptednessReport:
     """Report whether a (N+1, n) matrix is constant on every cell at every time."""
     values = np.asarray(values, dtype=float)
     if values.shape != (space.horizon + 1, space.outcome_count):
         raise ShapeMismatch(
             f"expected shape {(space.horizon + 1, space.outcome_count)}, got {values.shape}"
         )
-    t, c = space.numbering.locate(np.flatnonzero(level_ranges(space, values, 0) > tol))
+    t, c = space.numbering.locate(np.flatnonzero(level_ranges(space, values, 0) > EQ_TOL))
     bad = tuple(zip(t.tolist(), c.tolist()))
     return AdaptednessReport(ok=not bad, violations=bad)
 

@@ -75,3 +75,18 @@ def lp_calls(monkeypatch):
 
     monkeypatch.setattr(_lp, "solve", counted)
     return calls
+
+
+@pytest.fixture
+def gaps_calls(monkeypatch):
+    """A list that gets one entry per MeasureSet.gaps call, on either
+    family, for as long as the test runs: the family, a copy of the rows
+    and the equality flag."""
+    calls = []
+    for family in (GeneratorHull, MartingalePolytope):
+        def counted(self, rows, equality, gaps=family.gaps):
+            calls.append((self, np.array(rows, dtype=float), equality))
+            return gaps(self, rows, equality)
+
+        monkeypatch.setattr(family, "gaps", counted)
+    return calls

@@ -35,10 +35,11 @@ polytope's compensator step one node at a time, against which its
 whole-tree pass is checked.  step_report_loop and unit_claim_rows_loop
 judge a process or a unit claim one step at a time, per generator on a
 hull and per node on a polytope, against which the one gaps call per
-process is checked.  is_complete_loop tests each completion measure on its
-own, by a feasibility LP on a hull and by the equality residuals on a
-polytope, against which the one contains_two_point call per time is
-checked.
+process is checked; unit_claim_rows_two_pass asks is_unit_claim before
+that loop, against which unit_claim_rows' single pass is checked.
+is_complete_loop tests each completion measure on its own, by a
+feasibility LP on a hull and by the equality residuals on a polytope,
+against which the one contains_two_point call per time is checked.
 """
 
 from __future__ import annotations
@@ -65,11 +66,13 @@ from superhedge import (
     NotMartingale,
     NotPartition,
     NotRefining,
+    NotUnitClaim,
     PredictableProcess,
     build_space,
     conditional_expectation,
     increment_process,
     is_martingale,
+    is_unit_claim,
 )
 from superhedge import _lp
 from superhedge.processes import MartingaleReport, StepViolation
@@ -711,6 +714,14 @@ def unit_claim_rows_loop(space, mset, xi):
                 raise MeasureDependent(f"E(claim | F_{t}) differs across measures on cell {c} "
                                        f"({label}, gap {gaps.max():.3e})", time=t, cell=c)
     return rows[:-1]
+
+
+def unit_claim_rows_two_pass(space, mset, xi):
+    """unit_claim_rows as two passes at one tolerance: is_unit_claim
+    (NotUnitClaim), then the step loop (unit_claim_rows_loop)."""
+    if not is_unit_claim(space, mset, xi):
+        raise NotUnitClaim("claim is not nonnegative with unit expectation under every measure")
+    return unit_claim_rows_loop(space, mset, xi)
 
 
 def is_complete_loop(space, mset, xi0):

@@ -90,6 +90,17 @@ def test_ess_sup_conditional_rejects_non_finite_claims(binomial, claim):
         ess_sup_conditional(space, poly, claim, 0)
 
 
+@pytest.mark.parametrize("family", ["hull", "polytope"])
+def test_ess_sups_reject_negative_claims(binomial, two_generator_hull, family):
+    """A negative claim is the validation error fair_price_full raises."""
+    space, _, poly = binomial
+    mset = two_generator_hull if family == "hull" else poly
+    with pytest.raises(ValidationError, match="claim must be nonnegative"):
+        ess_sup_conditional(space, mset, [1.0, -0.5], 0)
+    with pytest.raises(ValidationError, match="claim must be nonnegative"):
+        ess_sup_process(space, mset, [1.0, -0.5])
+
+
 @pytest.mark.parametrize("conditional", ["plain", "change of measure"])
 @pytest.mark.parametrize("claim, t, error, match", [
     (NON_FINITE[0], 0, ValidationError, "claim must be finite"),
@@ -355,8 +366,50 @@ class TestUnitClaims:
         space, asset, poly = binomial
         assert is_unit_claim(space, poly, asset.values[1] / 100.0)
 
-    def test_negative_entry(self, binary_space, two_generator_hull):
+    def test_negative_entry(self, binary_space, two_generator_hull, binomial):
         assert not is_unit_claim(binary_space, two_generator_hull, np.array([2.1, -0.1]))
+        # expectation one under the binomial's only martingale measure
+        space, _, poly = binomial
+        with pytest.raises(NotUnitClaim):
+            measures.unit_claim_rows(space, poly, np.array([2.1, -0.1]))
+
+    def test_second_look_returns_the_rows(self, gaps_calls):
+        """A hull claim whose pass from one exceeds the tolerance by about
+        30%, while each generator's expectation is one and the rows from
+        E(xi) are the same under both, within tolerance: the rows come back
+        from the second look, after three gaps calls."""
+        space = build_space(4, [[(0, 1, 2, 3)], [(0, 1), (2, 3)], [(0,), (1,), (2,), (3,)]])
+        hull = GeneratorHull(space, [[0.28, 0.17, 0.2, 0.35], [0.18, 0.51, 0.2, 0.11]])
+        xi = 1.0 + 5.5e-9 * np.array([1.3, 0.2, -2.2, -0.7])
+        rows = measures.unit_claim_rows(space, hull, xi)
+        assert len(gaps_calls) == 3
+        want = [conditional_expectation(space, hull.reference(), xi, t) for t in range(3)]
+        assert np.array_equal(rows, want)
+
+    def test_passing_rows_make_one_gaps_call(self, gaps_calls, monkeypatch):
+        """A unit claim's rows come from one gaps call, on the rows started
+        from one, and is_unit_claim is not asked: on a compliant hull with a
+        cellwise unit claim and on a complete polytope with its ratio claim."""
+        from gen import cellwise_unit_claim, compliant_hull
+
+        rng = np.random.default_rng(2502)
+        space = random_space(rng, min_outcomes=3)
+        hull = compliant_hull(rng, space, k=3)
+        cases = [(space, hull, cellwise_unit_claim(rng, space, hull))]
+        space, _, poly, xi0 = complete_polytope(rng)
+        cases.append((space, poly, xi0))
+
+        def not_asked(*args):
+            raise AssertionError("is_unit_claim asked for a passing claim")
+
+        monkeypatch.setattr(measures, "is_unit_claim", not_asked)
+        for space, mset, xi in cases:
+            gaps_calls.clear()
+            rows = measures.unit_claim_rows(space, mset, xi)
+            assert [(family, equality) for family, _, equality in gaps_calls] == [(mset, True)]
+            started = np.vstack([np.ones(space.outcome_count), rows[1:], xi])
+            assert np.array_equal(gaps_calls[0][1], started)
+            assert np.array_equal(rows[0], conditional_expectation(space, mset.reference(), xi, 0))
 
 
 class TestIncrements:

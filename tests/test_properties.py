@@ -1,6 +1,7 @@
 """Property tests for the measure-family identities and metric axioms."""
 
 import importlib.util
+import itertools
 import re
 from pathlib import Path
 
@@ -20,6 +21,7 @@ from superhedge import (
     NoRepresentation,
     NotMartingale,
     NotSupermartingale,
+    NotUnitClaim,
     asset_ratio_family,
     build_space,
     cell_ranges,
@@ -29,7 +31,6 @@ from superhedge import (
     ess_sup_conditional,
     fair_price_full,
     fair_price_generated,
-    increment_process,
     is_complete,
     is_martingale,
     is_supermartingale,
@@ -512,10 +513,8 @@ def test_equality_residuals_match_the_loop():
             cases += [(masses(ref, t) * (1.0 + 1e-6 * noise), t),
                       (rng.dirichlet(np.ones(space.n_cells(t))), t)]
         xi0 = poly.assets[0].values[-1] / poly.assets[0].values[0, 0]
-        increments = increment_process(space, poly, xi0)
         for n in range(1, N + 1):
-            cases += [(cm.atom_probabilities, n)
-                      for cm in completion_measures(space, poly, xi0, n, increments=increments)]
+            cases += [(cm.atom_probabilities, n) for cm in completion_measures(space, poly, xi0, n)]
         for mu, t in cases:
             got = poly.equality_residuals(mu, t)
             assert got == equality_residuals_loop(poly, mu, t)
@@ -946,6 +945,69 @@ def test_verdicts_match_the_step_loop(kind):
                     except MeasureDependent as e:
                         outcomes.append((e.time, e.cell, re.search(r"\((.*), gap", str(e))[1]))
                 assert outcomes[0] == outcomes[1]
+
+
+def _unit_claim_instances(rng):
+    """(space, family, claims) triples of the unit-claim knock scan:
+    tests/gen.py compliant hulls with a cellwise unit claim, and random
+    hulls with 1 moved along their generators' common null space, a unit
+    claim whose conditional expectations differ; complete polytopes and
+    market trees with flat children with their asset-ratio claims; desk
+    polytopes with S_N / S_0 and S_{N-1} / S_0."""
+    from gen import cellwise_unit_claim, complete_polytope, random_market_tree
+
+    out = []
+    for i in range(24):
+        space = random_space(rng, min_outcomes=4)
+        k = 1 + i % 3
+        if i % 2:
+            hull = compliant_hull(rng, space, k)
+            out.append((space, hull, [cellwise_unit_claim(rng, space, hull)]))
+            continue
+        hull = random_hull(rng, space, k)
+        null = null_space(np.array([g.probabilities for g in hull.generators]))[:, 0]
+        out.append((space, hull, [1.0 + 0.5 * null / np.abs(null).max()]))
+    polytopes = [complete_polytope(rng)[::2] for _ in range(6)]
+    polytopes += [random_market_tree(rng, flat_prob=0.5)[::2] for _ in range(6)]
+    out += [(space, poly, asset_ratio_family(poly)[0][1:]) for space, poly in polytopes]
+    for space, poly, _ in _desk_markets(25, 3):
+        values = poly.assets[0].values
+        out.append((space, poly, [values[-1] / values[0, 0], values[-2] / values[0, 0]]))
+    return out
+
+
+def _unit_outcome(rows, space, mset, xi):
+    """What a unit-claim rows function gives for xi: the rows' bytes, or
+    the error with its time, cell and label."""
+    try:
+        return ("rows", rows(space, mset, xi).tobytes())
+    except MeasureDependent as e:
+        return ("MeasureDependent", e.time, e.cell, re.search(r"\((.*), gap", str(e))[1])
+    except NotUnitClaim:
+        return ("NotUnitClaim",)
+
+
+def test_unit_claim_rows_match_the_two_pass_rule():
+    """unit_claim_rows, one gaps pass for a unit claim, gives what
+    gen.unit_claim_rows_two_pass gives (is_unit_claim, then the step loop,
+    at one tolerance): the same rows bit for bit, or the same error at the
+    same time and cell with the same label.  Each claim is knocked by 0,
+    1e-12, 1e-9, 1e-7 and 1e-5: along a direction, by a scale and on one
+    outcome.  The scan meets all three outcomes."""
+    from gen import unit_claim_rows_two_pass
+
+    rng = np.random.default_rng(2501)
+    seen = {"rows": 0, "MeasureDependent": 0, "NotUnitClaim": 0}
+    for space, mset, claims in _unit_claim_instances(rng):
+        n = space.outcome_count
+        for xi, knock in itertools.product(claims, (0.0, 1e-12, 1e-9, 1e-7, 1e-5)):
+            direction, outcome = rng.uniform(-1.0, 1.0, size=n), np.arange(n) == rng.integers(n)
+            moves = [xi + knock * direction, xi * (1.0 + knock), xi + knock * outcome]
+            for moved in moves[:1] if knock == 0.0 else moves:
+                got = _unit_outcome(unit_claim_rows, space, mset, moved)
+                assert got == _unit_outcome(unit_claim_rows_two_pass, space, mset, moved)
+                seen[got[0]] += 1
+    assert all(seen.values()), seen
 
 
 def _completeness_instances(rng):
