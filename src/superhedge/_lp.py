@@ -6,13 +6,16 @@ tolerance.  Nothing here enumerates
 polytope vertices: no production path needs them, and the combinatorial
 enumeration the tests use as an oracle lives with the tests.
 
-``solve`` hands the model straight to ``scipy.optimize._highspy._core``.
+``solve`` hands the model straight to ``scipy.optimize._highspy._core``,
+as plain arrays through the array overload of ``_Highs.passModel``.
 On small programs scipy's generic wrapper costs several times what HiGHS
 itself does: it re-validates its options on every call and builds results
-nobody reads.  The model (rows ``A_ub`` over ``A_eq`` in CSC, with row
-bounds ``[-inf, b_eq] .. [b_ub, b_eq]``), the options and the status codes
-are the ones ``scipy.optimize``'s own HiGHS method uses, so answers stay
-bit for bit the same.
+nobody reads, and its ``HighsLp`` attribute setters copy entry by entry.
+The model (rows ``A_ub`` over ``A_eq`` in CSC, with row bounds
+``[-inf, b_eq] .. [b_ub, b_eq]``), the options and the status codes are the
+ones ``scipy.optimize``'s own HiGHS method uses, with presolve unless the
+caller turns it off, so ``linprog`` with the same presolve setting gives
+the same answer bit for bit.
 """
 
 from __future__ import annotations
@@ -31,14 +34,21 @@ from .errors import SolverFailure, UnboundedObjective
 from .tolerances import FEAS_TOL
 
 _MODEL = _h.HighsModelStatus
-_OPTIONS = _h.HighsOptions()
-_OPTIONS.presolve = "on"
-_OPTIONS.simplex_strategy = _h.simplex_constants.SimplexStrategy.kSimplexStrategyDual
-_OPTIONS.primal_feasibility_tolerance = 1e-10
-_OPTIONS.dual_feasibility_tolerance = 1e-10
-_OPTIONS.output_flag = False
-_OPTIONS.log_to_console = False
-_OPTIONS.highs_debug_level = _h.HighsDebugLevel.kHighsDebugLevelNone
+
+
+def _options(presolve: bool):
+    options = _h.HighsOptions()
+    options.presolve = "on" if presolve else "off"
+    options.simplex_strategy = _h.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+    options.primal_feasibility_tolerance = 1e-10
+    options.dual_feasibility_tolerance = 1e-10
+    options.output_flag = False
+    options.log_to_console = False
+    options.highs_debug_level = _h.HighsDebugLevel.kHighsDebugLevelNone
+    return options
+
+
+_OPTIONS = {presolve: _options(presolve) for presolve in (True, False)}
 
 # HiGHS model status -> status code, as scipy's linprog maps them: 0 optimal,
 # 1 limit reached, 2 infeasible, 3 unbounded; any other status is 4, no verdict
@@ -58,12 +68,15 @@ class LPResult(NamedTuple):
     message: str
 
 
-def solve(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=(0, None)) -> LPResult:
+def solve(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=(0, None),
+          presolve=True) -> LPResult:
     """Minimize c @ x subject to A_ub @ x <= b_ub, A_eq @ x == b_eq and
     lb <= x <= ub, for bounds = (lb, ub); each of lb and ub is a scalar,
     None for no bound, or one entry per variable.  A_ub and A_eq may be
-    dense or sparse.  Raises ValueError on non-finite data or mismatched
-    shapes."""
+    dense or sparse.  presolve=False runs HiGHS without its presolve, as
+    ``linprog(..., options={"presolve": False})`` does: where the optimum
+    is not unique the point may differ from the presolved one.  Raises
+    ValueError on non-finite data or mismatched shapes."""
     c = np.asarray(c, dtype=float).reshape(-1)
     n = len(c)
     lb, ub = (np.broadcast_to(np.asarray(none if v is None else v, dtype=float), n)
@@ -95,23 +108,21 @@ def solve(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=(0, None)) -> LP
     if not all(np.isfinite(v).all() for v in (c, value, rhs)):
         raise ValueError("LP data must not contain inf or nan")
 
-    lp = _h.HighsLp()
-    lp.num_col_ = lp.a_matrix_.num_col_ = n
-    lp.num_row_ = lp.a_matrix_.num_row_ = len(rhs)
-    lp.a_matrix_.format_ = _h.MatrixFormat.kColwise
-    lp.a_matrix_.start_ = start
-    lp.a_matrix_.index_ = index
-    lp.a_matrix_.value_ = value
-    lp.col_cost_ = c
     # infinite bounds as HiGHS's infinity
-    lp.col_lower_, lp.col_upper_ = np.clip([lb, ub], -_h.kHighsInf, _h.kHighsInf)
-    lp.row_lower_ = np.concatenate([np.full(len(b_ub), -_h.kHighsInf), b_eq])
-    lp.row_upper_ = rhs
+    col_lower, col_upper = np.clip([lb, ub], -_h.kHighsInf, _h.kHighsInf)
+    row_lower = np.concatenate([np.full(len(b_ub), -_h.kHighsInf), b_eq])
 
     # a fresh solver per program, so that none starts from another's basis
     highs = _h._Highs()
-    highs.passOptions(_OPTIONS)
-    if highs.passModel(lp) == _h.HighsStatus.kError:
+    highs.passOptions(_OPTIONS[presolve])
+    # the LP overload: sizes, column-wise format, minimize with no offset,
+    # then the arrays; its integrality array must have one (continuous)
+    # entry per column, since an empty one is a model error
+    if highs.passModel(n, len(rhs), len(value), _h.MatrixFormat.kColwise.value,
+                       _h.ObjSense.kMinimize.value, 0.0, c, col_lower, col_upper,
+                       row_lower, rhs, np.asarray(start, np.int32),
+                       np.asarray(index, np.int32), value,
+                       np.zeros(n, np.int32)) == _h.HighsStatus.kError:
         return _failed(highs, _MODEL.kModelError)
     if highs.run() == _h.HighsStatus.kError or highs.getModelStatus() != _MODEL.kOptimal:
         return _failed(highs, highs.getModelStatus())

@@ -89,7 +89,9 @@ def fair_price_generated(space: FilteredSpace, mset: MeasureSet, family, f_N) ->
     A domination row with no positive bound and no negative coefficient
     holds for every beta >= 0, so the solver gets only the other rows: a
     call or a put drops the rows where it pays nothing.  The witness is
-    still checked against every row.
+    still checked against every row.  HiGHS solves this program without
+    presolve, so where the optimal weights are not unique it may return
+    other weights than a presolved solve, at the same price.
     """
     x = _check_terminal_claim(space, f_N)
     claims = [np.asarray(xi, dtype=float) for xi in family]
@@ -103,8 +105,9 @@ def fair_price_generated(space: FilteredSpace, mset: MeasureSet, family, f_N) ->
     P, bounds = mset.domination_rows(x)
     rows = _dominated(P, C.T)
     binds = (bounds > 0.0) | (rows < 0.0).any(axis=1)
+    # a few dense columns: presolve reduces nothing and costs HiGHS 3-4x the solve
     res = _lp.solve(np.ones(len(claims)), A_ub=-rows[binds], b_ub=-bounds[binds],
-                    bounds=(0, None))
+                    bounds=(0, None), presolve=False)
     if res.status == 2:
         raise InfeasiblePricing("claim family cannot dominate the payoff "
                                 "(it vanishes where the payoff is positive)")

@@ -1,8 +1,8 @@
 """_lp.solve against scipy's linprog, on whose HiGHS method it is modelled.
 
-The two hand HiGHS the same model with the same options, so they must agree
-on the status of every program and, on an optimum, on x and the objective
-bit for bit.
+The two hand HiGHS the same model with the same options, presolve on or off
+alike, so they must agree on the status of every program and, on an
+optimum, on x and the objective bit for bit.
 """
 
 from pathlib import Path
@@ -35,7 +35,8 @@ def _matrix(draw, rows, cols):
 def programs(draw):
     n = draw(st.integers(1, 5))
     c = np.array(draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n)), dtype=float)
-    blocks = draw(st.sampled_from(["ub", "eq", "both"]))
+    # "none": bounds only, a model with no rows
+    blocks = draw(st.sampled_from(["ub", "eq", "both", "none"]))
     lp = {}
     if blocks in ("ub", "both"):
         m = draw(st.integers(1, 4))
@@ -64,9 +65,10 @@ def _linprog_bounds(bounds):
     return np.column_stack([lb, ub])
 
 
-def _both(c, lp):
-    ours = _lp.solve(c, **lp)
-    options = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
+def _both(c, lp, presolve=True):
+    ours = _lp.solve(c, **lp, presolve=presolve)
+    options = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10,
+               "presolve": presolve}
     ref_lp = dict(lp, bounds=_linprog_bounds(lp.get("bounds", (0, None))))
     theirs = linprog(c, method="highs", options=options, **ref_lp)
     return ours, theirs
@@ -80,9 +82,9 @@ def _assert_same(ours, theirs):
 
 
 @settings(max_examples=300, deadline=None)
-@given(program=programs())
-def test_solve_matches_linprog(program):
-    _assert_same(*_both(*program))
+@given(program=programs(), presolve=st.booleans())
+def test_solve_matches_linprog(program, presolve):
+    _assert_same(*_both(*program, presolve))
 
 
 @pytest.mark.parametrize(
@@ -101,7 +103,6 @@ def test_each_verdict_is_reached(c, lp, status):
     _assert_same(ours, theirs)
 
 
-
 def test_feasibility_tolerances_are_pinned():
     """Two programs 1e-8 from a verdict: a cost of -1e-8 still pays to move
     to the upper bound, and a row that needs x <= -1e-8 with x >= 0 is
@@ -109,6 +110,7 @@ def test_feasibility_tolerances_are_pinned():
     optimal at 0 and the second as feasible."""
     assert np.array_equal(_lp.solve(np.array([-1e-8]), bounds=(0, 1)).x, [1.0])
     assert _lp.solve(np.array([1.0]), A_ub=np.array([[1.0]]), b_ub=np.array([-1e-8])).status == 2
+
 
 @pytest.mark.parametrize(
     "lp",

@@ -17,9 +17,12 @@ from superhedge import (
     fair_price_full,
     fair_price_generated,
     local_regular_witness,
+    strategy_capital,
     sup_expectation,
     superhedge,
+    verify_self_financing,
 )
+from superhedge import _lp
 from superhedge.spaces import AdaptedProcess
 
 from gen import (
@@ -362,9 +365,10 @@ def _generated_cases(rng):
 class TestGeneratedRows:
     def test_solver_sees_only_rows_beta_does_not_meet(self, lp_calls):
         """The pricing LP gets exactly the domination rows with a positive
-        bound or a negative coefficient.  Its price is the LP's on every row
-        (vertex_price_generated) within EQ_TOL * scale, and the witness
-        meets every row."""
+        bound or a negative coefficient, and runs without presolve.  Its
+        price is the presolved LP's on the same rows and the LP's on every
+        row (vertex_price_generated), within EQ_TOL * scale, and the
+        witness meets every row."""
         rng = np.random.default_rng(1709)
         dropped = negative = 0
         for space, mset, family, S in _generated_cases(rng):
@@ -379,9 +383,12 @@ class TestGeneratedRows:
                     (call,) = lp_calls
                     assert np.array_equal(call["A_ub"], -rows[keep])
                     assert np.array_equal(call["b_ub"], -bounds[keep])
+                    assert call["presolve"] is False
                     dropped += int((~keep).sum())
                     negative += int((keep & (bounds <= 0.0)).sum())
                     scale = 1.0 + float(np.abs(f_N).max()) + abs(result.price)
+                    presolved = _lp.solve(**dict(call, presolve=True))
+                    assert abs(result.price - presolved.x.sum()) <= EQ_TOL * scale
                     oracle = vertex_price_generated(family, P, bounds)
                     assert abs(result.price - oracle) <= EQ_TOL * scale
                     eta = result.price * result.witness_claim
@@ -395,6 +402,36 @@ class TestGeneratedRows:
             result = fair_price_generated(space, mset, family, np.zeros(space.outcome_count))
             assert result.price == 0.0
             assert result.witness_bound.ok
+
+    def test_repeated_members_hedge_at_either_optimum(self, monkeypatch):
+        """Every level of a tree repeated, so that each node starts a flat
+        chain and S_i = S_{i+1}: the pricing weights are not unique, and
+        HiGHS with and without presolve may pick different ones.  Either
+        way the generated superhedge prices as on the tree itself, is
+        self-financing, dominates the claim and passes its witness check."""
+        solve = _lp.solve
+        rng = np.random.default_rng(1713)
+        for _ in range(6):
+            space, asset, poly = random_market_tree(rng, max_leaves=12)
+            padded = build_space(space.outcome_count, [level for level in space.cells
+                                                       for _ in range(2)])
+            padded_poly = MartingalePolytope(
+                padded, [AdaptedProcess(padded, np.repeat(asset.values, 2, axis=0))])
+            for K in np.quantile(asset.values[-1], [0.3, 0.7]):
+                f_N = np.maximum(asset.values[-1] - K, 0.0)
+                for presolve in (False, True):
+                    monkeypatch.setattr(_lp, "solve", lambda *args, **kwargs: solve(
+                        *args, **dict(kwargs, presolve=presolve)))
+                    price = fair_price_generated(space, poly, asset_ratio_family(poly)[0],
+                                                 f_N).price
+                    strategy, _, result = superhedge(padded, padded_poly, f_N,
+                                                     price_mode="generated")
+                    scale = 1.0 + float(f_N.max()) + abs(price)
+                    assert abs(result.price - price) <= EQ_TOL * scale
+                    assert result.witness_bound.ok
+                    assert verify_self_financing(strategy).ok
+                    capital = strategy_capital(strategy).values
+                    assert (capital[-1] - f_N).min() >= -EQ_TOL * scale
 
 
 class TestPolytopeDominationOracle:
