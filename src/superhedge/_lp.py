@@ -1,4 +1,4 @@
-"""Linear programs on scipy's HiGHS binding.
+"""Linear programs on scipy's HiGHS binding, loaded without scipy.optimize.
 
 The programs of this library are small, or sparse like a polytope's
 interior LP, so tolerances are pushed well below the library-wide identity
@@ -6,12 +6,20 @@ tolerance.  Nothing here enumerates
 polytope vertices: no production path needs them, and the combinatorial
 enumeration the tests use as an oracle lives with the tests.
 
-``solve`` hands the model straight to ``scipy.optimize._highspy._core``,
-as plain arrays through the array overload of ``_Highs.passModel``.
+The binding, ``scipy.optimize._highspy._core``, is loaded from its file
+alone (``_binding``): importing ``scipy.optimize`` for it would cost a cold
+process several times what the rest of the package does.  Where the file
+is not where scipy 1.17 keeps it, the ordinary import loads it, and
+``scipy.optimize`` with it.  This is the only module that names scipy.
+
+``solve`` hands the model straight to the binding, as plain arrays
+through the array overload of ``_Highs.passModel``.
 On small programs scipy's generic wrapper costs several times what HiGHS
 itself does: it re-validates its options on every call and builds results
 nobody reads, and its ``HighsLp`` attribute setters copy entry by entry.
-The model (rows ``A_ub`` over ``A_eq`` in CSC, with row bounds
+The constraint matrix goes in the canonical column-wise form of
+``Columns``, the form the package builds its sparse programs in.
+The model (rows ``A_ub`` over ``A_eq`` in that form, with row bounds
 ``[-inf, b_eq] .. [b_ub, b_eq]``), the options and the status codes are the
 ones ``scipy.optimize``'s own HiGHS method uses, with presolve unless the
 caller turns it off, so ``linprog`` with the same presolve setting gives
@@ -20,19 +28,48 @@ the same answer bit for bit.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
 from typing import NamedTuple
 
 import numpy as np
-# scipy.optimize loads first, and as itself: loaded as the parent of its
-# _highspy binding it made cold starts 3 to 7% slower (CPython 3.11, scipy
-# 1.17, cause not found); see also the note in __init__.py
-import scipy.optimize  # noqa: F401
-from scipy import sparse
-from scipy.optimize._highspy import _core as _h
 
 from .errors import SolverFailure, UnboundedObjective
 from .tolerances import FEAS_TOL
 
+
+def _binding():
+    """scipy's HiGHS extension module, loaded from its file under its own
+    name, without its package.  importlib.util.find_spec finds scipy's
+    directory without importing scipy.  A module already registered under
+    that name, as importing scipy.optimize first leaves it, is reused:
+    pybind11 registers the binding's types once per process, so it must
+    never load twice.  Its package, when already imported, gets it as its
+    _core attribute; one imported later lacks the attribute, and scipy's
+    own ``from ._highspy._core import ...`` finds the module in sys.modules.
+    A missing file means the ordinary import."""
+    name = "scipy.optimize._highspy._core"
+    if name in sys.modules:
+        return sys.modules[name]
+    scipy = importlib.util.find_spec("scipy")
+    for root in (scipy and scipy.submodule_search_locations) or ():
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(root, "optimize", "_highspy", "_core" + suffix)
+            if os.path.isfile(path):
+                spec = importlib.util.spec_from_file_location(name, path)
+                module = importlib.util.module_from_spec(spec)
+                sys.modules[name] = module
+                spec.loader.exec_module(module)
+                if "scipy.optimize._highspy" in sys.modules:
+                    sys.modules["scipy.optimize._highspy"]._core = module
+                return module
+    from scipy.optimize._highspy import _core
+    return _core
+
+
+_h = _binding()
 _MODEL = _h.HighsModelStatus
 
 
@@ -68,12 +105,68 @@ class LPResult(NamedTuple):
     message: str
 
 
+class Columns(NamedTuple):
+    """A matrix in the canonical column-wise form HiGHS reads: column j's
+    entries are value[start[j]:start[j + 1]], in the rows index[...] in
+    ascending order, with no zero stored."""
+
+    start: np.ndarray
+    index: np.ndarray
+    value: np.ndarray
+    shape: tuple[int, int]
+
+    @classmethod
+    def from_dense(cls, D: np.ndarray) -> Columns:
+        column, index = np.nonzero(D.T)
+        return cls(np.r_[0, np.cumsum(np.count_nonzero(D, axis=0))], index,
+                   D[index, column], D.shape)
+
+    def toarray(self) -> np.ndarray:
+        D = np.zeros(self.shape)
+        D[self.index, np.repeat(np.arange(self.shape[1]), np.diff(self.start))] = self.value
+        return D
+
+
+def _columns(A) -> Columns:
+    """A dense, Columns or scipy sparse matrix as Columns.  A sparse one is
+    taken through its own tocsc and sum_duplicates, as it is when it is
+    already canonical CSC, and keeps any zeros it stores."""
+    if isinstance(A, Columns):
+        return A
+    if hasattr(A, "tocsc"):
+        A = A.tocsc()
+        if not A.has_canonical_format:
+            A = A.copy()
+            A.sum_duplicates()
+        return Columns(A.indptr, A.indices, A.data, A.shape)
+    return Columns.from_dense(A)
+
+
+def _stacked(blocks: list[Columns]) -> Columns:
+    """The blocks one above the other, each column's entries block by block."""
+    if len(blocks) == 1:
+        return blocks[0]
+    counts = np.array([np.diff(B.start) for B in blocks])
+    start = np.r_[0, np.cumsum(counts.sum(axis=0))]
+    index, value = np.empty(start[-1], dtype=np.int32), np.empty(start[-1])
+    # where each column's entries of the next block go, and its first row
+    first, row = start[:-1].copy(), 0
+    for B, count in zip(blocks, counts):
+        at = np.arange(len(B.value)) + np.repeat(first - B.start[:-1], count)
+        index[at], value[at] = B.index + row, B.value
+        first += count
+        row += B.shape[0]
+    return Columns(start, index, value, (row, counts.shape[1]))
+
+
 def solve(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=(0, None),
           presolve=True) -> LPResult:
     """Minimize c @ x subject to A_ub @ x <= b_ub, A_eq @ x == b_eq and
     lb <= x <= ub, for bounds = (lb, ub); each of lb and ub is a scalar,
     None for no bound, or one entry per variable.  A_ub and A_eq may be
-    dense or sparse.  presolve=False runs HiGHS without its presolve, as
+    dense, Columns, or scipy sparse matrices or arrays, which are read
+    through their own methods (_columns) without importing scipy.sparse.
+    presolve=False runs HiGHS without its presolve, as
     ``linprog(..., options={"presolve": False})`` does: where the optimum
     is not unique the point may differ from the presolved one.  Raises
     ValueError on non-finite data or mismatched shapes."""
@@ -83,27 +176,17 @@ def solve(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=(0, None),
               for v, none in zip(bounds, (-np.inf, np.inf)))
     b_ub, b_eq = (np.empty(0) if b is None else np.asarray(b, dtype=float).reshape(-1)
                   for b in (b_ub, b_eq))
-    blocks = [np.empty((0, n)) if A is None else A if sparse.issparse(A)
+    blocks = [np.empty((0, n)) if A is None
+              else A if isinstance(A, Columns) or hasattr(A, "tocsc")
               else np.asarray(A, dtype=float) for A in (A_ub, A_eq)]
     if [B.shape for B in blocks] != [(len(b_ub), n), (len(b_eq), n)]:
         raise ValueError("LP shapes disagree: constraint matrices "
                          f"{[B.shape for B in blocks]}, right-hand sides "
                          f"{len(b_ub)} and {len(b_eq)}, {n} costs")
-    # the stacked rows in canonical CSC: column by column, rows ascending,
-    # no zeros stored unless a sparse input stores them; a lone block already
-    # in canonical CSC is read as it is, any other is copied
-    blocks = [B for B in blocks if B.shape[0]] or [np.empty((0, n))]
-    if any(sparse.issparse(B) for B in blocks):
-        A = blocks[0] if len(blocks) == 1 else sparse.vstack(blocks)
-        if A.format != "csc" or not A.has_canonical_format:
-            A = sparse.csc_array(A, copy=True)
-            A.sum_duplicates()
-        start, index, value = A.indptr, A.indices, A.data
-    else:
-        D = np.vstack(blocks)
-        column, index = np.nonzero(D.T)
-        start = np.r_[0, np.cumsum(np.count_nonzero(D, axis=0))]
-        value = D[index, column]
+    # the stacked rows in canonical column-wise form; a lone block already
+    # in that form is read as it is
+    start, index, value, _ = _stacked(
+        [_columns(B) for B in blocks if B.shape[0]] or [_columns(blocks[0])])
     rhs = np.concatenate([b_ub, b_eq])
     if not all(np.isfinite(v).all() for v in (c, value, rhs)):
         raise ValueError("LP data must not contain inf or nan")

@@ -67,7 +67,7 @@ class TradingStrategy:
         n, N = self.space.outcome_count, self.space.horizon
         if cash.shape != (N + 1, n):
             raise ShapeMismatch(f"cash must have shape {(N + 1, n)}")
-        if risky.shape[:2] != (N + 1, n) or risky.shape[2] != len(self.assets):
+        if risky.shape != (N + 1, n, len(self.assets)):
             raise ShapeMismatch(f"risky must have shape {(N + 1, n, len(self.assets))}")
         if not (np.isfinite(cash).all() and np.isfinite(risky).all()):
             raise NotPredictable("cash and holdings must be finite")

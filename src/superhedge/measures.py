@@ -63,7 +63,6 @@ from itertools import combinations, repeat
 from math import comb
 
 import numpy as np
-from scipy import sparse
 
 from . import _lp
 from .errors import (
@@ -380,9 +379,9 @@ class GeneratorHull(MeasureSet):
             kids = kids[~forced[num.parents[kids]]]
             owner = np.searchsorted(multi, num.parents[kids])
             W, r = self._masses[:, offsets[1] + kids], sums[:, multi]
-            block = sparse.csc_array(
-                (W.T.ravel(), (owner[:, None] * k + np.arange(k)).ravel(),
-                 np.arange(0, W.size + 1, k)), shape=(r.size, len(kids)))
+            block = _lp.Columns(np.arange(0, W.size + 1, k),
+                                (owner[:, None] * k + np.arange(k)).ravel(), W.T.ravel(),
+                                (r.size, len(kids)))
             solution = _lp.feasible_point(block, r.T.ravel(), len(kids))
             if solution is None:
                 parts = []
@@ -489,7 +488,9 @@ def _node_table(space: FilteredSpace, values: np.ndarray, unit: np.ndarray):
     table = []
     for t in range(N):
         level, groups = np.arange(offsets[t], offsets[t + 1]), []
-        for k in np.unique(counts[level]):
+        # the distinct child counts, ascending; np.unique would import
+        # numpy.ma on its first call, about 7 ms of a cold process
+        for k in np.flatnonzero(np.bincount(counts[level])):
             nodes = level[counts[level] == k]
             pairs = starts[nodes][:, None] + np.arange(k)
             kids = num.kids[pairs]
@@ -632,21 +633,22 @@ def _holdings_lp(moves: np.ndarray, drops: np.ndarray) -> np.ndarray:
     return h
 
 
-def _equality_matrix(space: FilteredSpace, values: np.ndarray, unit: np.ndarray) -> sparse.csr_array:
-    """The closure's equalities as one sparse matrix: a homogeneous row per
-    (asset j, step t, time-(t-1) cell c), row j R + offsets[t-1] + c for the
-    R nodes of times 0..N-1 (space.numbering), holding the
+def _equality_matrix(space: FilteredSpace, values: np.ndarray, unit: np.ndarray) -> _lp.Columns:
+    """The closure's equalities as one column-wise matrix: a homogeneous row
+    per (asset j, step t, time-(t-1) cell c), row j R + offsets[t-1] + c for
+    the R nodes of times 0..N-1 (space.numbering), holding the
     asset's increments over the cell's outcomes in its unit (_asset_units);
-    then the total-mass row.  Exact zeros are not stored."""
+    then the total-mass row.  Exact zeros are not stored.  Each outcome's
+    column lists its rows by asset, then step, which is ascending."""
     n, num = space.outcome_count, space.numbering
     R = int(num.offsets[-2])
-    rows = np.r_[(num.ids[:-1] + R * np.arange(len(values))[:, None, None]).ravel(),
-                 np.full(n, R * len(values))]
-    data = np.r_[(np.diff(values, axis=1) / unit[..., None]).ravel(), np.ones(n)]
-    cols = np.tile(np.arange(n), len(rows) // n)
+    rows = np.r_[(num.ids[:-1] + R * np.arange(len(values))[:, None, None]).reshape(-1, n),
+                 np.full((1, n), R * len(values))].T.ravel()
+    data = np.r_[(np.diff(values, axis=1) / unit[..., None]).reshape(-1, n),
+                 np.ones((1, n))].T.ravel()
     keep = data != 0.0
-    return sparse.coo_array((data[keep], (rows[keep], cols[keep])),
-                            shape=(R * len(values) + 1, n)).tocsr()
+    start = np.r_[0, np.cumsum(keep.reshape(n, -1).sum(axis=1))]
+    return _lp.Columns(start, rows[keep], data[keep], (R * len(values) + 1, n))
 
 
 class MartingalePolytope(MeasureSet):
@@ -681,19 +683,16 @@ class MartingalePolytope(MeasureSet):
         self._interior_mass = cell_sums(space, np.broadcast_to(self._interior, shape), 0)[0]
         self._nodes, self._pairs = _node_table(space, values, self._unit)
 
-    def _solve_interior(self, A: sparse.csr_array) -> np.ndarray:
+    def _solve_interior(self, A: _lp.Columns) -> np.ndarray:
         n = self.space.outcome_count
         # maximize the floor t subject to q >= t, the equalities A, sum q = 1;
         # the variables are (q, t), so the equalities get an empty last column
         c = np.zeros(n + 1)
         c[-1] = -1.0
-        A_eq = sparse.csr_array((A.data, A.indices, A.indptr), shape=(A.shape[0], n + 1))
+        A_eq = _lp.Columns(np.r_[A.start, A.start[-1]], A.index, A.value, (A.shape[0], n + 1))
         # row i of [-I | 1]: -q_i + t <= 0
-        A_ub = sparse.csr_array(
-            (np.tile([-1.0, 1.0], n), np.stack([np.arange(n), np.full(n, n)], axis=1).ravel(),
-             np.arange(0, 2 * n + 1, 2)),
-            shape=(n, n + 1),
-        )
+        A_ub = _lp.Columns(np.r_[np.arange(n + 1), 2 * n], np.tile(np.arange(n), 2),
+                           np.repeat([-1.0, 1.0], n), (n, n + 1))
         res = _lp.solve(c, A_ub=A_ub, b_ub=np.zeros(n), A_eq=A_eq,
                         b_eq=np.r_[np.zeros(A.shape[0] - 1), 1.0],
                         bounds=(np.r_[np.zeros(n), -np.inf], np.ones(n + 1)))
@@ -894,7 +893,8 @@ class MartingalePolytope(MeasureSet):
         if fallback.size:
             counts = np.bincount(cells, minlength=size)
             starts = np.cumsum(counts) - counts
-            for k in np.unique(counts[fallback]):
+            # the distinct child counts, without np.unique (_node_table)
+            for k in np.flatnonzero(np.bincount(counts[fallback])):
                 nodes = fallback[counts[fallback] == k]
                 kids = starts[nodes, None] + np.arange(k)
                 if len(moves) == 1:
@@ -933,7 +933,10 @@ class MartingalePolytope(MeasureSet):
         spread = np.zeros(self.space.outcome_count)
         spread[cell_reps(self.space, up_to_time)] = mu
         num = self.space.numbering
-        res = (self._equalities @ spread)[:-1].reshape(len(self.assets), -1)
+        E = self._equalities
+        # each row's products summed in column order, as a CSR product sums them
+        res = np.bincount(E.index, E.value * np.repeat(spread, np.diff(E.start)),
+                          minlength=E.shape[0])[:-1].reshape(len(self.assets), -1)
         res = res[:, :num.offsets[up_to_time]] * self._unit
         j, node = np.nonzero(np.abs(res) > self._equality_tol)
         t, c = num.locate(node)

@@ -287,11 +287,10 @@ class PredictableProcess:
         if values.ndim == 2:
             values = values[:, :, None]
         object.__setattr__(self, "values", values)
-        n, d = self.space.outcome_count, values.shape[2]
-        if values.shape[:2] != (self.space.horizon, n):
-            raise ShapeMismatch(
-                f"expected shape ({self.space.horizon}, {n}, {d}), got {values.shape}"
-            )
+        N, n = self.space.horizon, self.space.outcome_count
+        if values.ndim != 3 or values.shape[:2] != (N, n):
+            d = values.shape[2] if values.ndim == 3 else "d"
+            raise ShapeMismatch(f"expected shape ({N}, {n}, {d}), got {values.shape}")
         if not np.isfinite(values).all():
             raise NotPredictable("holdings must be finite")
         varies = np.flatnonzero(level_ranges(self.space, values, 0).max(axis=1) > EQ_TOL)

@@ -9,6 +9,7 @@ from superhedge import (
     NoRepresentation,
     NotMartingale,
     NotPredictable,
+    ShapeMismatch,
     TradingStrategy,
     build_space,
     fair_price_full,
@@ -224,6 +225,13 @@ class TestStrategyChecks:
         )
         assert verify_self_financing(zero).ok
         assert np.allclose(strategy_capital(zero).values, 0.0)
+
+    @pytest.mark.parametrize("risky", [np.zeros((2, 2, 1, 3)), np.full((2, 2, 1, 3), np.nan),
+                                       np.zeros((2, 2, 2)), np.zeros(2)])
+    def test_risky_shape_is_checked_first(self, binomial, risky):
+        space, asset, _ = binomial
+        with pytest.raises(ShapeMismatch, match=r"risky must have shape \(2, 2, 1\)"):
+            TradingStrategy(space=space, cash=np.zeros((2, 2)), risky=risky, assets=(asset,))
 
     def test_cash_leak_detected(self, binomial):
         space, asset, poly = binomial

@@ -19,7 +19,8 @@ from superhedge.cli import main
 
 DATA = Path(__file__).parent / "data"
 
-FORMATS = ("dense", "csr", "csc", "coo")
+# "columns": the package's own column-wise form, _lp.Columns
+FORMATS = ("dense", "columns", "csr", "csc", "coo")
 
 
 def _matrix(draw, rows, cols):
@@ -28,7 +29,16 @@ def _matrix(draw, rows, cols):
     values = draw(st.lists(st.integers(-3, 3), min_size=rows * cols, max_size=rows * cols))
     dense = np.array(values, dtype=float).reshape(rows, cols) * draw(st.sampled_from([1.0, 0.37]))
     kind = draw(st.sampled_from(FORMATS))
+    if kind == "columns":
+        return _lp.Columns.from_dense(dense)
     return dense if kind == "dense" else sparse.coo_array(dense).asformat(kind)
+
+
+def _scipy_input(A):
+    # linprog reads the column-wise form as the sparse matrix it is
+    if isinstance(A, _lp.Columns):
+        return sparse.csc_array((A.value, A.index, A.start), shape=A.shape)
+    return A
 
 
 @st.composite
@@ -69,7 +79,8 @@ def _both(c, lp, presolve=True):
     ours = _lp.solve(c, **lp, presolve=presolve)
     options = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10,
                "presolve": presolve}
-    ref_lp = dict(lp, bounds=_linprog_bounds(lp.get("bounds", (0, None))))
+    ref_lp = {key: _scipy_input(value) for key, value in lp.items()}
+    ref_lp["bounds"] = _linprog_bounds(lp.get("bounds", (0, None)))
     theirs = linprog(c, method="highs", options=options, **ref_lp)
     return ours, theirs
 

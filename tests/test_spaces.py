@@ -120,6 +120,10 @@ def test_predictable_process_validation():
     PredictableProcess(binary, np.array([[[0.5], [0.5]]]))
     with pytest.raises(Exception):
         PredictableProcess(binary, np.array([[[0.5], [0.7]]]))
+    # too many axes, or too few, is a shape error before any other check
+    for values in (np.zeros((1, 2, 1, 3)), np.full((1, 2, 1, 3), np.nan), np.zeros(2)):
+        with pytest.raises(ShapeMismatch, match=r"expected shape \(1, 2, d\), got"):
+            PredictableProcess(binary, values)
 
 
 def _outcome(build, n, partitions):
