@@ -19,6 +19,11 @@ itself does: it re-validates its options on every call and builds results
 nobody reads, and its ``HighsLp`` attribute setters copy entry by entry.
 The constraint matrix goes in the canonical column-wise form of
 ``Columns``, the form the package builds its sparse programs in.
+Each thread keeps one solver (``_solver``), made on its first program, not
+at import, and cleared with ``clearModel`` before each program: building
+a solver and passing it its options costs more than a small program's
+solve, and ``clearModel`` discards the model, the basis and the solution,
+so no program starts from another's basis, as with a fresh solver.
 The model (rows ``A_ub`` over ``A_eq`` in that form, with row bounds
 ``[-inf, b_eq] .. [b_ub, b_eq]``), the options and the status codes are the
 ones ``scipy.optimize``'s own HiGHS method uses, with presolve unless the
@@ -32,6 +37,7 @@ import importlib.machinery
 import importlib.util
 import os
 import sys
+import threading
 from typing import NamedTuple
 
 import numpy as np
@@ -91,6 +97,8 @@ _OPTIONS = {presolve: _options(presolve) for presolve in (True, False)}
 # 1 limit reached, 2 infeasible, 3 unbounded; any other status is 4, no verdict
 _STATUS = {_MODEL.kOptimal: 0, _MODEL.kTimeLimit: 1, _MODEL.kIterationLimit: 1,
            _MODEL.kModelError: 2, _MODEL.kInfeasible: 2, _MODEL.kUnbounded: 3}
+# each thread's solver (_solver)
+_local = threading.local()
 # how far an "optimal" point may miss its constraints before it counts as
 # numerical trouble (status 4), as scipy's linprog has it
 _CHECK_TOL = 10 * np.sqrt(1e-9)
@@ -168,8 +176,10 @@ def solve(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=(0, None),
     through their own methods (_columns) without importing scipy.sparse.
     presolve=False runs HiGHS without its presolve, as
     ``linprog(..., options={"presolve": False})`` does: where the optimum
-    is not unique the point may differ from the presolved one.  Raises
-    ValueError on non-finite data or mismatched shapes."""
+    is not unique the point may differ from the presolved one.  The
+    program runs on this thread's one solver, cleared first (_solver), so
+    it starts from no basis, as on a fresh solver.  Raises ValueError on
+    non-finite data or mismatched shapes."""
     c = np.asarray(c, dtype=float).reshape(-1)
     n = len(c)
     lb, ub = (np.broadcast_to(np.asarray(none if v is None else v, dtype=float), n)
@@ -195,8 +205,7 @@ def solve(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=(0, None),
     col_lower, col_upper = np.clip([lb, ub], -_h.kHighsInf, _h.kHighsInf)
     row_lower = np.concatenate([np.full(len(b_ub), -_h.kHighsInf), b_eq])
 
-    # a fresh solver per program, so that none starts from another's basis
-    highs = _h._Highs()
+    highs = _solver()
     highs.passOptions(_OPTIONS[presolve])
     # the LP overload: sizes, column-wise format, minimize with no offset,
     # then the arrays; its integrality array must have one (continuous)
@@ -221,6 +230,17 @@ def solve(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=(0, None),
         return LPResult(4, x, fun, "The solution misses the constraints by more than "
                                    f"{_CHECK_TOL:.2E} although HiGHS reports it optimal.")
     return LPResult(0, x, fun, "HiGHS: Optimal")
+
+
+def _solver():
+    """This thread's solver: made on its first program, and on every later
+    one cleared of the last program's model, basis and solution."""
+    highs = getattr(_local, "highs", None)
+    if highs is None:
+        highs = _local.highs = _h._Highs()
+    else:
+        highs.clearModel()
+    return highs
 
 
 def _failed(highs, model_status) -> LPResult:

@@ -90,11 +90,12 @@ def cmd_check(args, out) -> int:
         else:
             verdict = "neither"
         out.write(f"process {name}: adapted=yes verdict={verdict}\n")
-    for name in sorted(model.claims):
-        vec = model.claims[name]
-        nonneg = "yes" if vec.min() >= -EQ_TOL else "no"
-        unit = "yes" if is_unit_claim(space, mset, vec) else "no"
-        out.write(f"claim {name}: nonnegative={nonneg} unit-claim={unit}\n")
+    names = sorted(model.claims)
+    # every claim's unit verdict from one stacked call
+    units = is_unit_claim(space, mset, [model.claims[name] for name in names]) if names else ()
+    for name, unit in zip(names, units):
+        nonneg = "yes" if model.claims[name].min() >= -EQ_TOL else "no"
+        out.write(f"claim {name}: nonnegative={nonneg} unit-claim={'yes' if unit else 'no'}\n")
 
     if args.strategy:
         doc = market_io.load_strategy(args.strategy)

@@ -7,7 +7,8 @@ contains_two_point and compensator.  Each family serves its sups from one
 private routine; the largest expectation over the family is row 0 of
 ess_sup_rows, which takes a stack of claims in one call.  Every
 super-martingale, martingale and unit-claim verdict is one gaps call over a
-whole process.  Two concrete families are supported:
+whole process, and a family of unit claims one gaps call over the stack of
+their processes.  Two concrete families are supported:
 
 * GeneratorHull -- the convex hull of finitely many strictly positive
   measures.  Conditional expectations under any hull member are positively
@@ -78,7 +79,7 @@ from .errors import (
     ValidationError,
 )
 from .spaces import AdaptedProcess, FilteredSpace, _check_time, cell_order, cell_reps, cell_sums
-from .tolerances import EQ_TOL, FEAS_TOL, MASS_TOL
+from .tolerances import EQ_TOL, FEAS_TOL, MASS_TOL, scaled_tol
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,11 +122,17 @@ class CompletionMeasure:
                            [self.neg_mass, 1.0 - self.neg_mass], self.cell_count)
 
 
-def _claim_vector(space: FilteredSpace, X) -> np.ndarray:
+def _claim_vector(space: FilteredSpace, X, stack: bool = False) -> np.ndarray:
     """X as an outcome vector: one finite entry per outcome (ShapeMismatch,
-    ValidationError)."""
-    x = np.asarray(X, dtype=float)
-    if x.shape != (space.outcome_count,):
+    ValidationError).  With stack, X may also be a stack of them, shape
+    (k, n), and a ragged stack is a ShapeMismatch too."""
+    try:
+        x = np.asarray(X, dtype=float)
+    except ValueError:
+        if not stack:
+            raise
+        raise ShapeMismatch("claims must be numbers, one per outcome") from None
+    if x.ndim not in ((1, 2) if stack else (1,)) or x.shape[-1] != space.outcome_count:
         raise ShapeMismatch("claim length must equal the outcome count")
     if not np.isfinite(x).all():
         raise ValidationError("claim must be finite")
@@ -145,19 +152,14 @@ def conditional_expectation(space: FilteredSpace, P, X, t: int) -> np.ndarray:
     return _condexp_rows(space, _measure_vector(space, P), _claim_vector(space, X), t, t + 1)[0]
 
 
-def _condexp_rows(space: FilteredSpace, p: np.ndarray, x: np.ndarray, first: int, last: int,
-                  mass: np.ndarray | None = None):
+def _condexp_rows(space: FilteredSpace, p: np.ndarray, x: np.ndarray, first: int, last: int):
     """E{x | F_t} under p, t = first..last-1, shape (last - first, n), from
     one bincount of p * x over the cells of those times, divided by p's
-    mass on each: mass, p's mass on every cell of times 0..N numbered as in
-    space.numbering, where the caller keeps it, else one more bincount."""
+    mass on each, from one more bincount."""
     num = space.numbering
     cells = num.ids[first:last] - num.offsets[first]
     sums = np.bincount(cells.ravel(), np.concatenate([p * x] * len(cells)))
-    if mass is None:
-        mass = np.bincount(cells.ravel(), np.concatenate([p] * len(cells)))
-    else:
-        mass = mass[num.offsets[first]:num.offsets[last]]
+    mass = np.bincount(cells.ravel(), np.concatenate([p] * len(cells)))
     return (sums / mass)[cells]
 
 
@@ -232,11 +234,14 @@ class MeasureSet:
     def gaps(self, rows, equality: bool) -> tuple[tuple[str, ...], np.ndarray]:
         """Labels, and per label and cell of times s = 0..T-1 (numbered as in
         space.numbering) the gap comparing E^P(rows[s+1] | F_s) with rows[s],
-        for rows (T+1, n), T <= N+1: row s is F_s-measurable for s < T, the
-        last row any claim.  Without equality the last row is F_T-measurable
-        too, and a gap is the largest excess of E^P(rows[s+1] | F_s) over
-        rows[s]; with equality a nonnegative residual that vanishes iff
-        E^P(rows[s+1] | F_s) = rows[s] under every member measure."""
+        for rows (T+1, n), 1 <= T <= N+1: row s is F_s-measurable for s < T,
+        the last row any claim.  Without equality the last row is
+        F_T-measurable too, and a gap is the largest excess of
+        E^P(rows[s+1] | F_s) over rows[s]; with equality a nonnegative
+        residual that vanishes iff E^P(rows[s+1] | F_s) = rows[s] under every
+        member measure.  The gaps have shape (labels, cells).  A stack of
+        such processes, rows (k, T+1, n), is judged in the same one call,
+        gaps (labels, k, cells), entry [:, i] that of rows[i]."""
         raise NotImplementedError
 
     def contains_two_point(self, t: int, i, j, mass_i) -> np.ndarray:
@@ -341,11 +346,12 @@ class GeneratorHull(MeasureSet):
         return sums.reshape(self.k, *stack, -1) / masses.reshape(self.k, *[1] * len(stack), -1)
 
     def gaps(self, rows, equality):
-        # every generator's means of all rows but the first decide at once
+        # every generator's means of all rows but the first decide at once,
+        # for every process of a stack
         rows = np.asarray(rows, dtype=float)
-        num = self.space.numbering
-        bases = rows[:-1].ravel()[num.firsts[:num.offsets[len(rows) - 1]]]
-        gaps = self._generator_means(rows[1:], 0, len(rows) - 1) - bases
+        num, T = self.space.numbering, rows.shape[-2] - 1
+        bases = rows[..., :-1, :].reshape(*rows.shape[:-2], -1)[..., num.firsts[:num.offsets[T]]]
+        gaps = self._generator_means(rows[..., 1:, :], 0, T) - bases
         return tuple(f"generator {i}" for i in range(self.k)), np.abs(gaps) if equality else gaps
 
     def contains_two_point(self, t, i, j, mass_i):
@@ -452,13 +458,15 @@ class _NodeGroup:
 class _PairTable:
     """Every (node, child) pair of the tree, node by node.  The nodes are
     the cells of times 0..N (space.numbering); a terminal cell's children
-    are its outcomes.  Per pair, moves holds the asset increments towards
-    the child and projection the child's column of pinv(moves^T) of its
-    node, which maps increments towards the children to the least-squares
-    holdings that replicate them; both are zero below a terminal cell."""
+    are its outcomes, numbered after the cells.  Per pair, moves holds the
+    asset increments towards the child and projection the child's column
+    of pinv(moves^T) of its node, which maps increments towards the
+    children to the least-squares holdings that replicate them; both are
+    zero below a terminal cell."""
 
-    pair_offsets: np.ndarray         # (N + 2,) first pair of each time's nodes, then P
+    starts: np.ndarray               # (cells + 1,) first pair of each node, then P
     parent: np.ndarray               # (P,) node id of each pair
+    child: np.ndarray                # (P,) the child's cell id; an outcome w is cells + w
     step_index: np.ndarray           # (P,) the node's time times n plus the child's first outcome
     moves: np.ndarray                # (d, P)
     projection: np.ndarray           # (d, P)
@@ -506,8 +514,10 @@ def _node_table(space: FilteredSpace, values: np.ndarray, unit: np.ndarray):
             slots = None if support is None else kids[:, support]
             groups.append(_NodeGroup(nodes - offsets[t], kids, moves, slots, weights, penalty))
         table.append(tuple(groups))
-    pairs = _PairTable(starts[offsets], np.repeat(np.arange(offsets[-1]), counts),
-                       np.r_[num.firsts[num.kids] - n, num.order[N * n:]], pair_moves, projection)
+    terminal = num.order[N * n:]
+    pairs = _PairTable(starts, np.repeat(np.arange(offsets[-1]), counts),
+                       np.r_[num.kids, offsets[-1] + terminal - N * n],
+                       np.r_[num.firsts[num.kids] - n, terminal], pair_moves, projection)
     return tuple(table), pairs
 
 
@@ -595,6 +605,18 @@ def _one_step_sups(groups, vals: np.ndarray, unit: np.ndarray):
         out[g.nodes] = np.maximum.reduce(candidates, axis=1)
         picks.append(candidates.argmax(axis=1))
     return out, picks
+
+
+def _group_max(values: np.ndarray, group: np.ndarray, size: int) -> np.ndarray:
+    """Per row of values (k, m), the largest entry of each group, for the
+    groups group (m,) in 0..size-1, shape (k, size); 0 for a group with no
+    entry.  One maximum.at over row-offset group ids, or a row maximum for a
+    single group."""
+    if size == 1:
+        return values.max(axis=1, keepdims=True)
+    out = np.zeros(len(values) * size)
+    np.maximum.at(out, (group + size * np.arange(len(values))[:, None]).ravel(), values.ravel())
+    return out.reshape(len(values), size)
 
 
 def _one_asset_holdings(moves: np.ndarray, drops: np.ndarray) -> np.ndarray:
@@ -773,47 +795,83 @@ class MartingalePolytope(MeasureSet):
 
     def gaps(self, rows, equality):
         rows = np.asarray(rows, dtype=float)
-        T, N, n, num = len(rows) - 1, self.space.horizon, self.space.outcome_count, self.space.numbering
+        stack, (T, n) = rows.shape[:-2], (rows.shape[-2] - 1, rows.shape[-1])
+        rows = rows.reshape(-1, T + 1, n)
+        N, num, pairs = self.space.horizon, self.space.numbering, self._pairs
+        offsets, k = num.offsets, len(rows)
         if not equality:
             # row s + 1 is F_{s+1}-measurable, so level s of the induction
-            # decides; every row read at its cells' first outcomes at once
-            vals, offsets = rows.ravel()[num.firsts[:num.offsets[T + 1]]], num.offsets
-            sups = [_one_step_sups(self._nodes[s], vals[offsets[s + 1]:offsets[s + 2], None],
-                                   self._unit)[0][:, 0] - vals[offsets[s]:offsets[s + 1]]
+            # decides; every row read at its cells' first outcomes at once,
+            # one column per process
+            vals = rows.reshape(k, -1)[:, num.firsts[:offsets[T + 1]]].T
+            sups = [_one_step_sups(self._nodes[s], vals[offsets[s + 1]:offsets[s + 2]],
+                                   self._unit)[0] - vals[offsets[s]:offsets[s + 1]]
                     for s in range(T)]
-            return ("lp max",), np.concatenate(sups)[None]
+            return ("lp max",), np.concatenate(sups).T.reshape(1, *stack, -1)
         # m-stability: E^P(rows[s+1] | F_s) = rows[s] for every member iff
-        # every node's increments are replicated by its asset moves.  A last
-        # step that is F_s-measurable only from some s > T (N + 1 if never)
-        # is spread over the reference member's conditional means up to s,
-        # and each time-(T-1) cell takes the largest residual on or below it.
-        steps = rows[1:] - rows[:-1]
-        last = steps[-1]
-        # per time s = T..N, whether last reads the same at each cell's first outcome
-        measurable = (last[num.firsts[num.ids[T:]] % n] == last).all(axis=1)
-        if T > N or measurable[0]:
-            return ("node residual",), self._replicate(steps, T)[1][None]
-        s = T + int(measurable.argmax()) if measurable.any() else N + 1
-        means = _condexp_rows(self.space, self._interior, last, T, s, self._interior_mass)
-        path = np.concatenate([np.zeros((1, len(last))), means, last[None]])
-        steps = np.concatenate([steps[:-1], path[1:] - path[:-1]])
-        miss = self._replicate(steps, s)[1]
-        lo, hi = num.offsets[T - 1], num.offsets[s]
-        np.maximum.at(miss, num.ids[T - 1][num.firsts[lo:hi] % n], miss[lo:hi].copy())
-        return ("node residual",), miss[None, :num.offsets[T]]
+        # every node's increments are replicated by its asset moves
+        steps = (rows[:, 1:] - rows[:, :-1]).reshape(k, -1)
+        last = steps[:, -n:]
+        if T > N or (last[:, num.firsts[num.ids[T]] % n] == last).all():
+            miss = self._fit(steps[:, pairs.step_index[:pairs.starts[offsets[T]]]])[1]
+            return ("node residual",), miss.reshape(1, *stack, -1)
+        # a last step not F_T-measurable is spread over the reference
+        # member's conditional means on the cells of times T..N, then its
+        # outcomes, from 0 on the time-(T-1) cells; each of those owns every
+        # pair on or below it.  The sums go up the pair table from the
+        # outcomes, one reduceat per level for every process at once, where
+        # one bincount over the cells of all those times would touch every
+        # outcome once per time
+        up, lo, head = offsets[T - 1], offsets[T], pairs.starts[offsets[T - 1]]
+        cells = offsets[-1] - up
+        path = np.zeros((k, cells + n))                   # columns: cell - up, then outcomes
+        path[:, cells:] = self._interior * last
+        for t in range(N, T - 1, -1):
+            first = pairs.starts[offsets[t]:offsets[t + 1] + 1]
+            path[:, offsets[t] - up:offsets[t + 1] - up] = np.add.reduceat(
+                path[:, pairs.child[first[0]:first[-1]] - up], first[:-1] - first[0], axis=1)
+        path[:, lo - up:cells] /= self._interior_mass[lo:]
+        path[:, cells:] = last
+        b = path[:, pairs.child[head:] - up] - path[:, pairs.parent[head:] - up]
+        if head:
+            b = np.concatenate([steps[:, pairs.step_index[:head]], b], axis=1)
+        ancestor = num.ids[T - 1][num.firsts[up:] % n]
+        owner = np.r_[pairs.parent[:head], ancestor[pairs.parent[head:] - up]]
+        return ("node residual",), self._fit(b, owner, lo)[1].reshape(1, *stack, -1)
 
     def _replicate(self, steps: np.ndarray, last: int) -> tuple[np.ndarray, np.ndarray]:
         """Per cell at times 0..last-1, for the increments towards its
         children read off steps (row s: from time s to s + 1, or to the
         outcomes at s = N): the least-squares holdings that replicate them,
         shape (cells, d), and the replication residual, the largest miss."""
-        pairs, size = self._pairs, int(self.space.numbering.offsets[last])
-        span = slice(0, pairs.pair_offsets[last])      # the pairs of those cells
-        cells, b = pairs.parent[span], steps.ravel()[pairs.step_index[span]]
-        h = np.array([np.bincount(cells, p * b, size) for p in pairs.projection[:, span]])
-        miss = np.zeros(size)
-        np.maximum.at(miss, cells, np.abs((pairs.moves[:, span] * h[:, cells]).sum(axis=0) - b))
-        return h.T, miss
+        span = self._pairs.starts[self.space.numbering.offsets[last]]   # the pairs of those cells
+        h, miss = self._fit(steps.ravel()[self._pairs.step_index[:span]][None])
+        return h.T, miss[0]
+
+    def _fit(self, b: np.ndarray, owner: np.ndarray | None = None, size: int = 0):
+        """For k processes, their increments b (k, pairs) towards the
+        children of the table's first pairs: the least-squares holdings of
+        every process and node of those pairs, shape (d, k * nodes), from
+        one bincount per asset over process-offset node ids; and per
+        process the largest miss over the pairs of each node, shape
+        (k, nodes), or of each owner for owners (pairs,) in 0..size-1, shape
+        (k, size) (_group_max)."""
+        pairs = self._pairs
+        k, span = b.shape
+        nodes = int(pairs.parent[span - 1]) + 1
+        # one process's node ids are the pairs' own: no offsets to add
+        index = pairs.parent[:span] if k == 1 else (
+            pairs.parent[:span] + np.arange(0, k * nodes, nodes)[:, None]).ravel()
+        h = np.array([np.bincount(index, (p[:span] * b).ravel(), k * nodes)
+                      for p in pairs.projection])
+        fit = np.add.reduce(h[:, index].reshape(-1, k, span) * pairs.moves[:, None, :span])
+        fit -= b
+        np.abs(fit, out=fit)
+        if owner is not None:
+            return h, _group_max(fit, owner, size)
+        miss = np.zeros(k * nodes)
+        np.maximum.at(miss, index, fit.ravel())
+        return h, miss.reshape(k, nodes)
 
     def hedge_ratios(self, values) -> tuple[np.ndarray, list[np.ndarray]]:
         """Asset holdings that replicate the one-step increments of an adapted
@@ -875,7 +933,7 @@ class MartingalePolytope(MeasureSet):
         names the lowest time t, then its lowest cell, with no such gamma."""
         pairs, n, N = self._pairs, self.space.outcome_count, self.space.horizon
         tol, size = EQ_TOL * scale, int(self.space.numbering.offsets[N])
-        span = slice(0, pairs.pair_offsets[N])         # the pairs of the cells of times 0..N-1
+        span = slice(0, pairs.starts[size])            # the pairs of the cells of times 0..N-1
         cells, index, moves = pairs.parent[span], pairs.step_index[span], pairs.moves[:, span]
         b = drops.ravel()[index]
         if len(moves) == 1:
@@ -891,12 +949,11 @@ class MartingalePolytope(MeasureSet):
             h, miss = self._replicate(-drops, N)
             fallback = np.flatnonzero(miss > tol)
         if fallback.size:
-            counts = np.bincount(cells, minlength=size)
-            starts = np.cumsum(counts) - counts
+            counts = np.diff(pairs.starts[:size + 1])
             # the distinct child counts, without np.unique (_node_table)
             for k in np.flatnonzero(np.bincount(counts[fallback])):
                 nodes = fallback[counts[fallback] == k]
-                kids = starts[nodes, None] + np.arange(k)
+                kids = pairs.starts[nodes, None] + np.arange(k)
                 if len(moves) == 1:
                     h[nodes, 0] = _one_asset_holdings(moves[0, kids], b[kids])
                 else:
@@ -943,24 +1000,24 @@ class MartingalePolytope(MeasureSet):
         return list(zip(j.tolist(), (t + 1).tolist(), c.tolist(), res[j, node].tolist()))
 
 
-def _unit_tol(xi: np.ndarray) -> float:
-    """The tolerance of every unit-claim identity, relative to xi's scale."""
-    return EQ_TOL * (1.0 + float(np.abs(xi).max()))
-
-
-def is_unit_claim(space: FilteredSpace, mset: MeasureSet, xi) -> bool:
+def is_unit_claim(space: FilteredSpace, mset: MeasureSet, xi):
     """True iff xi >= -EQ_TOL and E^P[xi] = 1 for every member measure: the
-    gaps of the rows [1, xi] stay within _unit_tol(xi)."""
-    xi = _claim_vector(space, xi)
-    rows = np.concatenate((np.ones((1, len(xi))), xi[None]))
-    return bool(xi.min() >= -EQ_TOL and mset.gaps(rows, equality=True)[1].max() <= _unit_tol(xi))
+    gaps of the rows [1, xi] stay within scaled_tol(xi).  A stack of claims
+    xi, shape (k, n), is judged in one gaps call over the stack of their
+    rows, one verdict per claim, shape (k,), each at its own scale; a single
+    claim is a stack of one, with a bool verdict."""
+    x = _claim_vector(space, xi, stack=True)
+    rows = np.stack([np.ones_like(x), x], axis=-2)
+    ok = ((x.min(axis=-1) >= -EQ_TOL)
+          & (mset.gaps(rows, equality=True)[1].max(axis=(0, -1)) <= scaled_tol(x)))
+    return ok if x.ndim == 2 else bool(ok)
 
 
 def unit_claim_rows(space: FilteredSpace, mset: MeasureSet, xi0) -> np.ndarray:
     """Conditional-expectation rows E{xi0 | F_t}, t = 0..N, of a unit claim.
 
     The rows are computed under the reference measure.  One gaps call at
-    _unit_tol(xi0) on [1, E(xi0 | F_1), ..., E(xi0 | F_N), xi0] checks that
+    scaled_tol(xi0) on [1, E(xi0 | F_1), ..., E(xi0 | F_N), xi0] checks that
     each row is the conditional expectation of the next under every member,
     which also makes xi0 a unit claim (on a polytope its residuals are
     is_unit_claim's).  Only if it fails is is_unit_claim asked (NotUnitClaim)
@@ -970,7 +1027,7 @@ def unit_claim_rows(space: FilteredSpace, mset: MeasureSet, xi0) -> np.ndarray:
     """
     xi0 = _claim_vector(space, xi0)
     rows = np.vstack([_condexp_rows(space, mset.reference(), xi0, 0, space.horizon + 1), xi0])
-    tol, started = _unit_tol(xi0), np.concatenate((np.ones((1, len(xi0))), rows[1:]))
+    tol, started = scaled_tol(xi0), np.concatenate((np.ones((1, len(xi0))), rows[1:]))
     if xi0.min() >= -EQ_TOL and mset.gaps(started, equality=True)[1].max() <= tol:
         return rows[:-1]
     if not is_unit_claim(space, mset, xi0):

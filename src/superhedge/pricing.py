@@ -81,7 +81,9 @@ def fair_price_full(space: FilteredSpace, mset: MeasureSet, f_N) -> FairPriceRes
 
 
 def fair_price_generated(space: FilteredSpace, mset: MeasureSet, family, f_N) -> FairPriceResult:
-    """Least price over the simplex spanned by the given unit claims.
+    """Least price over the simplex spanned by the given unit claims, each
+    checked as a claim (_claim_vector), then all judged unit claims in one
+    stacked call (is_unit_claim); NotUnitClaim names the first that is not.
 
     With beta_i >= 0 the program minimizes sum(beta) subject to
     sum_i beta_i E^P(xi_i | F_N) >= f_N per terminal cell and member measure;
@@ -94,14 +96,14 @@ def fair_price_generated(space: FilteredSpace, mset: MeasureSet, family, f_N) ->
     other weights than a presolved solve, at the same price.
     """
     x = _check_terminal_claim(space, f_N)
-    claims = [np.asarray(xi, dtype=float) for xi in family]
+    claims = [_claim_vector(space, xi) for xi in family]
     if not claims:
         raise ValidationError("the claim family must not be empty")
-    for i, xi in enumerate(claims):
-        if not is_unit_claim(space, mset, xi):
-            raise NotUnitClaim(f"family member {i} is not a unit claim")
-
     C = np.array(claims)  # claims x outcomes
+    unit = is_unit_claim(space, mset, C)
+    if not unit.all():
+        raise NotUnitClaim(f"family member {int(np.argmin(unit))} is not a unit claim")
+
     P, bounds = mset.domination_rows(x)
     rows = _dominated(P, C.T)
     binds = (bounds > 0.0) | (rows < 0.0).any(axis=1)

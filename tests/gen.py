@@ -37,6 +37,9 @@ judge a process or a unit claim one step at a time, per generator on a
 hull and per node on a polytope, against which the one gaps call per
 process is checked; unit_claim_rows_two_pass asks is_unit_claim before
 that loop, against which unit_claim_rows' single pass is checked.
+is_unit_claim_loop judges one claim at a time, a polytope's by the first
+time from which it is measurable, against which is_unit_claim's stacked
+pass over a whole family is checked.
 is_complete_loop tests each completion measure on its own, by a
 feasibility LP on a hull and by the equality residuals on a polytope,
 against which the one contains_two_point call per time is checked.
@@ -75,6 +78,7 @@ from superhedge import (
     is_unit_claim,
 )
 from superhedge import _lp
+from superhedge.measures import _condexp_rows
 from superhedge.processes import MartingaleReport, StepViolation
 from superhedge.spaces import cell_order, cell_reps
 
@@ -722,6 +726,30 @@ def unit_claim_rows_two_pass(space, mset, xi):
     if not is_unit_claim(space, mset, xi):
         raise NotUnitClaim("claim is not nonnegative with unit expectation under every measure")
     return unit_claim_rows_loop(space, mset, xi)
+
+
+def is_unit_claim_loop(space, mset, xi):
+    """is_unit_claim for one claim, as a family was judged member by member
+    before the stacked pass: xi >= -EQ_TOL and the equality gaps of the
+    rows [1, xi] within EQ_TOL * (1 + max |xi|).  A hull takes its own
+    gaps.  A polytope tests at every time s >= 1 whether xi is
+    F_s-measurable, spreads xi - 1 over the reference member's conditional
+    means up to the first such s (N + 1 if none) and takes the largest node
+    residual of that path."""
+    xi = np.asarray(xi, dtype=float)
+    tol = EQ_TOL * (1.0 + float(np.abs(xi).max()))
+    if xi.min() < -EQ_TOL:
+        return False
+    if isinstance(mset, GeneratorHull):
+        return bool(mset.gaps(np.array([np.ones_like(xi), xi]), equality=True)[1].max() <= tol)
+    num, N, n = space.numbering, space.horizon, space.outcome_count
+    last = xi - 1.0
+    measurable = (last[num.firsts[num.ids[1:]] % n] == last).all(axis=1)
+    s = 1 + int(measurable.argmax()) if measurable.any() else N + 1
+    path = [np.zeros((1, n)), last[None]]
+    if s > 1:
+        path.insert(1, _condexp_rows(space, mset.reference(), last, 1, s))
+    return bool(mset._replicate(np.diff(np.concatenate(path), axis=0), s)[1].max() <= tol)
 
 
 def is_complete_loop(space, mset, xi0):

@@ -4,9 +4,9 @@ Each test starts a fresh interpreter: the one running the suite has long
 since imported scipy.optimize.  The child prices and superhedges a
 polytope and decomposes a hull's super-martingale, which takes the interior
 LP, the generated pricing LP and the hull's block LP, then prints its
-answers as exact hex floats.  The binding must answer the same whether
-_lp loaded it from its file or, when the file is not found, through the
-ordinary import of scipy.optimize.
+answers as exact hex floats.  The import alone builds no HiGHS solver.
+The binding must answer the same whether _lp loaded it from its file or,
+when the file is not found, through the ordinary import of scipy.optimize.
 """
 
 import json
@@ -41,6 +41,8 @@ import superhedge as sh
 from superhedge import _lp
 
 loaded = {name: name in sys.modules for name in ("scipy.optimize", "scipy.sparse")}
+# the import builds no solver: _lp makes one per thread on its first program
+solver_at_import = bool(vars(_lp._local))
 
 # a two-step trinomial tree: incomplete, so pricing needs its interior LP
 space = sh.build_space(9, [[range(9)], [(0, 1, 2), (3, 4, 5), (6, 7, 8)],
@@ -74,7 +76,7 @@ theirs = linprog(c, A_ub=A, b_ub=b, bounds=(0, 3), method="highs",
 assert ours.status == theirs.status == 0
 assert np.array_equal(ours.x, theirs.x) and ours.fun == theirs.fun
 answers["linprog"] = np.r_[theirs.x, theirs.fun]
-print(json.dumps({"loaded": loaded, "quiet": quiet,
+print(json.dumps({"loaded": loaded, "quiet": quiet, "solver_at_import": solver_at_import,
                   "same_binding": sys.modules["scipy.optimize._highspy._core"] is _lp._h,
                   "answers": {k: [float(v).hex() for v in np.ravel(a)] for k, a in answers.items()}}))
 """
@@ -92,6 +94,7 @@ def _child(*args):
 def test_cold_process_skips_scipy_optimize_and_sparse(tmp_path):
     direct = _child("direct")
     assert direct["loaded"] == direct["quiet"] == {"scipy.optimize": False, "scipy.sparse": False}
+    assert not direct["solver_at_import"]
     assert direct["same_binding"]
     # the binding's file is not found: scipy.optimize loads it, same answers
     fallback = _child("fallback", str(tmp_path))

@@ -2,9 +2,13 @@
 
 The two hand HiGHS the same model with the same options, presolve on or off
 alike, so they must agree on the status of every program and, on an
-optimum, on x and the objective bit for bit.
+optimum, on x and the objective bit for bit.  _lp.solve reuses one solver
+per thread, cleared before each program, where linprog builds a fresh one
+per call; so the agreement also shows that no program starts from what the
+last one left.
 """
 
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -136,6 +140,74 @@ def test_non_finite_data_is_rejected(lp):
     lp = dict({"c": [1.0, 1.0]}, **lp)
     with pytest.raises(ValueError):
         _lp.solve(lp.pop("c"), **lp)
+
+
+def test_one_solver_runs_every_verdict_in_turn():
+    """On one thread and its one solver: an infeasible, an unbounded, a
+    presolved, an unpresolved, a row-free and an optimal program in turn,
+    twice over, each equal to linprog with the same presolve setting."""
+    rng = np.random.default_rng(28)
+    A, b = rng.integers(-3, 4, size=(6, 4)).astype(float), rng.uniform(1.0, 5.0, 6)
+    turn = [
+        ([1.0, 1.0], {"A_eq": [[1.0, 1.0]], "b_eq": [-1.0]}, True, 2),
+        ([1.0, -1.0], {"A_ub": [[1.0, -1.0]], "b_ub": [1.0], "bounds": (None, None)}, True, 3),
+        (rng.uniform(-1.0, 1.0, 4), {"A_ub": A, "b_ub": b, "bounds": (0, 3)}, True, 0),
+        (rng.uniform(-1.0, 1.0, 4), {"A_ub": A, "b_ub": b, "bounds": (0, 3)}, False, 0),
+        ([1.0, -2.0], {"bounds": (-1.0, 2.0)}, True, 0),
+        ([1.0, 1.0], {"A_eq": [[1.0, 2.0]], "b_eq": [2.0]}, False, 0),
+    ]
+    for c, lp, presolve, status in turn * 2:
+        ours, theirs = _both(np.array(c), lp, presolve)
+        assert ours.status == status
+        _assert_same(ours, theirs)
+
+
+def _seeded_programs(seed, count):
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(count):
+        m, n = rng.integers(1, 6, size=2)
+        out.append((rng.uniform(-1.0, 1.0, n),
+                    {"A_ub": rng.integers(-3, 4, size=(m, n)).astype(float),
+                     "b_ub": rng.uniform(-1.0, 5.0, m), "bounds": (0, 4)},
+                    bool(rng.integers(2))))
+    return out
+
+
+def _answers(programs, wait=lambda: None):
+    out = []
+    for c, lp, presolve in programs:
+        wait()
+        res = _lp.solve(c, **lp, presolve=presolve)
+        out.append((res.status, None if res.x is None else res.x.tobytes(), res.fun))
+    return out
+
+
+def test_threads_keep_their_own_solvers(monkeypatch):
+    """Two threads solving seeded programs in lock step get what one thread
+    gets alone, and each thread builds exactly one solver, on its first
+    program: none is built before."""
+    built = []
+    highs = _lp._h._Highs
+    monkeypatch.setattr(_lp, "_local", threading.local())
+    monkeypatch.setattr(_lp._h, "_Highs", lambda: built.append(threading.get_ident()) or highs())
+    programs = [_seeded_programs(seed, 40) for seed in (1, 2)]
+    alone = [_answers(p) for p in programs]
+    assert len(built) == 1
+
+    step = threading.Barrier(2)
+    got = [None, None]
+
+    def run(i):
+        got[i] = _answers(programs[i], step.wait)
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert got == alone
+    assert len(built) == 3 == len(set(built))
 
 
 @pytest.fixture

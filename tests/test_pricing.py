@@ -197,6 +197,33 @@ class TestFairPriceGenerated:
         with pytest.raises(NotUnitClaim):
             fair_price_generated(space, poly, [np.array([3.0, 0.0])], np.zeros(2))
 
+    def test_family_faults_are_typed(self, monkeypatch, bound_tree):
+        """A ragged family member is a ShapeMismatch and a NaN one a
+        ValidationError, never numpy's ValueError, whether the family goes
+        to generated pricing or straight to is_unit_claim as a stack.
+        Generated pricing judges the whole family in one stacked call, and
+        NotUnitClaim names its first member that is not a unit claim."""
+        from superhedge import ShapeMismatch, is_unit_claim, pricing
+
+        space, asset, poly = bound_tree
+        family = asset_ratio_family(poly)[0]
+        payoff = np.maximum(asset.values[-1] - 90.0, 0.0)
+        ragged = family[:2] + [family[2][:-1]] + family[3:]
+        broken = family[:2] + [np.where(np.arange(8) == 3, np.nan, family[2])] + family[3:]
+        for bad, error in ((ragged, ShapeMismatch), (broken, ValidationError)):
+            for judge in (lambda f: fair_price_generated(space, poly, f, payoff),
+                          lambda f: is_unit_claim(space, poly, f)):
+                with pytest.raises(error) as caught:
+                    judge(bad)
+                assert caught.type is error
+        calls = []
+        monkeypatch.setattr(pricing, "is_unit_claim",
+                            lambda *args: calls.append(np.shape(args[2])) or is_unit_claim(*args))
+        fair_price_generated(space, poly, family, payoff)
+        with pytest.raises(NotUnitClaim, match="family member 2 is"):
+            fair_price_generated(space, poly, family[:2] + [2.0 * family[2]] + family[3:], payoff)
+        assert calls == [(len(family), 8)] * 2
+
     def test_infeasible_when_family_vanishes(self):
         space = build_space(2, [[(0, 1)], [(0,), (1,)]])
         hull = GeneratorHull(space, [[0.5, 0.5]])

@@ -434,13 +434,19 @@ def test_least_superhedge_prices_like_the_lp(seed, kind):
     assert (capital[-1] - claim).min() >= -EQ_TOL * scale
 
 
-def _desk_markets(seed, count):
-    """Seeded one-asset incomplete trees with an option on the terminal
-    price, as the benchmark's desk workload builds them."""
+def _bench_module():
+    """bench/markets.py, loaded from its file."""
     path = Path(__file__).parent.parent / "bench" / "markets.py"
     spec = importlib.util.spec_from_file_location("bench_markets", path)
     markets = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(markets)
+    return markets
+
+
+def _desk_markets(seed, count):
+    """Seeded one-asset incomplete trees with an option on the terminal
+    price, as the benchmark's desk workload builds them."""
+    markets = _bench_module()
     rng = np.random.default_rng(seed)
     out = []
     for size in [(12, 3, 3), (13, 4, 5), (16, 5, 4)][:count]:
@@ -855,13 +861,9 @@ def test_cell_reps_are_first_outcomes(seed):
 
 def _bench_markets(workload, seed):
     """One round of a benchmark workload's markets, each as (space, family,
-    process or None), loaded from bench/markets.py as _desk_markets does."""
-    path = Path(__file__).parent.parent / "bench" / "markets.py"
-    spec = importlib.util.spec_from_file_location("bench_markets", path)
-    markets = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(markets)
+    process or None), from bench/markets.py."""
     out = []
-    for inputs in markets.market_round(workload, np.random.default_rng(seed)):
+    for inputs in _bench_module().market_round(workload, np.random.default_rng(seed)):
         space = build_space(inputs["outcomes"], inputs["partitions"])
         mset = (GeneratorHull(space, inputs["generators"]) if "generators" in inputs else
                 MartingalePolytope(space, [AdaptedProcess(space, v) for v in inputs["assets"]]))
@@ -1008,6 +1010,70 @@ def test_unit_claim_rows_match_the_two_pass_rule():
                 assert got == _unit_outcome(unit_claim_rows_two_pass, space, mset, moved)
                 seen[got[0]] += 1
     assert all(seen.values()), seen
+
+
+def test_stacked_unit_verdicts_match_the_claim_loop():
+    """is_unit_claim on a stack of claims, one gaps call, gives every claim
+    the verdict gen.is_unit_claim_loop gives it alone (a polytope's judged
+    up to the first time the claim is measurable), on the knock scan's hulls
+    and polytopes and on the desk_incomplete and wide_complete benchmark
+    markets with their asset-ratio families.  Each claim is knocked by 0,
+    1e-12, 1e-9, 1e-7 and 1e-5: along a direction, by a scale and on one
+    outcome, and each market's claims go in one stack.  A stack of one
+    gives the single claim's verdict; the scan meets both verdicts."""
+    from gen import is_unit_claim_loop
+
+    rng = np.random.default_rng(2801)
+    instances = _unit_claim_instances(rng)
+    instances += [(space, poly, asset_ratio_family(poly)[0]) for space, poly, _
+                  in _bench_markets("desk_incomplete", 0) + _bench_markets("wide_complete", 0)]
+    seen = [0, 0]
+    for space, mset, claims in instances:
+        n, stack = space.outcome_count, []
+        for xi, knock in itertools.product(claims, (0.0, 1e-12, 1e-9, 1e-7, 1e-5)):
+            direction, outcome = rng.uniform(-1.0, 1.0, size=n), np.arange(n) == rng.integers(n)
+            moves = [xi + knock * direction, xi * (1.0 + knock), xi + knock * outcome]
+            stack += moves[:1] if knock == 0.0 else moves
+        got = is_unit_claim(space, mset, np.array(stack))
+        assert got.shape == (len(stack),)
+        assert got.tolist() == [is_unit_claim_loop(space, mset, xi) for xi in stack]
+        for xi, verdict in zip(stack[::5], got[::5]):
+            one = is_unit_claim(space, mset, xi[None])
+            assert one.shape == (1,) and one[0] == is_unit_claim(space, mset, xi) == verdict
+        seen[0] += int(got.sum())
+        seen[1] += int((~got).sum())
+    assert all(seen), seen
+
+
+@pytest.mark.parametrize("steps", [3, 6, 9])
+def test_one_market_two_families(steps):
+    """On a complete binomial tree the polytope's closure is one measure,
+    so the hull of its interior member is the same family by another
+    route.  The two agree on the unit verdicts of the asset-ratio family,
+    as it is and scaled by 1 + 1e-6, one stacked call per family; on
+    the full price within 1e-12 relative; and on the super-martingale
+    verdicts of the claim's envelope and of the envelope pushed up on one
+    terminal cell."""
+    markets = _bench_module()
+    for seed in range(20):
+        inputs = markets.binomial_tree(np.random.default_rng(seed), steps)
+        space = build_space(inputs["outcomes"], inputs["partitions"])
+        poly = MartingalePolytope(space, [AdaptedProcess(space, v) for v in inputs["assets"]])
+        hull = GeneratorHull(space, [poly.interior_measure])
+        family = np.array(asset_ratio_family(poly)[0])
+        claims = np.concatenate([family, family * (1.0 + 1e-6)])
+        for mset in (poly, hull):
+            verdicts = is_unit_claim(space, mset, claims).tolist()
+            assert verdicts == [True] * len(family) + [False] * len(family)
+        claim = inputs["claim"]
+        full = [fair_price_full(space, mset, claim).price for mset in (poly, hull)]
+        assert abs(full[0] - full[1]) <= 1e-12 * max(abs(full[0]), 1.0)
+        envelope = poly.ess_sup_rows(claim)
+        pushed = envelope.copy()
+        pushed[-1, space.atom_index[-1] == seed % space.n_cells(space.horizon)] += 1.0
+        for values, ok in ((envelope, True), (pushed, False)):
+            assert (is_supermartingale(space, poly, values).ok
+                    == is_supermartingale(space, hull, values).ok == ok)
 
 
 def _completeness_instances(rng):
