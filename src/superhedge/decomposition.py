@@ -33,9 +33,9 @@ from .errors import (
     InvalidDecomposition,
     NotSupermartingale,
 )
-from .measures import MeasureSet, increment_process
+from .measures import MeasureSet, _unit_claim_cells, increment_process
 from .processes import _as_process, is_martingale, is_supermartingale
-from .spaces import AdaptedProcess, FilteredSpace, cell_ranges, cell_reps
+from .spaces import AdaptedProcess, FilteredSpace, cell_ranges, cell_reps, path_sums
 from .tolerances import EQ_TOL
 
 
@@ -70,13 +70,12 @@ class DecompositionReport:
 
 def validate_decomposition(space: FilteredSpace, mset: MeasureSet, f,
                            dec: Decomposition) -> DecompositionReport:
-    proc = _as_process(space, f)
-    scale = 1.0 + float(np.abs(proc.values).max())
-    m_vals = dec.martingale.values
-    g_vals = dec.compensator.values
-    reconstruction = float(np.abs(proc.values - (m_vals - g_vals)).max())
-    g0 = float(np.abs(g_vals[0]).max())
-    min_step = float((g_vals[1:] - g_vals[:-1]).min()) if space.horizon else 0.0
+    proc, num = _as_process(space, f), space.numbering
+    scale = 1.0 + float(np.abs(proc.cells).max())
+    g = dec.compensator.cells
+    reconstruction = float(np.abs(proc.cells - (dec.martingale.cells - g)).max())
+    g0 = float(abs(g[0]))
+    min_step = float((g[num.offsets[1]:] - g[num.parents]).min())
     mart_ok = bool(is_martingale(space, mset, dec.martingale))
     ok = (
         reconstruction <= EQ_TOL * scale
@@ -118,11 +117,10 @@ def local_regular_witness(space: FilteredSpace, mset: MeasureSet, f) -> Decompos
     """
     proc = _as_process(space, f)
     _require_supermartingale(space, mset, proc)
-    scale = 1.0 + float(np.abs(proc.values).max())
-    steps = mset.compensator(proc.values[:-1] - proc.values[1:], scale)
-    g = np.cumsum(np.r_[np.zeros((1, space.outcome_count)), steps], axis=0)
-    dec = Decomposition(martingale=AdaptedProcess(space, proc.values + g),
-                        compensator=AdaptedProcess(space, g))
+    scale = 1.0 + float(np.abs(proc.cells).max())
+    g = path_sums(space, mset.compensator(proc.values[:-1] - proc.values[1:], scale))
+    dec = Decomposition(martingale=AdaptedProcess.on_cells(space, proc.cells + g),
+                        compensator=AdaptedProcess.on_cells(space, g))
     return _validated(space, mset, proc, dec)
 
 
@@ -138,16 +136,17 @@ def alpha_coefficient(space: FilteredSpace, mset: MeasureSet, xi0, n: int, ratio
     """
     if not 1 <= n <= space.horizon:
         raise IndexError(f"time {n} out of range 1..{space.horizon}")
-    return _alpha(space, n, increment_process(space, mset, xi0)[n - 1], ratio)
-
-
-def _alpha(space: FilteredSpace, n: int, d: np.ndarray, ratio) -> float:
-    """alpha_coefficient given the time-n increments d of the unit claim."""
+    d = increment_process(space, mset, xi0)[n - 1]
     ratio = np.asarray(ratio, dtype=float)
     varies = np.flatnonzero(cell_ranges(space, n, ratio) > EQ_TOL)
     if varies.size:
         raise ValueError(f"ratio vector varies on time-{n} cell {varies[0]}")
-    fvals = ratio[cell_reps(space, n)]
+    return _alpha(n, d, ratio[cell_reps(space, n)])
+
+
+def _alpha(n: int, d: np.ndarray, fvals: np.ndarray) -> float:
+    """alpha_coefficient given the time-n increments d of the unit claim and
+    the ratio fvals, both on the time-n cells."""
     if fvals.min() < -EQ_TOL:
         raise ValueError("ratio vector must be nonnegative")
 
@@ -190,40 +189,38 @@ def optional_decomposition_complete(
     increments.  Incompleteness surfaces as IncompletenessDetected from the
     per-step domination scan.
     """
-    proc = _as_process(space, f)
+    proc, num = _as_process(space, f), space.numbering
     _require_supermartingale(space, mset, proc)
 
-    increments = increment_process(space, mset, xi0)
-    shift = max(0.0, -float(proc.values.min())) + 1.0
-    shifted = proc.values + shift
-    ratios = shifted[1:] / shifted[:-1]
-    sup_exps = mset.ess_sup_rows(ratios)[:, 0, 0]
+    # on the cells of times 1..N, each against its parent
+    unit, offsets, parents = _unit_claim_cells(space, mset, xi0), num.offsets, num.parents
+    increments = unit[offsets[1]:] - unit[parents]
+    shift = max(0.0, -float(proc.cells.min())) + 1.0
+    shifted = proc.cells + shift
+    ratios = shifted[offsets[1]:] / shifted[parents]
+    sup_exps = mset.ess_sup_rows(ratios[num.ids[1:] - offsets[1]])[:, 0, 0]
 
-    n_out = space.outcome_count
-    claims: list[np.ndarray] = []
-    gbar = np.zeros((space.horizon, n_out))
-    mart = np.zeros((space.horizon + 1, n_out))
-    mart[0] = shifted[0]
+    claims, step_g = np.empty_like(ratios), np.empty_like(ratios)
+    tol = EQ_TOL * (1.0 + abs(shift) + float(np.abs(proc.cells).max()))
     for n in range(1, space.horizon + 1):
-        alpha = _alpha(space, n, increments[n - 1], ratios[n - 1] / sup_exps[n - 1])
-        claim = 1.0 + alpha * increments[n - 1][space.atom_index[n]]
-        claims.append(claim)
-        step_g = -shifted[n] + shifted[n - 1] * claim
-        if step_g.min() < -EQ_TOL * (1.0 + abs(shift) + float(np.abs(proc.values).max())):
-            c = int(space.atom_index[n, int(np.argmin(step_g))])
+        level = slice(offsets[n] - offsets[1], offsets[n + 1] - offsets[1])
+        alpha = _alpha(n, increments[level], ratios[level] / sup_exps[n - 1])
+        claims[level] = 1.0 + alpha * increments[level]
+        step_g[level] = (-shifted[offsets[n]:offsets[n + 1]]
+                         + shifted[parents[level]] * claims[level])
+        if step_g[level].min() < -tol:
+            c = int(np.argmin(step_g[level]))
             raise IncompletenessDetected(
-                f"ratio condition fails at step {n} (step compensator {step_g.min():.3e})",
+                f"ratio condition fails at step {n} (step compensator {step_g[level][c]:.3e})",
                 time=n,
                 cell=c,
             )
-        gbar[n - 1] = step_g
-        mart[n] = mart[n - 1] + shifted[n - 1] * (claim - 1.0)
 
-    g = np.vstack([np.zeros(n_out), np.cumsum(gbar, axis=0)])
     dec = Decomposition(
-        martingale=AdaptedProcess(space, mart - shift),
-        compensator=AdaptedProcess(space, g),
-        step_claims=tuple(claims),
+        martingale=AdaptedProcess.on_cells(
+            space, path_sums(space, shifted[parents] * (claims - 1.0), shifted[0]) - shift),
+        compensator=AdaptedProcess.on_cells(space, path_sums(space, step_g)),
+        step_claims=tuple(claims[num.ids[n] - offsets[1]] for n in range(1, space.horizon + 1)),
         shift=shift,
     )
     return _validated(space, mset, proc, dec)

@@ -6,9 +6,11 @@ claim takes its holdings straight from its price: in full search the least
 superhedge's compensator holdings (MartingalePolytope.superhedge_capital),
 over the asset-ratio family the static position the pricing weights buy.
 Its capital is the price plus the gains of those holdings, and the cash leg
-is capital minus holdings times prices.  martingale_representation recovers
-holdings for a martingale brought from elsewhere (one batched projection of
-every node's increments, through the polytope's hedge_ratios).
+is capital minus holdings times prices, all on the cells of the tree, so
+the strategy and its decomposition are adapted and predictable by
+construction.  martingale_representation recovers holdings for a
+martingale brought from elsewhere (one batched projection of every node's
+increments, through the polytope's hedge_ratios).
 """
 
 from __future__ import annotations
@@ -18,11 +20,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decomposition import Decomposition
-from .errors import NotMartingale, NotPredictable, ShapeMismatch, ValidationError
+from .errors import NotMartingale, ValidationError
 from .measures import MartingalePolytope
 from .pricing import FairPriceResult, _certified, _check_terminal_claim, fair_price_generated
 from .processes import is_martingale
-from .spaces import AdaptedProcess, FilteredSpace, PredictableProcess, level_ranges
+from .spaces import (AdaptedProcess, FilteredSpace, PredictableProcess, TradingStrategy, at_cells,
+                     cell_reps, path_sums)
 from .tolerances import EQ_TOL
 
 
@@ -40,48 +43,6 @@ class SelfFinancingReport:
 
     def __bool__(self) -> bool:
         return self.ok
-
-
-@dataclass(frozen=True, eq=False)
-class TradingStrategy:
-    """Cash plus per-asset holdings; row m is chosen at time m-1.
-
-    cash has shape (N+1, n) and risky (N+1, n, d); the time-0 rows hold the
-    initial endowment (constant over outcomes).  Self-financing is a property
-    checked by verify_self_financing, not enforced at construction, so broken
-    strategies can be represented and diagnosed.
-    """
-
-    space: FilteredSpace
-    cash: np.ndarray
-    risky: np.ndarray
-    assets: tuple[AdaptedProcess, ...]
-
-    def __post_init__(self):
-        cash = np.asarray(self.cash, dtype=float)
-        risky = np.asarray(self.risky, dtype=float)
-        if risky.ndim == 2:
-            risky = risky[:, :, None]
-        object.__setattr__(self, "cash", cash)
-        object.__setattr__(self, "risky", risky)
-        n, N = self.space.outcome_count, self.space.horizon
-        if cash.shape != (N + 1, n):
-            raise ShapeMismatch(f"cash must have shape {(N + 1, n)}")
-        if risky.shape != (N + 1, n, len(self.assets)):
-            raise ShapeMismatch(f"risky must have shape {(N + 1, n, len(self.assets))}")
-        if not (np.isfinite(cash).all() and np.isfinite(risky).all()):
-            raise NotPredictable("cash and holdings must be finite")
-        # the cash leg is capital minus holdings times prices, so it carries
-        # residuals that grow with its own size; holdings are compared as is
-        cash_tol = EQ_TOL * (1.0 + float(np.abs(cash).max()))
-        # entry 0 judges the endowment row on the time-0 cell, entry 1 + id
-        # the row chosen on the cell id (space.numbering)
-        ranges = [np.r_[level_ranges(self.space, x[:1], 0), level_ranges(self.space, x[1:], 0)]
-                  for x in (cash, risky)]
-        varies = np.flatnonzero((ranges[0] > cash_tol) | (ranges[1].max(axis=1) > EQ_TOL))
-        if varies.size:
-            t, c = self.space.numbering.locate(max(varies[0] - 1, 0))
-            raise NotPredictable(f"time-{t + min(varies[0], 1)} holdings vary on time-{t} cell {c}")
 
 
 def martingale_representation(
@@ -105,31 +66,38 @@ def martingale_representation(
             f"process is not a martingale for the polytope at time {v.time}, cell {v.cell}",
             report=report,
         )
-    return PredictableProcess(space, mset.hedge_ratios(mprocess.values)[0])
+    holdings = mset.hedge_ratios(mprocess.values)[0]
+    return PredictableProcess.on_cells(space, at_cells(space, holdings))
+
+
+def _cell_prices(assets) -> np.ndarray:
+    """The assets' prices on the cells of times 0..N, shape (cells, d)."""
+    return np.stack([a.cells for a in assets], axis=1)
 
 
 def strategy_capital(strategy: TradingStrategy) -> AdaptedProcess:
     """Mark-to-market value cash_m + <holdings_m, S_m> of the strategy."""
-    space = strategy.space
-    prices = np.stack([a.values for a in strategy.assets], axis=2)  # (N+1, n, d)
-    x = strategy.cash + np.einsum("tnd,tnd->tn", strategy.risky, prices)
-    return AdaptedProcess(space, x)
+    prices = _cell_prices(strategy.assets)
+    return AdaptedProcess.on_cells(strategy.space, strategy.cash_cells
+                                   + np.einsum("cd,cd->c", strategy.risky_cells, prices))
 
 
 def verify_self_financing(strategy: TradingStrategy) -> SelfFinancingReport:
-    """Check that rebalancing at every step moves no cash in or out."""
-    space, n = strategy.space, strategy.space.outcome_count
-    prices = np.stack([a.values for a in strategy.assets], axis=2)
+    """Check that rebalancing at every step moves no cash in or out, on
+    every cell of times 0..N-1 towards its first child, the one holding its
+    first outcome."""
+    space, num = strategy.space, strategy.space.numbering
+    prices = _cell_prices(strategy.assets)
     tol = EQ_TOL * (1.0 + float(np.abs(prices).max()))
-    # row m-1: the cash and holdings moved at time m-1, every step at once
-    residual = (np.diff(strategy.cash, axis=0)
-                + np.einsum("mnd,mnd->mn", np.diff(strategy.risky, axis=0), prices[:-1]))
-    t, w = np.nonzero(np.abs(residual) > tol)
-    cells = space.atom_index[t, w]
-    # a time-t cell is read at its first outcome
-    first = space.numbering.firsts[space.numbering.ids[t, w]] == t * n + w
-    violations = tuple(map(SelfFinancingViolation, (t[first] + 1).tolist(), cells[first].tolist(),
-                           residual[t, w][first].tolist()))
+    nodes = num.offsets[space.horizon]
+    kid = num.ids.ravel()[num.firsts[:nodes] + space.outcome_count]
+    cash, risky = strategy.cash_cells, strategy.risky_cells
+    residual = (cash[kid] - cash[:nodes]
+                + np.einsum("cd,cd->c", risky[kid] - risky[:nodes], prices[:nodes]))
+    bad = np.flatnonzero(np.abs(residual) > tol)
+    t, c = num.locate(bad)
+    violations = tuple(map(SelfFinancingViolation, (t + 1).tolist(), c.tolist(),
+                           residual[bad].tolist()))
     return SelfFinancingReport(ok=not violations, violations=violations)
 
 
@@ -170,32 +138,35 @@ def superhedge(
     if not isinstance(mset, MartingalePolytope):
         raise ValidationError("superhedging requires a martingale polytope")
     f_N = np.asarray(f_N, dtype=float)
-    n, N, d = space.outcome_count, space.horizon, len(mset.assets)
+    num, N, d = space.numbering, space.horizon, len(mset.assets)
+    offsets, parents = num.offsets, num.parents
 
+    # the holdings chosen on every cell of times 0..N-1, shape (offsets[N], d)
     if price_mode == "full":
         x = _check_terminal_claim(space, f_N)
         M, holdings, q_star = mset.superhedge_capital(x)
-        result = _certified(space, mset, x, float(M[0, 0]), M[-1], float(q_star @ x))
+        result = _certified(space, mset, x, float(M[0]), M[num.ids[N]], float(q_star @ x))
     elif price_mode == "generated":
         family, index = asset_ratio_family(mset)
         result = fair_price_generated(space, mset, family, f_N)
         units = np.zeros((N, d))
         for (j, i), beta in zip(index, result.weights):
-            units[:i, j] += beta / mset.assets[j].values[0, 0]
-        holdings = np.broadcast_to(units[:, None, :], (N, n, d))
+            units[:i, j] += beta / mset.assets[j].cells[0]
+        holdings = np.repeat(units, np.diff(offsets[:N + 1]), axis=0)
     else:
         raise ValidationError(f"unknown price mode {price_mode!r}")
 
-    prices = np.stack([a.values for a in mset.assets], axis=2)
-    risky = np.zeros((N + 1, n, d))
-    risky[1:] = holdings
-    gains = np.einsum("tnd,tnd->tn", risky, np.diff(prices, axis=0, prepend=prices[:1]))
-    capital = result.price + np.cumsum(gains, axis=0)
-    cash = capital - np.einsum("tnd,tnd->tn", risky, prices)
-    strategy = TradingStrategy(space=space, cash=cash, risky=risky, assets=mset.assets)
+    # every cell's row m holds what its parent chose
+    prices = _cell_prices(mset.assets)
+    risky = np.zeros((offsets[-1], d))
+    risky[1:] = holdings[parents]
+    gains = np.einsum("cd,cd->c", risky[1:], prices[1:] - prices[parents])
+    capital = result.price + path_sums(space, gains)
+    cash = capital - np.einsum("cd,cd->c", risky, prices)
+    strategy = TradingStrategy.on_cells(space, cash, risky, mset.assets)
 
-    g = np.zeros((N + 1, n))
-    g[N] = capital[N] - f_N
-    dec = Decomposition(martingale=AdaptedProcess(space, capital),
-                        compensator=AdaptedProcess(space, g))
+    g = np.zeros(offsets[-1])
+    g[offsets[N]:] = capital[offsets[N]:] - f_N[cell_reps(space, N)]
+    dec = Decomposition(martingale=AdaptedProcess.on_cells(space, capital),
+                        compensator=AdaptedProcess.on_cells(space, g))
     return strategy, dec, result

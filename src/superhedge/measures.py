@@ -78,7 +78,8 @@ from .errors import (
     SolverFailure,
     ValidationError,
 )
-from .spaces import AdaptedProcess, FilteredSpace, _check_time, cell_order, cell_reps, cell_sums
+from .spaces import (AdaptedProcess, FilteredSpace, _check_time, cell_order, cell_reps, cell_sums,
+                     path_sums)
 from .tolerances import EQ_TOL, FEAS_TOL, MASS_TOL, scaled_tol
 
 
@@ -149,18 +150,18 @@ def _measure_vector(space: FilteredSpace, P) -> np.ndarray:
 def conditional_expectation(space: FilteredSpace, P, X, t: int) -> np.ndarray:
     """E{X | F_t} under a single strictly positive measure, as an outcome row."""
     _check_time(space, t)
-    return _condexp_rows(space, _measure_vector(space, P), _claim_vector(space, X), t, t + 1)[0]
+    p, x = _measure_vector(space, P), _claim_vector(space, X)
+    return _condexp_cells(space, p, x, t, t + 1)[space.atom_index[t]]
 
 
-def _condexp_rows(space: FilteredSpace, p: np.ndarray, x: np.ndarray, first: int, last: int):
-    """E{x | F_t} under p, t = first..last-1, shape (last - first, n), from
-    one bincount of p * x over the cells of those times, divided by p's
-    mass on each, from one more bincount."""
+def _condexp_cells(space: FilteredSpace, p: np.ndarray, x: np.ndarray, first: int, last: int):
+    """E{x | F_t} under p on every cell of times t = first..last-1
+    (space.numbering from offsets[first]), from one bincount of p * x over
+    those cells, divided by p's mass on each, from one more bincount."""
     num = space.numbering
-    cells = num.ids[first:last] - num.offsets[first]
-    sums = np.bincount(cells.ravel(), np.concatenate([p * x] * len(cells)))
-    mass = np.bincount(cells.ravel(), np.concatenate([p] * len(cells)))
-    return (sums / mass)[cells]
+    cells = (num.ids[first:last] - num.offsets[first]).ravel()
+    sums = np.bincount(cells, np.concatenate([p * x] * (last - first)))
+    return sums / np.bincount(cells, np.concatenate([p] * (last - first)))
 
 
 def change_of_measure_conditional(space: FilteredSpace, P1, P2, X, t: int) -> np.ndarray:
@@ -171,9 +172,9 @@ def change_of_measure_conditional(space: FilteredSpace, P1, P2, X, t: int) -> np
     """
     _check_time(space, t)
     p1, p2, x = _measure_vector(space, P1), _measure_vector(space, P2), _claim_vector(space, X)
-    density = p1 / p2
-    phi = density / _condexp_rows(space, p2, density, t, t + 1)[0]
-    return _condexp_rows(space, p2, x * phi, t, t + 1)[0]
+    density, cells = p1 / p2, space.atom_index[t]
+    phi = density / _condexp_cells(space, p2, density, t, t + 1)[cells]
+    return _condexp_cells(space, p2, x * phi, t, t + 1)[cells]
 
 
 def restriction_metric(space: FilteredSpace, P1, P2, t: int) -> float:
@@ -250,11 +251,12 @@ class MeasureSet:
         raise NotImplementedError
 
     def compensator(self, drops, scale: float) -> np.ndarray:
-        """An optional decomposition's compensator steps, shape (N, n), from
-        a process's drops, shape (N, n) with row t holding f_t - f_{t+1}:
-        row t is a nonnegative F_{t+1}-measurable gamma with E^P(gamma | F_t)
-        = E^P(drop | F_t) under every member P.  Of these, the one with the
-        least sum over each time-t cell's children (a one-generator hull
+        """An optional decomposition's compensator steps on the cells of
+        times 1..N (space.numbering from offsets[1]), from a process's drops,
+        shape (N, n) with row t holding f_t - f_{t+1}: on the time-(t+1)
+        cells a nonnegative gamma with E^P(gamma | F_t) = E^P(drop | F_t)
+        under every member P.  Of these, the one with the least sum over
+        each time-t cell's children (a one-generator hull
         gives the constant conditional mean instead).  scale is the
         process's 1 + max |f|.  A polytope judges every node in value units,
         and a hull every cell with one child (each cell, with one
@@ -405,7 +407,7 @@ class GeneratorHull(MeasureSet):
                 gamma[kids] = solution
         if bad:
             raise _no_compensator(self.space, min(bad))
-        return gamma[num.ids[1:] - offsets[1]]
+        return gamma
 
 
 def _no_compensator(space: FilteredSpace, node) -> Infeasible:
@@ -733,7 +735,7 @@ class MartingalePolytope(MeasureSet):
 
     def dominating_claim(self, x):
         capital, _, q_star = self.superhedge_capital(x)
-        return float(capital[0, 0]), capital[-1], float(q_star @ x)
+        return float(capital[0]), capital[self.space.numbering.ids[-1]], float(q_star @ x)
 
     def domination_rows(self, x):
         # the closure's vertices put each terminal cell's mass on a single
@@ -743,33 +745,34 @@ class MartingalePolytope(MeasureSet):
 
     def cond_exp_sup(self, x, t):
         x = np.asarray(x, dtype=float)
-        rows, picks = self._induction(x[None], t)
+        sups, picks = self._induction(x[None], t)
         order, starts = cell_order(self.space, t, t + 1)
         attained = tuple(np.split(self._attaining(x, picks)[0][order], starts[1:]))
-        return EssSupRow(values=rows[0, 0], attained=attained)
+        return EssSupRow(values=sups[0, self.space.atom_index[t]], attained=attained)
 
     def ess_sup_rows(self, x):
         x = np.asarray(x, dtype=float)
-        rows = self._induction(x.reshape(-1, x.shape[-1]), 0)[0]
-        return rows.reshape(x.shape[:-1] + rows.shape[1:])
+        sups = self._induction(x.reshape(-1, x.shape[-1]), 0)[0]
+        return sups[:, self.space.numbering.ids].reshape(x.shape[:-1] + self.space.atom_index.shape)
 
     def _induction(self, x: np.ndarray, t: int):
-        """For a stack of claims x (k, n): rows s = t..N of the per-cell sups
-        of E^Q{x[i] | F_s} over the closure, shape (k, N+1-t, n); and the
+        """For a stack of claims x (k, n): the per-cell sups of E^Q{x[i] |
+        F_s} over the closure on every cell of times s = t..N, shape (k,
+        cells) numbered as in space.numbering from offsets[t]; and the
         maximisers of each level s < N (_one_step_sups), entry s - t.  The
         closure is m-stable, so the sup starts from each terminal cell's
         largest value and, level by level, takes each node's largest
         expectation of its children's values over its martingale kernels."""
-        space, N = self.space, self.space.horizon
+        space, N, offsets = self.space, self.space.horizon, self.space.numbering.offsets
         order, starts = cell_order(space, N, N + 1)
         vals = np.maximum.reduceat(x.take(order, axis=1), starts, axis=1).T     # (cells, k)
-        rows = np.empty((N + 1 - t, space.outcome_count, len(x)))
-        rows[-1] = vals.take(space.atom_index[N], axis=0)
+        sups = np.empty((offsets[-1] - offsets[t], len(x)))
+        sups[offsets[N] - offsets[t]:] = vals
         picks = [None] * (N - t)
         for s in range(N - 1, t - 1, -1):
             vals, picks[s - t] = _one_step_sups(self._nodes[s], vals, self._unit)
-            rows[s - t] = vals.take(space.atom_index[s], axis=0)
-        return rows.transpose(2, 0, 1), picks
+            sups[offsets[s] - offsets[t]:offsets[s + 1] - offsets[t]] = vals
+        return sups.T, picks
 
     def _attaining(self, x: np.ndarray, picks) -> tuple[np.ndarray, np.ndarray]:
         """For one claim x and the maximisers of its induction (_induction,
@@ -887,14 +890,16 @@ class MartingalePolytope(MeasureSet):
 
     def superhedge_capital(self, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(M, H, Q*) of the least superhedge of the terminal claim x, from one
-        backward induction: capital M = V + g, shape (N+1, n), with V =
-        ess_sup_rows(x) and g the running sum of its compensator steps, so
-        M_0 = V_0 = sup E x and M_N >= x; the compensator's holdings H, shape
-        (N, n, d), row m-1 chosen on the time-(m-1) cells, with M_m - M_{m-1}
-        = H_m . (S_m - S_{m-1}); and the outcome masses of the closure member
-        Q* attaining V_0 (_attaining), so E^{Q*} x is a lower bound on the
-        price.  Q* must be nonnegative, of mass 1 within MASS_TOL, and meet
-        every asset equality, or a MathError is raised."""
+        backward induction: capital M = V + g on every cell of times 0..N
+        (space.numbering), with V the per-cell sups of ess_sup_rows(x) and g
+        the running sum of its compensator steps down the tree, so M_0 = V_0
+        = sup E x and M_N >= x; the compensator's holdings H, shape
+        (offsets[N], d), chosen on every cell of times 0..N-1, with M_c -
+        M_p = H_p . (S_c - S_p) for every cell c and its parent p; and the
+        outcome masses of the closure member Q* attaining V_0 (_attaining),
+        so E^{Q*} x is a lower bound on the price.  Q* must be nonnegative,
+        of mass 1 within MASS_TOL, and meet every asset equality, or a
+        MathError is raised."""
         x = np.asarray(x, dtype=float)
         V, picks = self._induction(x[None], 0)
         V, (q_star, tops) = V[0], self._attaining(x, picks)
@@ -903,17 +908,21 @@ class MartingalePolytope(MeasureSet):
             raise MathError(f"the measure attaining the price fails its own check: least mass "
                             f"{q_star.min():.3e}, total {q_star.sum():.12g}, {len(missed)} missed")
         scale = 1.0 + float(np.abs(V).max())
-        gamma, holdings = self._compensator(V[:-1] - V[1:], scale)
-        return (V + np.cumsum(np.r_[np.zeros((1, self.space.outcome_count)), gamma], axis=0),
-                holdings, q_star)
+        span = self._pairs.starts[self.space.numbering.offsets[-2]]
+        gamma, holdings = self._compensator(V[self._pairs.parent[:span]]
+                                            - V[self._pairs.child[:span]], scale)
+        return V + path_sums(self.space, gamma), holdings, q_star
 
     def compensator(self, drops, scale):
-        return self._compensator(np.asarray(drops, dtype=float), scale)[0]
+        span = self._pairs.starts[self.space.numbering.offsets[-2]]
+        b = np.asarray(drops, dtype=float).ravel()[self._pairs.step_index[:span]]
+        return self._compensator(b, scale)[0]
 
-    def _compensator(self, drops: np.ndarray, scale: float) -> tuple[np.ndarray, np.ndarray]:
-        """(gamma, H) for the drops of a process, row t holding f_t - f_{t+1}:
-        the compensator steps (compensator), shape (N, n), and their
-        holdings, shape (N, n, d), row t constant on the time-t cells.
+    def _compensator(self, b: np.ndarray, scale: float) -> tuple[np.ndarray, np.ndarray]:
+        """(gamma, H) for the drops b of a process towards the children of
+        the cells of times 0..N-1, one per pair of the table: the
+        compensator steps (compensator) on the cells of times 1..N, and
+        their holdings on the cells of times 0..N-1, shape (offsets[N], d).
 
         Every node at once, from the flat pair table: the closure is
         m-stable, so gamma - drop has zero conditional mean under every
@@ -931,11 +940,10 @@ class MartingalePolytope(MeasureSet):
         Feasibility is judged in value units, gamma >= -EQ_TOL * scale, the
         tolerance of the super-martingale test; Infeasible(time=t+1, cell)
         names the lowest time t, then its lowest cell, with no such gamma."""
-        pairs, n, N = self._pairs, self.space.outcome_count, self.space.horizon
-        tol, size = EQ_TOL * scale, int(self.space.numbering.offsets[N])
+        pairs, offsets = self._pairs, self.space.numbering.offsets
+        tol, size = EQ_TOL * scale, int(offsets[-2])
         span = slice(0, pairs.starts[size])            # the pairs of the cells of times 0..N-1
-        cells, index, moves = pairs.parent[span], pairs.step_index[span], pairs.moves[:, span]
-        b = drops.ravel()[index]
+        cells, moves = pairs.parent[span], pairs.moves[:, span]
         if len(moves) == 1:
             m = moves[0]
             ratio = np.divide(-b, m, out=np.zeros_like(b), where=m != 0.0)
@@ -946,8 +954,8 @@ class MartingalePolytope(MeasureSet):
             h = np.where(np.isfinite(h), h, 0.0)[:, None]
             fallback = np.flatnonzero(lo > hi)
         else:
-            h, miss = self._replicate(-drops, N)
-            fallback = np.flatnonzero(miss > tol)
+            h, miss = self._fit(-b[None])
+            h, fallback = h.T, np.flatnonzero(miss[0] > tol)
         if fallback.size:
             counts = np.diff(pairs.starts[:size + 1])
             # the distinct child counts, without np.unique (_node_table)
@@ -963,10 +971,9 @@ class MartingalePolytope(MeasureSet):
         short = cells[gamma < -tol]
         if short.size:
             raise _no_compensator(self.space, short.min())
-        steps = np.empty(N * n)
-        steps[index] = gamma
-        num = self.space.numbering
-        return steps[num.firsts[num.ids[1:]] - n], h[num.ids[:N]]
+        steps = np.empty(offsets[-1] - offsets[1])
+        steps[pairs.child[span] - offsets[1]] = gamma
+        return steps, h
 
     def contains_two_point(self, t, i, j, mass_i):
         # steps 1..t constrain, an interior member extending beyond t: at s
@@ -1025,17 +1032,23 @@ def unit_claim_rows(space: FilteredSpace, mset: MeasureSet, xi0) -> np.ndarray:
     at which they differ, its first label with a gap there and that label's
     largest gap.
     """
+    return _unit_claim_cells(space, mset, xi0)[space.numbering.ids]
+
+
+def _unit_claim_cells(space: FilteredSpace, mset: MeasureSet, xi0) -> np.ndarray:
+    """unit_claim_rows on every cell of times 0..N (space.numbering)."""
     xi0 = _claim_vector(space, xi0)
-    rows = np.vstack([_condexp_rows(space, mset.reference(), xi0, 0, space.horizon + 1), xi0])
+    cells = _condexp_cells(space, mset.reference(), xi0, 0, space.horizon + 1)
+    rows = np.vstack([cells[space.numbering.ids], xi0])
     tol, started = scaled_tol(xi0), np.concatenate((np.ones((1, len(xi0))), rows[1:]))
     if xi0.min() >= -EQ_TOL and mset.gaps(started, equality=True)[1].max() <= tol:
-        return rows[:-1]
+        return cells
     if not is_unit_claim(space, mset, xi0):
         raise NotUnitClaim("claim is not nonnegative with unit expectation under every measure")
     labels, gaps = mset.gaps(rows, equality=True)
     label, node = np.nonzero(gaps > tol)
     if not node.size:
-        return rows[:-1]
+        return cells
     offsets = space.numbering.offsets
     t = int(space.numbering.locate(node.max())[0])
     first = int(label[node >= offsets[t]].min())
@@ -1051,10 +1064,8 @@ def increment_process(space: FilteredSpace, mset: MeasureSet, xi0) -> list[np.nd
     Entry n-1 of the result holds, for each cell of partitions[n], the value
     of E{xi0 | F_n} - E{xi0 | F_{n-1}} on that cell.
     """
-    num = space.numbering
-    steps = np.diff(unit_claim_rows(space, mset, xi0), axis=0)
-    return np.split(steps.ravel()[num.firsts[num.offsets[1]:] - space.outcome_count],
-                    num.offsets[2:-1] - num.offsets[1])
+    num, cells = space.numbering, _unit_claim_cells(space, mset, xi0)
+    return np.split(cells[num.offsets[1]:] - cells[num.parents], num.offsets[2:-1] - num.offsets[1])
 
 
 def _completion_pairs(d: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -20,8 +20,8 @@ from .errors import (
     NotUnitClaim,
     ZeroInitialValue,
 )
-from .measures import MeasureSet, _nonnegative_claim, is_unit_claim, unit_claim_rows
-from .spaces import AdaptedProcess, FilteredSpace, check_adapted
+from .measures import MeasureSet, _nonnegative_claim, _unit_claim_cells, is_unit_claim
+from .spaces import AdaptedProcess, FilteredSpace, at_cells, check_adapted
 from .tolerances import EQ_TOL
 
 
@@ -76,7 +76,8 @@ def ess_sup_process(space: FilteredSpace, mset: MeasureSet, xi) -> AdaptedProces
     """The process of per-cell suprema of E^P(xi | F_t) over the family,
     every row from one call to the family (one backward pass on a
     polytope)."""
-    return AdaptedProcess(space, mset.ess_sup_rows(_nonnegative_claim(space, xi)))
+    rows = mset.ess_sup_rows(_nonnegative_claim(space, xi))
+    return AdaptedProcess.on_cells(space, at_cells(space, rows))
 
 
 def unit_claim_martingale(space: FilteredSpace, mset: MeasureSet, xi0) -> AdaptedProcess:
@@ -86,7 +87,7 @@ def unit_claim_martingale(space: FilteredSpace, mset: MeasureSet, xi0) -> Adapte
     same under every member measure (the defining property of the family this
     construction is valid for).
     """
-    return AdaptedProcess(space, unit_claim_rows(space, mset, xi0))
+    return AdaptedProcess.on_cells(space, _unit_claim_cells(space, mset, xi0))
 
 
 @dataclass(frozen=True)
@@ -105,7 +106,7 @@ def class_k_supermartingale(space: FilteredSpace, mset: MeasureSet, terms) -> Ad
     claim a unit claim; the result is then a super-martingale for the family
     admitting an explicit compensator.
     """
-    total = np.zeros((space.horizon + 1, space.outcome_count))
+    total = np.zeros(space.numbering.offsets[-1])
     for i, term in enumerate(terms):
         if term.coefficient < 0:
             raise ValueError(f"term {i}: coefficient must be nonnegative")
@@ -116,9 +117,11 @@ def class_k_supermartingale(space: FilteredSpace, mset: MeasureSet, terms) -> Ad
         steps = weights[1:] - weights[:-1]
         if steps.size and steps.max() > EQ_TOL:
             raise NotNonincreasing(f"term {i}: weights increase by {steps.max():.3e}")
-        rows = unit_claim_rows(space, mset, term.claim)
-        total += term.coefficient * weights * rows
-    return AdaptedProcess(space, total)
+        unit = _unit_claim_cells(space, mset, term.claim)
+        total += term.coefficient * at_cells(space, weights) * unit
+    if not np.isfinite(total).all():
+        raise NotAdapted("process values must be finite")
+    return AdaptedProcess.on_cells(space, total)
 
 
 def k_representation(space: FilteredSpace, mset: MeasureSet, f, dec) -> list[KTerm]:

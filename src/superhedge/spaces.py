@@ -3,7 +3,9 @@
 The filtration is a refining sequence of partitions of the outcome set
 {0, ..., n-1}.  Time 0 is always the trivial partition.  A process is adapted
 when its time-t row is constant on every time-t cell, predictable when the
-time-t row is constant on the time-(t-1) cells.
+time-t row is constant on the time-(t-1) cells.  So a process is stored as
+one value per cell, adapted or predictable by construction; its outcome
+array is built when read, and only outside values are checked.
 
 A FilteredSpace stores the outcome count and atom_index[t, w], the time-t
 cell of outcome w, each time's cells numbered by their first outcome.  All
@@ -255,49 +257,145 @@ def check_adapted(space: FilteredSpace, values) -> AdaptednessReport:
     return AdaptednessReport(ok=not bad, violations=bad)
 
 
-@dataclass(frozen=True, eq=False)
-class AdaptedProcess:
-    """A real process constant on the filtration cells of each time."""
-
-    space: FilteredSpace
-    values: np.ndarray  # (N+1, n)
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", values)
-        if not np.isfinite(values).all():
-            raise NotAdapted("process values must be finite")
-        report = check_adapted(self.space, values)
-        if not report.ok:
-            raise NotAdapted(f"process not measurable at (time, cell) {report.violations[:4]}")
+def at_cells(space: FilteredSpace, values: np.ndarray) -> np.ndarray:
+    """An outcome array (T, n, ...) read on the cells of times 0..T-1 at
+    each cell's first outcome, in space.numbering order: shape (cells, ...)."""
+    num = space.numbering
+    return values.reshape(-1, *values.shape[2:])[num.firsts[:num.offsets[len(values)]]]
 
 
-@dataclass(frozen=True, eq=False)
-class PredictableProcess:
-    """Holdings chosen one step ahead: row t (1-based) is time-(t-1) measurable.
+def path_sums(space: FilteredSpace, steps: np.ndarray, start: float = 0.0) -> np.ndarray:
+    """Running sums down the tree: per cell of times 0..N (space.numbering),
+    start plus the steps, one per cell of times 1..N, added time after time
+    along the cell's path from time 0."""
+    num, first = space.numbering, space.numbering.offsets[1]
+    sums = np.empty(num.offsets[-1])
+    sums[0] = start
+    for a, b in zip(num.offsets[1:-1], num.offsets[2:]):
+        sums[a:b] = sums[num.parents[a - first:b - first]] + steps[a - first:b - first]
+    return sums
 
-    values has shape (N, n, d); values[m-1] holds the time-m row.
+
+class _OnCells:
+    """A process stored as cells, one entry or row per cell of the times it
+    lives on (space.numbering); values is built from them on first read."""
+
+    @classmethod
+    def on_cells(cls, space: FilteredSpace, cells: np.ndarray):
+        """The process with these cells, measurable by construction, so
+        unchecked."""
+        proc = cls.__new__(cls)
+        proc.space, proc.cells = space, cells
+        return proc
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        return self.cells[self.space.numbering.ids[:self._times]]
+
+
+class AdaptedProcess(_OnCells):
+    """A real process constant on the filtration cells of each time.
+
+    Stored as cells, its value on every cell of times 0..N, shape
+    (offsets[-1],); values has shape (N+1, n).  The constructor checks
+    outside values (NotAdapted), keeps them and reads the cells at each
+    cell's first outcome; the package builds its processes with on_cells.
     """
 
-    space: FilteredSpace
-    values: np.ndarray
+    _times = None       # values spreads the cells over every time
 
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
+    def __init__(self, space: FilteredSpace, values):
+        values = np.asarray(values, dtype=float)
+        if not np.isfinite(values).all():
+            raise NotAdapted("process values must be finite")
+        report = check_adapted(space, values)
+        if not report.ok:
+            raise NotAdapted(f"process not measurable at (time, cell) {report.violations[:4]}")
+        self.space, self.values, self.cells = space, values, at_cells(space, values)
+
+
+class PredictableProcess(_OnCells):
+    """Holdings chosen one step ahead: row t (1-based) is time-(t-1) measurable.
+
+    values has shape (N, n, d); values[m-1] holds the time-m row.  Stored as
+    cells, the holdings chosen on every cell of times 0..N-1, shape
+    (offsets[N], d).  The constructor checks outside values (NotPredictable)
+    and keeps them, as AdaptedProcess does.
+    """
+
+    _times = -1         # values spreads the cells over times 0..N-1
+
+    def __init__(self, space: FilteredSpace, values):
+        values = np.asarray(values, dtype=float)
         if values.ndim == 2:
             values = values[:, :, None]
-        object.__setattr__(self, "values", values)
-        N, n = self.space.horizon, self.space.outcome_count
+        N, n = space.horizon, space.outcome_count
         if values.ndim != 3 or values.shape[:2] != (N, n):
             d = values.shape[2] if values.ndim == 3 else "d"
             raise ShapeMismatch(f"expected shape ({N}, {n}, {d}), got {values.shape}")
         if not np.isfinite(values).all():
             raise NotPredictable("holdings must be finite")
-        varies = np.flatnonzero(level_ranges(self.space, values, 0).max(axis=1) > EQ_TOL)
+        varies = np.flatnonzero(level_ranges(space, values, 0).max(axis=1) > EQ_TOL)
         if varies.size:
-            t, c = self.space.numbering.locate(varies[0])
+            t, c = space.numbering.locate(varies[0])
             raise NotPredictable(f"time-{t + 1} row varies on time-{t} cell {c}")
+        self.space, self.values, self.cells = space, values, at_cells(space, values)
 
     def row(self, m: int) -> np.ndarray:
         """Time-m holdings (m in 1..N), one column per asset."""
         return self.values[m - 1]
+
+
+class TradingStrategy:
+    """Cash plus per-asset holdings; row m is chosen at time m-1.
+
+    cash has shape (N+1, n) and risky (N+1, n, d); the time-0 rows hold the
+    initial endowment (constant over outcomes).  Self-financing is a property
+    checked by verify_self_financing, not enforced at construction, so broken
+    strategies can be represented and diagnosed.  Stored as cash_cells,
+    shape (offsets[-1],), and risky_cells, (offsets[-1], d): row m on every
+    time-m cell; cash and risky are built from them on first read.  The
+    constructor checks outside rows (NotPredictable), as AdaptedProcess does.
+    """
+
+    def __init__(self, space: FilteredSpace, cash, risky, assets):
+        cash = np.asarray(cash, dtype=float)
+        risky = np.asarray(risky, dtype=float)
+        if risky.ndim == 2:
+            risky = risky[:, :, None]
+        n, N = space.outcome_count, space.horizon
+        if cash.shape != (N + 1, n):
+            raise ShapeMismatch(f"cash must have shape {(N + 1, n)}")
+        if risky.shape != (N + 1, n, len(assets)):
+            raise ShapeMismatch(f"risky must have shape {(N + 1, n, len(assets))}")
+        if not (np.isfinite(cash).all() and np.isfinite(risky).all()):
+            raise NotPredictable("cash and holdings must be finite")
+        # the cash leg is capital minus holdings times prices, so it carries
+        # residuals that grow with its own size; holdings are compared as is
+        cash_tol = EQ_TOL * (1.0 + float(np.abs(cash).max()))
+        # entry 0 judges the endowment row on the time-0 cell, entry 1 + id
+        # the row chosen on the cell id (space.numbering)
+        ranges = [np.r_[level_ranges(space, x[:1], 0), level_ranges(space, x[1:], 0)]
+                  for x in (cash, risky)]
+        varies = np.flatnonzero((ranges[0] > cash_tol) | (ranges[1].max(axis=1) > EQ_TOL))
+        if varies.size:
+            t, c = space.numbering.locate(max(varies[0] - 1, 0))
+            raise NotPredictable(f"time-{t + min(varies[0], 1)} holdings vary on time-{t} cell {c}")
+        self.space, self.cash, self.risky, self.assets = space, cash, risky, assets
+        self.cash_cells, self.risky_cells = at_cells(space, cash), at_cells(space, risky)
+
+    @classmethod
+    def on_cells(cls, space: FilteredSpace, cash_cells, risky_cells, assets):
+        """The strategy with these cells, unchecked (_OnCells.on_cells)."""
+        strategy = cls.__new__(cls)
+        strategy.space, strategy.assets = space, assets
+        strategy.cash_cells, strategy.risky_cells = cash_cells, risky_cells
+        return strategy
+
+    @cached_property
+    def cash(self) -> np.ndarray:
+        return self.cash_cells[self.space.numbering.ids]
+
+    @cached_property
+    def risky(self) -> np.ndarray:
+        return self.risky_cells[self.space.numbering.ids]

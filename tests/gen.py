@@ -43,6 +43,11 @@ pass over a whole family is checked.
 is_complete_loop tests each completion measure on its own, by a
 feasibility LP on a hull and by the equality residuals on a polytope,
 against which the one contains_two_point call per time is checked.
+strategy_outcomes assembles a superhedge as outcome arrays, (N+1, n) per
+process, from its price and holdings; capital_outcomes and
+self_financing_outcomes value and check a strategy the same way.  Against
+them the strategies, decompositions, capital and self-financing reports
+built on the cells are checked bit for bit.
 """
 
 from __future__ import annotations
@@ -71,14 +76,16 @@ from superhedge import (
     NotRefining,
     NotUnitClaim,
     PredictableProcess,
+    asset_ratio_family,
     build_space,
     conditional_expectation,
+    fair_price_generated,
     increment_process,
     is_martingale,
     is_unit_claim,
 )
 from superhedge import _lp
-from superhedge.measures import _condexp_rows
+from superhedge.measures import _condexp_cells
 from superhedge.processes import MartingaleReport, StepViolation
 from superhedge.spaces import cell_order, cell_reps
 
@@ -748,7 +755,8 @@ def is_unit_claim_loop(space, mset, xi):
     s = 1 + int(measurable.argmax()) if measurable.any() else N + 1
     path = [np.zeros((1, n)), last[None]]
     if s > 1:
-        path.insert(1, _condexp_rows(space, mset.reference(), last, 1, s))
+        means = _condexp_cells(space, mset.reference(), last, 1, s)
+        path.insert(1, means[num.ids[1:s] - num.offsets[1]])
     return bool(mset._replicate(np.diff(np.concatenate(path), axis=0), s)[1].max() <= tol)
 
 
@@ -823,3 +831,58 @@ def enumerate_vertices(A_eq, b_eq, tol=FEAS_TOL):
 def closure_vertices(poly):
     """Vertices of the closure of a martingale polytope, one per row."""
     return enumerate_vertices(*equality_system(poly))
+
+
+def _outcome_prices(assets):
+    return np.stack([a.values for a in assets], axis=2)                # (N+1, n, d)
+
+
+def strategy_outcomes(space, poly, claim, price_mode):
+    """(price, cash, risky, capital, compensator) of superhedge(space, poly,
+    claim, price_mode) assembled on the outcomes: the price and holdings
+    from the library (superhedge_capital's, or the static position the
+    asset-ratio family's weights buy), spread to (N, n, d); then stacked
+    prices, einsum gains, their cumulative sum from the price as capital,
+    capital minus holdings times prices as cash, and the compensator
+    capital - claim at N."""
+    num, N, n, d = space.numbering, space.horizon, space.outcome_count, len(poly.assets)
+    if price_mode == "full":
+        capital, holdings, _ = poly.superhedge_capital(claim)
+        price, holdings = float(capital[0]), holdings[num.ids[:N]]
+    else:
+        family, index = asset_ratio_family(poly)
+        result = fair_price_generated(space, poly, family, claim)
+        units = np.zeros((N, d))
+        for (j, i), beta in zip(index, result.weights):
+            units[:i, j] += beta / poly.assets[j].values[0, 0]
+        price, holdings = result.price, np.broadcast_to(units[:, None, :], (N, n, d))
+    prices = _outcome_prices(poly.assets)
+    risky = np.zeros((N + 1, n, d))
+    risky[1:] = holdings
+    gains = np.einsum("tnd,tnd->tn", risky, np.diff(prices, axis=0, prepend=prices[:1]))
+    capital = price + np.cumsum(gains, axis=0)
+    cash = capital - np.einsum("tnd,tnd->tn", risky, prices)
+    g = np.zeros((N + 1, n))
+    g[N] = capital[N] - claim
+    return price, cash, risky, capital, g
+
+
+def capital_outcomes(strategy):
+    """cash_m + <holdings_m, S_m> on the outcomes, shape (N+1, n)."""
+    prices = _outcome_prices(strategy.assets)
+    return strategy.cash + np.einsum("tnd,tnd->tn", strategy.risky, prices)
+
+
+def self_financing_outcomes(strategy):
+    """The (time, cell, residual) violations of verify_self_financing from
+    the outcome arrays: every step's cash and holdings moves at once, read
+    at the first outcome of each time-(m-1) cell."""
+    space, n = strategy.space, strategy.space.outcome_count
+    prices = _outcome_prices(strategy.assets)
+    tol = EQ_TOL * (1.0 + float(np.abs(prices).max()))
+    residual = (np.diff(strategy.cash, axis=0)
+                + np.einsum("mnd,mnd->mn", np.diff(strategy.risky, axis=0), prices[:-1]))
+    t, w = np.nonzero(np.abs(residual) > tol)
+    first = space.numbering.firsts[space.numbering.ids[t, w]] == t * n + w
+    return list(zip((t[first] + 1).tolist(), space.atom_index[t, w][first].tolist(),
+                    residual[t, w][first].tolist()))

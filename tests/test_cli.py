@@ -156,6 +156,22 @@ def test_hedge_writes_strategy_and_check_verifies_roundtrip(tmp_path, capsys):
     assert "strategy round-trip: identical" in out
 
 
+def test_check_rejects_a_strategy_whose_holdings_vary_on_a_cell(tmp_path, capsys):
+    """A strategy file is outside data: its time-2 holdings differ inside
+    the time-1 cell {4,5,6,7}, so the check stops with NotPredictable
+    naming that row and cell, exit 2, after the market's own report."""
+    doc = {"assets": ["S"], "cash": [[0.0] * 8] * 4, "claim": "call90", "mode": "full",
+           "price": 0.0, "risky": [[[0.0]] * 8, [[0.5]] * 8,
+                                   [[0.5]] * 4 + [[0.5], [0.5], [0.7], [0.7]], [[0.2]] * 8]}
+    strategy_file = tmp_path / "strategy.json"
+    strategy_file.write_text(json.dumps(doc))
+    code = main(["check", str(DATA / "bound_tree.json"), "--strategy", str(strategy_file)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "error: time-2 holdings vary on time-1 cell 1\n"
+    assert captured.out.endswith("claim put90: nonnegative=yes unit-claim=no\n")
+
+
 def test_decompose_writes_output(tmp_path, capsys):
     out_file = tmp_path / "dec.json"
     code = main(

@@ -104,6 +104,58 @@ def test_only_spaces_reads_the_tree_numbering_privately():
     assert offenders == {}
 
 
+MEASURABILITY_CHECKS = {"check_adapted", "level_ranges"}
+
+# where outside data comes in: a whole module, or one function of it
+OUTSIDE_DATA = {("spaces.py", None), ("market_io.py", None), ("cli.py", None),
+                ("processes.py", "class_k_supermartingale")}
+
+
+def measurability_checks(source: str) -> list[tuple[str | None, str]]:
+    """(top-level function or class, "line N: name") of every call of
+    check_adapted or level_ranges; None for a call at module level."""
+    found = []
+    for top in ast.parse(source).body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                if name in MEASURABILITY_CHECKS:
+                    found.append((getattr(top, "name", None), f"line {node.lineno}: {name}"))
+    return found
+
+
+def test_checker_finds_measurability_checks():
+    source = (
+        "def f(space, v):\n"
+        "    return check_adapted(space, v)\n"
+        "class P:\n"
+        "    def g(self, v):\n"
+        "        spaces.level_ranges(self.space, v, 0)\n"
+        "ok = cell_ranges(space, 0, row)\n"
+        "report = check_adapted(space, v)\n"
+    )
+    assert measurability_checks(source) == [
+        ("f", "line 2: check_adapted"),
+        ("P", "line 5: level_ranges"),
+        (None, "line 7: check_adapted"),
+    ]
+
+
+def test_measurability_is_checked_only_on_outside_data():
+    """A process the package computes is built on the cells, measurable by
+    construction: check_adapted and level_ranges run only where outside
+    data comes in, in spaces.py (the public constructors), market_io.py,
+    cli.py and the user weights of processes.class_k_supermartingale.
+    hedging.py, decomposition.py and measures.py call neither."""
+    offenders = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        found = [line for owner, line in measurability_checks(path.read_text(encoding="utf-8"))
+                 if not {(path.name, None), (path.name, owner)} & OUTSIDE_DATA]
+        if found:
+            offenders[path.name] = found
+    assert offenders == {}
+
+
 ORACLE_ONLY = {"enumerate_vertices", "closure_vertices"}
 
 

@@ -22,6 +22,7 @@ from superhedge import (
     NotMartingale,
     NotSupermartingale,
     NotUnitClaim,
+    TradingStrategy,
     asset_ratio_family,
     build_space,
     cell_ranges,
@@ -552,11 +553,12 @@ def test_full_price_shifts_and_scales_with_the_claim(seed, kind, shift, factor):
 
 
 def test_whole_tree_compensator_matches_steps_and_node_oracle(lp_calls, monkeypatch):
-    """On polytopes of every kind, superhedge_capital's capital is the
-    claim's envelope plus the running sum of the contract's compensator
-    steps, bit for bit; those steps and superhedge_capital's holdings match
-    the per-node oracle (gen.compensator_per_node) step by step within 1e-9
-    of scale, the holdings in value units.  The instances include complete
+    """On polytopes of every kind, superhedge_capital's capital, spread from
+    the cells to the outcomes, is the claim's envelope plus the running sum
+    of the contract's compensator steps, bit for bit; those steps and
+    superhedge_capital's holdings match the per-node oracle
+    (gen.compensator_per_node) step by step within 1e-9 of scale, the
+    holdings in value units.  The instances include complete
     trees, whose one-asset intervals are degenerate and round to empty,
     and two-asset nodes solved by LP."""
     from gen import compensator_per_node, generic_claim
@@ -579,7 +581,10 @@ def test_whole_tree_compensator_matches_steps_and_node_oracle(lp_calls, monkeypa
             M, H, _ = poly.superhedge_capital(claim)
             lp_nodes += len(lp_calls)
             drops = V[:-1] - V[1:]
-            steps = poly.compensator(drops, scale)
+            # the capital, holdings and steps come on the cells: spread them
+            num = space.numbering
+            M, H = M[num.ids], H[num.ids[:N]]
+            steps = poly.compensator(drops, scale)[num.ids[1:] - num.offsets[1]]
             assert np.array_equal(M, V + np.cumsum(np.r_[np.zeros((1, n)), steps], axis=0))
             peak = np.array([np.abs(a.values).max() for a in poly.assets])
             for t in range(N):
@@ -1125,3 +1130,128 @@ def test_completeness_matches_the_pair_loop():
         seen[type(mset)][0] += got.tested - len(got.failures)
         seen[type(mset)][1] += len(got.failures)
     assert all(held and failed for held, failed in seen.values()), seen
+
+
+def _hedge_instances():
+    """(space, polytope, claim) triples: tests/gen.py polytopes of every
+    SUP_KINDS kind with a generic claim, two-asset trinomial trees with a
+    basket call, and one round of the desk_incomplete and wide_complete
+    benchmark markets with their claims."""
+    from gen import generic_claim, trinomial_two_asset
+
+    rng = np.random.default_rng(3001)
+    out = []
+    for kind in SUP_KINDS:
+        for _ in range(6):
+            space, poly = _sup_instance(rng, kind)
+            out.append((space, poly, generic_claim(rng, space)))
+    for steps in (1, 2, 3):
+        space, poly = trinomial_two_asset(rng, steps)
+        basket = 0.5 * (poly.assets[0].values[-1] + poly.assets[1].values[-1])
+        out.append((space, poly, np.maximum(basket - 100.0, 0.0)))
+    markets = _bench_module()
+    for workload, seed in (("desk_incomplete", 3002), ("wide_complete", 3003)):
+        for inputs in markets.market_round(workload, np.random.default_rng(seed)):
+            space = build_space(inputs["outcomes"], inputs["partitions"])
+            poly = MartingalePolytope(space, [AdaptedProcess(space, v) for v in inputs["assets"]])
+            out.append((space, poly, inputs["claim"]))
+    return out
+
+
+def _same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_superhedge_matches_the_outcome_assembly():
+    """superhedge builds its strategy and decomposition on the cells; in
+    both price modes their outcome arrays equal the outcome-array assembly
+    (gen.strategy_outcomes) bit for bit, and so do strategy_capital and
+    the verify_self_financing report (gen.capital_outcomes and
+    gen.self_financing_outcomes), on the strategy and on a copy leaking
+    cash on a few cells."""
+    from gen import capital_outcomes, self_financing_outcomes, strategy_outcomes
+
+    rng = np.random.default_rng(3004)
+    leaks = 0
+    for space, poly, claim in _hedge_instances():
+        for mode in ("full", "generated"):
+            strategy, dec, result = superhedge(space, poly, claim, price_mode=mode)
+            price, cash, risky, capital, g = strategy_outcomes(space, poly, claim, mode)
+            assert result.price == price
+            for got, want in ((strategy.cash, cash), (strategy.risky, risky),
+                              (dec.martingale.values, capital), (dec.compensator.values, g)):
+                assert _same_bits(got, want)
+            leaky = strategy.cash.copy()
+            for m in rng.integers(1, space.horizon + 1, size=2):
+                leaky[m:, space.atom_index[m - 1] == rng.integers(space.n_cells(m - 1))] += 1.0
+            leaky = TradingStrategy(space, leaky, strategy.risky, strategy.assets)
+            for s in (strategy, leaky):
+                assert _same_bits(strategy_capital(s).values, capital_outcomes(s))
+                report = verify_self_financing(s)
+                assert ([(v.time, v.cell, v.residual) for v in report.violations]
+                        == self_financing_outcomes(s))
+            leaks += len(verify_self_financing(leaky).violations)
+    assert leaks
+
+
+def _check_rebuilt(proc):
+    """Rebuild proc through its public constructor from its outcome arrays,
+    which checks their measurability; the rebuilt cells must be proc's."""
+    if isinstance(proc, TradingStrategy):
+        again = TradingStrategy(proc.space, proc.cash, proc.risky, proc.assets)
+        assert _same_bits(again.cash_cells, proc.cash_cells)
+        assert _same_bits(again.risky_cells, proc.risky_cells)
+    else:
+        assert _same_bits(type(proc)(proc.space, proc.values).cells, proc.cells)
+
+
+def test_every_built_process_passes_the_public_checks():
+    """The package builds its processes on the cells, with no check: every
+    one passes its public constructor's check when rebuilt from its outcome
+    arrays (check_adapted, PredictableProcess, TradingStrategy), and reads
+    back the same cells.  Covered: ess_sup_process, unit_claim_martingale,
+    class_k_supermartingale, both decompositions, both superhedge modes,
+    strategy_capital and martingale_representation, on hulls, gen.py
+    polytopes and benchmark markets."""
+    from gen import (cellwise_unit_claim, complete_polytope, generic_claim,
+                     random_supermartingale)
+    from superhedge import (KTerm, class_k_supermartingale, ess_sup_process,
+                            optional_decomposition_complete, unit_claim_martingale)
+
+    rng = np.random.default_rng(3005)
+    built = []
+    for _ in range(10):
+        space = random_space(rng, min_outcomes=3)
+        hull = compliant_hull(rng, space, k=3)
+        built.append(ess_sup_process(space, hull, generic_claim(rng, space)))
+        xi = cellwise_unit_claim(rng, space, hull)
+        built.append(unit_claim_martingale(space, hull, xi))
+        weights = np.empty((space.horizon + 1, space.outcome_count))
+        weights[0] = rng.uniform(0.5, 2.0)
+        for m in range(1, space.horizon + 1):
+            weights[m] = weights[m - 1] - rng.uniform(0, 0.3, size=space.n_cells(m))[
+                space.atom_index[m]]
+        f = class_k_supermartingale(space, hull, [KTerm(claim=xi, weights=weights,
+                                                        coefficient=1.5)])
+        dec = local_regular_witness(space, hull, f)
+        built += [f, dec.martingale, dec.compensator]
+
+        space, _, poly, xi0 = complete_polytope(rng)
+        f = random_supermartingale(rng, space, poly)
+        dec = optional_decomposition_complete(space, poly, xi0, f)
+        mart = unit_claim_martingale(space, poly, xi0)
+        built += [mart, dec.martingale, dec.compensator,
+                  martingale_representation(space, poly, mart)]
+    for space, poly, claim in _hedge_instances()[::3]:
+        envelope = ess_sup_process(space, poly, claim)
+        dec = local_regular_witness(space, poly, envelope)
+        built += [envelope, dec.martingale, dec.compensator]
+        for mode in ("full", "generated"):
+            strategy, dec, _ = superhedge(space, poly, claim, price_mode=mode)
+            built += [strategy, strategy_capital(strategy), dec.martingale, dec.compensator]
+    kinds = set()
+    for proc in built:
+        _check_rebuilt(proc)
+        kinds.add(type(proc).__name__)
+    assert kinds == {"AdaptedProcess", "PredictableProcess", "TradingStrategy"}
