@@ -423,6 +423,9 @@ _MAX_SUPPORTS = 256
 # Relative singular-value cutoff of every node's projection, in per-asset units.
 _PROJECTION_RCOND = float(np.sqrt(np.finfo(float).eps))
 
+# A holdings LP's cost entry at or below this, in asset units, counts as zero.
+_ZERO_COST = 1e-12
+
 
 def _asset_units(values: np.ndarray) -> np.ndarray:
     """Per asset of the stacked prices values (d, N+1, n), the power of two
@@ -478,16 +481,18 @@ def _node_table(space: FilteredSpace, values: np.ndarray, unit: np.ndarray):
     """Per time t < N, the time-t cells grouped by child count; and the
     flat table of all (node, child) pairs, for asset prices values (d, N+1, n).
 
-    Increments within MASS_TOL of the asset's scale count as flat: they are
-    the rounding residue of equal prices, and a flat child must carry a
-    point mass.  Each asset is measured in its unit (_asset_units), and the
-    projection drops the singular directions of a node's moves below
-    _PROJECTION_RCOND times the largest: two assets across two children
-    span one direction, and the rounding residue of the second would
-    otherwise turn into holdings of order 1/eps.  What the projection of a
-    process's increments misses is the node's replication residual.
+    Increments within MASS_TOL of the asset's scale, its largest absolute
+    price, count as flat: they are the rounding residue of equal prices, and
+    a flat child must carry a point mass.  The scale is each asset's own, so
+    an asset priced far below 1 keeps its real moves.  Each asset is
+    measured in its unit (_asset_units), and the projection drops the
+    singular directions of a node's moves below _PROJECTION_RCOND times
+    the largest: two assets across two children span one direction, and
+    the rounding residue of the second would otherwise turn into holdings
+    of order 1/eps.  What the projection of a process's increments misses
+    is the node's replication residual.
     """
-    flat = MASS_TOL * (1.0 + np.abs(values).max(axis=(1, 2)))
+    flat = MASS_TOL * np.abs(values).max(axis=(1, 2))
     num, N, n = space.numbering, space.horizon, space.outcome_count
     offsets, rep = num.offsets, num.firsts % n
     # a node's pairs start where its children start in num.kids
@@ -638,15 +643,21 @@ def _one_asset_holdings(moves: np.ndarray, drops: np.ndarray) -> np.ndarray:
 
 
 def _holdings_lp(moves: np.ndarray, drops: np.ndarray) -> np.ndarray:
-    """Per node of a multi-asset group, with moves (G, d, k) and drops
-    (G, k): one LP in the d holdings h over the k children, minimising the
-    sum of drop + moves.T @ h subject to its being nonnegative.  A node
-    that the solver finds infeasible gets the h whose least entry is
-    largest instead, for the caller to judge."""
+    """Per node of a multi-asset group, with moves (G, d, k) in asset units
+    and drops (G, k): one LP in the d holdings h over the k children,
+    minimising the sum of drop + moves.T @ h subject to its being
+    nonnegative.  A cost entry within _ZERO_COST of zero is rounding noise
+    (moves that sum to zero, as a centred node's do) and is taken as zero:
+    on the thin feasible set a cost of 1e-16 stops HiGHS's dual simplex at
+    the package's tolerances with status "Not Set".  A node that the solver
+    finds infeasible gets the h whose least entry is largest instead, for
+    the caller to judge."""
     G, d, k = moves.shape
     h = np.empty((G, d))
     for i, (a, b) in enumerate(zip(moves, drops)):
-        res = _lp.solve(a.sum(axis=1), A_ub=-a.T, b_ub=b, bounds=(None, None))
+        cost = a.sum(axis=1)
+        cost[np.abs(cost) <= _ZERO_COST] = 0.0
+        res = _lp.solve(cost, A_ub=-a.T, b_ub=b, bounds=(None, None))
         if res.status == 2:
             # maximise the floor s subject to drop + moves.T @ h >= s
             res = _lp.solve(np.r_[np.zeros(d), -1.0], A_ub=np.hstack([-a.T, np.ones((k, 1))]),
@@ -991,17 +1002,22 @@ class MartingalePolytope(MeasureSet):
 
     def equality_residuals(self, mu: np.ndarray, up_to_time: int) -> list[tuple[int, int, int, float]]:
         """Evaluate the asset equalities with step <= up_to_time on a measure
-        given by per-cell masses at up_to_time: (asset, step, cell, residual)
-        in value units for each residual beyond EQ_TOL * (1 + max |S_j|), from
-        one product with the equality matrix (its units are powers of two)."""
-        spread = np.zeros(self.space.outcome_count)
-        spread[cell_reps(self.space, up_to_time)] = mu
-        num = self.space.numbering
-        E = self._equalities
-        # each row's products summed in column order, as a CSR product sums them
-        res = np.bincount(E.index, E.value * np.repeat(spread, np.diff(E.start)),
-                          minlength=E.shape[0])[:-1].reshape(len(self.assets), -1)
-        res = res[:, :num.offsets[up_to_time]] * self._unit
+        given by per-cell masses mu at up_to_time: (asset, step, cell, residual)
+        in value units for each residual beyond EQ_TOL * (1 + max |S_j|).
+        The equalities are node-local: mu summed up the tree, one bincount
+        per level, gives every cell's mass, and a node's residual is the sum
+        over its children of mass * (S_child - S_node), one bincount over
+        the cells' parents per asset."""
+        num, T = self.space.numbering, up_to_time
+        offsets, R = num.offsets, num.offsets[up_to_time]
+        mass = np.zeros(offsets[T + 1])
+        mass[R:] = mu
+        for t in range(T, 0, -1):
+            lo, hi, up = offsets[t], offsets[t + 1], offsets[t - 1]
+            mass[up:lo] = np.bincount(num.parents[lo - 1:hi - 1] - up, mass[lo:hi], lo - up)
+        up = num.parents[:offsets[T + 1] - 1]
+        res = np.array([np.bincount(up, mass[1:] * (a.cells[1:offsets[T + 1]] - a.cells[up]), R)
+                        for a in self.assets])
         j, node = np.nonzero(np.abs(res) > self._equality_tol)
         t, c = num.locate(node)
         return list(zip(j.tolist(), (t + 1).tolist(), c.tolist(), res[j, node].tolist()))

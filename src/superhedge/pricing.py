@@ -103,12 +103,19 @@ def fair_price_generated(space: FilteredSpace, mset: MeasureSet, family, f_N) ->
     unit = is_unit_claim(space, mset, C)
     if not unit.all():
         raise NotUnitClaim(f"family member {int(np.argmin(unit))} is not a unit claim")
+    return _family_price(space, mset, C, x)
 
+
+def _family_price(space: FilteredSpace, mset: MeasureSet, C: np.ndarray,
+                  x: np.ndarray) -> FairPriceResult:
+    """fair_price_generated's tail, for a family C (claims, outcomes) already
+    judged unit claims and the checked terminal claim x: the pricing LP, its
+    witness and the certified result."""
     P, bounds = mset.domination_rows(x)
     rows = _dominated(P, C.T)
     binds = (bounds > 0.0) | (rows < 0.0).any(axis=1)
     # a few dense columns: presolve reduces nothing and costs HiGHS 3-4x the solve
-    res = _lp.solve(np.ones(len(claims)), A_ub=-rows[binds], b_ub=-bounds[binds],
+    res = _lp.solve(np.ones(len(C)), A_ub=-rows[binds], b_ub=-bounds[binds],
                     bounds=(0, None), presolve=False)
     if res.status == 2:
         raise InfeasiblePricing("claim family cannot dominate the payoff "
@@ -116,7 +123,7 @@ def fair_price_generated(space: FilteredSpace, mset: MeasureSet, family, f_N) ->
     if res.status != 0:
         raise InfeasiblePricing(f"pricing LP failed (status {res.status}): {res.message}")
     return _certified(space, mset, x, float(res.x.sum()),
-                      sum(b * xi for b, xi in zip(res.x, claims)),
+                      sum(b * xi for b, xi in zip(res.x, C)),
                       sup_expectation(space, mset, x), res.x)
 
 

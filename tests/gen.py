@@ -12,6 +12,9 @@ Complete martingale polytopes are generated structurally: a single asset
 that is flat except across one branching step inside one branch, which makes
 every two-point completion measure satisfy the asset equalities.
 
+multi_asset_tree builds incomplete d-asset trees with k children per node,
+whose moves sum to zero at every node when centred.
+
 closure_vertices is a brute-force oracle: it enumerates the vertices of a
 polytope's closure over all column subsets, so it is only for the small
 instances the tests build.  cond_exp_sup_lp is another polytope oracle:
@@ -26,8 +29,8 @@ fair_price_full_lp prices a claim on a polytope by one LP over those
 functionals, and sup_expectation_exact by a backward induction in exact
 rational arithmetic; the least superhedge is checked against them.
 equality_residuals_loop evaluates a polytope's asset equalities one
-(asset, step) at a time, against which the product with its kept
-equality matrix is checked.
+(asset, step) at a time, over the outcomes below each node, against which
+the node-local sums of equality_residuals are checked.
 hedge_ratios_lstsq and martingale_representation_lstsq solve the
 representation one cell at a time by least squares, against which the
 batched projections are checked, and compensator_per_node takes a
@@ -43,6 +46,9 @@ pass over a whole family is checked.
 is_complete_loop tests each completion measure on its own, by a
 feasibility LP on a hull and by the equality residuals on a polytope,
 against which the one contains_two_point call per time is checked.
+ratio_family_hedge prices a generated superhedge through
+fair_price_generated, its family judged claim by claim, against which
+superhedge's verdicts through the assets' ratio processes are checked.
 strategy_outcomes assembles a superhedge as outcome arrays, (N+1, n) per
 process, from its price and holdings; capital_outcomes and
 self_financing_outcomes value and check a strategy the same way.  Against
@@ -346,6 +352,30 @@ def trinomial_two_asset(rng, steps):
     return space, MartingalePolytope(space, list(values))
 
 
+def multi_asset_tree(rng, d, k, steps, centred=False):
+    """Non-recombining tree with k children per node and d assets from
+    prices of 100, incomplete for k > d + 1.  Each node's relative moves are
+    rng.normal draws (k, d) minus a Dirichlet mix of themselves, or with
+    centred minus their mean, so that each node's moves sum to zero; then
+    scaled to at most 10%.  The mix's weights, or the uniform kernel, make
+    every node a martingale.  Returns (space, polytope, claim), the claim a
+    call struck at 100 on the assets' mean."""
+    n = k ** steps
+    space = build_space(n, [[tuple(range(c * k ** (steps - t), (c + 1) * k ** (steps - t)))
+                             for c in range(k ** t)] for t in range(steps + 1)])
+    values = np.full((d, steps + 1, n), 100.0)
+    for t in range(steps):
+        moves = []
+        for _ in range(k ** t):
+            z = rng.normal(size=(k, d))
+            z -= z.mean(axis=0) if centred else rng.dirichlet(np.ones(k)) @ z
+            moves.append(0.1 * z / np.abs(z).max())
+        moves = np.repeat(np.concatenate(moves).T, k ** (steps - t - 1), axis=1)
+        values[:, t + 1] = values[:, t] * (1.0 + moves)
+    claim = np.maximum(values[:, -1].mean(axis=0) - 100.0, 0.0)
+    return space, MartingalePolytope(space, list(values)), claim
+
+
 def _asset_unit(asset):
     """The power of two above the asset's largest absolute price, or 1."""
     peak = float(np.abs(asset.values).max())
@@ -473,8 +503,9 @@ def compensator_per_node(poly, drop, t, scale):
     one node at a time, with its holdings: (gamma, holdings) as an outcome row and an
     (n, d) row constant on the time-t cells.
 
-    The library's rules: moves within MASS_TOL of an asset's scale count as
-    flat.  With one asset the holdings are the end of the interval
+    The library's rules: moves within MASS_TOL of an asset's scale, its
+    largest absolute price, count as flat.  With one asset the holdings are
+    the end of the interval
     [max over up moves of -drop / move, min over down moves] with the
     least sum (the lower end when the moves sum to more than zero), none
     on a flat node, and on a node whose interval is empty the h where the
@@ -487,7 +518,7 @@ def compensator_per_node(poly, drop, t, scale):
     -EQ_TOL * scale."""
     space = poly.space
     d = len(poly.assets)
-    flat = MASS_TOL * (1.0 + np.array([np.abs(a.values).max() for a in poly.assets]))
+    flat = MASS_TOL * np.array([np.abs(a.values).max() for a in poly.assets])
     unit = np.array([_asset_unit(a) for a in poly.assets])
     tol = EQ_TOL * scale
     gamma = np.zeros(space.outcome_count)
@@ -629,7 +660,7 @@ def hedge_ratios_lstsq(poly, values, raw=False):
     values = np.asarray(values, dtype=float)
     d = len(poly.assets)
     peak = np.array([np.abs(a.values).max() for a in poly.assets])
-    flat = MASS_TOL * (1.0 + peak)
+    flat = MASS_TOL * peak
     unit = np.array([_asset_unit(a) for a in poly.assets])
     holdings = np.zeros((space.horizon, space.outcome_count, d))
     residuals = []
@@ -658,7 +689,7 @@ def one_step_sups_lp(poly, values, m):
     node's martingale kernels: one LP per node in the children's weights,
     with the library's flat moves and per-asset units."""
     space = poly.space
-    flat = MASS_TOL * (1.0 + np.array([np.abs(a.values).max() for a in poly.assets]))
+    flat = MASS_TOL * np.array([np.abs(a.values).max() for a in poly.assets])
     unit = np.array([_asset_unit(a) for a in poly.assets])
     sups = np.empty(space.n_cells(m - 1))
     for c, kids in enumerate(space.children[m - 1]):
@@ -837,12 +868,26 @@ def _outcome_prices(assets):
     return np.stack([a.values for a in assets], axis=2)                # (N+1, n, d)
 
 
+def ratio_family_hedge(space, poly, claim):
+    """The generated superhedge's price and holdings by fair_price_generated
+    over asset_ratio_family, its members judged as claims in one stacked
+    is_unit_claim call: (result, units), units (N, d) the static position
+    the weights buy, sum over i > m of beta_{j,i} / S^j_0 units of asset j
+    at step m."""
+    N, d = space.horizon, len(poly.assets)
+    family, index = asset_ratio_family(poly)
+    result = fair_price_generated(space, poly, family, claim)
+    units = np.zeros((N, d))
+    for (j, i), beta in zip(index, result.weights):
+        units[:i, j] += beta / poly.assets[j].values[0, 0]
+    return result, units
+
+
 def strategy_outcomes(space, poly, claim, price_mode):
     """(price, cash, risky, capital, compensator) of superhedge(space, poly,
     claim, price_mode) assembled on the outcomes: the price and holdings
-    from the library (superhedge_capital's, or the static position the
-    asset-ratio family's weights buy), spread to (N, n, d); then stacked
-    prices, einsum gains, their cumulative sum from the price as capital,
+    from the library (superhedge_capital's, or ratio_family_hedge's),
+    spread to (N, n, d); then stacked prices, einsum gains, their cumulative sum from the price as capital,
     capital minus holdings times prices as cash, and the compensator
     capital - claim at N."""
     num, N, n, d = space.numbering, space.horizon, space.outcome_count, len(poly.assets)
@@ -850,11 +895,7 @@ def strategy_outcomes(space, poly, claim, price_mode):
         capital, holdings, _ = poly.superhedge_capital(claim)
         price, holdings = float(capital[0]), holdings[num.ids[:N]]
     else:
-        family, index = asset_ratio_family(poly)
-        result = fair_price_generated(space, poly, family, claim)
-        units = np.zeros((N, d))
-        for (j, i), beta in zip(index, result.weights):
-            units[:i, j] += beta / poly.assets[j].values[0, 0]
+        result, units = ratio_family_hedge(space, poly, claim)
         price, holdings = result.price, np.broadcast_to(units[:, None, :], (N, n, d))
     prices = _outcome_prices(poly.assets)
     risky = np.zeros((N + 1, n, d))

@@ -1,7 +1,9 @@
 """A cold process loads numpy and HiGHS's binding, not scipy.optimize.
 
 Each test starts a fresh interpreter: the one running the suite has long
-since imported scipy.optimize.  The child prices and superhedges a
+since imported scipy.optimize.  Neither the import nor the work below loads
+scipy.sparse or numpy.ma (np.unique, for one, imports numpy.ma on its first
+call, about 7 ms of a cold process).  The child prices and superhedges a
 polytope and decomposes a hull's super-martingale, which takes the interior
 LP, the generated pricing LP and the hull's block LP, then prints its
 answers as exact hex floats.  The import alone builds no HiGHS solver.
@@ -40,7 +42,8 @@ import superhedge.cli  # noqa: F401
 import superhedge as sh
 from superhedge import _lp
 
-loaded = {name: name in sys.modules for name in ("scipy.optimize", "scipy.sparse")}
+LEFT_OUT = ("scipy.optimize", "scipy.sparse", "numpy.ma")
+loaded = {name: name in sys.modules for name in LEFT_OUT}
 # the import builds no solver: _lp makes one per thread on its first program
 solver_at_import = bool(vars(_lp._local))
 
@@ -63,7 +66,7 @@ witness = sh.local_regular_witness(space, hull, f)
 answers = {"interior": poly.interior_measure, "full": [full.price], "generated": [generated.price],
            "weights": generated.weights, "risky": strategy.risky.ravel(),
            "compensator": witness.compensator.values.ravel()}
-quiet = {name: name in sys.modules for name in ("scipy.optimize", "scipy.sparse")}
+quiet = {name: name in sys.modules for name in LEFT_OUT}
 
 # then scipy's own wrapper, loaded the way the benchmark's yardstick loads it
 from scipy.optimize import linprog
@@ -93,7 +96,8 @@ def _child(*args):
 
 def test_cold_process_skips_scipy_optimize_and_sparse(tmp_path):
     direct = _child("direct")
-    assert direct["loaded"] == direct["quiet"] == {"scipy.optimize": False, "scipy.sparse": False}
+    assert direct["loaded"] == direct["quiet"] == {"scipy.optimize": False, "scipy.sparse": False,
+                                                   "numpy.ma": False}
     assert not direct["solver_at_import"]
     assert direct["same_binding"]
     # the binding's file is not found: scipy.optimize loads it, same answers

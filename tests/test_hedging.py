@@ -217,6 +217,31 @@ def test_hedging_chain_lp_budget(lp_calls):
         assert not lp_calls
 
 
+@pytest.mark.parametrize("centred", [True, False], ids=["centred", "shifted"])
+def test_incomplete_two_asset_trees_superhedge(centred):
+    """Incomplete two-asset 5-ary trees of three steps (gen.multi_asset_tree).
+    On the centred ones each node's moves sum to zero, so the holdings LP's
+    cost is rounding noise; seed 0's stopped HiGHS with status "Not Set", a
+    SolverFailure.  Both price modes superhedge every tree: the strategy is
+    self-financing, starts at the price and dominates the claim, and the
+    full price is the exact sup (gen.sup_expectation_exact) within 1e-12
+    of scale."""
+    from gen import multi_asset_tree, sup_expectation_exact
+
+    for seed in range(3):
+        space, poly, claim = multi_asset_tree(np.random.default_rng(seed), 2, 5, 3, centred)
+        scale = 1.0 + float(claim.max())
+        for mode in ("full", "generated"):
+            strategy, _, result = superhedge(space, poly, claim, price_mode=mode)
+            capital = strategy_capital(strategy).values
+            assert capital[0, 0] == result.price
+            assert verify_self_financing(strategy).ok
+            assert (capital[-1] - claim).min() >= -EQ_TOL * scale
+            if mode == "full":
+                exact = float(sup_expectation_exact(poly, claim))
+                assert abs(result.price - exact) <= 1e-12 * scale
+
+
 class TestStrategyChecks:
     def test_zero_strategy(self, binomial):
         space, asset, poly = binomial

@@ -23,6 +23,7 @@ from superhedge import (
     NotSupermartingale,
     NotUnitClaim,
     TradingStrategy,
+    ValidationError,
     asset_ratio_family,
     build_space,
     cell_ranges,
@@ -260,7 +261,7 @@ def test_node_local_free_dimension_matches_global_rank(seed, complete, second_as
     assert len(expectation_functionals(poly)) == 1 + expected
 
     unit = np.array([_asset_unit(a) for a in poly.assets])
-    flat = MASS_TOL * (1.0 + np.array([np.abs(a.values).max() for a in poly.assets]))
+    flat = MASS_TOL * np.array([np.abs(a.values).max() for a in poly.assets])
     node_local = sum(len(cell) - 1 for cell in space.cells[-1])
     for t in range(space.horizon):
         for c, kids in enumerate(space.children[t]):
@@ -333,6 +334,7 @@ def _sup_instance(rng, kind):
 @example(seed=139596, kind="two assets")  # the oracle's rank-deficient cell LP
 @example(seed=23, kind="mixed scales")  # a kernel that breaks the smaller asset's equality
 @example(seed=25, kind="mixed wide node")  # its LP fallback in raw units
+@example(seed=25313, kind="mixed wide node")  # a real move of 2.8e-13 on the asset priced at 1e-6
 def test_node_local_sup_matches_lp_oracle(seed, kind):
     """At every time the backward induction equals one LP per cell over the
     whole closure, and each attaining measure is a certificate: spliced into
@@ -487,12 +489,13 @@ def test_lower_bound_is_a_checked_attaining_measure():
 
 def test_equality_residuals_match_the_loop():
     """The polytope's kept equality matrix equals gen.equality_system
-    entrywise, and equality_residuals, one product with it, gives the
-    per-(asset, step) loop's list exactly, floats included: on Q*'s
-    terminal masses, the spliced attained measures, every completion
-    measure of the first asset's ratio claim, and perturbed reference and
-    Dirichlet masses at every time; over polytopes of every kind and
-    seeded desk markets."""
+    entrywise, and equality_residuals, node-local sums up the tree, names
+    the per-(asset, step) loop's (asset, step, cell) list exactly, each
+    residual within the rounding of the two summation orders, 4 (n + 2)
+    eps sum |mu| max |S_j|: on Q*'s terminal masses, the spliced attained
+    measures, every completion measure of the first asset's ratio claim,
+    and perturbed reference and Dirichlet masses at every time; over
+    polytopes of every kind and seeded desk markets."""
     from gen import equality_residuals_loop, equality_system, generic_claim
 
     instances = _desk_markets(19, 3)
@@ -522,9 +525,14 @@ def test_equality_residuals_match_the_loop():
         xi0 = poly.assets[0].values[-1] / poly.assets[0].values[0, 0]
         for n in range(1, N + 1):
             cases += [(cm.atom_probabilities, n) for cm in completion_measures(space, poly, xi0, n)]
+        peak = [float(np.abs(a.values).max()) for a in poly.assets]
         for mu, t in cases:
             got = poly.equality_residuals(mu, t)
-            assert got == equality_residuals_loop(poly, mu, t)
+            want = equality_residuals_loop(poly, mu, t)
+            assert [g[:3] for g in got] == [w[:3] for w in want]
+            rounding = 4 * (space.outcome_count + 2) * np.finfo(float).eps * np.abs(mu).sum()
+            for (j, _, _, a), (_, _, _, b) in zip(got, want):
+                assert abs(a - b) <= rounding * peak[j]
             violated += bool(got)
     assert violated
 
@@ -1193,6 +1201,94 @@ def test_superhedge_matches_the_outcome_assembly():
                         == self_financing_outcomes(s))
             leaks += len(verify_self_financing(leaky).violations)
     assert leaks
+
+
+def _ratio_family_instances():
+    """(space, polytope, claim) triples for the generated superhedge's
+    family: tests/gen.py polytopes with one asset (random_market_tree with
+    flat children, complete_polytope) and two (a second asset on the tree,
+    the complete trinomial tree, a centred incomplete 4-ary tree), each as
+    built and with its assets and claim rescaled by 1e-6 and 1e6; and
+    trees whose only asset, or second asset, is the first shifted down by
+    0.9 S_0, so that it goes negative."""
+    from gen import (complete_polytope, generic_claim, multi_asset_tree, random_market_tree,
+                     trinomial_two_asset)
+
+    rng = np.random.default_rng(3101)
+    base = []
+    for _ in range(4):
+        base.append(random_market_tree(rng, max_leaves=14, branching=(2, 4), flat_prob=0.3)[::2])
+        base.append(complete_polytope(rng)[::2])
+        base.append(_sup_instance(rng, "two assets"))
+    base.append(trinomial_two_asset(rng, 2))
+    base.append(multi_asset_tree(rng, 2, 4, 2, centred=True)[:2])
+    out = []
+    for space, poly in base:
+        claim = generic_claim(rng, space)
+        for scale in (1.0, 1e-6, 1e6):
+            scaled = MartingalePolytope(space, [scale * a.values for a in poly.assets])
+            out.append((space, scaled, scale * claim))
+    for _ in range(4):
+        space, asset, poly = random_market_tree(rng, max_leaves=14, branching=(2, 4))
+        shifted = asset.values - 0.9 * asset.values[0, 0]
+        claim = generic_claim(rng, space)
+        out.append((space, MartingalePolytope(space, [shifted]), claim))
+        out.append((space, MartingalePolytope(space, [asset, shifted]), claim))
+    return out
+
+
+def test_ratio_verdicts_match_the_stacked_claim_verdicts():
+    """The generated superhedge judges the asset-ratio family through the
+    assets' ratio processes, one gaps call over the d processes: member by
+    member, its verdicts are is_unit_claim's on the family as claims.  The
+    markets with a negative asset meet both verdicts."""
+    from superhedge import hedging
+
+    seen = [0, 0]
+    for space, poly, _ in _ratio_family_instances():
+        got = hedging._ratio_verdicts(poly, hedging._asset_ratios(poly))
+        want = is_unit_claim(space, poly, np.array(asset_ratio_family(poly)[0]))
+        assert got.tolist() == want.tolist()
+        seen[0] += int(got.sum())
+        seen[1] += int((~got).sum())
+    assert all(seen), seen
+
+
+def test_generated_superhedge_matches_the_family_route():
+    """superhedge's generated mode equals pricing through
+    fair_price_generated over asset_ratio_family (gen.ratio_family_hedge)
+    bit for bit: price, weights, witness claim and bound, lower bound, and
+    the cash, holdings and decomposition of the outcome assembly
+    (gen.strategy_outcomes).  Where an asset goes negative both raise the
+    same NotUnitClaim, and a negative claim the same ValidationError, which
+    is checked first."""
+    from gen import ratio_family_hedge, strategy_outcomes
+
+    raised = 0
+    for space, poly, claim in _ratio_family_instances():
+        family = asset_ratio_family(poly)[0]
+        try:
+            want, _ = ratio_family_hedge(space, poly, claim)
+        except NotUnitClaim as error:
+            with pytest.raises(NotUnitClaim, match=f"^{re.escape(str(error))}$"):
+                superhedge(space, poly, claim, price_mode="generated")
+            with pytest.raises(ValidationError, match="^claim must be nonnegative$"):
+                fair_price_generated(space, poly, family, -1.0 - claim)
+            with pytest.raises(ValidationError, match="^claim must be nonnegative$"):
+                superhedge(space, poly, -1.0 - claim, price_mode="generated")
+            raised += 1
+            continue
+        strategy, dec, got = superhedge(space, poly, claim, price_mode="generated")
+        assert got.price == want.price and got.lower_bound == want.lower_bound
+        assert got.witness_bound == want.witness_bound
+        assert _same_bits(got.weights, want.weights)
+        assert _same_bits(got.witness_claim, want.witness_claim)
+        price, cash, risky, capital, g = strategy_outcomes(space, poly, claim, "generated")
+        assert got.price == price
+        for a, b in ((strategy.cash, cash), (strategy.risky, risky),
+                     (dec.martingale.values, capital), (dec.compensator.values, g)):
+            assert _same_bits(a, b)
+    assert raised
 
 
 def _check_rebuilt(proc):
