@@ -135,21 +135,6 @@ class Columns(NamedTuple):
         return D
 
 
-def _columns(A) -> Columns:
-    """A dense, Columns or scipy sparse matrix as Columns.  A sparse one is
-    taken through its own tocsc and sum_duplicates, as it is when it is
-    already canonical CSC, and keeps any zeros it stores."""
-    if isinstance(A, Columns):
-        return A
-    if hasattr(A, "tocsc"):
-        A = A.tocsc()
-        if not A.has_canonical_format:
-            A = A.copy()
-            A.sum_duplicates()
-        return Columns(A.indptr, A.indices, A.data, A.shape)
-    return Columns.from_dense(A)
-
-
 def _stacked(blocks: list[Columns]) -> Columns:
     """The blocks one above the other, each column's entries block by block."""
     if len(blocks) == 1:
@@ -171,10 +156,8 @@ def solve(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=(0, None),
           presolve=True) -> LPResult:
     """Minimize c @ x subject to A_ub @ x <= b_ub, A_eq @ x == b_eq and
     lb <= x <= ub, for bounds = (lb, ub); each of lb and ub is a scalar,
-    None for no bound, or one entry per variable.  A_ub and A_eq may be
-    dense, Columns, or scipy sparse matrices or arrays, which are read
-    through their own methods (_columns) without importing scipy.sparse.
-    presolve=False runs HiGHS without its presolve, as
+    None for no bound, or one entry per variable.  A_ub and A_eq are dense
+    or Columns.  presolve=False runs HiGHS without its presolve, as
     ``linprog(..., options={"presolve": False})`` does: where the optimum
     is not unique the point may differ from the presolved one.  The
     program runs on this thread's one solver, cleared first (_solver), so
@@ -186,8 +169,7 @@ def solve(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=(0, None),
               for v, none in zip(bounds, (-np.inf, np.inf)))
     b_ub, b_eq = (np.empty(0) if b is None else np.asarray(b, dtype=float).reshape(-1)
                   for b in (b_ub, b_eq))
-    blocks = [np.empty((0, n)) if A is None
-              else A if isinstance(A, Columns) or hasattr(A, "tocsc")
+    blocks = [np.empty((0, n)) if A is None else A if isinstance(A, Columns)
               else np.asarray(A, dtype=float) for A in (A_ub, A_eq)]
     if [B.shape for B in blocks] != [(len(b_ub), n), (len(b_eq), n)]:
         raise ValueError("LP shapes disagree: constraint matrices "
@@ -195,8 +177,9 @@ def solve(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=(0, None),
                          f"{len(b_ub)} and {len(b_eq)}, {n} costs")
     # the stacked rows in canonical column-wise form; a lone block already
     # in that form is read as it is
-    start, index, value, _ = _stacked(
-        [_columns(B) for B in blocks if B.shape[0]] or [_columns(blocks[0])])
+    present = [B for B in blocks if B.shape[0]] or blocks[:1]
+    start, index, value, _ = _stacked([B if isinstance(B, Columns) else Columns.from_dense(B)
+                                       for B in present])
     rhs = np.concatenate([b_ub, b_eq])
     if not all(np.isfinite(v).all() for v in (c, value, rhs)):
         raise ValueError("LP data must not contain inf or nan")
@@ -284,7 +267,8 @@ def feasible_point(A_eq, b_eq, n_vars):
 def _row_space_system(A_eq, b_eq):
     """(V, y) with orthonormal rows V and {V x = y} = {A_eq x = b_eq}, or None
     when b_eq leaves the column space of A_eq by more than FEAS_TOL.  A
-    sparse A_eq is made dense: only small infeasible systems get here."""
+    Columns A_eq, a hull's compensator block, is made dense: only small
+    infeasible systems get here."""
     A = A_eq.toarray() if hasattr(A_eq, "toarray") else np.asarray(A_eq, dtype=float)
     b = np.asarray(b_eq, dtype=float)
     U, s, Vt = np.linalg.svd(A, full_matrices=False)

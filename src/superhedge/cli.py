@@ -17,7 +17,7 @@ from .decomposition import local_regular_witness, optional_decomposition_complet
 from .errors import MathError, SuperhedgeError, ValidationError
 from .hedging import (
     TradingStrategy,
-    asset_ratio_family,
+    _asset_ratio_price,
     strategy_capital,
     superhedge,
     verify_self_financing,
@@ -195,8 +195,7 @@ def cmd_price(args, out) -> int:
     if args.mode == "full":
         result = fair_price_full(space, mset, payoff)
     elif args.mode == "generated":
-        family = _generated_family(model, args)
-        result = fair_price_generated(space, mset, family, payoff)
+        result = _generated_price(model, args, payoff)
     else:
         s0 = float(asset.values[0, 0])
         d2 = args.d2 if args.d2 is not None else float(asset.values[-1].max())
@@ -211,8 +210,7 @@ def cmd_price(args, out) -> int:
         else:
             closed = euro_put_price(d1, args.strike)
             out.write(f"closed-form (band worst case, D1={fmt(d1)}): {fmt(closed)}\n")
-        family, _ = asset_ratio_family(mset)
-        result = fair_price_generated(space, mset, family, payoff)
+        result = _asset_ratio_price(space, mset, payoff)
         out.write(f"tree LP price (asset family): {fmt(result.price)}\n")
         out.write(f"lower bound sup E f_N: {fmt(result.lower_bound)}\n")
         return EXIT_OK
@@ -227,17 +225,18 @@ def cmd_price(args, out) -> int:
     return EXIT_OK
 
 
-def _generated_family(model, args):
+def _generated_price(model, args, payoff):
+    """The generated price over the --family claims, or the asset ratios."""
+    space, mset = model.space, model.measure_set
     if args.family:
         names = [s.strip() for s in args.family.split(",")]
         missing = [n for n in names if n not in model.claims]
         if missing:
             raise ValidationError(f"family claims not declared: {missing}")
-        return [model.claims[n] for n in names]
+        return fair_price_generated(space, mset, [model.claims[n] for n in names], payoff)
     if not model.is_polytope:
         raise ValidationError("generated mode needs --family for generator-hull markets")
-    family, _ = asset_ratio_family(model.measure_set)
-    return family
+    return _asset_ratio_price(space, mset, payoff)
 
 
 def cmd_hedge(args, out) -> int:

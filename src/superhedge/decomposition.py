@@ -12,7 +12,7 @@ one child and one block-diagonal LP for the other cells of every step, one
 pass over the nodes on a martingale polytope.  The constructive route
 applies to complete measure families: each step's ratio f_n / f_{n-1} is
 normalized by its largest expectation over the family, every step's from
-one ess_sup_rows call on the stack of ratios, and dominated by a step claim
+one ess_sup_cells call on the stack of ratios, and dominated by a step claim
 1 + alpha_n d_n built from a unit-claim increment, from which the
 martingale and compensator follow in closed form.
 
@@ -79,7 +79,7 @@ def validate_decomposition(space: FilteredSpace, mset: MeasureSet, f,
     mart_ok = bool(is_martingale(space, mset, dec.martingale))
     ok = (
         reconstruction <= EQ_TOL * scale
-        and g0 <= EQ_TOL
+        and g0 <= EQ_TOL * scale
         and min_step >= -EQ_TOL * scale
         and mart_ok
     )
@@ -115,10 +115,11 @@ def local_regular_witness(space: FilteredSpace, mset: MeasureSet, f) -> Decompos
     their running sum and the martingale f + g.  A step with no such
     increment proves no decomposition exists and raises Infeasible.
     """
-    proc = _as_process(space, f)
+    proc, num = _as_process(space, f), space.numbering
     _require_supermartingale(space, mset, proc)
     scale = 1.0 + float(np.abs(proc.cells).max())
-    g = path_sums(space, mset.compensator(proc.values[:-1] - proc.values[1:], scale))
+    drops = proc.cells[num.parents] - proc.cells[num.offsets[1]:]
+    g = path_sums(space, mset.compensator(drops, scale))
     dec = Decomposition(martingale=AdaptedProcess.on_cells(space, proc.cells + g),
                         compensator=AdaptedProcess.on_cells(space, g))
     return _validated(space, mset, proc, dec)
@@ -183,7 +184,7 @@ def optional_decomposition_complete(
     """Constructive decomposition for a complete measure family.
 
     The process is shifted to be >= 1, each step ratio is normalized by its
-    largest expectation over the family, every step's from one ess_sup_rows
+    largest expectation over the family, every step's from one ess_sup_cells
     call on the stack of ratios, and dominated by the step claim
     1 + alpha_n d_n, and the martingale accumulates f_{n-1} (claim_n - 1)
     increments.  Incompleteness surfaces as IncompletenessDetected from the
@@ -198,7 +199,7 @@ def optional_decomposition_complete(
     shift = max(0.0, -float(proc.cells.min())) + 1.0
     shifted = proc.cells + shift
     ratios = shifted[offsets[1]:] / shifted[parents]
-    sup_exps = mset.ess_sup_rows(ratios[num.ids[1:] - offsets[1]])[:, 0, 0]
+    sup_exps = mset.ess_sup_cells(ratios[num.ids[1:] - offsets[1]])[:, 0]
 
     claims, step_g = np.empty_like(ratios), np.empty_like(ratios)
     tol = EQ_TOL * (1.0 + abs(shift) + float(np.abs(proc.cells).max()))

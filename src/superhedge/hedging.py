@@ -5,16 +5,17 @@ ahead; rebalancing moves no money in or out.  The superhedge of a terminal
 claim takes its holdings straight from its price: in full search the least
 superhedge's compensator holdings (MartingalePolytope.superhedge_capital),
 over the asset-ratio family the static position the pricing weights buy.
-That family is judged through the assets' ratio processes S^j / S^j_0,
-one gaps call for all of them (_ratio_verdicts), not claim by claim: every
-member of the polytope makes S^j a martingale, so the conditional means of
-S^j_i / S^j_0 are the ratio process stopped at i, whose node residuals are
-the ones is_unit_claim would form on the claim.  Its capital is the price
-plus the gains of those holdings, and the cash leg is capital minus
-holdings times prices, all on the cells of the tree, so the strategy and
-its decomposition are adapted and predictable by construction.  martingale_representation recovers
-holdings for a martingale brought from elsewhere (one batched projection
-of every node's increments, through the polytope's hedge_ratios).
+That family is judged through the assets' ratio processes S^j / S^j_0 on
+the cells, one gaps call for all of them (_asset_ratio_price, which the
+command line prices with too), not claim by claim: every member of the
+polytope makes S^j a martingale, so the conditional means of S^j_i / S^j_0
+are the ratio process stopped at i, whose node residuals are the ones
+is_unit_claim would form on the claim.  The capital is the price plus the
+gains of the holdings, and the cash leg is capital minus holdings times
+prices, all on the cells of the tree, so the strategy and its decomposition
+are adapted and predictable by construction.  martingale_representation
+recovers holdings for a martingale brought from elsewhere (one batched
+projection of every node's increments, hedge_ratios on its cells).
 """
 
 from __future__ import annotations
@@ -28,9 +29,9 @@ from .errors import NotMartingale, NotUnitClaim, ValidationError
 from .measures import MartingalePolytope, _claim_vector
 from .pricing import FairPriceResult, _certified, _check_terminal_claim, _family_price
 from .processes import is_martingale
-from .spaces import (AdaptedProcess, FilteredSpace, PredictableProcess, TradingStrategy, at_cells,
-                     cell_reps, path_sums)
-from .tolerances import EQ_TOL, scaled_tol
+from .spaces import (AdaptedProcess, FilteredSpace, PredictableProcess, TradingStrategy, cell_reps,
+                     path_sums)
+from .tolerances import EQ_TOL
 
 
 @dataclass(frozen=True)
@@ -70,8 +71,7 @@ def martingale_representation(
             f"process is not a martingale for the polytope at time {v.time}, cell {v.cell}",
             report=report,
         )
-    holdings = mset.hedge_ratios(mprocess.values)[0]
-    return PredictableProcess.on_cells(space, at_cells(space, holdings))
+    return PredictableProcess.on_cells(space, mset.hedge_ratios(mprocess.cells)[0])
 
 
 def _cell_prices(assets) -> np.ndarray:
@@ -107,40 +107,55 @@ def verify_self_financing(strategy: TradingStrategy) -> SelfFinancingReport:
 
 def asset_ratio_family(mset: MartingalePolytope):
     """Unit claims S^j_i / S^j_0 for every asset j and time i, with their index."""
-    ratios = _asset_ratios(mset)
+    ratios = _asset_ratios(mset)[:, mset.space.numbering.ids]
     return list(ratios.reshape(-1, ratios.shape[-1])), list(np.ndindex(ratios.shape[:2]))
 
 
 def _asset_ratios(mset: MartingalePolytope) -> np.ndarray:
-    """The ratio processes S^j / S^j_0 of the assets as outcome rows, shape
-    (d, N+1, n); member j (N+1) + i of asset_ratio_family is row [j, i]."""
+    """The ratio processes S^j / S^j_0 of the assets on the cells of times
+    0..N (space.numbering), shape (d, cells); member j (N+1) + i of
+    asset_ratio_family is process j on the time-i cells."""
     for j, asset in enumerate(mset.assets):
         if asset.cells[0] == 0.0:
             raise ValidationError(f"asset {mset.asset_names[j]} starts at 0: it has no ratio "
                                   "claims S_i / S_0")
-    values = np.array([asset.values for asset in mset.assets])
-    return values / values[:, :1, :1]
+    cells = np.array([asset.cells for asset in mset.assets])
+    return cells / cells[:, :1]
 
 
 def _ratio_verdicts(mset: MartingalePolytope, ratios: np.ndarray) -> np.ndarray:
     """is_unit_claim of every member of the asset-ratio family, from the
-    ratio processes ratios (d, N+1, n), one verdict per member, shape
-    (d (N+1),).
+    ratio processes ratios (d, cells) (_asset_ratios), one verdict per
+    member, shape (d (N+1),).
 
     Every member of the polytope makes S^j a martingale, so the conditional
     mean of S^j_i / S^j_0 given F_t is the ratio process stopped at i, and
     its expectation is 1 exactly when that process is a martingale up to i.
     One gaps call judges the d processes on every node (the node residual,
-    _fit's path), and member (j, i) is a unit claim when it is at least
-    -EQ_TOL and asset j's largest residual over the nodes of times < i is
-    within scaled_tol of the member."""
-    d, N = ratios.shape[0], ratios.shape[1] - 1
-    offsets = mset.space.numbering.offsets
+    _fit's path), and member (j, i) is a unit claim when its least value
+    on the time-i cells is at least -EQ_TOL and asset j's largest residual
+    over the nodes of times < i is within scaled_tol of the member."""
+    d, N, offsets = len(ratios), mset.space.horizon, mset.space.numbering.offsets
     miss = mset.gaps(ratios, equality=True)[1][0]                   # (d, offsets[N])
     reach = np.zeros((d, N + 1))
     reach[:, 1:] = np.maximum.accumulate(np.maximum.reduceat(miss, offsets[:N], axis=1), axis=1)
-    C = ratios.reshape(d * (N + 1), -1)
-    return (C.min(axis=1) >= -EQ_TOL) & (reach.ravel() <= scaled_tol(C))
+    least = np.minimum.reduceat(ratios, offsets[:-1], axis=1)
+    peak = np.maximum.reduceat(np.abs(ratios), offsets[:-1], axis=1)
+    return ((least >= -EQ_TOL) & (reach <= EQ_TOL * (1.0 + peak))).ravel()
+
+
+def _asset_ratio_price(space: FilteredSpace, mset: MartingalePolytope, f_N) -> FairPriceResult:
+    """fair_price_generated over asset_ratio_family(mset), with the same
+    checks, in the same order, and the same errors, the family judged by
+    _ratio_verdicts and spread over the outcomes only for the pricing LP."""
+    ratios = _asset_ratios(mset)
+    x = _check_terminal_claim(space, f_N)
+    C = _claim_vector(space, ratios[:, space.numbering.ids].reshape(-1, space.outcome_count),
+                      stack=True)
+    unit = _ratio_verdicts(mset, ratios)
+    if not unit.all():
+        raise NotUnitClaim(f"family member {int(np.argmin(unit))} is not a unit claim")
+    return _family_price(space, mset, C, x)
 
 
 def superhedge(
@@ -157,10 +172,10 @@ def superhedge(
     compensator's.  "generated" is fair_price_generated over the
     asset-ratio family S^j_i / S^j_0, with the same checks, in the same
     order, and the same errors, but the family judged through the ratio
-    processes (_ratio_verdicts): under every member the conditional means
-    of S^j_i / S^j_0 are S^j stopped at i over S^j_0, so those processes
-    carry is_unit_claim's residuals without spreading each claim over the
-    tree.  Its witness sum beta_{j,i} S^j_i / S^j_0
+    processes on the cells (_asset_ratio_price): under every member the
+    conditional means of S^j_i / S^j_0 are S^j stopped at i over S^j_0, so
+    those processes carry is_unit_claim's residuals without spreading each
+    claim over the tree.  Its witness sum beta_{j,i} S^j_i / S^j_0
     is a static hedge: at step m it holds sum over i >= m of
     beta_{j,i} / S^j_0 units of asset j.  Either way the strategy starts at
     the fair price, its capital is the price plus the gains of the
@@ -179,13 +194,7 @@ def superhedge(
         M, holdings, q_star = mset.superhedge_capital(x)
         result = _certified(space, mset, x, float(M[0]), M[num.ids[N]], float(q_star @ x))
     elif price_mode == "generated":
-        ratios = _asset_ratios(mset)
-        x = _check_terminal_claim(space, f_N)
-        C = _claim_vector(space, ratios.reshape(d * (N + 1), -1), stack=True)
-        unit = _ratio_verdicts(mset, ratios)
-        if not unit.all():
-            raise NotUnitClaim(f"family member {int(np.argmin(unit))} is not a unit claim")
-        result = _family_price(space, mset, C, x)
+        result = _asset_ratio_price(space, mset, f_N)
         units = np.zeros((N, d))
         for (j, i), beta in zip(np.ndindex(d, N + 1), result.weights):
             units[:i, j] += beta / mset.assets[j].cells[0]

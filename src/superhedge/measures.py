@@ -2,13 +2,15 @@
 
 Every family implements one contract, MeasureSet, and no other module tells
 the families apart.  The contract has eight methods: reference,
-dominating_claim, domination_rows, cond_exp_sup, ess_sup_rows, gaps,
-contains_two_point and compensator.  Each family serves its sups from one
-private routine; the largest expectation over the family is row 0 of
-ess_sup_rows, which takes a stack of claims in one call.  Every
-super-martingale, martingale and unit-claim verdict is one gaps call over a
-whole process, and a family of unit claims one gaps call over the stack of
-their processes.  Two concrete families are supported:
+dominating_claim, domination_rows, cond_exp_sup, ess_sup_cells, gaps,
+contains_two_point and compensator.  It speaks cells: a process goes in and
+comes out as one value per cell of space.numbering, and only a terminal
+claim, which need not be F_N-measurable, is an outcome vector.  Each family
+serves its sups from one private routine; the largest expectation over the
+family is entry 0 of ess_sup_cells, which takes a stack of claims in one
+call.  Every super-martingale, martingale and unit-claim verdict is one gaps
+call over a whole process, and a family of unit claims one gaps call over
+the stack of their processes.  Two concrete families are supported:
 
 * GeneratorHull -- the convex hull of finitely many strictly positive
   measures.  Conditional expectations under any hull member are positively
@@ -225,24 +227,26 @@ class MeasureSet:
         per cell what attains it (EssSupRow)."""
         raise NotImplementedError
 
-    def ess_sup_rows(self, x) -> np.ndarray:
-        """The rows cond_exp_sup(x, t).values for t = 0..N, shape (N+1, n),
-        with nothing attaining them built; row 0 is the largest expectation.
-        A stack of claims x, shape (k, n), gives every claim's rows in one
-        call, shape (k, N+1, n), row i equal to ess_sup_rows(x[i])."""
+    def ess_sup_cells(self, x) -> np.ndarray:
+        """The sups of cond_exp_sup(x, t) on every cell of times 0..N
+        (space.numbering), shape (cells,), with nothing attaining them
+        built; entry 0 is the largest expectation.  A stack of claims x,
+        shape (k, n), gives every claim's sups in one call, shape (k,
+        cells), row i equal to ess_sup_cells(x[i])."""
         raise NotImplementedError
 
-    def gaps(self, rows, equality: bool) -> tuple[tuple[str, ...], np.ndarray]:
-        """Labels, and per label and cell of times s = 0..T-1 (numbered as in
-        space.numbering) the gap comparing E^P(rows[s+1] | F_s) with rows[s],
-        for rows (T+1, n), 1 <= T <= N+1: row s is F_s-measurable for s < T,
-        the last row any claim.  Without equality the last row is
-        F_T-measurable too, and a gap is the largest excess of
-        E^P(rows[s+1] | F_s) over rows[s]; with equality a nonnegative
-        residual that vanishes iff E^P(rows[s+1] | F_s) = rows[s] under every
-        member measure.  The gaps have shape (labels, cells).  A stack of
-        such processes, rows (k, T+1, n), is judged in the same one call,
-        gaps (labels, k, cells), entry [:, i] that of rows[i]."""
+    def gaps(self, cells, equality: bool, claim=None) -> tuple[tuple[str, ...], np.ndarray]:
+        """Labels, and per label and cell of times s = 0..T-1 (space.numbering)
+        the gap comparing E^P(f_{s+1} | F_s) with f_s, for f the process on
+        the cells of times 0..T' given by cells (offsets[T'+1],), then the
+        claim (n,), which need not be measurable, if any: T = T', or T' + 1
+        with a claim, 1 <= T <= N+1.  Without equality there is no claim,
+        and a gap is the largest excess of E^P(f_{s+1} | F_s) over f_s; with
+        equality a nonnegative residual that vanishes iff E^P(f_{s+1} | F_s)
+        = f_s under every member.  The gaps have shape (labels, offsets[T]).
+        A stack, cells (k, offsets[T'+1]) and claims (k, n), is judged in
+        the same one call, gaps (labels, k, offsets[T]), entry [:, i] that
+        of process i."""
         raise NotImplementedError
 
     def contains_two_point(self, t: int, i, j, mass_i) -> np.ndarray:
@@ -252,8 +256,8 @@ class MeasureSet:
 
     def compensator(self, drops, scale: float) -> np.ndarray:
         """An optional decomposition's compensator steps on the cells of
-        times 1..N (space.numbering from offsets[1]), from a process's drops,
-        shape (N, n) with row t holding f_t - f_{t+1}: on the time-(t+1)
+        times 1..N (space.numbering from offsets[1]), from a process's drops
+        on the same cells, f(parent) - f(cell): on the time-(t+1)
         cells a nonnegative gamma with E^P(gamma | F_t) = E^P(drop | F_t)
         under every member P.  Of these, the one with the least sum over
         each time-t cell's children (a one-generator hull
@@ -261,8 +265,7 @@ class MeasureSet:
         process's 1 + max |f|.  A polytope judges every node in value units,
         and a hull every cell with one child (each cell, with one
         generator): entries down to -EQ_TOL * scale count as nonnegative,
-        the tolerance of the super-martingale test, and a hull's generators
-        must agree on the mean within EQ_TOL * scale.  The LP solver's
+        the tolerance of the super-martingale test.  The LP solver's
         tolerances judge a hull's other cells, every step's in one
         block-diagonal LP.  Raises Infeasible(time=t+1, cell) for the lowest
         time t, then its lowest cell, with no such gamma.  A polytope takes
@@ -325,11 +328,10 @@ class GeneratorHull(MeasureSet):
         return EssSupRow(values=means.max(axis=0)[self.space.atom_index[t]],
                          attained=tuple(means.argmax(axis=0).tolist()))
 
-    def ess_sup_rows(self, x):
+    def ess_sup_cells(self, x):
         # a hull is not m-stable, so every time takes its own generator maxima
         x = np.asarray(x, dtype=float)
-        means = self._generator_means(x[..., None, :], 0, self.space.horizon + 1)
-        return means.max(axis=0)[..., self.space.numbering.ids]
+        return self._generator_means(x[..., None, :], 0, self.space.horizon + 1).max(axis=0)
 
     def _generator_means(self, x, first: int, last: int) -> np.ndarray:
         """Every generator's E(x_t | F_t) on each cell of times t =
@@ -347,13 +349,16 @@ class GeneratorHull(MeasureSet):
         masses = self._masses[:, offsets[first]:offsets[last]]
         return sums.reshape(self.k, *stack, -1) / masses.reshape(self.k, *[1] * len(stack), -1)
 
-    def gaps(self, rows, equality):
-        # every generator's means of all rows but the first decide at once,
+    def gaps(self, cells, equality, claim=None):
+        # the process spread over the outcomes of times 1..T', then the
+        # claim: every generator's means of all those rows decide at once,
         # for every process of a stack
-        rows = np.asarray(rows, dtype=float)
-        num, T = self.space.numbering, rows.shape[-2] - 1
-        bases = rows[..., :-1, :].reshape(*rows.shape[:-2], -1)[..., num.firsts[:num.offsets[T]]]
-        gaps = self._generator_means(rows[..., 1:, :], 0, T) - bases
+        cells, num = np.asarray(cells, dtype=float), self.space.numbering
+        rows = cells[..., num.ids[1:np.searchsorted(num.offsets, cells.shape[-1])]]
+        if claim is not None:
+            rows = np.concatenate([rows, np.asarray(claim, dtype=float)[..., None, :]], axis=-2)
+        T = rows.shape[-2]
+        gaps = self._generator_means(rows, 0, T) - cells[..., :num.offsets[T]]
         return tuple(f"generator {i}" for i in range(self.k)), np.abs(gaps) if equality else gaps
 
     def contains_two_point(self, t, i, j, mass_i):
@@ -367,18 +372,19 @@ class GeneratorHull(MeasureSet):
     def compensator(self, drops, scale):
         # per time-t cell each generator's sum of the drop and its mean.  A
         # cell with one child (every cell, with one generator) takes the
-        # mean, on which the generators must agree.  The other cells of every
+        # mean, on which the generators agree.  The other cells of every
         # step share one block-diagonal LP, a block per cell with one
         # equality per generator over its children's masses; its least sum
         # separates into each cell's least sum.  An infeasible LP is solved
         # again cell by cell, to name the first failing cell
         N, k, tol, num = self.space.horizon, self.k, EQ_TOL * scale, self.space.numbering
         offsets = num.offsets
-        sums = cell_sums(self.space, self._matrix[:, None] * np.asarray(drops, dtype=float), 0)
+        drops = np.asarray(drops, dtype=float)[num.ids[1:] - offsets[1]]    # row t: step t + 1
+        sums = cell_sums(self.space, self._matrix[:, None] * drops, 0)
         means = sums / self._masses[:, :offsets[N]]
         lo, hi = means.min(axis=0), means.max(axis=0)
         forced = (np.bincount(num.parents, minlength=offsets[N]) == 1) | (k == 1)
-        bad = np.flatnonzero(forced & ((hi - lo > tol) | (lo < -tol)))[:1].tolist()
+        bad = np.flatnonzero(forced & (lo < -tol))[:1].tolist()
         gamma = np.maximum(0.5 * (lo + hi), 0.0)[num.parents]
         multi = np.flatnonzero(~forced)
         if multi.size:
@@ -427,11 +433,11 @@ _PROJECTION_RCOND = float(np.sqrt(np.finfo(float).eps))
 _ZERO_COST = 1e-12
 
 
-def _asset_units(values: np.ndarray) -> np.ndarray:
-    """Per asset of the stacked prices values (d, N+1, n), the power of two
+def _asset_units(cells: np.ndarray) -> np.ndarray:
+    """Per asset of the stacked prices cells (d, cells), the power of two
     above its largest absolute price, or 1, shape (d, 1); a price of
     2**1023 or more has none (ValidationError)."""
-    exponents = np.frexp(np.abs(values).max(axis=(1, 2)))[1]
+    exponents = np.frexp(np.abs(cells).max(axis=1))[1]
     if exponents.max() > np.finfo(float).maxexp - 1:
         raise ValidationError("asset prices must stay below 2**1023 in absolute value")
     return np.ldexp(1.0, exponents)[:, None]
@@ -472,14 +478,13 @@ class _PairTable:
     starts: np.ndarray               # (cells + 1,) first pair of each node, then P
     parent: np.ndarray               # (P,) node id of each pair
     child: np.ndarray                # (P,) the child's cell id; an outcome w is cells + w
-    step_index: np.ndarray           # (P,) the node's time times n plus the child's first outcome
     moves: np.ndarray                # (d, P)
     projection: np.ndarray           # (d, P)
 
 
-def _node_table(space: FilteredSpace, values: np.ndarray, unit: np.ndarray):
+def _node_table(space: FilteredSpace, cells: np.ndarray, unit: np.ndarray):
     """Per time t < N, the time-t cells grouped by child count; and the
-    flat table of all (node, child) pairs, for asset prices values (d, N+1, n).
+    flat table of all (node, child) pairs, for asset prices cells (d, cells).
 
     Increments within MASS_TOL of the asset's scale, its largest absolute
     price, count as flat: they are the rounding residue of equal prices, and
@@ -492,13 +497,13 @@ def _node_table(space: FilteredSpace, values: np.ndarray, unit: np.ndarray):
     of order 1/eps.  What the projection of a process's increments misses
     is the node's replication residual.
     """
-    flat = MASS_TOL * np.abs(values).max(axis=(1, 2))
+    flat = MASS_TOL * np.abs(cells).max(axis=1)
     num, N, n = space.numbering, space.horizon, space.outcome_count
-    offsets, rep = num.offsets, num.firsts % n
+    offsets = num.offsets
     # a node's pairs start where its children start in num.kids
     counts = np.r_[np.bincount(num.parents), np.bincount(space.atom_index[N])]
     starts = np.r_[0, np.cumsum(counts)]
-    pair_moves = np.zeros((len(values), starts[-1]))
+    pair_moves = np.zeros((len(cells), starts[-1]))
     projection = np.zeros_like(pair_moves)
     table = []
     for t in range(N):
@@ -509,8 +514,7 @@ def _node_table(space: FilteredSpace, values: np.ndarray, unit: np.ndarray):
             nodes = level[counts[level] == k]
             pairs = starts[nodes][:, None] + np.arange(k)
             kids = num.kids[pairs]
-            moves = values[:, t + 1, rep[kids]] - values[:, t, rep[nodes], None]
-            moves = moves.transpose(1, 0, 2)
+            moves = (cells[:, kids] - cells[:, nodes, None]).transpose(1, 0, 2)
             moves[np.abs(moves) <= flat[:, None]] = 0.0
             scaled = moves / unit
             pair_moves[:, pairs] = moves.transpose(1, 0, 2)
@@ -523,8 +527,7 @@ def _node_table(space: FilteredSpace, values: np.ndarray, unit: np.ndarray):
         table.append(tuple(groups))
     terminal = num.order[N * n:]
     pairs = _PairTable(starts, np.repeat(np.arange(offsets[-1]), counts),
-                       np.r_[num.kids, offsets[-1] + terminal - N * n],
-                       np.r_[num.firsts[num.kids] - n, terminal], pair_moves, projection)
+                       np.r_[num.kids, offsets[-1] + terminal - N * n], pair_moves, projection)
     return tuple(table), pairs
 
 
@@ -668,22 +671,23 @@ def _holdings_lp(moves: np.ndarray, drops: np.ndarray) -> np.ndarray:
     return h
 
 
-def _equality_matrix(space: FilteredSpace, values: np.ndarray, unit: np.ndarray) -> _lp.Columns:
+def _equality_matrix(space: FilteredSpace, cells: np.ndarray, unit: np.ndarray) -> _lp.Columns:
     """The closure's equalities as one column-wise matrix: a homogeneous row
     per (asset j, step t, time-(t-1) cell c), row j R + offsets[t-1] + c for
     the R nodes of times 0..N-1 (space.numbering), holding the
-    asset's increments over the cell's outcomes in its unit (_asset_units);
+    asset's increments over the cell's outcomes, for asset prices cells (d,
+    cells), in its unit (_asset_units);
     then the total-mass row.  Exact zeros are not stored.  Each outcome's
     column lists its rows by asset, then step, which is ascending."""
     n, num = space.outcome_count, space.numbering
     R = int(num.offsets[-2])
-    rows = np.r_[(num.ids[:-1] + R * np.arange(len(values))[:, None, None]).reshape(-1, n),
-                 np.full((1, n), R * len(values))].T.ravel()
-    data = np.r_[(np.diff(values, axis=1) / unit[..., None]).reshape(-1, n),
+    rows = np.r_[(num.ids[:-1] + R * np.arange(len(cells))[:, None, None]).reshape(-1, n),
+                 np.full((1, n), R * len(cells))].T.ravel()
+    data = np.r_[(np.diff(cells[:, num.ids], axis=1) / unit[..., None]).reshape(-1, n),
                  np.ones((1, n))].T.ravel()
     keep = data != 0.0
     start = np.r_[0, np.cumsum(keep.reshape(n, -1).sum(axis=1))]
-    return _lp.Columns(start, rows[keep], data[keep], (R * len(values) + 1, n))
+    return _lp.Columns(start, rows[keep], data[keep], (R * len(cells) + 1, n))
 
 
 class MartingalePolytope(MeasureSet):
@@ -708,15 +712,15 @@ class MartingalePolytope(MeasureSet):
             names if names is not None else (f"asset{i}" for i in range(len(procs)))
         )
 
-        self._values = values = np.array([p.values for p in procs])     # (d, N+1, n)
-        self._unit = _asset_units(values)
-        self._equalities = _equality_matrix(space, values, self._unit)
-        self._equality_tol = EQ_TOL * (1.0 + np.abs(values).max(axis=(1, 2)))[:, None]
+        cells = np.array([p.cells for p in procs])                      # (d, cells)
+        self._unit = _asset_units(cells)
+        self._equalities = _equality_matrix(space, cells, self._unit)
+        self._equality_tol = EQ_TOL * (1.0 + np.abs(cells).max(axis=1))[:, None]
         self._interior = self._solve_interior(self._equalities)
         # the interior member's mass on every cell of times 0..N (space.numbering)
         shape = (1, space.horizon + 1, space.outcome_count)
         self._interior_mass = cell_sums(space, np.broadcast_to(self._interior, shape), 0)[0]
-        self._nodes, self._pairs = _node_table(space, values, self._unit)
+        self._nodes, self._pairs = _node_table(space, cells, self._unit)
 
     def _solve_interior(self, A: _lp.Columns) -> np.ndarray:
         n = self.space.outcome_count
@@ -761,10 +765,9 @@ class MartingalePolytope(MeasureSet):
         attained = tuple(np.split(self._attaining(x, picks)[0][order], starts[1:]))
         return EssSupRow(values=sups[0, self.space.atom_index[t]], attained=attained)
 
-    def ess_sup_rows(self, x):
+    def ess_sup_cells(self, x):
         x = np.asarray(x, dtype=float)
-        sups = self._induction(x.reshape(-1, x.shape[-1]), 0)[0]
-        return sups[:, self.space.numbering.ids].reshape(x.shape[:-1] + self.space.atom_index.shape)
+        return self._induction(x.reshape(-1, x.shape[-1]), 0)[0].reshape(*x.shape[:-1], -1)
 
     def _induction(self, x: np.ndarray, t: int):
         """For a stack of claims x (k, n): the per-cell sups of E^Q{x[i] |
@@ -807,60 +810,63 @@ class MartingalePolytope(MeasureSet):
             weights *= kernel[space.atom_index[s + 1]]
         return weights, tops
 
-    def gaps(self, rows, equality):
-        rows = np.asarray(rows, dtype=float)
-        stack, (T, n) = rows.shape[:-2], (rows.shape[-2] - 1, rows.shape[-1])
-        rows = rows.reshape(-1, T + 1, n)
-        N, num, pairs = self.space.horizon, self.space.numbering, self._pairs
-        offsets, k = num.offsets, len(rows)
+    def gaps(self, cells, equality, claim=None):
+        cells = np.asarray(cells, dtype=float)
+        stack, cells = cells.shape[:-1], cells.reshape(-1, cells.shape[-1])
+        space, num, pairs = self.space, self.space.numbering, self._pairs
+        N, n, offsets, k = space.horizon, space.outcome_count, num.offsets, len(cells)
+        T = int(np.searchsorted(offsets, cells.shape[1])) - 1      # the process's last time
         if not equality:
-            # row s + 1 is F_{s+1}-measurable, so level s of the induction
-            # decides; every row read at its cells' first outcomes at once,
-            # one column per process
-            vals = rows.reshape(k, -1)[:, num.firsts[:offsets[T + 1]]].T
+            # f_{s+1} is F_{s+1}-measurable, so level s of the induction
+            # decides; one column per process
+            vals = cells.T
             sups = [_one_step_sups(self._nodes[s], vals[offsets[s + 1]:offsets[s + 2]],
                                    self._unit)[0] - vals[offsets[s]:offsets[s + 1]]
                     for s in range(T)]
             return ("lp max",), np.concatenate(sups).T.reshape(1, *stack, -1)
-        # m-stability: E^P(rows[s+1] | F_s) = rows[s] for every member iff
-        # every node's increments are replicated by its asset moves
-        steps = (rows[:, 1:] - rows[:, :-1]).reshape(k, -1)
-        last = steps[:, -n:]
-        if T > N or (last[:, num.firsts[num.ids[T]] % n] == last).all():
-            miss = self._fit(steps[:, pairs.step_index[:pairs.starts[offsets[T]]]])[1]
-            return ("node residual",), miss.reshape(1, *stack, -1)
-        # a last step not F_T-measurable is spread over the reference
-        # member's conditional means on the cells of times T..N, then its
-        # outcomes, from 0 on the time-(T-1) cells; each of those owns every
-        # pair on or below it.  The sums go up the pair table from the
-        # outcomes, one reduceat per level for every process at once, where
-        # one bincount over the cells of all those times would touch every
-        # outcome once per time
-        up, lo, head = offsets[T - 1], offsets[T], pairs.starts[offsets[T - 1]]
-        cells = offsets[-1] - up
-        path = np.zeros((k, cells + n))                   # columns: cell - up, then outcomes
-        path[:, cells:] = self._interior * last
-        for t in range(N, T - 1, -1):
+        # m-stability: E^P(f_{s+1} | F_s) = f_s for every member iff every
+        # node's increments towards its children are replicated by its
+        # asset moves.  A claim at N + 1 sits on the terminal cells'
+        # children, the outcomes; one F_{T+1}-measurable is read on the cells
+        path = cells
+        if claim is not None:
+            claim = np.asarray(claim, dtype=float).reshape(k, n)
+            if T < N:
+                last = claim - cells[:, num.ids[T]]
+                if not (last[:, num.firsts[num.ids[T + 1]] % n] == last).all():
+                    miss = self._spread_gaps(cells, last, T)
+                    return ("node residual",), miss.reshape(1, *stack, -1)
+                claim = claim[:, num.firsts[offsets[T + 1]:offsets[T + 2]] % n]
+            path, T = np.concatenate([cells, claim], axis=1), T + 1
+        span = pairs.starts[offsets[T]]
+        miss = self._fit(path[:, pairs.child[:span]] - path[:, pairs.parent[:span]])[1]
+        return ("node residual",), miss.reshape(1, *stack, -1)
+
+    def _spread_gaps(self, cells: np.ndarray, last: np.ndarray, T: int) -> np.ndarray:
+        """gaps for processes on the cells of times 0..T < N, whose claims'
+        last steps last (k, n) are not F_{T+1}-measurable: each spread over
+        the reference member's conditional means on the cells of times
+        T+1..N, then its outcomes, from 0 on the time-T cells, each owning
+        every pair below it; the sums go up the pair table a level at a time."""
+        num, pairs, n = self.space.numbering, self._pairs, self.space.outcome_count
+        offsets, N = num.offsets, self.space.horizon
+        up, lo, head = offsets[T], offsets[T + 1], pairs.starts[offsets[T]]
+        width = offsets[-1] - up
+        path = np.zeros((len(last), width + n))          # columns: cell - up, then outcomes
+        path[:, width:] = self._interior * last
+        for t in range(N, T, -1):
             first = pairs.starts[offsets[t]:offsets[t + 1] + 1]
             path[:, offsets[t] - up:offsets[t + 1] - up] = np.add.reduceat(
                 path[:, pairs.child[first[0]:first[-1]] - up], first[:-1] - first[0], axis=1)
-        path[:, lo - up:cells] /= self._interior_mass[lo:]
-        path[:, cells:] = last
+        path[:, lo - up:width] /= self._interior_mass[lo:]
+        path[:, width:] = last
         b = path[:, pairs.child[head:] - up] - path[:, pairs.parent[head:] - up]
         if head:
-            b = np.concatenate([steps[:, pairs.step_index[:head]], b], axis=1)
-        ancestor = num.ids[T - 1][num.firsts[up:] % n]
+            b = np.concatenate([cells[:, pairs.child[:head]] - cells[:, pairs.parent[:head]], b],
+                               axis=1)
+        ancestor = num.ids[T][num.firsts[up:] % n]
         owner = np.r_[pairs.parent[:head], ancestor[pairs.parent[head:] - up]]
-        return ("node residual",), self._fit(b, owner, lo)[1].reshape(1, *stack, -1)
-
-    def _replicate(self, steps: np.ndarray, last: int) -> tuple[np.ndarray, np.ndarray]:
-        """Per cell at times 0..last-1, for the increments towards its
-        children read off steps (row s: from time s to s + 1, or to the
-        outcomes at s = N): the least-squares holdings that replicate them,
-        shape (cells, d), and the replication residual, the largest miss."""
-        span = self._pairs.starts[self.space.numbering.offsets[last]]   # the pairs of those cells
-        h, miss = self._fit(steps.ravel()[self._pairs.step_index[:span]][None])
-        return h.T, miss[0]
+        return self._fit(b, owner, lo)[1]
 
     def _fit(self, b: np.ndarray, owner: np.ndarray | None = None, size: int = 0):
         """For k processes, their increments b (k, pairs) towards the
@@ -887,22 +893,25 @@ class MartingalePolytope(MeasureSet):
         np.maximum.at(miss, index, fit.ravel())
         return h, miss.reshape(k, nodes)
 
-    def hedge_ratios(self, values) -> tuple[np.ndarray, list[np.ndarray]]:
+    def hedge_ratios(self, cells) -> tuple[np.ndarray, list[np.ndarray]]:
         """Asset holdings that replicate the one-step increments of an adapted
         process, in the least-squares sense, and how far they miss.
 
-        values has shape (N+1, n).  Returns holdings of shape (N, n, d), row
-        m-1 chosen on the time-(m-1) cells, and per step m the replication
-        residual of each time-(m-1) cell, all nodes at once (_replicate).
+        cells holds the process on the cells of times 0..N (space.numbering).
+        Returns the holdings chosen on every cell of times 0..N-1, shape
+        (offsets[N], d), and per step m the replication residual of each
+        time-(m-1) cell, every node in one projection (_fit).
         """
-        num, N = self.space.numbering, self.space.horizon
-        h, miss = self._replicate(np.diff(np.asarray(values, dtype=float), axis=0), N)
-        return h[num.ids[:N]], np.split(miss, num.offsets[1:N])
+        cells, pairs = np.asarray(cells, dtype=float), self._pairs
+        offsets = self.space.numbering.offsets
+        span = pairs.starts[offsets[-2]]                 # the pairs of the cells of times 0..N-1
+        h, miss = self._fit((cells[pairs.child[:span]] - cells[pairs.parent[:span]])[None])
+        return h.T, np.split(miss[0], offsets[1:-2])
 
     def superhedge_capital(self, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(M, H, Q*) of the least superhedge of the terminal claim x, from one
         backward induction: capital M = V + g on every cell of times 0..N
-        (space.numbering), with V the per-cell sups of ess_sup_rows(x) and g
+        (space.numbering), with V the per-cell sups of ess_sup_cells(x) and g
         the running sum of its compensator steps down the tree, so M_0 = V_0
         = sup E x and M_N >= x; the compensator's holdings H, shape
         (offsets[N], d), chosen on every cell of times 0..N-1, with M_c -
@@ -918,22 +927,17 @@ class MartingalePolytope(MeasureSet):
         if q_star.min() < 0.0 or abs(q_star.sum() - 1.0) > MASS_TOL or missed:
             raise MathError(f"the measure attaining the price fails its own check: least mass "
                             f"{q_star.min():.3e}, total {q_star.sum():.12g}, {len(missed)} missed")
-        scale = 1.0 + float(np.abs(V).max())
-        span = self._pairs.starts[self.space.numbering.offsets[-2]]
-        gamma, holdings = self._compensator(V[self._pairs.parent[:span]]
-                                            - V[self._pairs.child[:span]], scale)
+        num, scale = self.space.numbering, 1.0 + float(np.abs(V).max())
+        gamma, holdings = self._compensator(V[num.parents] - V[num.offsets[1]:], scale)
         return V + path_sums(self.space, gamma), holdings, q_star
 
     def compensator(self, drops, scale):
-        span = self._pairs.starts[self.space.numbering.offsets[-2]]
-        b = np.asarray(drops, dtype=float).ravel()[self._pairs.step_index[:span]]
-        return self._compensator(b, scale)[0]
+        return self._compensator(np.asarray(drops, dtype=float), scale)[0]
 
-    def _compensator(self, b: np.ndarray, scale: float) -> tuple[np.ndarray, np.ndarray]:
-        """(gamma, H) for the drops b of a process towards the children of
-        the cells of times 0..N-1, one per pair of the table: the
-        compensator steps (compensator) on the cells of times 1..N, and
-        their holdings on the cells of times 0..N-1, shape (offsets[N], d).
+    def _compensator(self, drops: np.ndarray, scale: float) -> tuple[np.ndarray, np.ndarray]:
+        """(gamma, H) for the drops of a process on the cells of times 1..N:
+        the compensator steps (compensator) on those cells, and their
+        holdings on the cells of times 0..N-1, shape (offsets[N], d).
 
         Every node at once, from the flat pair table: the closure is
         m-stable, so gamma - drop has zero conditional mean under every
@@ -955,6 +959,8 @@ class MartingalePolytope(MeasureSet):
         tol, size = EQ_TOL * scale, int(offsets[-2])
         span = slice(0, pairs.starts[size])            # the pairs of the cells of times 0..N-1
         cells, moves = pairs.parent[span], pairs.moves[:, span]
+        child = pairs.child[span] - offsets[1]         # each pair's child, from offsets[1]
+        b = drops[child]
         if len(moves) == 1:
             m = moves[0]
             ratio = np.divide(-b, m, out=np.zeros_like(b), where=m != 0.0)
@@ -983,7 +989,7 @@ class MartingalePolytope(MeasureSet):
         if short.size:
             raise _no_compensator(self.space, short.min())
         steps = np.empty(offsets[-1] - offsets[1])
-        steps[pairs.child[span] - offsets[1]] = gamma
+        steps[child] = gamma
         return steps, h
 
     def contains_two_point(self, t, i, j, mass_i):
@@ -992,8 +998,9 @@ class MartingalePolytope(MeasureSet):
         # does, and distinct ones see one each.  A pair leaves at a failure
         rep, ids = cell_reps(self.space, t)[np.array([i, j], dtype=int)], self.space.numbering.ids
         mass, live = np.array([mass_i, 1.0 - np.asarray(mass_i, dtype=float)]), np.arange(len(mass_i))
+        S = np.array([a.cells for a in self.assets])
         for s in range(1, t + 1):
-            terms = mass * (self._values[:, s] - self._values[:, s - 1])[:, rep]     # (d, 2, pairs)
+            terms = mass * (S[:, ids[s, rep]] - S[:, ids[s - 1, rep]])      # (d, 2, pairs)
             shared = ids[s - 1, rep[0]] == ids[s - 1, rep[1]]
             miss = np.where(shared, np.abs(terms.sum(axis=1)), np.abs(terms).max(axis=1))
             keep = (miss <= self._equality_tol).all(axis=0)
@@ -1025,14 +1032,14 @@ class MartingalePolytope(MeasureSet):
 
 def is_unit_claim(space: FilteredSpace, mset: MeasureSet, xi):
     """True iff xi >= -EQ_TOL and E^P[xi] = 1 for every member measure: the
-    gaps of the rows [1, xi] stay within scaled_tol(xi).  A stack of claims
-    xi, shape (k, n), is judged in one gaps call over the stack of their
-    rows, one verdict per claim, shape (k,), each at its own scale; a single
-    claim is a stack of one, with a bool verdict."""
+    gaps of the process 1 on the time-0 cell followed by the claim xi stay
+    within scaled_tol(xi).  A stack of claims xi, shape (k, n), is judged in
+    one gaps call over the stack of those processes, one verdict per claim,
+    shape (k,), each at its own scale; a single claim is a stack of one,
+    with a bool verdict."""
     x = _claim_vector(space, xi, stack=True)
-    rows = np.stack([np.ones_like(x), x], axis=-2)
-    ok = ((x.min(axis=-1) >= -EQ_TOL)
-          & (mset.gaps(rows, equality=True)[1].max(axis=(0, -1)) <= scaled_tol(x)))
+    gaps = mset.gaps(np.ones((*x.shape[:-1], 1)), equality=True, claim=x)[1]
+    ok = (x.min(axis=-1) >= -EQ_TOL) & (gaps.max(axis=(0, -1)) <= scaled_tol(x))
     return ok if x.ndim == 2 else bool(ok)
 
 
@@ -1055,13 +1062,12 @@ def _unit_claim_cells(space: FilteredSpace, mset: MeasureSet, xi0) -> np.ndarray
     """unit_claim_rows on every cell of times 0..N (space.numbering)."""
     xi0 = _claim_vector(space, xi0)
     cells = _condexp_cells(space, mset.reference(), xi0, 0, space.horizon + 1)
-    rows = np.vstack([cells[space.numbering.ids], xi0])
-    tol, started = scaled_tol(xi0), np.concatenate((np.ones((1, len(xi0))), rows[1:]))
-    if xi0.min() >= -EQ_TOL and mset.gaps(started, equality=True)[1].max() <= tol:
+    tol, started = scaled_tol(xi0), np.r_[1.0, cells[1:]]
+    if xi0.min() >= -EQ_TOL and mset.gaps(started, equality=True, claim=xi0)[1].max() <= tol:
         return cells
     if not is_unit_claim(space, mset, xi0):
         raise NotUnitClaim("claim is not nonnegative with unit expectation under every measure")
-    labels, gaps = mset.gaps(rows, equality=True)
+    labels, gaps = mset.gaps(cells, equality=True, claim=xi0)
     label, node = np.nonzero(gaps > tol)
     if not node.size:
         return cells

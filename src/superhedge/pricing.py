@@ -58,7 +58,7 @@ def _check_terminal_claim(space: FilteredSpace, f_N) -> np.ndarray:
 def sup_expectation(space: FilteredSpace, mset: MeasureSet, f_N) -> float:
     """Largest expectation of the terminal payoff over the family: the time-0
     entry of the family's per-cell sups, with no attaining measure built."""
-    return float(mset.ess_sup_rows(_claim_vector(space, f_N))[0, 0])
+    return float(mset.ess_sup_cells(_claim_vector(space, f_N))[0])
 
 
 def _dominated(P, eta):

@@ -4,8 +4,8 @@ plus the constructive processes built from unit claims.
 A process f is a super-martingale for the family when
 E^P(f_m | F_{m-1}) <= f_{m-1} holds on every cell for every member measure P,
 and a martingale when equality holds.  Both verdicts read the per-cell gaps
-the family reports for the whole process in one MeasureSet.gaps call, so
-nothing here depends on which kind of family it is.
+the family reports for the whole process, given on its cells, in one
+MeasureSet.gaps call, so nothing here depends on which kind of family it is.
 """
 
 from __future__ import annotations
@@ -49,8 +49,8 @@ def _as_process(space: FilteredSpace, f) -> AdaptedProcess:
 
 def _step_report(space: FilteredSpace, mset: MeasureSet, f, equality: bool) -> MartingaleReport:
     proc = _as_process(space, f)
-    labels, gaps = mset.gaps(proc.values, equality)
-    over = gaps > EQ_TOL * (1.0 + float(np.abs(proc.values).max()))
+    labels, gaps = mset.gaps(proc.cells, equality)
+    over = gaps > EQ_TOL * (1.0 + float(np.abs(proc.cells).max()))
     if not over.any():
         return MartingaleReport(ok=True, equality=equality, violations=())
     label, node = np.nonzero(over)
@@ -74,10 +74,9 @@ def is_martingale(space: FilteredSpace, mset: MeasureSet, f) -> MartingaleReport
 
 def ess_sup_process(space: FilteredSpace, mset: MeasureSet, xi) -> AdaptedProcess:
     """The process of per-cell suprema of E^P(xi | F_t) over the family,
-    every row from one call to the family (one backward pass on a
+    every cell's from one call to the family (one backward pass on a
     polytope)."""
-    rows = mset.ess_sup_rows(_nonnegative_claim(space, xi))
-    return AdaptedProcess.on_cells(space, at_cells(space, rows))
+    return AdaptedProcess.on_cells(space, mset.ess_sup_cells(_nonnegative_claim(space, xi)))
 
 
 def unit_claim_martingale(space: FilteredSpace, mset: MeasureSet, xi0) -> AdaptedProcess:

@@ -80,13 +80,18 @@ def lp_calls(monkeypatch):
 @pytest.fixture
 def gaps_calls(monkeypatch):
     """A list that gets one entry per MeasureSet.gaps call, on either
-    family, for as long as the test runs: the family, a copy of the rows
-    and the equality flag."""
+    family, for as long as the test runs: the family, the rows it judged
+    (the process spread over the outcomes, then the claim, if any) and the
+    equality flag."""
     calls = []
     for family in (GeneratorHull, MartingalePolytope):
-        def counted(self, rows, equality, gaps=family.gaps):
-            calls.append((self, np.array(rows, dtype=float), equality))
-            return gaps(self, rows, equality)
+        def counted(self, cells, equality, claim=None, gaps=family.gaps):
+            num, cells = self.space.numbering, np.asarray(cells, dtype=float)
+            rows = cells[..., num.ids[:np.searchsorted(num.offsets, cells.shape[-1])]]
+            if claim is not None:
+                rows = np.concatenate([rows, np.asarray(claim, dtype=float)[..., None, :]], axis=-2)
+            calls.append((self, rows, equality))
+            return gaps(self, cells, equality, claim)
 
         monkeypatch.setattr(family, "gaps", counted)
     return calls

@@ -769,26 +769,33 @@ def unit_claim_rows_two_pass(space, mset, xi):
 def is_unit_claim_loop(space, mset, xi):
     """is_unit_claim for one claim, as a family was judged member by member
     before the stacked pass: xi >= -EQ_TOL and the equality gaps of the
-    rows [1, xi] within EQ_TOL * (1 + max |xi|).  A hull takes its own
-    gaps.  A polytope tests at every time s >= 1 whether xi is
-    F_s-measurable, spreads xi - 1 over the reference member's conditional
-    means up to the first such s (N + 1 if none) and takes the largest node
-    residual of that path."""
+    process 1 followed by the claim xi within EQ_TOL * (1 + max |xi|).  A
+    hull takes its own gaps.  A polytope tests at every time s >= 1 whether
+    xi is F_s-measurable, spreads xi - 1 over the reference member's
+    conditional means up to the first such s (N + 1 if none), from 0 at time
+    0, and takes the largest replication residual (hedge_ratios) of the
+    nodes of times < s on that path, which goes on as xi - 1 after s; with
+    s = N + 1 also the largest miss of xi - 1 about its terminal cell's
+    mean."""
     xi = np.asarray(xi, dtype=float)
     tol = EQ_TOL * (1.0 + float(np.abs(xi).max()))
     if xi.min() < -EQ_TOL:
         return False
     if isinstance(mset, GeneratorHull):
-        return bool(mset.gaps(np.array([np.ones_like(xi), xi]), equality=True)[1].max() <= tol)
+        return bool(mset.gaps(np.ones(1), equality=True, claim=xi)[1].max() <= tol)
     num, N, n = space.numbering, space.horizon, space.outcome_count
     last = xi - 1.0
     measurable = (last[num.firsts[num.ids[1:]] % n] == last).all(axis=1)
     s = 1 + int(measurable.argmax()) if measurable.any() else N + 1
-    path = [np.zeros((1, n)), last[None]]
+    path = last[num.firsts % n]
+    path[0] = 0.0
     if s > 1:
-        means = _condexp_cells(space, mset.reference(), last, 1, s)
-        path.insert(1, means[num.ids[1:s] - num.offsets[1]])
-    return bool(mset._replicate(np.diff(np.concatenate(path), axis=0), s)[1].max() <= tol)
+        path[num.offsets[1]:num.offsets[min(s, N + 1)]] = _condexp_cells(
+            space, mset.reference(), last, 1, min(s, N + 1))
+    miss = np.concatenate(mset.hedge_ratios(path)[1][:s])
+    if s == N + 1:
+        miss = np.r_[miss, np.abs(last - path[num.ids[N]])]
+    return bool(miss.max() <= tol)
 
 
 def is_complete_loop(space, mset, xi0):

@@ -493,18 +493,23 @@ class TestForcedCells:
     @pytest.mark.parametrize("disagree, branch_short, cell",
                              [((0, 2), False, 0), ((2,), False, 2), ((2,), True, 1), ((0,), True, 0)])
     def test_the_lowest_failing_cell_raises(self, disagree, branch_short, cell):
-        """A drop that varies inside a forced cell has a different positive
-        conditional mean under each generator; the drop (1, -1) on the
-        branching cell needs a negative increment under these masses.  With
-        nothing to compensate at step 1, the compensator raises for the
-        lowest failing cell of step 2, as the per-cell LP does."""
+        """The forced cells in disagree carry the drop -0.6, at odds with
+        every nonnegative increment: a drop is one value per cell, so on a
+        forced cell the generators cannot disagree on its mean, only find
+        it negative.  The drop (1, -1) on the branching cell needs a
+        negative increment under these masses.  With nothing to compensate
+        at step 1, the compensator raises for the lowest failing cell of
+        step 2, as the per-cell LP does."""
         drop = np.zeros(6)
         for c in disagree:
-            drop[list(self.SPACE.cells[1][c])] = [0.6, 0.0]
+            drop[list(self.SPACE.cells[1][c])] = -0.6
         if branch_short:
             drop[[2, 3]] = [1.0, -1.0]
+        # the drops of steps 1 and 2, read on the cells of times 1 and 2
+        num = self.SPACE.numbering
+        drops = np.r_[np.zeros(6), drop][num.firsts[num.offsets[1]:] - 6]
         with pytest.raises(Infeasible) as ours:
-            self.HULL.compensator(np.array([np.zeros(6), drop]), 1.0)
+            self.HULL.compensator(drops, 1.0)
         with pytest.raises(Infeasible) as lp:
             compensator_increments_lp(self.SPACE, self.HULL, drop, 1)
         assert (ours.value.time, ours.value.cell) == (lp.value.time, lp.value.cell) == (2, cell)
@@ -604,3 +609,26 @@ def test_validate_decomposition_flags_bad_input(binary_space):
         compensator=AdaptedProcess(binary_space, np.full((2, 2), 1.0)),
     )
     assert not validate_decomposition(binary_space, hull, f, bad).ok
+
+
+@pytest.mark.parametrize("scale_by", [1e-6, 1.0, 1e6])
+def test_initial_compensator_is_judged_in_the_process_units(bound_tree, scale_by):
+    """validate_decomposition judges g_0 at EQ_TOL times the process scale,
+    as it judges the reconstruction and the steps: the witness
+    decomposition of a call's envelope, the process and its decomposition
+    scaled by 1e-6, 1 or 1e6 and g_0 moved to one ulp of the scaled
+    process's scale, is accepted at every scale.  At 1e6 that ulp, about
+    1e-8, lies above an absolute EQ_TOL."""
+    from superhedge import Decomposition
+
+    space, asset, poly = bound_tree
+    f = ess_sup_process(space, poly, np.maximum(asset.values[-1] - 90.0, 0.0))
+    dec = local_regular_witness(space, poly, f)
+    scaled = AdaptedProcess.on_cells(space, scale_by * f.cells)
+    g = scale_by * dec.compensator.cells
+    g[0] = np.spacing(1.0 + np.abs(scaled.cells).max())
+    moved = Decomposition(martingale=AdaptedProcess.on_cells(space, scale_by * dec.martingale.cells),
+                          compensator=AdaptedProcess.on_cells(space, g))
+    report = validate_decomposition(space, poly, scaled, moved)
+    assert report.initial_compensator == g[0]
+    assert report.ok, report.error()

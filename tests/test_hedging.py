@@ -12,9 +12,12 @@ from superhedge import (
     ShapeMismatch,
     TradingStrategy,
     build_space,
+    ess_sup_process,
     fair_price_full,
     is_martingale,
+    is_supermartingale,
     is_unit_claim,
+    local_regular_witness,
     martingale_representation,
     strategy_capital,
     superhedge,
@@ -341,7 +344,8 @@ class TestScaledMarkets:
             m[t + 1] = m[t] + (holdings[t] * (values[:, t + 1] - values[:, t]).T).sum(axis=1)
         martingale = AdaptedProcess(space, m)
 
-        got, residuals = poly.hedge_ratios(m)
+        got, residuals = poly.hedge_ratios(martingale.cells)
+        got = got[space.numbering.ids[:2]]
         want, want_residuals = hedge_ratios_lstsq(poly, m, raw=True)
         assert np.allclose(got, want, rtol=1e-9, atol=0.0)
         assert np.allclose(got, holdings, rtol=1e-6, atol=0.0)
@@ -418,6 +422,30 @@ def test_large_binomial_builds_in_linear_memory():
     scale = 1.0 + float(claim.max()) + result.price
     assert capital[0, 0] == result.price
     assert (capital[-1] - claim).min() >= -EQ_TOL * scale
+
+
+def test_large_binomial_verdicts_trace_less_than_an_outcome_array():
+    """On the same 4,096-outcome tree the family takes and gives cells, so
+    no verdict spreads a process over the outcomes: the super-martingale
+    verdict of the claim's envelope and the martingale verdict of the asset
+    each trace less than one (N+1, n) outcome array (0.41 MiB), and the
+    envelope's witness decomposition less than two."""
+    rng = np.random.default_rng(12)
+    space, asset = _binomial_tree(rng, 12)
+    poly = MartingalePolytope(space, [asset])
+    envelope = ess_sup_process(space, poly, np.maximum(asset.values[-1] - 100.0, 0.0))
+    array = (space.horizon + 1) * space.outcome_count * 8
+    for bound, run in ((array, lambda: is_supermartingale(space, poly, envelope)),
+                       (array, lambda: is_martingale(space, poly, asset)),
+                       (2 * array, lambda: local_regular_witness(space, poly, envelope))):
+        tracemalloc.start()
+        try:
+            result = run()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result
+        assert peak < bound
 
 
 def _incomplete_tree(rng, outcomes, ternary, horizon):

@@ -111,17 +111,30 @@ OUTSIDE_DATA = {("spaces.py", None), ("market_io.py", None), ("cli.py", None),
                 ("processes.py", "class_k_supermartingale")}
 
 
+def calls_by_owner(source: str, names) -> list[tuple[str | None, str]]:
+    """(owner, "line N: name") of every call of one of names, the owner the
+    top-level function or class that makes it, or Class.method for a call
+    in a method; None for a call at module level."""
+    found = []
+    for top in ast.parse(source).body:
+        parts = [(top, getattr(top, "name", None))]
+        if isinstance(top, ast.ClassDef):
+            parts = [(item, f"{top.name}.{item.name}" if isinstance(item, ast.FunctionDef)
+                      else top.name) for item in top.body]
+        for part, owner in parts:
+            for node in ast.walk(part):
+                if isinstance(node, ast.Call):
+                    name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                    if name in names:
+                        found.append((owner, f"line {node.lineno}: {name}"))
+    return found
+
+
 def measurability_checks(source: str) -> list[tuple[str | None, str]]:
     """(top-level function or class, "line N: name") of every call of
     check_adapted or level_ranges; None for a call at module level."""
-    found = []
-    for top in ast.parse(source).body:
-        for node in ast.walk(top):
-            if isinstance(node, ast.Call):
-                name = getattr(node.func, "id", getattr(node.func, "attr", None))
-                if name in MEASURABILITY_CHECKS:
-                    found.append((getattr(top, "name", None), f"line {node.lineno}: {name}"))
-    return found
+    return [(owner and owner.split(".")[0], line)
+            for owner, line in calls_by_owner(source, MEASURABILITY_CHECKS)]
 
 
 def test_checker_finds_measurability_checks():
@@ -151,6 +164,40 @@ def test_measurability_is_checked_only_on_outside_data():
     for path in sorted(PACKAGE.glob("*.py")):
         found = [line for owner, line in measurability_checks(path.read_text(encoding="utf-8"))
                  if not {(path.name, None), (path.name, owner)} & OUTSIDE_DATA]
+        if found:
+            offenders[path.name] = found
+    assert offenders == {}
+
+
+# the public constructors, which take outside outcome arrays, and the user
+# weights of class_k_supermartingale
+OUTSIDE_ARRAYS = {("spaces.py", "AdaptedProcess.__init__"),
+                  ("spaces.py", "PredictableProcess.__init__"),
+                  ("spaces.py", "TradingStrategy.__init__"),
+                  ("processes.py", "class_k_supermartingale")}
+
+
+def test_checker_names_the_calling_method():
+    source = (
+        "class P:\n"
+        "    def __init__(self, space, v):\n"
+        "        self.cells = at_cells(space, v)\n"
+        "def f(space, rows):\n"
+        "    return spaces.at_cells(space, rows)\n"
+    )
+    assert calls_by_owner(source, {"at_cells"}) == [("P.__init__", "line 3: at_cells"),
+                                                     ("f", "line 5: at_cells")]
+
+
+def test_outcome_arrays_are_gathered_only_where_outside_data_comes_in():
+    """The family contract takes and gives cells, so no process the package
+    computes is spread over the outcomes only to be gathered back:
+    spaces.at_cells runs only in the public constructors of spaces.py and
+    on the user weights of processes.class_k_supermartingale."""
+    offenders = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        found = [line for owner, line in calls_by_owner(path.read_text("utf-8"), {"at_cells"})
+                 if (path.name, owner) not in OUTSIDE_ARRAYS]
         if found:
             offenders[path.name] = found
     assert offenders == {}
@@ -222,7 +269,7 @@ CONTRACT = {
     "dominating_claim",
     "domination_rows",
     "cond_exp_sup",
-    "ess_sup_rows",
+    "ess_sup_cells",
     "gaps",
     "contains_two_point",
     "compensator",

@@ -23,8 +23,17 @@ from superhedge.cli import main
 
 DATA = Path(__file__).parent / "data"
 
-# "columns": the package's own column-wise form, _lp.Columns
+# "columns": the package's own column-wise form, _lp.Columns; the scipy
+# sparse kinds are passed as the Columns of their canonical CSC form
 FORMATS = ("dense", "columns", "csr", "csc", "coo")
+
+
+def _sparse_columns(S):
+    """A scipy sparse matrix as _lp.Columns, through its own tocsc and
+    sum_duplicates."""
+    S = S.tocsc()
+    S.sum_duplicates()
+    return _lp.Columns(S.indptr, S.indices, S.data, S.shape)
 
 
 def _matrix(draw, rows, cols):
@@ -35,7 +44,7 @@ def _matrix(draw, rows, cols):
     kind = draw(st.sampled_from(FORMATS))
     if kind == "columns":
         return _lp.Columns.from_dense(dense)
-    return dense if kind == "dense" else sparse.coo_array(dense).asformat(kind)
+    return dense if kind == "dense" else _sparse_columns(sparse.coo_array(dense).asformat(kind))
 
 
 def _scipy_input(A):
@@ -108,7 +117,7 @@ def test_solve_matches_linprog(program, presolve):
         ([1.0, 1.0], {"A_eq": [[1.0, 2.0]], "b_eq": [2.0]}, 0),
         ([1.0, 1.0], {"A_eq": [[1.0, 1.0]], "b_eq": [-1.0]}, 2),
         ([-1.0, 0.0], {"A_ub": [[0.0, 1.0]], "b_ub": [1.0]}, 3),
-        ([1.0, -1.0], {"A_ub": sparse.csr_array([[1.0, -1.0]]), "b_ub": [1.0],
+        ([1.0, -1.0], {"A_ub": _sparse_columns(sparse.csr_array([[1.0, -1.0]])), "b_ub": [1.0],
                        "bounds": (None, None)}, 3),
     ],
 )
@@ -132,7 +141,7 @@ def test_feasibility_tolerances_are_pinned():
     [
         {"c": [np.nan, 1.0]},
         {"A_ub": [[np.inf, 1.0]], "b_ub": [1.0]},
-        {"A_eq": sparse.csr_array([[np.nan, 1.0]]), "b_eq": [1.0]},
+        {"A_eq": _sparse_columns(sparse.csr_array([[np.nan, 1.0]])), "b_eq": [1.0]},
         {"A_eq": [[1.0, 1.0]], "b_eq": [np.inf]},
     ],
 )

@@ -28,7 +28,7 @@ from superhedge import (
     unit_claim_martingale,
     validate_decomposition,
 )
-from superhedge.spaces import AdaptedProcess, build_space
+from superhedge.spaces import AdaptedProcess, at_cells, build_space
 
 from gen import (
     complete_polytope,
@@ -265,7 +265,7 @@ class TestNodeLocalSup:
         assert [list(a) for a in row.attained] == [[0.0, 1.0], [1.0]]
 
     def test_a_stack_of_claims_takes_each_claims_own_rows(self):
-        """ess_sup_rows(X)[i] is ess_sup_rows(X[i]) bit for bit, on hulls,
+        """ess_sup_cells(X)[i] is ess_sup_cells(X[i]) bit for bit, on hulls,
         one-asset polytopes and a two-asset node with more candidate
         supports than _MAX_SUPPORTS, whose sups come from one LP each."""
         rng = np.random.default_rng(2401)
@@ -286,10 +286,11 @@ class TestNodeLocalSup:
         for space, mset in families:
             claims = rng.uniform(0.0, 3.0, size=(4, space.outcome_count))
             claims[1] = claims[0]
-            stacked = mset.ess_sup_rows(claims)
+            ids = space.numbering.ids
+            stacked = mset.ess_sup_cells(claims)[:, ids]
             assert stacked.shape == (4, space.horizon + 1, space.outcome_count)
             for claim, rows in zip(claims, stacked):
-                assert rows.tobytes() == mset.ess_sup_rows(claim).tobytes()
+                assert rows.tobytes() == mset.ess_sup_cells(claim)[ids].tobytes()
 
 
 class TestFamilyContract:
@@ -297,26 +298,26 @@ class TestFamilyContract:
 
     def test_step_gap_labels_and_shape(self, binomial, two_generator_hull):
         space, asset, poly = binomial
-        rows = np.vstack([np.full(2, 100.0), asset.values[1]])
-        hull_labels, hull_gaps = two_generator_hull.gaps(rows, equality=False)
+        cells = at_cells(space, np.vstack([np.full(2, 100.0), asset.values[1]]))
+        hull_labels, hull_gaps = two_generator_hull.gaps(cells, equality=False)
         assert hull_labels == ("generator 0", "generator 1")
-        assert poly.gaps(rows, equality=False)[0] == ("lp max",)
-        assert poly.gaps(rows, equality=True)[0] == ("node residual",)
+        assert poly.gaps(cells, equality=False)[0] == ("lp max",)
+        assert poly.gaps(cells, equality=True)[0] == ("node residual",)
         assert hull_gaps.shape == (2, space.n_cells(0))
 
     def test_hull_gaps_are_generator_excesses(self, binary_space, two_generator_hull):
-        rows = np.array([[1.2, 1.2], [2.0, 0.0]])
-        _, signed = two_generator_hull.gaps(rows, equality=False)
+        cells = at_cells(binary_space, np.array([[1.2, 1.2], [2.0, 0.0]]))
+        _, signed = two_generator_hull.gaps(cells, equality=False)
         assert signed[:, 0] == pytest.approx([-0.2, 0.4])
-        _, absolute = two_generator_hull.gaps(rows, equality=True)
+        _, absolute = two_generator_hull.gaps(cells, equality=True)
         assert absolute[:, 0] == pytest.approx([0.2, 0.4])
 
     def test_polytope_gaps_vanish_on_martingale(self, binomial):
         space, asset, poly = binomial
         for equality in (False, True):
-            _, (gaps,) = poly.gaps(asset.values, equality)
+            _, (gaps,) = poly.gaps(asset.cells, equality)
             assert np.abs(gaps).max() <= 1e-9
-        _, (gaps,) = poly.gaps(asset.values - [[1.0], [0.0]], True)
+        _, (gaps,) = poly.gaps(at_cells(space, asset.values - [[1.0], [0.0]]), True)
         assert gaps.min() > 0.5
 
     def test_contains_two_point(self, binomial, two_generator_hull):

@@ -48,7 +48,7 @@ from superhedge import (
 )
 from scipy.linalg import null_space
 from superhedge.measures import unit_claim_rows
-from superhedge.spaces import cell_order, cell_reps
+from superhedge.spaces import at_cells, cell_order, cell_reps
 
 from gen import compliant_hull, random_hull, random_measure, random_space
 
@@ -340,7 +340,7 @@ def test_node_local_sup_matches_lp_oracle(seed, kind):
     whole closure, and each attaining measure is a certificate: spliced into
     the reference member at its cell's mass it satisfies every asset
     equality and gives the sup as its conditional expectation.  The single
-    backward pass of ess_sup_rows gives the same rows bit for bit, and so
+    backward pass of ess_sup_cells gives the same rows bit for bit, and so
     does the super-martingale gap of each row t + 1 against row t, which
     is zero."""
     from gen import cond_exp_sup_lp
@@ -351,9 +351,10 @@ def test_node_local_sup_matches_lp_oracle(seed, kind):
     x = rng.uniform(-5.0, 5.0, size=space.outcome_count)
     tol = EQ_TOL * (1.0 + float(np.abs(x).max()))
     ref = poly.reference()
-    rows = poly.ess_sup_rows(x)
+    cells = poly.ess_sup_cells(x)
+    rows = cells[space.numbering.ids]
     assert rows.shape == (N + 1, space.outcome_count)
-    labels, (gaps,) = poly.gaps(rows, equality=False)
+    labels, (gaps,) = poly.gaps(cells, equality=False)
     assert labels == ("lp max",) and np.array_equal(gaps, np.zeros(len(gaps)))
     for t in range(N + 1):
         row = poly.cond_exp_sup(x, t)
@@ -583,16 +584,18 @@ def test_whole_tree_compensator_matches_steps_and_node_oracle(lp_calls, monkeypa
             space, poly = _sup_instance(rng, kind)
             claim = generic_claim(rng, space)
             N, n = space.horizon, space.outcome_count
-            V = poly.ess_sup_rows(claim)
+            num = space.numbering
+            cells = poly.ess_sup_cells(claim)
+            V = cells[num.ids]
             scale = 1.0 + float(np.abs(V).max())
             lp_calls.clear()
             M, H, _ = poly.superhedge_capital(claim)
             lp_nodes += len(lp_calls)
             drops = V[:-1] - V[1:]
             # the capital, holdings and steps come on the cells: spread them
-            num = space.numbering
             M, H = M[num.ids], H[num.ids[:N]]
-            steps = poly.compensator(drops, scale)[num.ids[1:] - num.offsets[1]]
+            steps = poly.compensator(cells[num.parents] - cells[num.offsets[1]:], scale)
+            steps = steps[num.ids[1:] - num.offsets[1]]
             assert np.array_equal(M, V + np.cumsum(np.r_[np.zeros((1, n)), steps], axis=0))
             peak = np.array([np.abs(a.values).max() for a in poly.assets])
             for t in range(N):
@@ -613,7 +616,7 @@ def test_whole_tree_compensator_names_the_first_infeasible_node(seed, kind):
 
     rng = np.random.default_rng(seed)
     space, poly = _sup_instance(rng, kind)
-    V = poly.ess_sup_rows(generic_claim(rng, space))
+    V = poly.ess_sup_cells(generic_claim(rng, space))[space.numbering.ids]
     N = space.horizon
     knock = 100.0 * EQ_TOL * (1.0 + float(np.abs(V).max()))
     drawn = sorted({(t, int(rng.integers(space.n_cells(t))))
@@ -627,8 +630,9 @@ def test_whole_tree_compensator_names_the_first_infeasible_node(seed, kind):
     scale = 1.0 + float(np.abs(V).max())
     drops = V[:-1] - V[1:]
 
+    cells, num = at_cells(space, V), space.numbering
     with pytest.raises(Infeasible) as whole:
-        poly.compensator(drops, scale)
+        poly.compensator(cells[num.parents] - cells[num.offsets[1]:], scale)
     with pytest.raises(Infeasible) as oracle:
         for t in range(N):
             compensator_per_node(poly, drops[t], t, scale)
@@ -759,7 +763,8 @@ def test_batched_representation_matches_per_cell_lstsq(seed, kind, noise):
     space, poly = _sup_instance(rng, kind)
     proc = _polytope_martingale(rng, space, poly, noise)
     scale = 1.0 + float(np.abs(proc.values).max())
-    holdings, residuals = poly.hedge_ratios(proc.values)
+    holdings, residuals = poly.hedge_ratios(proc.cells)
+    holdings = holdings[space.numbering.ids[:space.horizon]]
     expected, expected_residuals = hedge_ratios_lstsq(poly, proc.values)
     assert holdings.shape == expected.shape
     assert np.abs(holdings - expected).max() <= 1e-9 * (1.0 + np.abs(expected).max())
@@ -826,7 +831,7 @@ def test_node_residual_matches_lstsq_and_global_oracle(seed, kind):
                        for t in range(N + 1)])
     scale = 1.0 + float(np.abs(values).max())
     _, residuals = hedge_ratios_lstsq(poly, values)
-    labels, (gaps,) = poly.gaps(values, equality=True)
+    labels, (gaps,) = poly.gaps(at_cells(space, values), equality=True)
     assert labels == ("node residual",)
     assert np.abs(gaps - np.concatenate(residuals)).max() <= 1e-12 * scale
 
@@ -844,7 +849,7 @@ def test_node_residual_matches_lstsq_and_global_oracle(seed, kind):
         for s, miss in per_cell:
             ancestors = space.atom_index[t][cell_reps(space, s)]
             np.maximum.at(expected, ancestors, miss)
-        _, (gaps,) = poly.gaps(np.vstack([values[:t], base, x]), equality=True)
+        _, (gaps,) = poly.gaps(at_cells(space, np.vstack([values[:t], base])), True, x)
         gaps = gaps[-len(expected):]   # the time-t cells
         assert np.abs(gaps - expected).max() <= 1e-12 * (1.0 + np.abs(x).max() + np.abs(base).max())
 
@@ -902,13 +907,13 @@ def _verdict_instances(kind, rng):
         for sup_kind in SUP_KINDS:
             space, poly = _sup_instance(rng, sup_kind)
             claim = generic_claim(rng, space)
-            out.append((space, poly, poly.ess_sup_rows(claim)))
+            out.append((space, poly, poly.ess_sup_cells(claim)[space.numbering.ids]))
             out.append((space, poly, _polytope_martingale(rng, space, poly, 0.0).values))
     else:
         for space, mset, process in (_bench_markets("decompose_verdicts", 0)
                                      + _bench_markets("desk_incomplete", 0)):
             values = (process if process is not None else
-                      mset.ess_sup_rows(generic_claim(rng, space)))
+                      mset.ess_sup_cells(generic_claim(rng, space))[space.numbering.ids])
             out.append((space, mset, values))
             if not isinstance(mset, GeneratorHull):
                 out.append((space, mset, mset.assets[0].values))
@@ -1081,7 +1086,7 @@ def test_one_market_two_families(steps):
         claim = inputs["claim"]
         full = [fair_price_full(space, mset, claim).price for mset in (poly, hull)]
         assert abs(full[0] - full[1]) <= 1e-12 * max(abs(full[0]), 1.0)
-        envelope = poly.ess_sup_rows(claim)
+        envelope = poly.ess_sup_cells(claim)[space.numbering.ids]
         pushed = envelope.copy()
         pushed[-1, space.atom_index[-1] == seed % space.n_cells(space.horizon)] += 1.0
         for values, ok in ((envelope, True), (pushed, False)):
